@@ -17,6 +17,10 @@ functions.  A fixed op count makes the traced counts repeat exactly for a
 seed; the ratio of the two runs' op time is the tracing overhead.  Spans
 are written to ``perfbench/out/``.
 
+Every time is in reference seconds (``hostspeed.py``): wall time scaled by
+a calibration kernel sampled every few milliseconds, so that the shared
+host's changes of speed cancel out.
+
 The last stdout line is one JSON object: correct, attempted, failed,
 metrics.  Set-up, a failed op or a wrong output never go unnoticed: a
 worker that cannot run ends this script with a nonzero code and no result.
@@ -39,17 +43,18 @@ ROOT = HERE.parent
 WORKER = HERE / "worker.py"
 sys.path.insert(0, str(HERE))
 
+import hostspeed  # noqa: E402
 import inputs  # noqa: E402
 
-SETUP_REPEATS = 7
+SETUP_REPEATS = 15
 DEADLINE_S = 170.0  # the whole run, children included, must end before this
 # Cycles of each workload's schedule in a traced run, per --seconds; each is
 # sized so the untraced and traced passes together take about half of
 # --seconds at the seed commit.
 TRACE_CYCLES_PER_S = {
-    "roundtrip": 0.25,
+    "roundtrip": 0.15,
     "ladder": 0.05,
-    "oracle": 0.7,
+    "oracle": 0.45,
     "exact_algebra": 0.1,
 }
 
@@ -80,20 +85,20 @@ def _worker(args: list[str], start: float) -> dict:
 
 
 def setup_seconds(workload: str, seed: int, start: float) -> float:
-    """Median over fresh interpreters of the time from process start to the
-    worker reporting its first op ready (imports and first-use set-up;
-    input generation excluded)."""
+    """Median over fresh interpreters of the time from process launch to
+    the worker reporting its first op ready (imports and first-use set-up;
+    input generation excluded), at the reference host speed.  The worker
+    measures it: time.perf_counter() is one clock for all processes."""
     times = []
     for _ in range(SETUP_REPEATS):
-        t0 = time.perf_counter()
         proc = subprocess.Popen(
-            [sys.executable, str(WORKER), workload, "--seed", str(seed), "--setup-only"],
+            [sys.executable, str(WORKER), workload, "--seed", str(seed),
+             "--setup-only", repr(time.perf_counter())],
             cwd=ROOT, env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True,
         )
         try:
             line = proc.stdout.readline()
-            elapsed = time.perf_counter() - t0
             _, err = proc.communicate(timeout=_remaining(start))
         finally:
             if proc.poll() is None:
@@ -102,7 +107,7 @@ def setup_seconds(workload: str, seed: int, start: float) -> float:
         if proc.returncode != 0 or not line:
             sys.stderr.write(err)
             raise SystemExit(f"set-up of {workload} failed")
-        times.append(elapsed)
+        times.append(json.loads(line)["setup_s"])
     return statistics.median(times)
 
 
@@ -228,6 +233,10 @@ def main(argv=None) -> int:
         run = _worker([w, "--seed", seed, "--seconds", str(args.seconds)], start)
         metrics = end_to_end(run, setup_s)
         runs = (run,)
+        wall = sum(run["wall_latencies"])
+        print(f"{run['attempted']} ops in {wall:.3f} s of wall time; host kernel median "
+              f"{run['kernel_s'] * 1e3:.3f} ms against {hostspeed.REFERENCE_S * 1e3:.3f} ms "
+              "reference, so times are reported at the reference speed")
     attempted = sum(r["attempted"] for r in runs)
     failed = sum(r["failed"] for r in runs)
     for r in runs:

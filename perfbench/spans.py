@@ -77,7 +77,8 @@ def _count_result(name: str, result, counts: dict) -> None:
 class Tracer:
     """In-memory span store plus the patching that feeds it."""
 
-    def __init__(self):
+    def __init__(self, now=time.perf_counter):
+        self.now = now  # the clock spans are timed with
         self.names: list[str] = [ROOT]
         self.name_ids = array("H")
         self.parents = array("l")
@@ -99,11 +100,11 @@ class Tracer:
         self.parents.append(self.stack[-1])
         self.ends.append(0.0)
         self.stack.append(idx)
-        self.starts.append(time.perf_counter())
+        self.starts.append(self.now())
         return idx
 
     def _close(self, idx: int) -> None:
-        self.ends[idx] = time.perf_counter()
+        self.ends[idx] = self.now()
         self.stack.pop()
 
     def op(self, fn, *args):

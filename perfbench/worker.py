@@ -3,15 +3,16 @@
 ``run.py`` starts this file in a fresh interpreter for every measurement,
 so the library's caches start empty, as they do for a command-line user:
 
-    python3 perfbench/worker.py WORKLOAD --seed N --setup-only
+    python3 perfbench/worker.py WORKLOAD --seed N --setup-only STARTED
     python3 perfbench/worker.py WORKLOAD --seed N --seconds S
     python3 perfbench/worker.py WORKLOAD --seed N --ops K [--trace FILE] [--scalars]
 
 One client issues each op after the previous one completes.  Op inputs
 come from ``inputs.make_op`` and are turned into library objects outside
 the op timer.  Every op is verified; an exception, a mismatch or a
-tolerance miss counts as a failed op.  The last stdout line is a JSON
-summary.
+tolerance miss counts as a failed op.  Times are read from a
+``hostspeed.Clock``, in reference seconds; the raw wall latencies ride
+along.  The last stdout line is a JSON summary.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 sys.path.insert(0, str(HERE.parent / "src"))
 
+import hostspeed  # noqa: E402
 import inputs  # noqa: E402
 
 ORACLE_TOL = 1e-9  # pinned, as in tests/test_acceptance.py
@@ -234,10 +236,10 @@ WORKLOADS = {
 # the scalar microkernel
 # ---------------------------------------------------------------------------
 
-def scalar_kernel(tc, seed: int, repeats: int = 7) -> dict:
+def scalar_kernel(tc, seed: int, now, repeats: int = 7) -> dict:
     """ns per GaussRat add, mul, div and parse over an operand pool made of
     the coefficients of this seed's first roundtrip inputs; each figure is
-    the median of `repeats` timed passes."""
+    the median of `repeats` passes timed with the clock `now`."""
     texts = []
     seen = set()
     index = 0
@@ -262,9 +264,9 @@ def scalar_kernel(tc, seed: int, repeats: int = 7) -> dict:
         n = len(texts) * 8
         times = []
         for _ in range(repeats):
-            t0 = time.perf_counter()
+            t0 = now()
             kernel()
-            times.append(time.perf_counter() - t0)
+            times.append(now() - t0)
         out[name] = statistics.median(times) / n * 1e9
     return out
 
@@ -275,7 +277,7 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def closed_loop(workload, wl, seed, seconds=None, ops=None, tracer=None) -> dict:
+def closed_loop(workload, wl, seed, clock, seconds=None, ops=None, tracer=None) -> dict:
     """Run ops in order.  With `ops`, exactly that many; with `seconds`,
     whole cycles of the workload's schedule until `seconds` have passed."""
     cycle = inputs.cycle_length(workload)
@@ -283,6 +285,7 @@ def closed_loop(workload, wl, seed, seconds=None, ops=None, tracer=None) -> dict
     errors = []
     digest = hashlib.sha256()
     run = wl.run if tracer is None else (lambda p: tracer.op(wl.run, p))
+    scaled = []
     start = time.perf_counter()
     i = 0
     while True:
@@ -295,12 +298,12 @@ def closed_loop(workload, wl, seed, seconds=None, ops=None, tracer=None) -> dict
                 break
         prepared = wl.parse(inputs.make_op(workload, seed, i))
         out = None
-        t0 = time.perf_counter()
+        t0, c0 = time.perf_counter(), clock.now()
         try:
             out = run(prepared)
         except Exception as exc:  # an op that raises is a failed op; keep going
             errors.append(f"op {i}: {type(exc).__name__}: {exc}")
-        latency = time.perf_counter() - t0
+        latency, c1 = time.perf_counter() - t0, clock.now()
         if out is not None:
             try:
                 wl.check(prepared, out)
@@ -312,6 +315,7 @@ def closed_loop(workload, wl, seed, seconds=None, ops=None, tracer=None) -> dict
         elif i < cycle:
             digest.update(wl.digest_text(out).encode())
         latencies.append(latency)
+        scaled.append(c1 - c0)
         tops.append(inputs.is_top_rung(workload, i))
         i += 1
         if i == RSS_CYCLES * cycle:
@@ -323,7 +327,9 @@ def closed_loop(workload, wl, seed, seconds=None, ops=None, tracer=None) -> dict
         "peak_rss_mb": rss_mb,
         "failed": failed,
         "errors": errors[:5],
-        "latencies": latencies,
+        "wall_latencies": latencies,
+        "latencies": scaled,
+        "kernel_s": clock.median_sample(),
         "top": tops,
         "output_digest": digest.hexdigest()[:16],
     }
@@ -334,18 +340,22 @@ def main(argv=None) -> int:
     ap.add_argument("workload", choices=sorted(WORKLOADS))
     ap.add_argument("--seed", type=int, required=True)
     mode = ap.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--setup-only", action="store_true")
+    mode.add_argument("--setup-only", type=float, metavar="STARTED",
+                      help="time.perf_counter() in the parent just before it launched this process")
     mode.add_argument("--seconds", type=float)
     mode.add_argument("--ops", type=int)
     ap.add_argument("--trace", metavar="FILE")
     ap.add_argument("--scalars", action="store_true")
     args = ap.parse_args(argv)
 
+    clock = hostspeed.Clock()
+    clock.start()
     import toruschar as tc
 
     wl = WORKLOADS[args.workload](tc)
-    if args.setup_only:
-        print(json.dumps({"ready": True}), flush=True)
+    if args.setup_only is not None:
+        clock.stop()
+        print(json.dumps({"setup_s": clock.since(args.setup_only)}), flush=True)
         return 0
 
     tracer = None
@@ -354,10 +364,10 @@ def main(argv=None) -> int:
 
         tau_image = tc.generators.tau_image
         tau_before = tau_image.cache_info()
-        tracer = Tracer()
+        tracer = Tracer(now=clock.now)
         tracer.install()
 
-    result = closed_loop(args.workload, wl, args.seed, args.seconds, args.ops, tracer)
+    result = closed_loop(args.workload, wl, args.seed, clock, args.seconds, args.ops, tracer)
     if tracer is not None:
         info = tau_image.cache_info()
         hits, misses = info.hits - tau_before.hits, info.misses - tau_before.misses
@@ -365,7 +375,8 @@ def main(argv=None) -> int:
         result["trace"]["tau_image_hit_ratio"] = hits / (hits + misses) if hits + misses else 0.0
         tracer.write(args.trace)
     if args.scalars:
-        result["scalars"] = scalar_kernel(tc, args.seed)
+        result["scalars"] = scalar_kernel(tc, args.seed, clock.now)
+    clock.stop()
     print(json.dumps(result))
     return 0
 
