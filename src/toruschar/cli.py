@@ -29,7 +29,7 @@ from fractions import Fraction
 from .errors import DomainError, ResourceLimitError, StructureError, UnsupportedInputError
 from .generators import GeneratorPoly, decompose, expand
 from .groups import GroupSpec
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, exponents_from_json
 from .lie import cohomology_dims, killing_ratio, random_torus_point, torus_matrix
 from .poisson import bracket_symbols, structure_constants
 from .scalars import GaussRat
@@ -73,17 +73,7 @@ def _parse_vec(text: str) -> tuple[int, ...]:
 
 
 def _parse_exps(text: str, group: GroupSpec):
-    rows = json.loads(text)
-    doubled = []
-    for row in rows:
-        out = []
-        for e in row:
-            d = Fraction(e) * 2
-            if d.denominator != 1:
-                raise DomainError(f"exponent {e} is not a half-integer")
-            out.append(int(d))
-        doubled.append(tuple(out))
-    m = tuple(doubled)
+    m = exponents_from_json(json.loads(text), "--exps")
     LaurentPoly(group, {m: GaussRat(1)})  # validates dimensions/parity
     return m
 

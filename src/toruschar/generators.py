@@ -26,12 +26,14 @@ alpha arguments and flips sign when a single argument is negated.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional
 
 from .errors import DomainError, InternalCheckError, UnsupportedInputError
 from .groups import GroupSpec
+from .jsonio import json_check, json_coeff, json_field, json_ints
 from .laurent import (
     ExponentMatrix,
     LaurentPoly,
@@ -200,19 +202,25 @@ class GeneratorPoly:
 
     @staticmethod
     def from_json(obj: dict, group: Optional[GroupSpec] = None) -> "GeneratorPoly":
+        json_check(obj, dict, "")
         terms: dict[tuple, GaussRat] = {}
-        for entry in obj.get("terms", []):
-            coeff = GaussRat.parse(entry["coeff"])
+        for k, entry in enumerate(json_field(obj, "terms", list, "", default=[])):
+            where = f"terms[{k}]"
+            json_check(entry, dict, where)
+            coeff = json_coeff(entry, where)
             syms: list[Symbol] = []
-            for factor in entry.get("factors", []):
+            for j, factor in enumerate(json_field(entry, "factors", list, where, default=[])):
+                fwhere = f"{where}.factors[{j}]"
+                json_check(factor, dict, fwhere)
                 if "tau" in factor:
-                    alpha = tuple(int(a) for a in factor["tau"])
+                    alpha = json_ints(factor["tau"], fwhere + ".tau")
                     if group is not None:
                         syms.append(tau_symbol(group, alpha))
                     else:
                         syms.append(("tau", alpha))
                 elif "q" in factor:
-                    alphas = tuple(tuple(int(a) for a in v) for v in factor["q"])
+                    raw = json_field(factor, "q", list, fwhere)
+                    alphas = tuple(json_ints(v, f"{fwhere}.q[{i}]") for i, v in enumerate(raw))
                     if group is not None:
                         sym, s = q_symbol(group, alphas)
                         if sym is None:
@@ -223,7 +231,7 @@ class GeneratorPoly:
                     else:
                         syms.append(("q", alphas))
                 else:
-                    raise DomainError(f"unknown generator factor {factor}")
+                    raise DomainError(f"{fwhere}: unknown generator factor {factor}")
             if not coeff:
                 continue
             key = tuple(sorted(syms))
@@ -304,7 +312,7 @@ def _q_image_cached(group: GroupSpec, alphas: tuple[tuple[int, ...], ...]) -> La
             for i in range(n):
                 rows[perm[i]] = tuple(2 * deltas[i] * a for a in alphas[i])
             key = tuple(rows)
-            coeff = i_pow_n if _prod(deltas) == 1 else -i_pow_n
+            coeff = i_pow_n if math.prod(deltas) == 1 else -i_pow_n
             acc = terms.get(key, ZERO) + coeff
             if acc:
                 terms[key] = acc
@@ -321,13 +329,6 @@ def q_image(group: GroupSpec, alphas) -> LaurentPoly:
     if sym is None:
         return LaurentPoly.zero(group)
     return _q_image_cached(group, sym[1]).scaled(sign)
-
-
-def _prod(vals) -> int:
-    out = 1
-    for v in vals:
-        out *= v
-    return out
 
 
 def symbol_image(group: GroupSpec, sym: Symbol) -> LaurentPoly:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import StructureError
+from .jsonio import json_check, json_field
 
 FAMILIES = ("GL", "SL", "Sp", "SOodd", "SOeven")
 
@@ -99,8 +100,13 @@ class GroupSpec:
         return {"family": self.family, "rank": self.rank, "factors": self.factors}
 
     @staticmethod
-    def from_json(obj: dict) -> "GroupSpec":
-        return GroupSpec(obj["family"], int(obj["rank"]), int(obj["factors"]))
+    def from_json(obj: dict, path: str = "group") -> "GroupSpec":
+        json_check(obj, dict, path)
+        return GroupSpec(
+            json_field(obj, "family", str, path),
+            json_field(obj, "rank", int, path),
+            json_field(obj, "factors", int, path),
+        )
 
     @staticmethod
     def from_cli(family: str, rank: int, factors: int = 1) -> "GroupSpec":

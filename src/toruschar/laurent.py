@@ -20,6 +20,7 @@ from typing import Iterable, Mapping
 
 from .errors import DomainError, StructureError
 from .groups import GroupSpec
+from .jsonio import json_check, json_coeff, json_field
 from .scalars import GaussRat, ONE, ZERO
 
 ExponentMatrix = tuple[tuple[int, ...], ...]
@@ -38,6 +39,27 @@ def exponents(rows: Iterable[Iterable[int]], halves: bool = False) -> ExponentMa
     if halves:
         return tuple(tuple(int(e) for e in row) for row in rows)
     return tuple(tuple(2 * int(e) for e in row) for row in rows)
+
+
+def exponents_from_json(rows, path: str) -> ExponentMatrix:
+    """A doubled-integer exponent matrix from JSON rows of integer or
+    half-integer exponents (``0.5``, ``"1/2"``)."""
+    doubled = []
+    for i, row in enumerate(json_check(rows, list, path)):
+        out = []
+        for j, e in enumerate(json_check(row, list, f"{path}[{i}]")):
+            if type(e) is int:
+                out.append(2 * e)
+                continue
+            try:
+                d = 2 * Fraction(e)
+            except (TypeError, ValueError, OverflowError):
+                raise DomainError(f"{path}[{i}][{j}]: not a number: {e!r}") from None
+            if d.denominator != 1:
+                raise DomainError(f"exponent {e} is not a half-integer")
+            out.append(int(d))
+        doubled.append(tuple(out))
+    return tuple(doubled)
 
 
 def check_exponents(m: ExponentMatrix, group: GroupSpec) -> None:
@@ -285,20 +307,14 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(obj: dict) -> "LaurentPoly":
-        group = GroupSpec.from_json(obj["group"])
+        json_check(obj, dict, "")
+        group = GroupSpec.from_json(json_field(obj, "group", dict, ""))
         terms: dict[ExponentMatrix, GaussRat] = {}
-        for entry in obj.get("terms", []):
-            rows = []
-            for row in entry["exps"]:
-                doubled = []
-                for e in row:
-                    d = 2 * Fraction(e) if not isinstance(e, float) else Fraction(e) * 2
-                    if d.denominator != 1:
-                        raise DomainError(f"exponent {e} is not a half-integer")
-                    doubled.append(int(d))
-                rows.append(tuple(doubled))
-            m = tuple(rows)
-            coeff = GaussRat.parse(entry["coeff"])
+        for k, entry in enumerate(json_field(obj, "terms", list, "", default=[])):
+            where = f"terms[{k}]"
+            json_check(entry, dict, where)
+            m = exponents_from_json(json_field(entry, "exps", list, where), where + ".exps")
+            coeff = json_coeff(entry, where)
             terms[m] = terms.get(m, ZERO) + coeff
         return LaurentPoly(group, terms)
 

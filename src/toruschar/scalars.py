@@ -1,37 +1,64 @@
 """Exact Gaussian-rational scalars.
 
-A ``GaussRat`` is a complex number ``re + im*i`` with both parts stored as
-``fractions.Fraction``.  Equality is exact, denominators are kept positive
-and in lowest terms by ``Fraction`` itself.  These scalars are the
-coefficient field of every symbolic object in the library; floats appear
-only in the numeric oracle.
+A ``GaussRat`` is a complex number ``(a + b*i)/d`` stored as three Python
+ints: a Gaussian-integer numerator ``a + b*i`` over one denominator
+``d > 0`` with ``gcd(a, b, d) == 1``.  This is the usual num/den normal
+form of a rational (as in FLINT's ``fmpq``) extended to Q(i), so equal
+values have equal fields and equality is a field comparison.  Arithmetic
+works on the ints directly and skips the gcd step when the result's
+denominator is 1.  ``re`` and ``im`` are read-only ``Fraction`` views.
+These scalars are the coefficient field of every symbolic object in the
+library; floats appear only in the numeric oracle.
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from math import gcd
 
 Rational = int | Fraction
 
 _SEGMENT = _re.compile(r"[+-]?[^+-]+")
+_RATIONAL = _re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
-def _rat_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _rat_str(n: int, d: int) -> str:
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 class GaussRat:
     """An element of Q(i), immutable and hashable."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: Rational = 0, im: Rational = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            self._a = re
+            self._b = im
+            self._d = 1
+            return
+        re = Fraction(re)
+        im = Fraction(im)
+        q = re.denominator
+        s = im.denominator
+        # d = lcm(q, s); both parts in lowest terms make gcd(a, b, d) == 1
+        d = q // gcd(q, s) * s
+        self._a = re.numerator * (d // q)
+        self._b = im.numerator * (d // s)
+        self._d = d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussRat is immutable")
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- constructors -------------------------------------------------
 
@@ -42,64 +69,84 @@ class GaussRat:
         A trailing ``i`` marks an imaginary segment; the imaginary numerator
         of 1 may be omitted.  Unicode minus signs are accepted.
         """
+        if not isinstance(text, str):
+            raise ValueError(f"scalar must be a string, not {type(text).__name__}")
         s = text.replace("−", "-").replace(" ", "")
         if not s:
             raise ValueError("empty scalar string")
-        re_part = Fraction(0)
-        im_part = Fraction(0)
+        rn, rd, jn, jd = 0, 1, 0, 1  # real part rn/rd, imaginary part jn/jd
         consumed = 0
         for seg in _SEGMENT.findall(s):
             consumed += len(seg)
-            if seg.endswith(("i", "I")):
-                body = seg[:-1]
-                if body in ("", "+"):
-                    im_part += 1
-                elif body == "-":
-                    im_part -= 1
-                else:
-                    im_part += Fraction(body)
+            imag = seg.endswith(("i", "I"))
+            body = seg[:-1] if imag else seg
+            if imag and body in ("", "+", "-"):
+                n, q = (-1 if body == "-" else 1), 1
             else:
-                re_part += Fraction(seg)
+                m = _RATIONAL.fullmatch(body)
+                n, q = (int(m[1]), int(m[2] or 1)) if m else Fraction(body).as_integer_ratio()
+                if not q:
+                    raise ZeroDivisionError(f"zero denominator in scalar {text!r}")
+            if imag:
+                jn, jd = jn * q + n * jd, jd * q
+            else:
+                rn, rd = rn * q + n * rd, rd * q
         if consumed != len(s):
             raise ValueError(f"cannot parse scalar {text!r}")
-        return GaussRat(re_part, im_part)
+        return _reduced(rn * jd, jn * rd, rd * jd)
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other) -> "GaussRat":
-        other = _coerce(other)
-        return GaussRat(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussRat:
+            other = _coerce(other)
+        d = self._d
+        f = other._d
+        if d == f:
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GaussRat":
-        return GaussRat(-self.re, -self.im)
+        return _reduced(-self._a, -self._b, self._d)
 
     def __sub__(self, other) -> "GaussRat":
-        other = _coerce(other)
-        return GaussRat(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussRat:
+            other = _coerce(other)
+        d = self._d
+        f = other._d
+        if d == f:
+            return _reduced(self._a - other._a, self._b - other._b, d)
+        return _reduced(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
     def __rsub__(self, other) -> "GaussRat":
         return _coerce(other) - self
 
     def __mul__(self, other) -> "GaussRat":
-        other = _coerce(other)
-        return GaussRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussRat:
+            other = _coerce(other)
+        a = self._a
+        b = self._b
+        c = other._a
+        e = other._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "GaussRat":
-        other = _coerce(other)
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
+        if type(other) is not GaussRat:
+            other = _coerce(other)
+        c = other._a
+        e = other._b
+        norm = c * c + e * e
+        if not norm:
             raise ZeroDivisionError("division by zero GaussRat")
-        return GaussRat(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        a = self._a
+        b = self._b
+        f = other._d
+        # (a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / (d (c^2 + e^2))
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * norm)
 
     def __rtruediv__(self, other) -> "GaussRat":
         return _coerce(other) / self
@@ -108,8 +155,8 @@ class GaussRat:
         if not isinstance(k, int):
             raise TypeError("exponent must be int")
         if k < 0:
-            return (GaussRat(1) / self) ** (-k)
-        out = GaussRat(1)
+            return (ONE / self) ** (-k)
+        out = ONE
         base = self
         while k:
             if k & 1:
@@ -119,45 +166,74 @@ class GaussRat:
         return out
 
     def conj(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
+        return _reduced(self._a, -self._b, self._d)
 
     # -- predicates / conversions ---------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = GaussRat(other)
-        if not isinstance(other, GaussRat):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is GaussRat:
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, int):
+            return self._b == 0 and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return (
+                self._b == 0
+                and self._a == other.numerator
+                and self._d == other.denominator
+            )
+        return NotImplemented
 
     def __hash__(self):
+        # Agree with __eq__: a real value hashes like its int or Fraction.
+        if self._d == 1:
+            return hash(self._a) if self._b == 0 else hash((self._a, self._b))
+        if self._b == 0:
+            return hash(Fraction(self._a, self._d))
         return hash((self.re, self.im))
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(self._a / self._d, self._b / self._d)
 
     def is_rational(self) -> bool:
-        return self.im == 0
+        return self._b == 0
 
     def as_fraction(self) -> Fraction:
-        if self.im != 0:
+        if self._b != 0:
             raise ValueError("scalar is not real")
-        return self.re
+        return Fraction(self._a, self._d)
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return _rat_str(self.re)
-        im_str = _rat_str(abs(self.im)) + "i"
-        if self.re == 0:
-            return im_str if self.im > 0 else "-" + im_str
-        sign = "+" if self.im > 0 else "-"
-        return _rat_str(self.re) + sign + im_str
+        a, b, d = self._a, self._b, self._d
+        if b == 0:
+            return _rat_str(a, d)
+        im_str = _rat_str(abs(b), d) + "i"
+        if a == 0:
+            return im_str if b > 0 else "-" + im_str
+        return _rat_str(a, d) + ("+" if b > 0 else "-") + im_str
 
     def __repr__(self) -> str:
         return f"GaussRat({self})"
+
+
+_alloc = object.__new__
+
+
+def _reduced(a: int, b: int, d: int) -> GaussRat:
+    """A GaussRat from ``(a + b*i)/d`` with ``d > 0``, brought to normal form."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    z = _alloc(GaussRat)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
 
 
 def _coerce(x) -> GaussRat:

@@ -11,6 +11,7 @@ with an even number of sign changes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -108,27 +109,18 @@ def pattern_elements(group: GroupSpec, cap: int = WEYL_CAP) -> Iterator[SignedPe
     """The ambient pattern group used by the level reduction: the symmetric
     group for GL/SL and the full signed group for the other families
     (including even SO, whose Weyl sums at level < n are half of these)."""
-    n = group.rank
     if group.family in ("GL", "SL"):
         yield from weyl_elements(group, cap)
         return
-    if (2 ** n) * _factorial(n) > cap:
+    if pattern_order(group) > cap:
         raise ResourceLimitError("pattern group exceeds enumeration cap")
-    yield from _iter_signed(n, even_only=False)
+    yield from _iter_signed(group.rank, even_only=False)
 
 
 def pattern_order(group: GroupSpec) -> int:
-    n = group.rank
-    if group.family in ("GL", "SL"):
-        return _factorial(n)
-    return _factorial(n) << n
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
+    if group.family == "SOeven":
+        return math.factorial(group.rank) << group.rank
+    return group.weyl_order
 
 
 def weyl_generators(group: GroupSpec) -> list[SignedPerm]:

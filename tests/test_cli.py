@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -221,3 +223,141 @@ def test_verify_jacobi_small(capsys):
 
 def test_missing_file_exit_2(capsys):
     assert run(["decompose", "--in", "/nonexistent/x.json"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# malformed JSON input: one error line, exit 2, never a traceback
+# ---------------------------------------------------------------------------
+
+_GOOD_POLY = {
+    "group": {"family": "GL", "rank": 1, "factors": 1},
+    "terms": [{"coeff": "1", "exps": [[0]]}],
+}
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ({**_GOOD_POLY, "terms": [{"exps": [[0]]}]}, "terms[0].coeff: missing"),
+        ({**_GOOD_POLY, "terms": [{"coeff": 5, "exps": [[0]]}]}, "terms[0].coeff: expected a string"),
+        ({**_GOOD_POLY, "terms": [{"coeff": "1/x", "exps": [[0]]}]}, "terms[0].coeff: "),
+        ({**_GOOD_POLY, "terms": [{"coeff": "1/0", "exps": [[0]]}]}, "terms[0].coeff"),
+        ({**_GOOD_POLY, "terms": [{"coeff": "1"}]}, "terms[0].exps: missing"),
+        ({**_GOOD_POLY, "terms": [{"coeff": "1", "exps": [[None]]}]}, "terms[0].exps[0][0]: not a number"),
+        ({**_GOOD_POLY, "terms": [{"coeff": "1", "exps": 3}]}, "terms[0].exps: expected a list"),
+        ({**_GOOD_POLY, "terms": ["x"]}, "terms[0]: expected an object"),
+        ({**_GOOD_POLY, "terms": {}}, "terms: expected a list"),
+        ([_GOOD_POLY], "top level: expected an object"),
+        ({"terms": []}, "group: missing"),
+        ({**_GOOD_POLY, "group": {"family": "GL", "rank": 1}}, "group.factors: missing"),
+        ({**_GOOD_POLY, "group": {"family": "GL", "rank": "1", "factors": 1}}, "group.rank: expected an integer"),
+        ({**_GOOD_POLY, "group": ["GL", 1, 1]}, "group: expected an object"),
+    ],
+)
+def test_decompose_malformed_json_exit_2(tmp_path, capsys, doc, where):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(doc))
+    assert run(["decompose", "--in", str(src)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert where in err
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ({"terms": [{"factors": []}]}, "terms[0].coeff: missing"),
+        ({"terms": [{"coeff": "1", "factors": [{"tau": [1, "a"]}]}]}, "terms[0].factors[0].tau[1]: expected an integer"),
+        ({"terms": [{"coeff": "1", "factors": [{"q": [[1, 0], 2]}]}]}, "terms[0].factors[0].q[1]: expected a list"),
+        ({"terms": [{"coeff": "1", "factors": [{"x": [1, 0]}]}]}, "terms[0].factors[0]: unknown generator factor"),
+        ({"terms": [{"coeff": "1", "factors": "tau"}]}, "terms[0].factors: expected a list"),
+        ("terms", "top level: expected an object"),
+    ],
+)
+def test_expand_malformed_json_exit_2(tmp_path, capsys, doc, where):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(doc))
+    argv = ["expand", "--family", "so-even", "--rank", "2", "--factors", "2", "--in", str(src)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert where in err
+
+
+@pytest.mark.parametrize("exps", ['[[1], "x"]', "[[null], [0]]", "7"])
+def test_malformed_exps_flag_exit_2(capsys, exps):
+    assert run(["orbit-sum", "--family", "gl", "--rank", "2", "--exps", exps]) == 2
+    assert "--exps" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: sha256 of stdout for fixed inputs and seeds
+# ---------------------------------------------------------------------------
+
+_DATA = Path(__file__).parent / "data"
+
+GOLDEN = {
+    "decompose_sp2": (
+        ["decompose", "--in", str(_DATA / "decompose_sp2.json")],
+        "bb6fb7a8b58ece5e0561a6f64bbdfc85d9f4cb6dca01b480012c355696d5eaab",
+    ),
+    "decompose_soeven2": (
+        ["decompose", "--in", str(_DATA / "decompose_soeven2.json")],
+        "d90edd36a80b14564360a3be49442c18087700823632c82f684414af3c5a5fc0",
+    ),
+    "expand_soeven2": (
+        ["expand", "--family", "so-even", "--rank", "2", "--factors", "2",
+         "--in", str(_DATA / "expand_soeven2.json")],
+        "fcf2539a2ed7326455ed5a9b37df4e6dce83932523c2f6340720466a24990bd8",
+    ),
+    "orbit_sum_soodd2": (
+        ["orbit-sum", "--family", "so-odd", "--rank", "2", "--factors", "2",
+         "--exps", "[[1,0],[0,-1]]"],
+        "2166e2a20899cc1a91ffdf4987159499528ce8664b7df8fa49bb8e20909878b5",
+    ),
+    "orbit_sum_soeven3": (
+        ["orbit-sum", "--family", "so-even", "--rank", "3", "--factors", "1",
+         "--exps", "[[0.5],[0.5],[-1.5]]"],
+        "ad7e418a1c8a910d3dc4ef14272fc3add14f00534cd7deb736d25638d9a13f12",
+    ),
+    "bracket_sp2": (
+        ["bracket", "--family", "sp", "--rank", "2", "--a", "1,0", "--b", "0,1", "--c", "3/2"],
+        "90c9cfe8b334ff0d9de059c722c0731fc11fa4f399700ab13928ecd437643d23",
+    ),
+    "bracket_soeven2": (
+        ["bracket", "--family", "so-even", "--rank", "2", "--a", "1,1", "--b", "1,-2"],
+        "fae85414909069a54c0511cb0e1d3f8906f7dada28edcabedb6c6f6a6f811f12",
+    ),
+    "structure_constants_sp1": (
+        ["structure-constants", "--family", "sp", "--rank", "1", "--cutoff", "2"],
+        "d88d5f654735f8fa5c90285f568124c581c568bacad2c1e4924cf75b4694ffbd",
+    ),
+    "structure_constants_sl3": (
+        ["structure-constants", "--family", "sl", "--rank", "3", "--c", "2/3", "--cutoff", "1"],
+        "b0746ad6b59e3f293a96d7c15f7ce87c25392aad3f74ab34f3e8e9c2c30bf675",
+    ),
+    "killing_table": (
+        ["killing"],
+        "e5c0826815c96bf04faed03ffab8faaf53624ab01dad49a0a770509818cc1201",
+    ),
+    "killing_soodd3": (
+        ["killing", "--family", "so-odd", "--rank", "3"],
+        "f0b5c2c2211c8d67ed15e75e656c7862d086e9245420892a7de62cd9ec582a06",
+    ),
+    "verify_bracket_sp1": (
+        ["verify-bracket", "--family", "sp", "--rank", "1", "--trials", "3", "--seed", "7"],
+        "f860781f21373924522a1ee4179c59d279fbcba78313242a0b48a0802c1d1221",
+    ),
+    "verify_jacobi_sl2": (
+        ["verify-jacobi", "--family", "sl", "--rank", "2", "--trials", "5", "--seed", "3"],
+        "b03afa31d5263f93fc6dab7bb4e61038b133663a7bc239623272e73e92f64f7d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_output_digest(capsys, name):
+    argv, digest = GOLDEN[name]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

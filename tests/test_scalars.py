@@ -72,3 +72,28 @@ def test_inverse(a):
 
 def test_complex_conversion():
     assert complex(GaussRat(Fraction(1, 2), Fraction(-3, 4))) == 0.5 - 0.75j
+
+
+def test_hash_agrees_with_eq():
+    assert GaussRat(3) == 3 and hash(GaussRat(3)) == hash(3)
+    half = Fraction(1, 2)
+    assert GaussRat(half) == half and hash(GaussRat(half)) == hash(half)
+    assert {GaussRat(3): "x"}[3] == "x"
+    assert {half: "y"}[GaussRat.parse("2/4")] == "y"
+    assert len({GaussRat(3), 3, Fraction(3), GaussRat.parse("6/2")}) == 1
+    assert hash(GaussRat(1, 2)) == hash((Fraction(1), Fraction(2)))
+    assert hash(GaussRat(half, 2)) == hash((half, Fraction(2)))
+
+
+@given(gauss, gauss)
+def test_equal_values_hash_equal(a, b):
+    for x, y in ((a, GaussRat.parse(str(a))), (a * b, b * a), (a + b - b, a)):
+        assert x == y and hash(x) == hash(y)
+    if a.is_rational():
+        assert a == a.as_fraction() and hash(a) == hash(a.as_fraction())
+
+
+def test_parse_rejects_non_strings():
+    for bad in (5, 1.5, None, ["1"], {"re": 1}):
+        with pytest.raises(ValueError):
+            GaussRat.parse(bad)
