@@ -100,12 +100,12 @@ class GroupSpec:
         return {"family": self.family, "rank": self.rank, "factors": self.factors}
 
     @staticmethod
-    def from_json(obj: dict, path: str = "group") -> "GroupSpec":
-        json_check(obj, dict, path)
+    def from_json(obj: dict) -> "GroupSpec":
+        json_check(obj, dict, "group")
         return GroupSpec(
-            json_field(obj, "family", str, path),
-            json_field(obj, "rank", int, path),
-            json_field(obj, "factors", int, path),
+            json_field(obj, "family", str, "group"),
+            json_field(obj, "rank", int, "group"),
+            json_field(obj, "factors", int, "group"),
         )
 
     @staticmethod

@@ -48,15 +48,12 @@ def exponents_from_json(rows, path: str) -> ExponentMatrix:
     for i, row in enumerate(json_check(rows, list, path)):
         out = []
         for j, e in enumerate(json_check(row, list, f"{path}[{i}]")):
-            if type(e) is int:
-                out.append(2 * e)
-                continue
             try:
                 d = 2 * Fraction(e)
             except (TypeError, ValueError, OverflowError):
                 raise DomainError(f"{path}[{i}][{j}]: not a number: {e!r}") from None
             if d.denominator != 1:
-                raise DomainError(f"exponent {e} is not a half-integer")
+                raise DomainError(f"{path}[{i}][{j}]: exponent {e} is not a half-integer")
             out.append(int(d))
         doubled.append(tuple(out))
     return tuple(doubled)
@@ -308,7 +305,9 @@ class LaurentPoly:
     @staticmethod
     def from_json(obj: dict) -> "LaurentPoly":
         json_check(obj, dict, "")
-        group = GroupSpec.from_json(json_field(obj, "group", dict, ""))
+        if "group" not in obj:
+            raise DomainError("group: missing")
+        group = GroupSpec.from_json(obj["group"])
         terms: dict[ExponentMatrix, GaussRat] = {}
         for k, entry in enumerate(json_field(obj, "terms", list, "", default=[])):
             where = f"terms[{k}]"

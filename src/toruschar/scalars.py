@@ -20,7 +20,6 @@ from math import gcd
 Rational = int | Fraction
 
 _SEGMENT = _re.compile(r"[+-]?[^+-]+")
-_RATIONAL = _re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 def _rat_str(n: int, d: int) -> str:
@@ -74,26 +73,24 @@ class GaussRat:
         s = text.replace("−", "-").replace(" ", "")
         if not s:
             raise ValueError("empty scalar string")
-        rn, rd, jn, jd = 0, 1, 0, 1  # real part rn/rd, imaginary part jn/jd
+        re_part = Fraction(0)
+        im_part = Fraction(0)
         consumed = 0
         for seg in _SEGMENT.findall(s):
             consumed += len(seg)
-            imag = seg.endswith(("i", "I"))
-            body = seg[:-1] if imag else seg
-            if imag and body in ("", "+", "-"):
-                n, q = (-1 if body == "-" else 1), 1
+            if seg.endswith(("i", "I")):
+                body = seg[:-1]
+                if body in ("", "+"):
+                    im_part += 1
+                elif body == "-":
+                    im_part -= 1
+                else:
+                    im_part += Fraction(body)
             else:
-                m = _RATIONAL.fullmatch(body)
-                n, q = (int(m[1]), int(m[2] or 1)) if m else Fraction(body).as_integer_ratio()
-                if not q:
-                    raise ZeroDivisionError(f"zero denominator in scalar {text!r}")
-            if imag:
-                jn, jd = jn * q + n * jd, jd * q
-            else:
-                rn, rd = rn * q + n * rd, rd * q
+                re_part += Fraction(seg)
         if consumed != len(s):
             raise ValueError(f"cannot parse scalar {text!r}")
-        return _reduced(rn * jd, jn * rd, rd * jd)
+        return GaussRat(re_part, im_part)
 
     # -- arithmetic ----------------------------------------------------
 

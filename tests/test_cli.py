@@ -244,6 +244,8 @@ _GOOD_POLY = {
         ({**_GOOD_POLY, "terms": [{"coeff": "1/0", "exps": [[0]]}]}, "terms[0].coeff"),
         ({**_GOOD_POLY, "terms": [{"coeff": "1"}]}, "terms[0].exps: missing"),
         ({**_GOOD_POLY, "terms": [{"coeff": "1", "exps": [[None]]}]}, "terms[0].exps[0][0]: not a number"),
+        ({**_GOOD_POLY, "terms": [{"coeff": "1", "exps": [[0.3]]}]},
+         "terms[0].exps[0][0]: exponent 0.3 is not a half-integer"),
         ({**_GOOD_POLY, "terms": [{"coeff": "1", "exps": 3}]}, "terms[0].exps: expected a list"),
         ({**_GOOD_POLY, "terms": ["x"]}, "terms[0]: expected an object"),
         ({**_GOOD_POLY, "terms": {}}, "terms: expected a list"),
@@ -284,7 +286,7 @@ def test_expand_malformed_json_exit_2(tmp_path, capsys, doc, where):
     assert where in err
 
 
-@pytest.mark.parametrize("exps", ['[[1], "x"]', "[[null], [0]]", "7"])
+@pytest.mark.parametrize("exps", ['[[1], "x"]', "[[null], [0]]", "7", "[[0.3], [0]]"])
 def test_malformed_exps_flag_exit_2(capsys, exps):
     assert run(["orbit-sum", "--family", "gl", "--rank", "2", "--exps", exps]) == 2
     assert "--exps" in capsys.readouterr().err
