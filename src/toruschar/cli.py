@@ -26,9 +26,12 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import DomainError, ResourceLimitError, StructureError, UnsupportedInputError
 from .generators import GeneratorPoly, decompose, expand
 from .groups import GroupSpec
+from .jsonio import json_check
 from .laurent import LaurentPoly, exponents_from_json
 from .lie import cohomology_dims, killing_ratio, random_torus_point, torus_matrix
 from .poisson import bracket_symbols, structure_constants
@@ -204,27 +207,36 @@ def _cmd_verify_jacobi(args) -> int:
     return 0 if res["ok"] else 1
 
 
+def _eigenvalue_columns(data) -> list[list[GaussRat]]:
+    """The ``cohomology --in`` document: a list of lists of real numbers or
+    rational strings."""
+    columns = []
+    for j, col in enumerate(json_check(data, list, "")):
+        column = []
+        for i, v in enumerate(json_check(col, list, f"[{j}]")):
+            try:
+                if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+                    raise ValueError
+                column.append(GaussRat(Fraction(str(v))))
+            except (ValueError, ZeroDivisionError):
+                raise DomainError(f"[{j}][{i}]: not a number: {v!r}") from None
+        columns.append(column)
+    return columns
+
+
 def _cmd_cohomology(args) -> int:
     group = _group_from(args)
-    exact = args.mode == "exact"
     if args.infile:
-        data = _read_json(args.infile)
-        columns = [[GaussRat(Fraction(str(v))) for v in col] for col in data]
+        columns = _eigenvalue_columns(_read_json(args.infile))
         if len(columns) != group.factors:
             raise DomainError(f"expected {group.factors} generator vectors")
         gens = [torus_matrix(group, col) for col in columns]
-        if not exact:
-            import numpy as np
-
-            gens = [np.array([[complex(x) for x in row] for row in g]) for g in gens]
     else:
         rng = random.Random(args.seed)
         pt = random_torus_point(group, rng, exact=True)
         gens = [torus_matrix(group, pt.column(j)) for j in range(1, group.factors + 1)]
-        if not exact:
-            import numpy as np
-
-            gens = [np.array([[complex(x) for x in row] for row in g]) for g in gens]
+    if args.mode == "float":
+        gens = [np.array([[complex(x) for x in row] for row in g]) for g in gens]
     z1, b1, h1 = cohomology_dims(group, gens, tol=args.tol)
     print(f"Z1 = {z1}, B1 = {b1}, H1 = {h1}")
     return 0

@@ -21,6 +21,9 @@ so could not lie in the invariant ring, and the antisymmetrized half of a
 level-n orbit sum (which is exactly what the top-level reduction produces)
 carries no sign either.  Consequently Q is symmetric under permuting its
 alpha arguments and flips sign when a single argument is negated.
+
+The dict arithmetic behind ``GeneratorPoly`` (add, negate, scale, multiply
+and the zero pruning) lives in ``toruschar.sparse``.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional
 
+from . import sparse
 from .errors import DomainError, InternalCheckError, UnsupportedInputError
 from .groups import GroupSpec
 from .jsonio import json_check, json_coeff, json_field, json_ints
@@ -135,18 +139,10 @@ class GeneratorPoly:
         return cls({(sym,): c})
 
     def __add__(self, other: "GeneratorPoly") -> "GeneratorPoly":
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            acc = terms.get(k)
-            acc = v if acc is None else acc + v
-            if acc:
-                terms[k] = acc
-            else:
-                terms.pop(k, None)
-        return GeneratorPoly(terms)
+        return GeneratorPoly(sparse.add(self.terms, other.terms))
 
     def __neg__(self) -> "GeneratorPoly":
-        return GeneratorPoly({k: -v for k, v in self.terms.items()})
+        return GeneratorPoly(sparse.neg(self.terms))
 
     def __sub__(self, other: "GeneratorPoly") -> "GeneratorPoly":
         return self + (-other)
@@ -154,26 +150,13 @@ class GeneratorPoly:
     def __mul__(self, other) -> "GeneratorPoly":
         if isinstance(other, (int, Fraction, GaussRat)):
             return self.scaled(other)
-        out: dict[tuple, GaussRat] = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                key = tuple(sorted(k1 + k2))
-                v = v1 * v2
-                acc = out.get(key)
-                acc = v if acc is None else acc + v
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-        return GeneratorPoly(out)
+        return GeneratorPoly(sparse.mul(self.terms, other.terms, sparse.merge_keys))
 
     __rmul__ = __mul__
 
     def scaled(self, factor) -> "GeneratorPoly":
         f = factor if isinstance(factor, GaussRat) else GaussRat(factor)
-        if not f:
-            return GeneratorPoly()
-        return GeneratorPoly({k: v * f for k, v in self.terms.items()})
+        return GeneratorPoly(sparse.scale(self.terms, f))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -232,14 +215,7 @@ class GeneratorPoly:
                         syms.append(("q", alphas))
                 else:
                     raise DomainError(f"{fwhere}: unknown generator factor {factor}")
-            if not coeff:
-                continue
-            key = tuple(sorted(syms))
-            acc = terms.get(key, ZERO) + coeff
-            if acc:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
+            sparse.add_term(terms, tuple(sorted(syms)), coeff)
         return GeneratorPoly(terms)
 
     def __str__(self) -> str:
@@ -282,19 +258,14 @@ def tau_image(group: GroupSpec, alpha: tuple[int, ...]) -> LaurentPoly:
     neg = tuple(-e for e in doubled)
     zero_row = (0,) * N
     terms: dict[ExponentMatrix, GaussRat] = {}
-
-    def add(m: ExponentMatrix):
-        key = canonical_mod_relations(m, group)
-        terms[key] = terms.get(key, ZERO) + ONE
-
     for i in range(n):
         rows = [zero_row] * n
         rows[i] = doubled
-        add(tuple(rows))
+        sparse.add_term(terms, tuple(rows), ONE)
         if group.symmetric_traces:
             rows[i] = neg
-            add(tuple(rows))
-    poly = LaurentPoly(group, terms)
+            sparse.add_term(terms, tuple(rows), ONE)
+    poly = LaurentPoly(group, terms)  # canonicalizes the SL keys
     if group.family == "SOodd":
         poly = poly + LaurentPoly.constant(group, 1)
     return poly
@@ -311,13 +282,8 @@ def _q_image_cached(group: GroupSpec, alphas: tuple[tuple[int, ...], ...]) -> La
             rows = [zero_row] * n
             for i in range(n):
                 rows[perm[i]] = tuple(2 * deltas[i] * a for a in alphas[i])
-            key = tuple(rows)
             coeff = i_pow_n if math.prod(deltas) == 1 else -i_pow_n
-            acc = terms.get(key, ZERO) + coeff
-            if acc:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
+            sparse.add_term(terms, tuple(rows), coeff)
     return LaurentPoly(group, terms)
 
 
@@ -516,13 +482,8 @@ def _reduce_pattern_monomial_uncached(
                 rows[k] = tuple(
                     e + delta * d for e, d in zip(rows[k], doubled)
                 )
-                key = canonical_mod_relations(tuple(rows), group)
-                acc = a_terms.get(key, ZERO) + ONE
-                if acc:
-                    a_terms[key] = acc
-                else:
-                    a_terms.pop(key, None)
-    lower = LaurentPoly(group, a_terms, _trusted=True)
+                sparse.add_term(a_terms, canonical_mod_relations(tuple(rows), group), ONE)
+    lower = LaurentPoly._trusted(group, a_terms)
 
     remainder = expanded - lower
     full_sum = pattern_sum(m, group)

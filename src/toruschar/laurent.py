@@ -11,6 +11,9 @@ rejected for every family except SOeven.
 For SL the ring is the quotient by the relations prod_i x_ij = 1; monomial
 keys are normalized by ``canonical_mod_relations`` at construction time, so
 polynomial equality is equality in the quotient ring.
+
+The dict arithmetic behind ``LaurentPoly`` (add, negate, scale, multiply
+and the zero pruning) lives in ``toruschar.sparse``.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from . import sparse
 from .errors import DomainError, StructureError
 from .groups import GroupSpec
 from .jsonio import json_check, json_coeff, json_field
@@ -101,6 +105,10 @@ def canonical_mod_relations(m: ExponentMatrix, group: GroupSpec) -> ExponentMatr
     return tuple(tuple(e - ce for e, ce in zip(row, c)) for row in m)
 
 
+def _add_exponents(m1: ExponentMatrix, m2: ExponentMatrix) -> ExponentMatrix:
+    return tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(m1, m2))
+
+
 def zero_exponents(group: GroupSpec) -> ExponentMatrix:
     return tuple((0,) * group.factors for _ in range(group.rank))
 
@@ -119,33 +127,29 @@ class LaurentPoly:
 
     __slots__ = ("group", "terms")
 
-    def __init__(self, group: GroupSpec, terms: Mapping[ExponentMatrix, GaussRat] = (),
-                 _trusted: bool = False):
+    def __init__(self, group: GroupSpec, terms: Mapping[ExponentMatrix, GaussRat] = ()):
         self.group = group
-        if _trusted:
-            self.terms = dict(terms)
-            return
         clean: dict[ExponentMatrix, GaussRat] = {}
         for m, coeff in dict(terms).items():
             check_exponents(m, group)
             if not isinstance(coeff, GaussRat):
                 coeff = GaussRat(coeff)
-            if not coeff:
-                continue
-            key = canonical_mod_relations(m, group)
-            acc = clean.get(key)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                clean[key] = acc
-            else:
-                clean.pop(key, None)
+            sparse.add_term(clean, canonical_mod_relations(m, group), coeff)
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, group: GroupSpec, terms: dict) -> "LaurentPoly":
+        """Wrap ``terms`` without checks or copy; they must already be in
+        the stored form (canonical keys, no zero coefficient)."""
+        p = cls.__new__(cls)
+        p.group, p.terms = group, terms
+        return p
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, group: GroupSpec) -> "LaurentPoly":
-        return cls(group, {}, _trusted=True)
+        return cls._trusted(group, {})
 
     @classmethod
     def constant(cls, group: GroupSpec, value) -> "LaurentPoly":
@@ -170,18 +174,10 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._require_same_group(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = terms.get(m)
-            acc = c if acc is None else acc + c
-            if acc:
-                terms[m] = acc
-            else:
-                terms.pop(m, None)
-        return LaurentPoly(self.group, terms, _trusted=True)
+        return LaurentPoly._trusted(self.group, sparse.add(self.terms, other.terms))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.group, {m: -c for m, c in self.terms.items()}, _trusted=True)
+        return LaurentPoly._trusted(self.group, sparse.neg(self.terms))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -191,34 +187,19 @@ class LaurentPoly:
             return self.scaled(other)
         self._require_same_group(other)
         group = self.group
-        canon = canonical_mod_relations if group.family == "SL" else None
-        out: dict[ExponentMatrix, GaussRat] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                key = tuple(
-                    tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(m1, m2)
-                )
-                if canon is not None:
-                    key = canon(key, group)
-                c = c1 * c2
-                acc = out.get(key)
-                acc = c if acc is None else acc + c
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-        return LaurentPoly(group, out, _trusted=True)
+        if group.family == "SL":
+            def combine(m1, m2):
+                return canonical_mod_relations(_add_exponents(m1, m2), group)
+        else:
+            combine = _add_exponents
+        return LaurentPoly._trusted(group, sparse.mul(self.terms, other.terms, combine))
 
     __rmul__ = __mul__
 
     def scaled(self, factor) -> "LaurentPoly":
         if not isinstance(factor, GaussRat):
             factor = GaussRat(factor)
-        if not factor:
-            return LaurentPoly.zero(self.group)
-        return LaurentPoly(
-            self.group, {m: c * factor for m, c in self.terms.items()}, _trusted=True
-        )
+        return LaurentPoly._trusted(self.group, sparse.scale(self.terms, factor))
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
@@ -245,7 +226,7 @@ class LaurentPoly:
             e = m[i - 1][j - 1]
             if e:
                 out[m] = c * GaussRat(Fraction(e, 2))
-        return LaurentPoly(self.group, out, _trusted=True)
+        return LaurentPoly._trusted(self.group, out)
 
     def evaluate(self, point):
         """Substitution homomorphism at a torus point.
@@ -313,8 +294,8 @@ class LaurentPoly:
             where = f"terms[{k}]"
             json_check(entry, dict, where)
             m = exponents_from_json(json_field(entry, "exps", list, where), where + ".exps")
-            coeff = json_coeff(entry, where)
-            terms[m] = terms.get(m, ZERO) + coeff
+            check_exponents(m, group)  # also for terms that cancel before the constructor
+            sparse.add_term(terms, m, json_coeff(entry, where))
         return LaurentPoly(group, terms)
 
     def __str__(self) -> str:

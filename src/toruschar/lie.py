@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import sparse
 from .errors import DomainError, InternalCheckError, StructureError
 from .groups import GroupSpec
 from .laurent import LaurentPoly
@@ -286,12 +287,7 @@ def _sparse_bracket(a: dict, b: dict) -> dict:
         for (r, c), v in x.items():
             for (r2, c2), w in y.items():
                 if c == r2:
-                    key = (r, c2)
-                    acc = out.get(key, ZERO) + (v * w if sign > 0 else -(v * w))
-                    if acc:
-                        out[key] = acc
-                    else:
-                        out.pop(key, None)
+                    sparse.add_term(out, (r, c2), v * w if sign > 0 else -(v * w))
 
     mul_into(a, b, 1)
     mul_into(b, a, -1)
@@ -443,12 +439,7 @@ def cocycle_space_dims(action_mats: Sequence, tol: float = 1e-10) -> tuple[int, 
                         row[i * d + c] = v
                     w = diffs[i][r][c]
                     if w:
-                        key = j * d + c
-                        acc = row.get(key, ZERO) - w
-                        if acc:
-                            row[key] = acc
-                        else:
-                            row.pop(key, None)
+                        sparse.add_term(row, j * d + c, -w)
                 if row:
                     zrows.append(row)
         z_rank = exact_rank(zrows)

@@ -14,6 +14,9 @@ made for GL/SL.
 There is no GL formula in this scheme; an extrapolated rule
 {tau_a, tau_b} = det(a,b)/c * tau_{a+b} is available behind an explicit
 flag, validated only by agreement with the numeric oracle.
+
+The dict arithmetic behind ``TauPoly`` (add, negate, scale, multiply and
+the zero pruning) lives in ``toruschar.sparse``.
 """
 
 from __future__ import annotations
@@ -21,10 +24,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
+from . import sparse
 from .errors import DomainError, StructureError
 from .generators import tau_image
 from .groups import GroupSpec
-from .scalars import GaussRat, ONE, ZERO
+from .jsonio import json_check, json_coeff, json_field, json_ints
+from .scalars import GaussRat, ONE
 
 LatticeVec = tuple[int, int]
 
@@ -55,16 +60,16 @@ class TauPoly:
         for key, coeff in dict(terms).items():
             if not isinstance(coeff, GaussRat):
                 coeff = GaussRat(coeff)
-            if not coeff:
-                continue
-            norm = tuple(sorted(_norm_symbol(group, a) for a in key))
-            acc = clean.get(norm)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                clean[norm] = acc
-            else:
-                clean.pop(norm, None)
+            sparse.add_term(clean, tuple(sorted(_norm_symbol(group, a) for a in key)), coeff)
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, group: GroupSpec, c: Fraction, terms: dict) -> "TauPoly":
+        """Wrap ``terms`` without checks or copy; they must already be in
+        the stored form (normalized sorted keys, no zero coefficient)."""
+        p = cls.__new__(cls)
+        p.group, p.c, p.terms = group, c, terms
+        return p
 
     # -- constructors ----------------------------------------------------
 
@@ -88,22 +93,10 @@ class TauPoly:
 
     def __add__(self, other: "TauPoly") -> "TauPoly":
         self._require_compatible(other)
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            acc = terms.get(k)
-            acc = v if acc is None else acc + v
-            if acc:
-                terms[k] = acc
-            else:
-                terms.pop(k, None)
-        out = TauPoly(self.group, self.c)
-        out.terms = terms
-        return out
+        return TauPoly._trusted(self.group, self.c, sparse.add(self.terms, other.terms))
 
     def __neg__(self) -> "TauPoly":
-        out = TauPoly(self.group, self.c)
-        out.terms = {k: -v for k, v in self.terms.items()}
-        return out
+        return TauPoly._trusted(self.group, self.c, sparse.neg(self.terms))
 
     def __sub__(self, other: "TauPoly") -> "TauPoly":
         return self + (-other)
@@ -112,28 +105,14 @@ class TauPoly:
         if isinstance(other, (int, Fraction, GaussRat)):
             return self.scaled(other)
         self._require_compatible(other)
-        out: dict[tuple, GaussRat] = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                key = tuple(sorted(k1 + k2))
-                v = v1 * v2
-                acc = out.get(key)
-                acc = v if acc is None else acc + v
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-        res = TauPoly(self.group, self.c)
-        res.terms = out
-        return res
+        terms = sparse.mul(self.terms, other.terms, sparse.merge_keys)
+        return TauPoly._trusted(self.group, self.c, terms)
 
     __rmul__ = __mul__
 
     def scaled(self, factor) -> "TauPoly":
         f = factor if isinstance(factor, GaussRat) else GaussRat(factor)
-        out = TauPoly(self.group, self.c)
-        out.terms = {} if not f else {k: v * f for k, v in self.terms.items()}
-        return out
+        return TauPoly._trusted(self.group, self.c, sparse.scale(self.terms, f))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -188,13 +167,24 @@ class TauPoly:
 
     @staticmethod
     def from_json(obj: dict) -> "TauPoly":
-        group = GroupSpec.from_json(obj["group"])
-        c = Fraction(obj.get("c", "1"))
+        json_check(obj, dict, "")
+        group = GroupSpec.from_json(json_field(obj, "group", dict, ""))
+        c_text = json_field(obj, "c", str, "", default="1")
+        try:
+            c = Fraction(c_text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"c: {exc}") from None
         terms: dict[tuple, GaussRat] = {}
-        for entry in obj.get("terms", []):
-            key = tuple(tuple(int(x) for x in a) for a in entry.get("factors", []))
-            coeff = GaussRat.parse(entry["coeff"])
-            terms[key] = terms.get(key, ZERO) + coeff
+        for k, entry in enumerate(json_field(obj, "terms", list, "", default=[])):
+            where = f"terms[{k}]"
+            json_check(entry, dict, where)
+            key = []
+            for j, a in enumerate(json_field(entry, "factors", list, where, default=[])):
+                fwhere = f"{where}.factors[{j}]"
+                if len(json_ints(a, fwhere)) != 2:
+                    raise DomainError(f"{fwhere}: expected 2 entries, got {len(a)}")
+                key.append(tuple(a))
+            sparse.add_term(terms, tuple(key), json_coeff(entry, where))
         return TauPoly(group, c, terms)
 
     def __str__(self) -> str:
@@ -263,7 +253,7 @@ def bracket_poly(
     if f.group != h.group or f.c != h.c:
         raise StructureError("mismatched group or c parameter")
     group, c = f.group, f.c
-    total = TauPoly.zero(group, c)
+    terms: dict[tuple, GaussRat] = {}
     for k1, v1 in f.terms.items():
         for k2, v2 in h.terms.items():
             scale = v1 * v2
@@ -272,21 +262,10 @@ def bracket_poly(
                 for i2 in range(len(k2)):
                     rest2 = k2[:i2] + k2[i2 + 1 :]
                     br = bracket_symbols(k1[i1], k2[i2], group, c, extrapolated_gl)
-                    if not br:
-                        continue
-                    shifted: dict[tuple, GaussRat] = {}
                     extra = rest1 + rest2
                     for key, v in br.terms.items():
-                        nk = tuple(sorted(key + extra))
-                        acc = shifted.get(nk, ZERO) + v * scale
-                        if acc:
-                            shifted[nk] = acc
-                        else:
-                            shifted.pop(nk, None)
-                    piece = TauPoly(group, c)
-                    piece.terms = shifted
-                    total = total + piece
-    return total
+                        sparse.add_term(terms, sparse.merge_keys(key, extra), v * scale)
+    return TauPoly._trusted(group, c, terms)
 
 
 def jacobi_defect(

@@ -1,0 +1,59 @@
+"""Arithmetic on sparse polynomials stored as ``dict[key, GaussRat]``.
+
+``LaurentPoly``, ``GeneratorPoly`` and ``TauPoly`` keep their terms in such
+a dict, and so do a few internal accumulators.  The stored form is the
+same for all of them: no zero coefficient is ever stored, and every key is
+already in its owner's canonical form.  These functions are the one
+implementation of add, negate, scale and multiply on that form.  They
+treat keys as opaque: ``mul`` takes a ``combine`` function that returns the
+canonical key of the product of two keys.
+"""
+
+from __future__ import annotations
+
+
+def add_term(terms: dict, key, coeff) -> None:
+    """Add ``coeff`` to ``terms[key]`` in place, dropping the key if the
+    sum is zero."""
+    acc = terms.get(key)
+    if acc is None:
+        if coeff:
+            terms[key] = coeff
+        return
+    acc = acc + coeff
+    if acc:
+        terms[key] = acc
+    else:
+        del terms[key]
+
+
+def add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for key, coeff in b.items():
+        add_term(out, key, coeff)
+    return out
+
+
+def neg(a: dict) -> dict:
+    return {key: -coeff for key, coeff in a.items()}
+
+
+def scale(a: dict, factor) -> dict:
+    if not factor:
+        return {}
+    return {key: coeff * factor for key, coeff in a.items()}
+
+
+def mul(a: dict, b: dict, combine) -> dict:
+    """The product of two polynomials; ``combine(k1, k2)`` is the canonical
+    key of the product of the monomials ``k1`` and ``k2``."""
+    out: dict = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            add_term(out, combine(k1, k2), c1 * c2)
+    return out
+
+
+def merge_keys(k1: tuple, k2: tuple) -> tuple:
+    """``combine`` for monomials stored as sorted tuples of factors."""
+    return tuple(sorted(k1 + k2))

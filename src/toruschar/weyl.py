@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 from .errors import DomainError, ResourceLimitError
 from .groups import GroupSpec
 from .laurent import ExponentMatrix, LaurentPoly
-from .scalars import ONE
+from .scalars import GaussRat, ONE
 
 WEYL_CAP = 10 ** 6
 
@@ -162,27 +162,27 @@ def act(w: SignedPerm, f: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(f.group, {act_monomial(w, m): c for m, c in f.terms.items()})
 
 
+def _images_sum(
+    m: ExponentMatrix, group: GroupSpec, elements: Iterator[SignedPerm]
+) -> LaurentPoly:
+    """Sum of w . m over ``elements``, multiplicities included."""
+    (key,) = LaurentPoly(group, {m: ONE}).terms  # validates + canonicalizes the key
+    counts: dict[ExponentMatrix, int] = {}
+    for w in elements:
+        k = act_monomial(w, key)
+        counts[k] = counts.get(k, 0) + 1
+    return LaurentPoly(group, {k: GaussRat(v) for k, v in counts.items()})
+
+
 def orbit_sum(m: ExponentMatrix, group: GroupSpec, cap: int = WEYL_CAP) -> LaurentPoly:
     """Sum of w . m over every Weyl element, multiplicities included, so
     the coefficient of each orbit monomial equals the stabilizer order."""
-    terms: dict[ExponentMatrix, object] = {}
-    acc = LaurentPoly(group, {m: ONE})  # validates + canonicalizes the key
-    (key,) = acc.terms
-    for w in weyl_elements(group, cap):
-        k = act_monomial(w, key)
-        terms[k] = terms.get(k, 0) + 1
-    return LaurentPoly(group, {k: ONE * v for k, v in terms.items()})
+    return _images_sum(m, group, weyl_elements(group, cap))
 
 
 def pattern_sum(m: ExponentMatrix, group: GroupSpec, cap: int = WEYL_CAP) -> LaurentPoly:
     """Sum of w . m over the ambient pattern group (see pattern_elements)."""
-    terms: dict[ExponentMatrix, object] = {}
-    acc = LaurentPoly(group, {m: ONE})
-    (key,) = acc.terms
-    for w in pattern_elements(group, cap):
-        k = act_monomial(w, key)
-        terms[k] = terms.get(k, 0) + 1
-    return LaurentPoly(group, {k: ONE * v for k, v in terms.items()})
+    return _images_sum(m, group, pattern_elements(group, cap))
 
 
 def invariance_violation(f: LaurentPoly, group: GroupSpec) -> Optional[SignedPerm]:

@@ -286,6 +286,40 @@ def test_expand_malformed_json_exit_2(tmp_path, capsys, doc, where):
     assert where in err
 
 
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        (5, "top level: expected a list"),
+        ({"x": [1, 1]}, "top level: expected a list"),
+        ([5, [1, 1]], "[0]: expected a list"),
+        ([[1, "x"], [1, 1]], "[0][1]: not a number"),
+        ([[1, 1], [None, 1]], "[1][0]: not a number"),
+        ([[1, True], [1, 1]], "[0][1]: not a number"),
+        ([[1, [2]], [1, 1]], "[0][1]: not a number"),
+        ([["1/0", 1], [1, 1]], "[0][0]: not a number"),
+        ([[1, 1]], "expected 2 generator vectors"),
+    ],
+)
+def test_cohomology_malformed_json_exit_2(tmp_path, capsys, doc, where):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(doc))
+    argv = ["cohomology", "--family", "sl", "--rank", "2", "--factors", "2", "--in", str(src)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert where in err
+
+
+def test_cohomology_cli_in_file(tmp_path, capsys):
+    src = tmp_path / "gens.json"
+    src.write_text(json.dumps([[2, 0.5], [3, "1/3"]]))
+    for mode in ("exact", "float"):
+        argv = ["cohomology", "--family", "sl", "--rank", "2", "--factors", "2",
+                "--mode", mode, "--in", str(src)]
+        assert run(argv) == 0
+        assert capsys.readouterr().out.strip() == "Z1 = 4, B1 = 2, H1 = 2"
+
+
 @pytest.mark.parametrize("exps", ['[[1], "x"]', "[[null], [0]]", "7", "[[0.3], [0]]"])
 def test_malformed_exps_flag_exit_2(capsys, exps):
     assert run(["orbit-sum", "--family", "gl", "--rank", "2", "--exps", exps]) == 2

@@ -199,6 +199,42 @@ def test_taupoly_json_round_trip():
     assert back == f
 
 
+_GOOD_TAU = {
+    "group": {"family": "Sp", "rank": 1, "factors": 2},
+    "c": "3/2",
+    "terms": [{"coeff": "1", "factors": [[1, 0]]}],
+}
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ({**_GOOD_TAU, "terms": [{"factors": [[1, 0]]}]}, "terms[0].coeff: missing"),
+        ({**_GOOD_TAU, "terms": [{"coeff": 1, "factors": []}]}, "terms[0].coeff: expected a string"),
+        ({**_GOOD_TAU, "terms": [{"coeff": "1/x", "factors": []}]}, "terms[0].coeff: "),
+        ({**_GOOD_TAU, "terms": [{"coeff": "1", "factors": [[1, "a"]]}]},
+         "terms[0].factors[0][1]: expected an integer"),
+        ({**_GOOD_TAU, "terms": [{"coeff": "1", "factors": [[1]]}]},
+         "terms[0].factors[0]: expected 2 entries"),
+        ({**_GOOD_TAU, "terms": [{"coeff": "1", "factors": [1, 0]}]},
+         "terms[0].factors[0]: expected a list"),
+        ({**_GOOD_TAU, "terms": [{"coeff": "1", "factors": "tau"}]}, "terms[0].factors: expected a list"),
+        ({**_GOOD_TAU, "terms": ["x"]}, "terms[0]: expected an object"),
+        ({**_GOOD_TAU, "terms": {}}, "terms: expected a list"),
+        ({**_GOOD_TAU, "c": 2}, "c: expected a string"),
+        ({**_GOOD_TAU, "c": "two"}, "c: "),
+        ({**_GOOD_TAU, "c": "1/0"}, "c: "),
+        ({"c": "1", "terms": []}, "group: missing"),
+        ({**_GOOD_TAU, "group": {"family": "Sp", "rank": 1}}, "group.factors: missing"),
+        ([_GOOD_TAU], "top level: expected an object"),
+    ],
+)
+def test_taupoly_from_json_malformed(doc, where):
+    with pytest.raises(DomainError) as exc:
+        TauPoly.from_json(doc)
+    assert str(exc.value).startswith(where)
+
+
 def test_symbol_window_counts():
     assert len(symbol_window(SL2, 1)) == 9
     assert len(symbol_window(SP1, 1)) == 5
