@@ -14,7 +14,7 @@ class UnsupportedInputError(DomainError):
 
 
 class ResourceLimitError(RuntimeError):
-    """An enumeration guard (Weyl group size cap) was exceeded."""
+    """An enumeration guard (the cap on Weyl group or orbit size) was exceeded."""
 
 
 class InternalCheckError(RuntimeError):

@@ -45,12 +45,11 @@ from .laurent import (
 )
 from .scalars import GaussRat, I, ONE, ZERO
 from .weyl import (
-    act_monomial,
     invariance_violation,
     level_of_monomial,
     level_of_poly,
     orbit_sum,
-    pattern_elements,
+    pattern_images,
     pattern_order,
     pattern_sum,
 )
@@ -445,7 +444,6 @@ def _reduce_pattern_monomial_uncached(
 
     # level >= 2: multiply a level-1 image against the sum one level down,
     # subtract the lower-level remainder A, divide by the computed constant.
-    n = group.rank
     pos, alpha_row = max(
         ((i, row) for i, row in enumerate(m) if any(row)), key=lambda t: t[1]
     )
@@ -467,24 +465,7 @@ def _reduce_pattern_monomial_uncached(
     sub_sum = pattern_sum(m_sub, group)
     expanded = level_one * sub_sum
 
-    # A: the terms of the product whose new variable lands on an already
-    # occupied row; they have strictly lower level.
-    doubled = tuple(2 * a for a in alpha)
-    deltas = (1,) if group.family in ("GL", "SL") else (1, -1)
-    a_terms: dict[ExponentMatrix, GaussRat] = {}
-    for w in pattern_elements(group):
-        mw = act_monomial(w, m_sub)
-        for k in range(n):
-            if not any(mw[k]):
-                continue
-            for delta in deltas:
-                rows = list(mw)
-                rows[k] = tuple(
-                    e + delta * d for e, d in zip(rows[k], doubled)
-                )
-                sparse.add_term(a_terms, canonical_mod_relations(tuple(rows), group), ONE)
-    lower = LaurentPoly._trusted(group, a_terms)
-
+    lower = _lower_terms(m_sub, alpha, group)
     remainder = expanded - lower
     full_sum = pattern_sum(m, group)
     beta = remainder.coefficient(m) / full_sum.coefficient(m)
@@ -501,6 +482,27 @@ def _reduce_pattern_monomial_uncached(
     gen_lower = _reduce_pattern_poly(lower, group, bound=level)
     inv_beta = ONE / beta
     return (gen_one * gen_sub - gen_lower).scaled(inv_beta)
+
+
+def _lower_terms(m_sub: ExponentMatrix, alpha: tuple[int, ...], group: GroupSpec) -> LaurentPoly:
+    """A: the terms of tau(alpha) * pattern_sum(m_sub) whose new variable
+    lands on an already occupied row; they have strictly lower level."""
+    doubled = tuple(2 * a for a in alpha)
+    deltas = (1,) if group.family in ("GL", "SL") else (1, -1)
+    # Each image of the raw m_sub stands for the pattern elements reaching
+    # it; for SL, which rows count as occupied depends on the presentation.
+    images = pattern_images(m_sub, group)
+    weight = GaussRat(pattern_order(group) // len(images))
+    a_terms: dict[ExponentMatrix, GaussRat] = {}
+    for mw in images:
+        for k, row in enumerate(mw):
+            if not any(row):
+                continue
+            for delta in deltas:
+                rows = list(mw)
+                rows[k] = tuple(e + delta * d for e, d in zip(row, doubled))
+                sparse.add_term(a_terms, canonical_mod_relations(tuple(rows), group), weight)
+    return LaurentPoly._trusted(group, a_terms)
 
 
 def _reduce_pattern_poly(f: LaurentPoly, group: GroupSpec, bound: int) -> GeneratorPoly:

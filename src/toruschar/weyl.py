@@ -6,12 +6,27 @@ signs[i] * r_i: variables are permuted by their first index and exponents
 are negated where the sign is -1.  Membership: GL/SL take the plain
 symmetric group, Sp and odd SO the full signed group, even SO the subgroup
 with an even number of sign changes.
+
+Orbit sums are built at orbit size, without enumerating the group.  The
+orbit of a monomial under the symmetric group is the set of distinct
+arrangements of its rows.  Under the full signed group it is the set of
+distinct arrangements of the rows taken up to sign, times every sign
+pattern on the nonzero rows; these images are pairwise distinct, so the
+orbit size is n!/prod(m_i!) * 2^k, with m_i the multiplicities of the rows
+up to sign and k the number of nonzero rows.  Even SO keeps the full
+signed orbit when some row is zero (flipping that row fixes the
+monomial).  With no zero row no odd element fixes the monomial, and the
+orbit is half of the full one: the sign patterns whose number of flips has
+the parity of the input's (an input with rows r, -r has one flip).
+Each orbit monomial carries the coefficient |G|/|orbit|, its stabiliser
+order, so the result is the sum of w . m over every element w of G.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -105,18 +120,6 @@ def weyl_elements(group: GroupSpec, cap: int = WEYL_CAP) -> Iterator[SignedPerm]
         yield from _iter_signed(n, even_only=True)
 
 
-def pattern_elements(group: GroupSpec, cap: int = WEYL_CAP) -> Iterator[SignedPerm]:
-    """The ambient pattern group used by the level reduction: the symmetric
-    group for GL/SL and the full signed group for the other families
-    (including even SO, whose Weyl sums at level < n are half of these)."""
-    if group.family in ("GL", "SL"):
-        yield from weyl_elements(group, cap)
-        return
-    if pattern_order(group) > cap:
-        raise ResourceLimitError("pattern group exceeds enumeration cap")
-    yield from _iter_signed(group.rank, even_only=False)
-
-
 def pattern_order(group: GroupSpec) -> int:
     if group.family == "SOeven":
         return math.factorial(group.rank) << group.rank
@@ -162,27 +165,101 @@ def act(w: SignedPerm, f: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(f.group, {act_monomial(w, m): c for m, c in f.terms.items()})
 
 
-def _images_sum(
-    m: ExponentMatrix, group: GroupSpec, elements: Iterator[SignedPerm]
+# ---------------------------------------------------------------------------
+# orbits
+# ---------------------------------------------------------------------------
+
+def _images(
+    m: ExponentMatrix, signed: bool, even_flips: bool, cap: int
+) -> list[ExponentMatrix]:
+    """The distinct images of the presentation ``m`` (not canonicalised)
+    under row permutations and, if ``signed``, sign changes of rows, which
+    are restricted to even numbers of flips when ``even_flips``.
+
+    The orbit size is checked against ``cap`` before anything is built.
+    """
+    if signed:
+        base = [max(row, tuple(-e for e in row)) for row in m]
+        nonzero = sum(1 for row in base if any(row))
+    else:
+        base, nonzero = list(m), 0
+    parity = None
+    if even_flips and nonzero == len(m):
+        parity = sum(1 for row, b in zip(m, base) if row != b) % 2
+    size = math.factorial(len(m)) << nonzero
+    for k in Counter(base).values():
+        size //= math.factorial(k)
+    if parity is not None:
+        size >>= 1
+    if size > cap:
+        raise ResourceLimitError(f"orbit of {size} monomials exceeds cap {cap}")
+    negated = {row: tuple(-e for e in row) for row in base}
+    out = []
+    for arr in _arrangements(base):
+        where = [i for i, row in enumerate(arr) if any(row)]
+        for flips in itertools.product((False, True), repeat=nonzero):
+            if parity is not None and sum(flips) % 2 != parity:
+                continue
+            rows = list(arr)
+            for i, flip in zip(where, flips):
+                if flip:
+                    rows[i] = negated[rows[i]]
+            out.append(tuple(rows))
+    return out
+
+
+def _arrangements(rows: list) -> Iterator[ExponentMatrix]:
+    """The distinct orderings of ``rows``, each once, in lexicographic
+    order (the next-permutation step on a sorted list)."""
+    a = sorted(rows)
+    n = len(a)
+    while True:
+        yield tuple(a)
+        i = n - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
+
+
+def _orbit_sum(
+    m: ExponentMatrix, group: GroupSpec, order: int, even_flips: bool, cap: int
 ) -> LaurentPoly:
-    """Sum of w . m over ``elements``, multiplicities included."""
+    """Sum of w . m over a group of ``order`` elements, built as the orbit
+    with the stabiliser order |G|/|orbit| on every monomial."""
     (key,) = LaurentPoly(group, {m: ONE}).terms  # validates + canonicalizes the key
-    counts: dict[ExponentMatrix, int] = {}
-    for w in elements:
-        k = act_monomial(w, key)
-        counts[k] = counts.get(k, 0) + 1
-    return LaurentPoly(group, {k: GaussRat(v) for k, v in counts.items()})
+    images = _images(key, group.signed, even_flips, cap)
+    coeff = GaussRat(order // len(images))
+    # Permuting the rows of a canonical SL key leaves it canonical: the
+    # shift that canonicalises a key depends only on its multiset of rows.
+    return LaurentPoly._trusted(group, dict.fromkeys(images, coeff))
 
 
 def orbit_sum(m: ExponentMatrix, group: GroupSpec, cap: int = WEYL_CAP) -> LaurentPoly:
     """Sum of w . m over every Weyl element, multiplicities included, so
-    the coefficient of each orbit monomial equals the stabilizer order."""
-    return _images_sum(m, group, weyl_elements(group, cap))
+    the coefficient of each orbit monomial equals the stabilizer order.
+    Raises ResourceLimitError if the orbit has more than ``cap`` monomials."""
+    return _orbit_sum(m, group, group.weyl_order, group.family == "SOeven", cap)
 
 
 def pattern_sum(m: ExponentMatrix, group: GroupSpec, cap: int = WEYL_CAP) -> LaurentPoly:
-    """Sum of w . m over the ambient pattern group (see pattern_elements)."""
-    return _images_sum(m, group, pattern_elements(group, cap))
+    """Sum of w . m over the ambient pattern group used by the level
+    reduction: the symmetric group for GL/SL and the full signed group for
+    the other families (including even SO, whose Weyl sums at level < n
+    are half of these)."""
+    return _orbit_sum(m, group, pattern_order(group), False, cap)
+
+
+def pattern_images(m: ExponentMatrix, group: GroupSpec) -> list[ExponentMatrix]:
+    """The distinct images of the presentation ``m`` under the pattern
+    group, not canonicalised: each is reached pattern_order(group) //
+    len(result) times.  Raises ResourceLimitError beyond WEYL_CAP."""
+    return _images(m, group.signed, False, WEYL_CAP)
 
 
 def invariance_violation(f: LaurentPoly, group: GroupSpec) -> Optional[SignedPerm]:

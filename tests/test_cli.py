@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,18 @@ def test_orbit_sum_and_level(tmp_path, capsys):
         == 0
     )
     assert capsys.readouterr().out.strip() == "0"
+
+
+def test_orbit_sum_cap_counts_orbit(capsys):
+    level_one = json.dumps([[1]] + [[0]] * 8)
+    assert run(["orbit-sum", "--family", "sp", "--rank", "9", "--exps", level_one]) == 0
+    assert len(json.loads(capsys.readouterr().out)["terms"]) == 18
+    full = json.dumps([[k] for k in range(1, 10)])
+    start = time.perf_counter()
+    assert run(["orbit-sum", "--family", "sp", "--rank", "9", "--exps", full]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "exceeds cap" in err
 
 
 def test_level_cli_half_integer_exponents(capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -32,6 +33,17 @@ def test_weyl_sizes():
 def test_enumeration_cap():
     with pytest.raises(ResourceLimitError):
         list(weyl_elements(GroupSpec("Sp", 3, 1), cap=10))
+
+
+def test_orbit_cap_counts_orbit_not_group():
+    sp9 = GroupSpec("Sp", 9, 1)
+    orb = orbit_sum(exponents([[1]] + [[0]] * 8), sp9)  # |W| = 9! 2^9 is over the cap
+    assert len(orb) == 18
+    assert set(orb.terms.values()) == {GaussRat(math.factorial(9) * 2 ** 9 // 18)}
+    with pytest.raises(ResourceLimitError):
+        orbit_sum(exponents([[k] for k in range(1, 10)]), sp9)
+    with pytest.raises(ResourceLimitError):
+        orbit_sum(exponents([[1], [0], [0]]), GroupSpec("Sp", 3, 1), cap=5)
 
 
 def test_group_axioms_small():

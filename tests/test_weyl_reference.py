@@ -1,0 +1,118 @@
+"""The orbit-sized Weyl sums and the level reduction against the
+enumerating reference in ``reference_weyl``."""
+
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
+
+import reference_weyl as ref
+from toruschar import generators
+from toruschar.generators import expand
+from toruschar.groups import FAMILIES, GroupSpec
+from toruschar.laurent import LaurentPoly, canonical_mod_relations, exponents
+from toruschar.scalars import GaussRat, ONE
+from toruschar.sparse import add_term
+from toruschar.weyl import (
+    act_monomial,
+    level_of_monomial,
+    orbit_sum,
+    pattern_sum,
+)
+
+
+@st.composite
+def monomials(draw, integer_weights=False):
+    """A group of rank 1-4 with N = 1-2 and an exponent matrix whose rows
+    repeat, vanish, come in r, -r pairs, carry half weights (SOeven) and,
+    for SL, are shifted off the canonical presentation."""
+    family = draw(st.sampled_from(FAMILIES))
+    group = GroupSpec(family, draw(st.integers(1, 4)), draw(st.integers(1, 2)))
+    if family == "SOeven" and not integer_weights:
+        entry = st.integers(-4, 4)  # stored doubled: odd means half weight
+    else:
+        entry = st.integers(-2, 2).map(lambda e: 2 * e)
+    fresh = st.tuples(*[entry] * group.factors)
+    rows = []
+    for _ in range(group.rank):
+        kinds = ("new", "new", "zero", "repeat", "negate") if rows else ("new", "new", "zero")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "new":
+            rows.append(draw(fresh))
+        elif kind == "zero":
+            rows.append((0,) * group.factors)
+        else:
+            row = draw(st.sampled_from(rows))
+            rows.append(row if kind == "repeat" else tuple(-e for e in row))
+    if family == "SL":
+        shift = draw(fresh)
+        rows = [tuple(e + s for e, s in zip(row, shift)) for row in rows]
+    return group, tuple(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomials())
+def test_orbit_sums_match_enumeration(case):
+    group, m = case
+    assert orbit_sum(m, group) == ref.orbit_sum(m, group)
+    assert pattern_sum(m, group) == ref.pattern_sum(m, group)
+
+
+def test_soeven_sign_pair_and_zero_row():
+    g = GroupSpec("SOeven", 2, 1)
+    # rows (r, -r): W keeps the parity class, the pattern group reaches both
+    pair = exponents([[1], [-1]])
+    orb, pat = orbit_sum(pair, g), pattern_sum(pair, g)
+    assert len(orb) == 2 and set(orb.terms.values()) == {GaussRat(2)}
+    assert set(orb.terms) == {pair, exponents([[-1], [1]])}
+    assert len(pat) == 4 and set(pat.terms.values()) == {GaussRat(2)}
+    assert orb == ref.orbit_sum(pair, g) and pat == ref.pattern_sum(pair, g)
+    # rows (r, 0): flipping the zero row joins the two sign classes
+    with_zero = exponents([[1], [0]])
+    orb = orbit_sum(with_zero, g)
+    assert set(orb.terms) == {
+        exponents([[1], [0]]), exponents([[-1], [0]]),
+        exponents([[0], [1]]), exponents([[0], [-1]]),
+    }
+    assert orb == ref.orbit_sum(with_zero, g)
+
+
+def reference_lower_terms(m_sub, alpha, group):
+    """The A-terms of the level reduction, one per pattern element."""
+    doubled = tuple(2 * a for a in alpha)
+    deltas = (1,) if group.family in ("GL", "SL") else (1, -1)
+    terms = {}
+    for w in ref.pattern_elements(group):
+        mw = act_monomial(w, m_sub)
+        for k, row in enumerate(mw):
+            if not any(row):
+                continue
+            for delta in deltas:
+                rows = list(mw)
+                rows[k] = tuple(e + delta * d for e, d in zip(row, doubled))
+                add_term(terms, canonical_mod_relations(tuple(rows), group), ONE)
+    return LaurentPoly(group, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomials(integer_weights=True), st.data())
+def test_lower_terms_match_enumeration(case, data):
+    group, m_sub = case  # raw: for SL, not canonical
+    alpha = data.draw(st.tuples(*[st.integers(-2, 2)] * group.factors))
+    assert generators._lower_terms(m_sub, alpha, group) == reference_lower_terms(m_sub, alpha, group)
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomials(integer_weights=True))
+def test_reduction_matches_orbit_sum_and_reference(case):
+    group, raw = case
+    (m,) = LaurentPoly.monomial(group, raw).terms  # decompose peels canonical keys
+    generators._REDUCE_CACHE.clear()
+    try:
+        assert expand(generators._reduce_orbit(m, group), group) == orbit_sum(m, group)
+        bound = level_of_monomial(m, group) + 1
+        fast = generators._reduce_pattern_monomial(m, group, bound)
+        generators._REDUCE_CACHE.clear()
+        with mock.patch.object(generators, "_lower_terms", reference_lower_terms):
+            assert generators._reduce_pattern_monomial(m, group, bound) == fast
+    finally:
+        generators._REDUCE_CACHE.clear()
