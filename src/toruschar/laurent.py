@@ -117,15 +117,36 @@ def zero_exponents(group: GroupSpec) -> ExponentMatrix:
 # Laurent polynomials
 # ---------------------------------------------------------------------------
 
+def sum_terms(terms, point):
+    """Sum of ``coeff * point.monomial_value(m)`` over ``(m, coeff)`` pairs,
+    in the order given, starting from the first term; ``point.zero_value()``
+    when there are none.  Coefficients must already be in the point's
+    scalar type (GaussRat for exact points, complex for float points).
+
+    This is the one evaluation loop of ``evaluate`` and
+    ``log_gradient_values``, so both give bit-identical values.
+    """
+    total = None
+    value = point.monomial_value
+    for m, c in terms:
+        term = c * value(m)
+        total = term if total is None else total + term
+    if total is None:
+        return point.zero_value()
+    return total
+
+
 class LaurentPoly:
     """Sparse exact Laurent polynomial over GaussRat coefficients.
 
     Instances are treated as immutable; every operation returns a new
     polynomial.  Zero coefficients are never stored and SL keys are always
-    in canonical form.
+    in canonical form.  The table of logarithmic partials is built on first
+    use and kept for the life of the instance (see
+    ``log_gradient_values``).
     """
 
-    __slots__ = ("group", "terms")
+    __slots__ = ("group", "terms", "_log_partials")
 
     def __init__(self, group: GroupSpec, terms: Mapping[ExponentMatrix, GaussRat] = ()):
         self.group = group
@@ -136,13 +157,14 @@ class LaurentPoly:
                 coeff = GaussRat(coeff)
             sparse.add_term(clean, canonical_mod_relations(m, group), coeff)
         self.terms = clean
+        self._log_partials = None
 
     @classmethod
     def _trusted(cls, group: GroupSpec, terms: dict) -> "LaurentPoly":
         """Wrap ``terms`` without checks or copy; they must already be in
         the stored form (canonical keys, no zero coefficient)."""
         p = cls.__new__(cls)
-        p.group, p.terms = group, terms
+        p.group, p.terms, p._log_partials = group, terms, None
         return p
 
     # -- constructors ---------------------------------------------------
@@ -215,6 +237,10 @@ class LaurentPoly:
 
     # -- calculus / evaluation -------------------------------------------
 
+    def _require_point_group(self, point) -> None:
+        if point.group != self.group:
+            raise StructureError(f"group mismatch: {self.group} vs point of {point.group}")
+
     def partial(self, i: int, j: int) -> "LaurentPoly":
         """Logarithmic derivative x_ij * d/dx_ij (1-based indices), exact.
 
@@ -228,21 +254,48 @@ class LaurentPoly:
                 out[m] = c * GaussRat(Fraction(e, 2))
         return LaurentPoly._trusted(self.group, out)
 
-    def evaluate(self, point):
-        """Substitution homomorphism at a torus point.
+    def log_gradient_values(self, point) -> tuple:
+        """Values of every logarithmic partial at a point of the same group:
+        entry ``[j-1][i-1]`` equals ``self.partial(i, j).evaluate(point)``
+        bit for bit (the same terms in the same order through
+        ``sum_terms``).
 
-        ``point`` must provide ``monomial_value(exponent_matrix)``; the
+        The exact work is done once per polynomial: on first use a table
+        of the sorted terms of each ``partial(i, j)`` is built, as
+        ``(m, GaussRat)`` and as ``(m, complex)`` pairs, and kept as long
+        as the polynomial.  Instances are immutable, so it never goes
+        stale.  Only the float (or exact) sums are left for each point.
+        """
+        self._require_point_group(point)
+        table = self._log_partials
+        if table is None:
+            group = self.group
+            table = []
+            for j in range(1, group.factors + 1):
+                row = []
+                for i in range(1, group.rank + 1):
+                    exact = tuple(self.partial(i, j).sorted_terms())
+                    row.append((exact, tuple((m, complex(c)) for m, c in exact)))
+                table.append(tuple(row))
+            table = self._log_partials = tuple(table)
+        mode = 0 if point.exact else 1
+        return tuple(
+            tuple(sum_terms(terms[mode], point) for terms in row) for row in table
+        )
+
+    def evaluate(self, point):
+        """Substitution homomorphism at a torus point of the same group.
+
+        ``point`` must provide ``group``, ``exact``,
+        ``monomial_value(exponent_matrix)`` and ``zero_value()``; the
         result type follows the point (complex in float mode, GaussRat in
         exact mode).
         """
-        total = None
-        for m, c in sorted(self.terms.items()):
-            v = point.monomial_value(m)
-            term = c * v if isinstance(v, GaussRat) else complex(c) * v
-            total = term if total is None else total + term
-        if total is None:
-            return point.zero_value()
-        return total
+        self._require_point_group(point)
+        terms = sorted(self.terms.items())
+        if not point.exact:
+            terms = [(m, complex(c)) for m, c in terms]
+        return sum_terms(terms, point)
 
     # -- structure queries -------------------------------------------------
 

@@ -14,7 +14,7 @@ Exact mode (GaussRat matrices and points) is authoritative; float mode
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -487,11 +487,16 @@ def cohomology_dims(
 class CartanMetric:
     """Restriction of c * trace-form to the Cartan in eigenvalue
     coordinates: a single diagonal multiplier, plus the traceless
-    projection for SL."""
+    projection for SL.  ``scale`` is ``float(c * multiplier)``, computed
+    once for the float path."""
 
     group: GroupSpec
     c: Fraction
     multiplier: Fraction
+    scale: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "scale", float(self.c * self.multiplier))
 
     def project(self, vec: list):
         if self.group.family != "SL":
@@ -513,7 +518,7 @@ class CartanMetric:
             for x, y in zip(pu, pv):
                 acc = acc + x * y
             return acc * GaussRat(self.c * self.multiplier)
-        return sum(x * y for x, y in zip(pu, pv)) * float(self.c * self.multiplier)
+        return sum(x * y for x, y in zip(pu, pv)) * self.scale
 
     def dual_pair(self, xi: list, eta: list):
         """Inverse form on functionals given by coordinate vectors."""
@@ -523,7 +528,7 @@ class CartanMetric:
             for x, y in zip(pu, pv):
                 acc = acc + x * y
             return acc * GaussRat(Fraction(1, 1) / (self.c * self.multiplier))
-        return sum(x * y for x, y in zip(pu, pv)) / float(self.c * self.multiplier)
+        return sum(x * y for x, y in zip(pu, pv)) / self.scale
 
 
 def cartan_tangent(group: GroupSpec, u: Sequence) -> Mat:
@@ -582,11 +587,31 @@ def omega_prime(group: GroupSpec, c: Fraction, pair1, pair2):
     return metric.pair(list(v1), list(w2)) - metric.pair(list(v2), list(w1))
 
 
+def log_gradients(f: LaurentPoly, point: TorusPoint) -> tuple:
+    """All N vectors (x_ij d f / d x_ij)_i at the point, one per factor j.
+
+    The exact partials are hoisted out of the sample loop: they are built
+    once per polynomial and kept as long as ``f`` (see
+    ``LaurentPoly.log_gradient_values``).  The vectors are memoised per
+    (polynomial, point) in ``point.memo`` and live as long as the point,
+    so every symbol pair sharing ``f`` at one point reuses them.  Each
+    entry equals ``f.partial(i, j).evaluate(point)`` bit for bit.
+    """
+    key = ("grad", id(f))
+    hit = point.memo.get(key)
+    if hit is None:
+        # The entry holds f itself, so id(f) cannot be reused while it lives.
+        hit = point.memo[key] = (f, f.log_gradient_values(point))
+    return hit[1]
+
+
 def log_gradient(f: LaurentPoly, point: TorusPoint, j: int) -> list:
-    """Vector of x_ij d f / d x_ij evaluated at the point (1-based j)."""
-    return [
-        f.partial(i, j).evaluate(point) for i in range(1, f.group.rank + 1)
-    ]
+    """Vector of x_ij d f / d x_ij evaluated at the point (1-based j).
+
+    A copy of the j-th vector of ``log_gradients``, which memoises all N
+    vectors of ``f`` at the point on first use.
+    """
+    return list(log_gradients(f, point)[j - 1])
 
 
 def numeric_bracket(
@@ -600,15 +625,26 @@ def numeric_bracket(
     the traceless part for SL).  The orientation is pinned once against
     the SL(2) bracket formula at the reference point (2, 3) and is part of
     the test suite.
+
+    The gradients come from ``log_gradients``: exact partials are built
+    once per polynomial, their values once per (polynomial, point), so a
+    sweep over symbol pairs at one point does the exact work once per
+    symbol and the float work once per symbol and point.  The Cartan
+    metric for ``c`` is looked up once per point too, in ``point.memo``.
     """
     group = f.group
     if group != h.group or group != point.group:
         raise StructureError("mismatched groups")
     if group.factors != 2:
         raise DomainError("the symplectic oracle needs exactly two factors")
-    metric = cartan_metric(group, Fraction(c))
-    gf1, gf2 = log_gradient(f, point, 1), log_gradient(f, point, 2)
-    gh1, gh2 = log_gradient(h, point, 1), log_gradient(h, point, 2)
+    key = ("metric", id(c))
+    hit = point.memo.get(key)
+    if hit is None:
+        metric = cartan_metric(group, c if isinstance(c, Fraction) else Fraction(c))
+        hit = point.memo[key] = (c, metric)  # holding c keeps id(c) unique
+    metric = hit[1]
+    gf1, gf2 = log_gradients(f, point)
+    gh1, gh2 = log_gradients(h, point)
     return metric.dual_pair(gf1, gh2) - metric.dual_pair(gf2, gh1)
 
 

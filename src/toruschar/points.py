@@ -25,9 +25,19 @@ class TorusPoint:
     optionally fixes the square-root branch used for half-integer weights;
     when absent, float points use the principal square root and exact
     points refuse odd exponents.
+
+    A point caches what is derived from it and lives exactly as long as
+    the point, so nothing outlives it and no cache is module-wide:
+    ``_powers`` holds coordinate powers, and ``memo`` is a small dict for
+    values that other modules derive at this point.  Its keys are tuples
+    whose first entry names the kind of value.  ``lie.log_gradients``
+    stores ``("grad", id(f)) -> (f, gradients)`` and ``lie.numeric_bracket``
+    ``("metric", id(c)) -> (c, metric)``; each entry keeps its object
+    alive, so the id cannot be reused while the point lives.
+    ``TauPoly.evaluate`` stores ``("tau", group, symbol) -> value``.
     """
 
-    __slots__ = ("group", "coords", "sqrts", "exact", "_powers")
+    __slots__ = ("group", "coords", "sqrts", "exact", "_powers", "memo")
 
     def __init__(self, group: GroupSpec, coords, sqrts=None):
         self.group = group
@@ -73,6 +83,7 @@ class TorusPoint:
         self.sqrts = sqrts
         self.exact = exact
         self._powers: dict = {}
+        self.memo: dict = {}
 
     @classmethod
     def from_sqrt(cls, group: GroupSpec, sqrts) -> "TorusPoint":

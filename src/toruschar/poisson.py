@@ -133,21 +133,26 @@ class TauPoly:
 
     def evaluate(self, point):
         """Substitute tau(a) by the trace of the corresponding torus
-        element at the point (via the Laurent image of the generator)."""
-        cache: dict[LatticeVec, object] = {}
+        element at the point (via the Laurent image of the generator).
 
-        def value(a: LatticeVec):
-            v = cache.get(a)
-            if v is None:
-                v = tau_image(self.group, a).evaluate(point)
-                cache[a] = v
-            return v
-
+        The value of each tau(a) is memoised in ``point.memo`` under
+        ``("tau", group, a)`` and lives as long as the point, so every
+        polynomial evaluated at one point shares it.
+        """
+        group = self.group
+        if point.group != group:
+            raise StructureError(f"group mismatch: {group} vs point of {point.group}")
+        memo = point.memo
+        exact = point.exact
         total = None
         for key, coeff in self.sorted_terms():
-            term = coeff if point.exact else complex(coeff)
+            term = coeff if exact else complex(coeff)
             for a in key:
-                term = term * value(a)
+                k = ("tau", group, a)
+                v = memo.get(k)
+                if v is None:
+                    v = memo[k] = tau_image(group, a).evaluate(point)
+                term = term * v
             total = term if total is None else total + term
         if total is None:
             return point.zero_value()

@@ -1,0 +1,72 @@
+"""Reference oracle path for differential tests.
+
+These are the library's former bodies of ``LaurentPoly.evaluate``,
+``lie.log_gradient``, ``CartanMetric.dual_pair``, ``lie.numeric_bracket``
+and ``TauPoly.evaluate``.  Every call re-derives the exact partials with
+``LaurentPoly.partial``, evaluates them afresh, rebuilds ``float(c *
+multiplier)`` and keeps its tau values in a dict that lives for one call.
+It is slow but obviously the formula, and ``test_oracle_reference.py``
+checks that the hoisted and memoised library path gives bit-identical
+results.  It is not part of the package.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from toruschar.generators import tau_image
+from toruschar.lie import cartan_metric
+from toruschar.scalars import GaussRat, ZERO
+
+
+def evaluate(poly, point):
+    total = None
+    for m, c in sorted(poly.terms.items()):
+        v = point.monomial_value(m)
+        term = c * v if isinstance(v, GaussRat) else complex(c) * v
+        total = term if total is None else total + term
+    if total is None:
+        return point.zero_value()
+    return total
+
+
+def log_gradient(f, point, j: int) -> list:
+    return [evaluate(f.partial(i, j), point) for i in range(1, f.group.rank + 1)]
+
+
+def dual_pair(metric, xi, eta):
+    pu, pv = metric.project(xi), metric.project(eta)
+    if isinstance(pu[0], GaussRat):
+        acc = ZERO
+        for x, y in zip(pu, pv):
+            acc = acc + x * y
+        return acc * GaussRat(Fraction(1, 1) / (metric.c * metric.multiplier))
+    return sum(x * y for x, y in zip(pu, pv)) / float(metric.c * metric.multiplier)
+
+
+def numeric_bracket(f, h, point, c=Fraction(1)):
+    metric = cartan_metric(f.group, Fraction(c))
+    gf1, gf2 = log_gradient(f, point, 1), log_gradient(f, point, 2)
+    gh1, gh2 = log_gradient(h, point, 1), log_gradient(h, point, 2)
+    return dual_pair(metric, gf1, gh2) - dual_pair(metric, gf2, gh1)
+
+
+def tau_evaluate(p, point):
+    cache = {}
+
+    def value(a):
+        v = cache.get(a)
+        if v is None:
+            v = evaluate(tau_image(p.group, a), point)
+            cache[a] = v
+        return v
+
+    total = None
+    for key, coeff in p.sorted_terms():
+        term = coeff if point.exact else complex(coeff)
+        for a in key:
+            term = term * value(a)
+        total = term if total is None else total + term
+    if total is None:
+        return point.zero_value()
+    return total

@@ -233,3 +233,18 @@ def test_json_half_integer_exponents():
     obj = f.to_json()
     assert obj["terms"][0]["exps"] == [[0.5], [0.5]]
     assert LaurentPoly.from_json(obj) == f
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_evaluate_rejects_a_point_of_another_group(exact):
+    # Same shape (rank 3, N = 2) or a smaller one: without the check the
+    # first would evaluate silently, the second read only part of the point.
+    pt = TorusPoint(GroupSpec("SL", 3, 2),
+                    [[2, Fraction(1, 3), Fraction(3, 2)], [-1, 5, Fraction(-1, 5)]])
+    if not exact:
+        pt = TorusPoint(pt.group, [[complex(v) for v in row] for row in pt.coords])
+    for group in (GroupSpec("GL", 3, 2), GroupSpec("SL", 2, 2)):
+        with pytest.raises(StructureError):
+            x(group, 1, 2).evaluate(pt)
+        with pytest.raises(StructureError):
+            LaurentPoly.zero(group).evaluate(pt)

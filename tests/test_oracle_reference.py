@@ -1,0 +1,141 @@
+"""The hoisted bracket oracle against the per-call reference in
+``reference_oracle``.
+
+``LaurentPoly.log_gradient_values`` builds the exact partials once per
+polynomial and ``TorusPoint.memo`` keeps gradients, tau values and the
+Cartan metric once per point.  Neither may change a single bit: float results are
+compared by the hex form of their real and imaginary parts, exact results
+by equality.
+"""
+
+import gc
+import random
+from fractions import Fraction
+
+import pytest
+
+import reference_oracle as ref
+from toruschar.generators import tau_image
+from toruschar.groups import GroupSpec
+from toruschar.laurent import LaurentPoly, exponents
+from toruschar.lie import log_gradient, numeric_bracket, random_torus_point
+from toruschar.points import TorusPoint
+from toruschar.poisson import TauPoly, bracket_symbols, symbol_window
+from toruschar.scalars import GaussRat
+from toruschar.verify import BRACKET_GROUPS
+
+SEEDS = (1101, 1102, 1103)
+
+
+def _bits(z):
+    if isinstance(z, complex):
+        return (z.real.hex(), z.imag.hex())
+    return z
+
+
+def _window(group):
+    syms = symbol_window(group, 2)
+    pairs = [(a, b) for i, a in enumerate(syms) for b in syms[i:]]
+    return syms, pairs, {a: tau_image(group, a) for a in syms}
+
+
+def _fresh(point):
+    return TorusPoint(point.group, point.coords, point.sqrts)
+
+
+def _check_point(group, syms, pairs, images, pt, c=Fraction(1)):
+    for a, b in pairs:
+        got = numeric_bracket(images[a], images[b], pt, c)
+        want = ref.numeric_bracket(images[a], images[b], pt, c)
+        assert _bits(got) == _bits(want), (a, b)
+    for a in syms:
+        for j in (1, 2):
+            got = [_bits(v) for v in log_gradient(images[a], pt, j)]
+            assert got == [_bits(v) for v in ref.log_gradient(images[a], pt, j)], (a, j)
+
+
+@pytest.mark.parametrize("group", BRACKET_GROUPS, ids=str)
+def test_float_oracle_is_bitwise_the_reference(group):
+    syms, pairs, images = _window(group)
+    for seed in SEEDS:
+        pt = random_torus_point(group, random.Random(seed), exact=False)
+        _check_point(group, syms, pairs, images, pt)
+
+
+@pytest.mark.parametrize("group", BRACKET_GROUPS, ids=str)
+def test_exact_oracle_equals_the_reference(group):
+    syms, pairs, images = _window(group)
+    pt = random_torus_point(group, random.Random(SEEDS[0]), exact=True)
+    _check_point(group, syms, pairs, images, pt, c=Fraction(3, 2))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_half_weights_through_from_sqrt(exact):
+    group = GroupSpec("SOeven", 2, 2)
+    halves = LaurentPoly(group, {
+        exponents([[1, 3], [1, -1]], halves=True): GaussRat(2, 1),
+        exponents([[-1, 1], [3, 1]], halves=True): GaussRat(Fraction(-3, 2)),
+        exponents([[2, 0], [0, -2]], halves=True): 5,
+    })
+    polys = [halves, halves * tau_image(group, (1, 1)), tau_image(group, (1, -1))]
+    sqrts = [[GaussRat(2), GaussRat(Fraction(-3, 5), 1)],
+             [GaussRat(Fraction(1, 3)), GaussRat(-7)]]
+    if not exact:
+        sqrts = [[complex(v) for v in row] for row in sqrts]
+    pt = TorusPoint.from_sqrt(group, sqrts)
+    assert pt.exact is exact
+    for f in polys:
+        for h in polys:
+            assert _bits(numeric_bracket(f, h, pt)) == _bits(ref.numeric_bracket(f, h, pt))
+        for j in (1, 2):
+            assert [_bits(v) for v in log_gradient(f, pt, j)] == [
+                _bits(v) for v in ref.log_gradient(f, pt, j)
+            ]
+        assert _bits(f.evaluate(pt)) == _bits(ref.evaluate(f, pt))
+
+
+@pytest.mark.parametrize("group", BRACKET_GROUPS, ids=str)
+def test_tau_values_at_a_reused_point_match_a_fresh_point(group):
+    syms, pairs, _ = _window(group)
+    pt = random_torus_point(group, random.Random(SEEDS[1]), exact=False)
+    for a, b in pairs:
+        br = bracket_symbols(a, b, group, Fraction(1))
+        got = _bits(br.evaluate(pt))
+        assert got == _bits(br.evaluate(_fresh(pt))), (a, b)
+        assert got == _bits(ref.tau_evaluate(br, pt)), (a, b)
+
+
+def test_memo_entries_never_cross_polynomials():
+    group = GroupSpec("SL", 3, 2)
+    syms, _, images = _window(group)
+    pt = random_torus_point(group, random.Random(SEEDS[2]), exact=False)
+    # Distinct polynomials of one group with the same number of terms, each
+    # a new object that is dropped after use, so a memo keyed by anything
+    # coarser than the object, or by a reused id, returns a stale vector.
+    for k, a in enumerate(syms):
+        f = images[a].scaled(k + 2)
+        for j in (1, 2):
+            assert [_bits(v) for v in log_gradient(f, pt, j)] == [
+                _bits(v) for v in ref.log_gradient(f, pt, j)
+            ], (a, j)
+        del f
+        gc.collect()
+    for a, b in zip(syms, syms[1:]):
+        f, h = images[a], images[b]
+        assert _bits(numeric_bracket(f, h, pt)) == _bits(ref.numeric_bracket(f, h, pt))
+        assert _bits(numeric_bracket(h, f, pt)) == _bits(ref.numeric_bracket(h, f, pt))
+    # Two tau polynomials at one point: each sees only its own value.
+    p = TauPoly(group, 1, {((1, 0), (0, 1)): 2, ((1, 1),): GaussRat(0, 1)})
+    q = TauPoly(group, 1, {((1, 0),): 1, ((-1, 2), (2, -1)): -3})
+    for poly in (p, q, p, q):
+        assert _bits(poly.evaluate(pt)) == _bits(ref.tau_evaluate(poly, _fresh(pt)))
+
+
+def test_metric_memo_follows_c():
+    group = GroupSpec("Sp", 2, 2)
+    syms, pairs, images = _window(group)
+    pt = random_torus_point(group, random.Random(SEEDS[0]), exact=False)
+    for c in (Fraction(1), Fraction(2, 7), 3, Fraction(1)):
+        for a, b in pairs[:20]:
+            got = numeric_bracket(images[a], images[b], pt, c)
+            assert _bits(got) == _bits(ref.numeric_bracket(images[a], images[b], pt, c))

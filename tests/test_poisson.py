@@ -238,3 +238,12 @@ def test_taupoly_from_json_malformed(doc, where):
 def test_symbol_window_counts():
     assert len(symbol_window(SL2, 1)) == 9
     assert len(symbol_window(SP1, 1)) == 5
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_evaluate_rejects_a_point_of_another_group(exact):
+    pt = random_torus_point(GroupSpec("SL", 3, 2), random.Random(5), exact=exact)
+    for p in (TauPoly.symbol(SL2, 1, (1, 0)), TauPoly.constant(SL2, 1, 3),
+              TauPoly.symbol(GroupSpec("GL", 3, 2), 1, (1, 0))):
+        with pytest.raises(StructureError):
+            p.evaluate(pt)
