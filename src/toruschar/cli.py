@@ -14,7 +14,9 @@ Subcommands wrap the library with JSON file I/O:
     level                level of a monomial or polynomial
 
 Exit codes: 0 success, 1 a verification suite missed its tolerance,
-2 invalid input or flags.  All randomness is seeded (default 0); equal
+2 invalid input, flags or a resource limit (such as a group above the
+Lie-dimension cap of `killing` and `cohomology`), 3 an internal
+self-check failed (a bug).  All randomness is seeded (default 0); equal
 seeds and flags give byte-identical outputs.
 """
 
@@ -28,12 +30,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError, StructureError, UnsupportedInputError
+from .errors import (
+    DomainError,
+    InternalCheckError,
+    ResourceLimitError,
+    StructureError,
+    UnsupportedInputError,
+)
 from .generators import GeneratorPoly, decompose, expand
 from .groups import GroupSpec
 from .jsonio import json_check
 from .laurent import LaurentPoly, exponents_from_json
-from .lie import cohomology_dims, killing_ratio, random_torus_point, torus_matrix
+from .lie import LIE_DIM_CAP, cohomology_dims, killing_ratio, random_torus_point, torus_matrix
 from .poisson import bracket_symbols, structure_constants
 from .scalars import GaussRat
 from .verify import bracket_agreement, jacobi_suite, killing_table
@@ -52,6 +60,18 @@ def _group_from(args, factors: int | None = None) -> GroupSpec:
         raise DomainError("--family and --rank are required here")
     n_factors = factors if factors is not None else getattr(args, "factors", 1)
     return GroupSpec.from_cli(args.family, args.rank, n_factors)
+
+
+def _lie_group_from(args, factors: int | None = None) -> GroupSpec:
+    """``_group_from`` for the commands that build matrices of side
+    lie_dim; larger groups than LIE_DIM_CAP are refused before any work."""
+    group = _group_from(args, factors)
+    if group.lie_dim > LIE_DIM_CAP:
+        raise ResourceLimitError(
+            f"{group.family}({group.rank}) has Lie dimension {group.lie_dim}, "
+            f"above the cap of {LIE_DIM_CAP}"
+        )
+    return group
 
 
 def _read_json(path: str) -> dict:
@@ -225,7 +245,7 @@ def _eigenvalue_columns(data) -> list[list[GaussRat]]:
 
 
 def _cmd_cohomology(args) -> int:
-    group = _group_from(args)
+    group = _lie_group_from(args)
     if args.infile:
         columns = _eigenvalue_columns(_read_json(args.infile))
         if len(columns) != group.factors:
@@ -244,7 +264,7 @@ def _cmd_cohomology(args) -> int:
 
 def _cmd_killing(args) -> int:
     if args.family is not None:
-        group = _group_from(args, factors=1)
+        group = _lie_group_from(args, factors=1)
         print(killing_ratio(group))
         return 0
     table = killing_table()
@@ -311,6 +331,9 @@ def run(argv=None) -> int:
     except (OSError, json.JSONDecodeError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalCheckError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

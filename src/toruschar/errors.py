@@ -14,7 +14,7 @@ class UnsupportedInputError(DomainError):
 
 
 class ResourceLimitError(RuntimeError):
-    """An enumeration guard (the cap on Weyl group or orbit size) was exceeded."""
+    """A size guard (the cap on Weyl group or orbit size, or on Lie dimension) was exceeded."""
 
 
 class InternalCheckError(RuntimeError):

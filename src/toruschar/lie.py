@@ -37,7 +37,7 @@ from .linalg import (
     mat_mul,
     mat_scale,
     mat_sub,
-    to_numpy,
+    nonzero_rows,
     trace,
     transpose,
     zeros,
@@ -48,22 +48,50 @@ from .scalars import GaussRat, I, ONE, ZERO
 HALF = GaussRat(Fraction(1, 2))
 HALF_I = GaussRat(0, Fraction(1, 2))
 
+# The largest Lie-algebra dimension the ``killing`` and ``cohomology``
+# commands accept.  killing_ratio grows faster than lie_dim**2: at the cap,
+# SL(20) (dimension 399) and SOeven(14) (378) take about 3 s on a 2-vCPU
+# host, and cohomology of SL(20) with 10 factors about 1 s.
+LIE_DIM_CAP = 400
+
 
 # ---------------------------------------------------------------------------
 # Lie algebra bases
 # ---------------------------------------------------------------------------
-
-def _unit(m: int, r: int, c: int, v=ONE) -> list[list[GaussRat]]:
-    out = [[ZERO] * m for _ in range(m)]
-    out[r][c] = v if isinstance(v, GaussRat) else GaussRat(v)
-    return out
-
 
 def _freeze(rows: list[list[GaussRat]]) -> Mat:
     return tuple(tuple(r) for r in rows)
 
 
 @lru_cache(maxsize=None)
+def _basis_forms(group: GroupSpec) -> tuple[tuple[Mat, ...], tuple[tuple, ...]]:
+    """The Lie-algebra basis twice, built once per group: as dense
+    matrices, and as the ((row, col), value) pairs of each element's
+    nonzero entries."""
+    n = group.rank
+    m = group.matrix_size
+    if group.family == "GL":
+        entries = [{(i, j): ONE} for i in range(n) for j in range(n)]
+    elif group.family == "SL":
+        entries = [{(i, j): ONE} for i in range(n) for j in range(n) if i != j]
+        entries += [{(i, i): ONE, (i + 1, i + 1): -ONE} for i in range(n - 1)]
+    elif group.family == "Sp":
+        entries = [{(i, j): ONE, (n + j, n + i): -ONE} for i in range(n) for j in range(n)]
+        entries += [{(i, n + j): ONE, (j, n + i): ONE} for i in range(n) for j in range(i, n)]
+        entries += [{(n + i, j): ONE, (n + j, i): ONE} for i in range(n) for j in range(i, n)]
+    else:  # SO(m)
+        entries = [{(a, b): ONE, (b, a): -ONE} for a in range(m) for b in range(a + 1, m)]
+    if len(entries) != group.lie_dim:
+        raise InternalCheckError("basis size does not match the dimension formula")
+    dense = []
+    for x in entries:
+        rows = [[ZERO] * m for _ in range(m)]
+        for (r, c), v in x.items():
+            rows[r][c] = v
+        dense.append(_freeze(rows))
+    return tuple(dense), tuple(tuple(x.items()) for x in entries)
+
+
 def lie_basis(group: GroupSpec) -> tuple[Mat, ...]:
     """Basis of the Lie algebra in the defining matrix representation.
 
@@ -71,49 +99,7 @@ def lie_basis(group: GroupSpec) -> tuple[Mat, ...]:
     Sp: block matrices [[A, B], [C, -A^T]] with B, C symmetric.  SO: the
     antisymmetric units E_ab - E_ba.
     """
-    n = group.rank
-    m = group.matrix_size
-    basis: list[Mat] = []
-    if group.family == "GL":
-        for i in range(n):
-            for j in range(n):
-                basis.append(_freeze(_unit(m, i, j)))
-    elif group.family == "SL":
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    basis.append(_freeze(_unit(m, i, j)))
-        for i in range(n - 1):
-            rows = _unit(m, i, i)
-            rows[i + 1][i + 1] = -ONE
-            basis.append(_freeze(rows))
-    elif group.family == "Sp":
-        for i in range(n):
-            for j in range(n):
-                rows = _unit(m, i, j)
-                rows[n + j][n + i] = -ONE
-                basis.append(_freeze(rows))
-        for i in range(n):
-            for j in range(i, n):
-                rows = _unit(m, i, n + j)
-                if i != j:
-                    rows[j][n + i] = ONE
-                basis.append(_freeze(rows))
-        for i in range(n):
-            for j in range(i, n):
-                rows = _unit(m, n + i, j)
-                if i != j:
-                    rows[n + j][i] = ONE
-                basis.append(_freeze(rows))
-    else:  # SO(m)
-        for a in range(m):
-            for b in range(a + 1, m):
-                rows = _unit(m, a, b)
-                rows[b][a] = -ONE
-                basis.append(_freeze(rows))
-    if len(basis) != group.lie_dim:
-        raise InternalCheckError("basis size does not match the dimension formula")
-    return tuple(basis)
+    return _basis_forms(group)[0]
 
 
 def basis_coords(group: GroupSpec, entry: Callable[[int, int], GaussRat]) -> list[GaussRat]:
@@ -130,7 +116,7 @@ def basis_coords(group: GroupSpec, entry: Callable[[int, int], GaussRat]) -> lis
             for j in range(n):
                 if i != j:
                     coords.append(entry(i, j))
-        acc = ZERO
+        acc = 0
         for i in range(n - 1):
             acc = acc + entry(i, i)
             coords.append(acc)
@@ -274,12 +260,6 @@ def _torus_matrix_float(group: GroupSpec, vals: list[complex]) -> np.ndarray:
 # Killing / trace ratio
 # ---------------------------------------------------------------------------
 
-def _sparse_of(mat: Mat) -> dict[tuple[int, int], GaussRat]:
-    return {
-        (r, c): v for r, row in enumerate(mat) for c, v in enumerate(row) if v
-    }
-
-
 def _sparse_bracket(a: dict, b: dict) -> dict:
     out: dict[tuple[int, int], GaussRat] = {}
 
@@ -304,15 +284,14 @@ def killing_ratio(group: GroupSpec) -> Fraction:
         raise DomainError("SL(1) is trivial")
     if group.family == "SOeven" and group.rank < 2:
         raise DomainError("SO(2) is abelian; the Killing form vanishes")
-    basis = lie_basis(group)
-    d = len(basis)
-    sparse = [_sparse_of(b) for b in basis]
+    elements = [dict(x) for x in _basis_forms(group)[1]]
+    d = len(elements)
 
     ad: list[dict[tuple[int, int], GaussRat]] = []
     for a in range(d):
         entries: dict[tuple[int, int], GaussRat] = {}
         for b in range(d):
-            br = _sparse_bracket(sparse[a], sparse[b])
+            br = _sparse_bracket(elements[a], elements[b])
             if not br:
                 continue
             coords = basis_coords(group, lambda r, c: br.get((r, c), ZERO))
@@ -331,8 +310,8 @@ def killing_ratio(group: GroupSpec) -> Fraction:
                 if w is not None:
                     kappa = kappa + v * w
             tr = ZERO
-            for (r, c), v in sparse[a].items():
-                w = sparse[b].get((c, r))
+            for (r, c), v in elements[a].items():
+                w = elements[b].get((c, r))
                 if w is not None:
                     tr = tr + v * w
             pairs.append((kappa, tr))
@@ -382,28 +361,35 @@ def variation(group: GroupSpec, a, c: Fraction = Fraction(1)):
 # ---------------------------------------------------------------------------
 
 def ad_operator(group: GroupSpec, a) -> Mat | np.ndarray:
-    """Matrix of X -> A X A^{-1} in lie_basis coordinates."""
-    basis = lie_basis(group)
-    d = len(basis)
-    if isinstance(a, np.ndarray):
-        ainv = np.linalg.inv(a)
-        pinv, np_basis = _flat_basis_pinv(group)
-        cols = [pinv @ (a @ mat @ ainv).reshape(-1) for mat in np_basis]
-        return np.column_stack(cols)
-    ainv = mat_inv(a)
+    """Matrix of X -> A X A^{-1} in lie_basis coordinates.
+
+    One body serves an exact ``Mat`` and a numpy ``a`` (inverted with
+    ``np.linalg.inv``, complex scalars).  A basis element with nonzero
+    entries v at (r, c) maps to the sum of v * a[:, r] (x) a^{-1}[c, :],
+    so only the nonzero entries of the element, of the columns of A and of
+    the rows of A^{-1} are multiplied; ``basis_coords`` reads off the
+    coordinates.  The element entries come from the per-group basis cache.
+    """
+    exact = not isinstance(a, np.ndarray)
+    basis = _basis_forms(group)[1]
+    if exact:
+        a_rows, inv_rows, zero = a, mat_inv(a), ZERO
+    else:
+        a_rows, inv_rows, zero = a.tolist(), np.linalg.inv(a).tolist(), 0j
+        basis = [[(rc, complex(v)) for rc, v in x] for x in basis]
+    a_cols = nonzero_rows(zip(*a_rows))
+    inv_nz = nonzero_rows(inv_rows)
     cols = []
     for x in basis:
-        y = mat_mul(a, mat_mul(x, ainv))
-        cols.append(basis_coords(group, lambda r, c: y[r][c]))
-    rows = [[cols[b][r] for b in range(d)] for r in range(d)]
-    return _freeze(rows)
-
-
-@lru_cache(maxsize=None)
-def _flat_basis_pinv(group: GroupSpec):
-    np_basis = [to_numpy(mat) for mat in lie_basis(group)]
-    flat = np.column_stack([m.reshape(-1) for m in np_basis])
-    return np.linalg.pinv(flat), np_basis
+        y: dict[tuple[int, int], object] = {}
+        for (r, c), v in x:
+            for i, u in a_cols[r]:
+                uv = u * v
+                for j, w in inv_nz[c]:
+                    sparse.add_term(y, (i, j), uv * w)
+        cols.append(basis_coords(group, lambda r, c: y.get((r, c), zero)))
+    rows = tuple(zip(*cols))
+    return rows if exact else np.array(rows, dtype=complex)
 
 
 def cocycle_space_dims(action_mats: Sequence, tol: float = 1e-10) -> tuple[int, int, int]:
@@ -412,7 +398,9 @@ def cocycle_space_dims(action_mats: Sequence, tol: float = 1e-10) -> tuple[int, 
 
     A cocycle is determined by its values u_1..u_N on the generators,
     constrained pairwise by (A_j - 1) u_i = (A_i - 1) u_j; coboundaries are
-    the tuples ((A_i - 1) v)_i.
+    the tuples ((A_i - 1) v)_i.  Exact operators are read once into sparse
+    rows of A_i - 1 (their nonzeros, -1 added on the diagonal), and both
+    constraint systems are built from those rows for ``exact_rank``.
     """
     mats = list(action_mats)
     if not mats:
@@ -422,24 +410,22 @@ def cocycle_space_dims(action_mats: Sequence, tol: float = 1e-10) -> tuple[int, 
     d = len(mats[0]) if exact else mats[0].shape[0]
 
     if exact:
-        diffs = [mat_sub(m, identity(d)) for m in mats]
-        brows = []
-        for dm in diffs:
-            for r in range(d):
-                brows.append({c: dm[r][c] for c in range(d) if dm[r][c]})
-        b_rank = exact_rank(brows)
+        # Sparse rows of A_k - 1: the nonzeros of A_k, -1 added on the diagonal.
+        minus_one = -ONE
+        diffs = []
+        for m in mats:
+            rows = [dict(nz) for nz in nonzero_rows(m)]
+            for r, row in enumerate(rows):
+                sparse.add_term(row, r, minus_one)
+            diffs.append(rows)
+        b_rank = exact_rank([row for rows in diffs for row in rows])
         zrows = []
         for i, j in itertools.combinations(range(n_gen), 2):
             # (A_j - 1) u_i - (A_i - 1) u_j = 0; u_k sits in columns k*d..
-            for r in range(d):
-                row: dict[int, GaussRat] = {}
-                for c in range(d):
-                    v = diffs[j][r][c]
-                    if v:
-                        row[i * d + c] = v
-                    w = diffs[i][r][c]
-                    if w:
-                        sparse.add_term(row, j * d + c, -w)
+            for row_j, row_i in zip(diffs[j], diffs[i]):
+                row = {i * d + c: v for c, v in row_j.items()}
+                for c, w in row_i.items():
+                    row[j * d + c] = -w
                 if row:
                     zrows.append(row)
         z_rank = exact_rank(zrows)

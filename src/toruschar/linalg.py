@@ -1,15 +1,18 @@
 """Small exact matrix toolkit over GaussRat, plus rank computations.
 
-Matrices are tuples of tuples of GaussRat (dense, immutable).  Sizes stay
-tiny (at most a few dozen rows), so plain Gauss-Jordan elimination with
-exact arithmetic is entirely adequate.  Sparse exact rank is provided for
-the cohomology constraint systems, and a float rank via numpy singular
+``Mat`` stays dense at the API: a tuple of tuples of GaussRat, immutable.
+The matrices of the Lie layer are almost all zeros (Ad of a torus element
+has 36 nonzeros out of 1296 entries for Sp(4)), so ``mat_mul`` walks
+nonzeros only, and ``nonzero_rows`` gives the (column, value) lists the
+Lie layer builds its sparse rows from.  Inverse and determinant are plain
+Gauss-Jordan elimination.  ``exact_rank`` eliminates sparse dict rows for
+the cohomology constraint systems; ``float_rank`` uses numpy singular
 values for the float verification path.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -37,18 +40,24 @@ def zeros(n: int, m: int | None = None) -> Mat:
     return tuple((ZERO,) * m for _ in range(n))
 
 
+def nonzero_rows(rows: Iterable[Iterable]) -> list[list[tuple[int, Any]]]:
+    """The (column, value) pairs of the nonzero entries of each row."""
+    return [[(c, v) for c, v in enumerate(row) if v] for row in rows]
+
+
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = tuple(zip(*b))
+    """The product a*b, formed from nonzeros only: each nonzero a[i][k]
+    meets the nonzero entries of row k of b, listed once per call."""
+    width = len(b[0]) if b else 0
+    b_rows = nonzero_rows(b)
     out = []
     for row in a:
-        out_row = []
-        for col in bt:
-            acc = ZERO
-            for x, y in zip(row, col):
-                if x and y:
-                    acc = acc + x * y
-            out_row.append(acc)
-        out.append(tuple(out_row))
+        acc = [ZERO] * width
+        for x, nonzeros in zip(row, b_rows):
+            if x:
+                for c, y in nonzeros:
+                    acc[c] = acc[c] + x * y
+        out.append(tuple(acc))
     return tuple(out)
 
 

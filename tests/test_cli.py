@@ -410,3 +410,50 @@ def test_golden_output_digest(capsys, name):
     assert run(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# internal errors and the Lie-dimension cap
+# ---------------------------------------------------------------------------
+
+def test_internal_check_error_exit_3(monkeypatch, capsys):
+    from toruschar import cli
+    from toruschar.errors import InternalCheckError
+
+    def broken(args):
+        raise InternalCheckError("basis size does not match the dimension formula")
+
+    monkeypatch.setitem(cli._COMMANDS, "killing", broken)
+    assert run(["killing", "--family", "sl", "--rank", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [
+        "error: internal check failed: basis size does not match the dimension formula"
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["killing", "--family", "sl", "--rank", "100000"],
+        ["cohomology", "--family", "sl", "--rank", "100000", "--factors", "2"],
+        ["cohomology", "--family", "so-even", "--rank", "100000", "--mode", "float"],
+        ["killing", "--family", "sp", "--rank", "14"],  # dimension 406
+        ["cohomology", "--family", "gl", "--rank", "21"],  # dimension 441
+    ],
+)
+def test_lie_commands_refuse_groups_above_cap(capsys, argv):
+    start = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "above the cap" in lines[0]
+
+
+def test_cohomology_accepts_group_at_cap(capsys):
+    # GL(20) has dimension 400, exactly the cap.
+    argv = ["cohomology", "--family", "gl", "--rank", "20", "--factors", "2", "--seed", "1"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out.strip() == "Z1 = 420, B1 = 380, H1 = 40"
