@@ -31,7 +31,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from operator import add
 from typing import Mapping, Optional
 
 from . import sparse
@@ -41,7 +42,9 @@ from .jsonio import json_check, json_coeff, json_field, json_ints
 from .laurent import (
     ExponentMatrix,
     LaurentPoly,
+    Packing,
     canonical_mod_relations,
+    max_abs_exponent,
 )
 from .scalars import GaussRat, I, ONE, ZERO
 from .weyl import (
@@ -304,14 +307,38 @@ def symbol_image(group: GroupSpec, sym: Symbol) -> LaurentPoly:
 
 
 def expand(p: GeneratorPoly, group: GroupSpec) -> LaurentPoly:
-    """Substitute generator images and multiply out, exactly."""
-    total = LaurentPoly.zero(group)
+    """Substitute generator images and multiply out, exactly.
+
+    The distinct symbol images are packed once, into one ``Packing`` wide
+    enough for the largest term (the sum of the max |e| of its factors).
+    Terms are walked in sorted order, so terms sharing a prefix of
+    symbols are adjacent: the chain of prefix products of the previous
+    term is kept and only the factors past the shared prefix are
+    multiplied.  The last factor of each term, scaled by the term's
+    coefficient, is multiplied straight into one packed dict of the whole
+    sum, which is unpacked once at the end.  Nothing is kept between
+    calls.
+    """
+    syms = dict.fromkeys(sym for key in p.terms for sym in key)
+    images = {sym: symbol_image(group, sym).terms for sym in syms}
+    spans = {sym: max_abs_exponent(terms) for sym, terms in images.items()}
+    packing = Packing(group, max((sum(map(spans.get, key)) for key in p.terms), default=0))
+    packed = {sym: packing.pack_terms(terms) for sym, terms in images.items()}
+    chain = [{0: ONE}]  # chain[d]: product of the first d symbols of ``prev``
+    prev: tuple = ()
+    total: dict = {}
     for key, coeff in p.sorted_terms():
-        part = LaurentPoly.constant(group, coeff)
-        for sym in key:
-            part = part * symbol_image(group, sym)
-        total = total + part
-    return total
+        head = key[:-1]
+        shared = 0
+        while shared < min(len(head), len(prev)) and head[shared] == prev[shared]:
+            shared += 1
+        del chain[shared + 1:]
+        for sym in head[shared:]:
+            chain.append(sparse.mul(chain[-1], packed[sym], add))
+        prev = head
+        last = sparse.scale(packed[key[-1]], coeff) if key else {0: coeff}
+        sparse.mul(chain[-1], last, add, total)
+    return LaurentPoly._trusted(group, packing.unpack_terms(total))
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +349,6 @@ def _true_row(row: tuple[int, ...]) -> tuple[int, ...]:
     if any(e & 1 for e in row):
         raise UnsupportedInputError("half-integer weight in decomposition")
     return tuple(e // 2 for e in row)
-
-
-def _peel_key(group: GroupSpec):
-    return lambda m: (level_of_monomial(m, group), m)
 
 
 def decompose(f: LaurentPoly, group: GroupSpec) -> GeneratorPoly:
@@ -346,21 +369,7 @@ def decompose(f: LaurentPoly, group: GroupSpec) -> GeneratorPoly:
     if witness is not None:
         raise DomainError(f"input is not W-invariant; moved by {witness.describe()}")
 
-    result = GeneratorPoly.zero()
-    work = f
-    rank_key = _peel_key(group)
-    last_level = None
-    while work:
-        m = max(work.terms, key=rank_key)
-        level = level_of_monomial(m, group)
-        if last_level is not None and level > last_level:
-            raise InternalCheckError("orbit peeling level increased")
-        last_level = level
-        orb = orbit_sum(m, group)
-        coeff = work.terms[m] / orb.terms[m]
-        work = work - orb.scaled(coeff)
-        result = result + _reduce_orbit(m, group).scaled(coeff)
-
+    result = _peel(f, group, orbit_sum, _reduce_orbit)
     check = expand(result, group)
     if check != f:
         raise InternalCheckError("decomposition failed its expand round trip")
@@ -507,13 +516,32 @@ def _lower_terms(m_sub: ExponentMatrix, alpha: tuple[int, ...], group: GroupSpec
 
 def _reduce_pattern_poly(f: LaurentPoly, group: GroupSpec, bound: int) -> GeneratorPoly:
     """Reduce a pattern-group-invariant polynomial of level < bound."""
-    result = GeneratorPoly.zero()
-    work = f
-    rank_key = _peel_key(group)
-    while work:
-        m = max(work.terms, key=rank_key)
-        psum = pattern_sum(m, group)
-        coeff = work.terms[m] / psum.terms[m]
-        work = work - psum.scaled(coeff)
-        result = result + _reduce_pattern_monomial(m, group, bound).scaled(coeff)
-    return result
+    return _peel(f, group, pattern_sum, partial(_reduce_pattern_monomial, bound=bound))
+
+
+def _peel(f: LaurentPoly, group: GroupSpec, group_sum, reduce) -> GeneratorPoly:
+    """Peel ``f`` into sums ``group_sum(m, group)`` of its monomials, highest
+    (level, key) first, and add up ``reduce(m, group)`` with the same
+    coefficients.
+
+    The keys are sorted once.  Each sum is subtracted in place from one
+    working dict; on an invariant ``f`` it removes exactly the terms of
+    one orbit, so later keys are either still present with their original
+    coefficient or gone.  Any term left at the end (one the sums did not
+    cancel) is an InternalCheckError.
+    """
+    work = dict(f.terms)
+    result: dict = {}
+    for _, m in sorted(((level_of_monomial(m, group), m) for m in work), reverse=True):
+        c = work.get(m)
+        if c is None:
+            continue
+        psum = group_sum(m, group).terms
+        coeff = c / psum[m]
+        for k, v in psum.items():
+            sparse.add_term(work, k, -(v * coeff))
+        for k, v in reduce(m, group).terms.items():
+            sparse.add_term(result, k, v * coeff)
+    if work:
+        raise InternalCheckError("orbit peeling left terms it could not cancel")
+    return GeneratorPoly(result)

@@ -12,6 +12,20 @@ For SL the ring is the quotient by the relations prod_i x_ij = 1; monomial
 keys are normalized by ``canonical_mod_relations`` at construction time, so
 polynomial equality is equality in the quotient ring.
 
+Keys are stored as these nested tuples everywhere.  Only inside a
+multiply (``LaurentPoly.__mul__`` and ``generators.expand``) are they
+packed into ints by a ``Packing`` (Kronecker substitution): the n*N
+entries, read row by row, become the big-endian digits ``e + half`` of
+width w bits, where ``half = 2**(w-1)`` exceeds the largest |e| any
+product can reach (there is no cap on w).  The packed key itself is ``sum_k e_k * 2**(w*(L-1-k))``
+(L = n*N), the digit form minus the constant ``bias = half * sum_k
+2**(w*(L-1-k))``, so the key of a monomial product is the sum of the keys
+and one multiply is one int addition per term pair.  Keys are unpacked
+once per result term.  For SL the raw sums are canonicalized only then,
+merging keys that meet through ``sparse.add_term``: shifting every row by
+one vector commutes with addition, so this equals canonicalizing each
+pair's sum.
+
 The dict arithmetic behind ``LaurentPoly`` (add, negate, scale, multiply
 and the zero pruning) lives in ``toruschar.sparse``.
 """
@@ -19,6 +33,7 @@ and the zero pruning) lives in ``toruschar.sparse``.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 from . import sparse
@@ -105,12 +120,60 @@ def canonical_mod_relations(m: ExponentMatrix, group: GroupSpec) -> ExponentMatr
     return tuple(tuple(e - ce for e, ce in zip(row, c)) for row in m)
 
 
-def _add_exponents(m1: ExponentMatrix, m2: ExponentMatrix) -> ExponentMatrix:
-    return tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(m1, m2))
-
-
 def zero_exponents(group: GroupSpec) -> ExponentMatrix:
     return tuple((0,) * group.factors for _ in range(group.rank))
+
+
+def max_abs_exponent(terms) -> int:
+    """The largest |e| over every entry of every key of ``terms``; 0 when
+    there are none."""
+    return max((abs(e) for m in terms for row in m for e in row), default=0)
+
+
+class Packing:
+    """Packs the exponent matrices of one group into ints, and back, for
+    products whose entries all stay at most ``bound`` in absolute value
+    (see the module docstring for the layout).  Packed keys multiply by
+    int addition (``sparse.mul(a, b, operator.add)``) and the zero matrix
+    packs to 0."""
+
+    __slots__ = ("group", "width", "half", "mask", "shifts", "bias")
+
+    def __init__(self, group: GroupSpec, bound: int):
+        self.group = group
+        self.width = bound.bit_length() + 1
+        self.half = 1 << (self.width - 1)
+        self.mask = (1 << self.width) - 1
+        size = group.rank * group.factors
+        self.shifts = tuple(self.width * k for k in reversed(range(size)))
+        self.bias = sum(self.half << s for s in self.shifts)
+
+    def pack_terms(self, terms: Mapping[ExponentMatrix, GaussRat]) -> dict[int, GaussRat]:
+        width = self.width
+        out = {}
+        for m, c in terms.items():
+            key = 0
+            for row in m:
+                for e in row:
+                    key = (key << width) + e
+            out[key] = c
+        return out
+
+    def unpack_terms(self, packed: Mapping[int, GaussRat]) -> dict[ExponentMatrix, GaussRat]:
+        """Stored-form terms (SL keys canonicalized, equal keys merged)."""
+        group, bias, mask, half, shifts = self.group, self.bias, self.mask, self.half, self.shifts
+        n_cols = group.factors
+        sl = group.family == "SL"
+        out: dict[ExponentMatrix, GaussRat] = {}
+        for key, c in packed.items():
+            u = key + bias
+            digits = [((u >> s) & mask) - half for s in shifts]
+            m = tuple(zip(*[iter(digits)] * n_cols))  # consecutive digits as rows
+            if sl:
+                sparse.add_term(out, canonical_mod_relations(m, group), c)
+            else:
+                out[m] = c
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +271,13 @@ class LaurentPoly:
         if isinstance(other, (int, Fraction, GaussRat)):
             return self.scaled(other)
         self._require_same_group(other)
-        group = self.group
-        if group.family == "SL":
-            def combine(m1, m2):
-                return canonical_mod_relations(_add_exponents(m1, m2), group)
-        else:
-            combine = _add_exponents
-        return LaurentPoly._trusted(group, sparse.mul(self.terms, other.terms, combine))
+        packing = Packing(
+            self.group, max_abs_exponent(self.terms) + max_abs_exponent(other.terms)
+        )
+        product = sparse.mul(
+            packing.pack_terms(self.terms), packing.pack_terms(other.terms), add
+        )
+        return LaurentPoly._trusted(self.group, packing.unpack_terms(product))
 
     __rmul__ = __mul__
 

@@ -702,8 +702,19 @@ def random_rational(rng, lo: int = -5, hi: int = 5) -> Fraction:
 
 
 def random_eigenvalues(group: GroupSpec, rng, exact: bool = True) -> list:
+    """Random eigenvalues of one torus column.
+
+    The default range [-5, 5] of ``random_rational`` holds about 40
+    values.  A one-factor point must separate every root with its single
+    column, which needs n values pairwise distinct (and, for Sp, not
+    inverse to each other); draws from 40 values stop doing that reliably
+    past rank 10.  One-factor groups above rank 10 therefore draw from
+    [-n, n].  Everywhere else the default range suffices and is kept, so
+    those draws stay the same for a seed.
+    """
     n = group.rank
-    vals = [GaussRat(random_rational(rng)) for _ in range(n)]
+    hi = n if group.factors == 1 and n > 10 else 5
+    vals = [GaussRat(random_rational(rng, -hi, hi)) for _ in range(n)]
     if group.family == "SL":
         prod = ONE
         for v in vals[:-1]:

@@ -44,10 +44,12 @@ def scale(a: dict, factor) -> dict:
     return {key: coeff * factor for key, coeff in a.items()}
 
 
-def mul(a: dict, b: dict, combine) -> dict:
+def mul(a: dict, b: dict, combine, out: dict | None = None) -> dict:
     """The product of two polynomials; ``combine(k1, k2)`` is the canonical
-    key of the product of the monomials ``k1`` and ``k2``."""
-    out: dict = {}
+    key of the product of the monomials ``k1`` and ``k2``.  With ``out``
+    the product is added into that dict in place, which is returned."""
+    if out is None:
+        out = {}
     for k1, c1 in a.items():
         for k2, c2 in b.items():
             add_term(out, combine(k1, k2), c1 * c2)

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from .errors import InternalCheckError
-from .generators import decompose, expand, q_image, tau_image
+from .generators import decompose, q_image, tau_image
 from .groups import GroupSpec
 from .laurent import LaurentPoly, exponents
 from .lie import (
@@ -173,12 +173,10 @@ def roundtrip_suite(trials: int = 200, seed: int = 0, max_rank: int = 3) -> dict
             if not f:
                 continue
             try:
-                p = decompose(f, group)
+                p = decompose(f, group)  # checks expand(p) == f itself
             except InternalCheckError:
                 failures += 1
                 continue
-            if expand(p, group) != f:
-                failures += 1
             if any(sym[0] == "q" for key in p.terms for sym in key):
                 q_top_cases += 1
         good = failures == 0

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from toruschar.errors import DomainError, UnsupportedInputError
+from toruschar.errors import DomainError, InternalCheckError, UnsupportedInputError
+from toruschar import generators
 from toruschar.generators import (
     GeneratorPoly,
     decompose,
@@ -259,3 +260,12 @@ def test_expand_examples():
     p2 = GeneratorPoly({(t, s): ONE})
     assert expand(p2, g) == tau_image(g, (1, 0)) * tau_image(g, (0, 1))
     assert expand(GeneratorPoly.zero(), g) == LaurentPoly.zero(g)
+
+
+def test_peeling_reports_terms_it_cannot_cancel():
+    # x_1 alone is not S_2-invariant: peeling its pattern sum x_1 + x_2
+    # leaves -x_2 behind, which must not pass silently.
+    group = GroupSpec("GL", 2, 1)
+    f = LaurentPoly.variable(group, 1, 1)
+    with pytest.raises(InternalCheckError, match="could not cancel"):
+        generators._reduce_pattern_poly(f, group, bound=2)

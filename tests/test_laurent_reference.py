@@ -1,0 +1,120 @@
+"""The packed Laurent multiply and the prefix-shared ``expand`` against the
+nested-tuple bodies in ``reference_laurent``, by exact equality.
+
+Exponent entries include values around 2**7, 2**15, 2**31, 2**63 and
+2**64, so the digit width of the packing changes from case to case,
+with no cap.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+import reference_laurent as ref
+from toruschar.generators import GeneratorPoly, expand, q_symbol, tau_image, tau_symbol
+from toruschar.groups import FAMILIES, GroupSpec
+from toruschar.laurent import LaurentPoly, exponents
+from toruschar.scalars import GaussRat, ONE
+
+EDGES = tuple(
+    sorted({s * (2 ** k + d) for k in (6, 7, 14, 15, 30, 31, 62, 63, 64)
+            for d in (-1, 0, 1) for s in (1, -1)})
+)
+
+coeffs = st.builds(
+    lambda a, b, d: GaussRat(Fraction(a, d), Fraction(b, d)),
+    st.integers(-3, 3), st.integers(-2, 2), st.integers(1, 3),
+)
+
+
+@st.composite
+def groups(draw, max_rank):
+    family = draw(st.sampled_from(FAMILIES))
+    return GroupSpec(family, draw(st.integers(1, max_rank)), draw(st.integers(1, 3)))
+
+
+def stored_entries(group):
+    """Doubled exponents: odd (half weights) only for SOeven."""
+    raw = st.one_of(st.integers(-6, 6), st.sampled_from(EDGES))
+    if group.allows_half_weights:
+        return raw
+    return raw.map(lambda e: e - (e & 1))
+
+
+@st.composite
+def laurent_polys(draw, group, max_terms=5):
+    row = st.tuples(*[stored_entries(group)] * group.factors)
+    key = st.tuples(*[row] * group.rank)
+    return LaurentPoly(group, draw(st.dictionaries(key, coeffs, max_size=max_terms)))
+
+
+@st.composite
+def generator_polys(draw, group):
+    """Keys are sorted multisets drawn from a pool of 1-4 symbols, so many
+    terms share a prefix; SOeven of rank <= 2 may add a Q symbol."""
+    entry = st.one_of(st.integers(-2, 2), st.sampled_from(EDGES))
+    alpha = st.tuples(*[entry] * group.factors)
+    pool = [tau_symbol(group, draw(alpha)) for _ in range(draw(st.integers(1, 4)))]
+    if group.family == "SOeven" and group.rank <= 2 and draw(st.booleans()):
+        alphas = [draw(alpha.filter(any)) for _ in range(group.rank)]
+        pool.append(q_symbol(group, alphas)[0])
+    key = st.lists(st.sampled_from(pool), max_size=3).map(lambda syms: tuple(sorted(syms)))
+    return GeneratorPoly(draw(st.dictionaries(key, coeffs, max_size=6)))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_mul_matches_reference(data):
+    group = data.draw(groups(max_rank=4))
+    a = data.draw(laurent_polys(group))
+    b = data.draw(laurent_polys(group))
+    assert a * b == ref.mul(a, b)
+    # (a + b)(a - b): the cross terms cancel pair by pair.
+    assert (a + b) * (a - b) == ref.mul(a + b, a - b)
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_pow_matches_reference(data):
+    group = data.draw(groups(max_rank=3))
+    a = data.draw(laurent_polys(group, max_terms=3))
+    k = data.draw(st.integers(0, 3))
+    assert a ** k == ref.power(a, k)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_expand_matches_reference(data):
+    group = data.draw(groups(max_rank=3))
+    p = data.draw(generator_polys(group))
+    assert expand(p, group) == ref.expand(p, group)
+
+
+@settings(max_examples=50)
+@given(st.data())
+def test_expand_cancelling_to_zero(data):
+    # tau(0) is the constant matrix size, so (tau(0) - size) * p is zero.
+    group = data.draw(groups(max_rank=3))
+    p = data.draw(generator_polys(group))
+    zero_tau = tau_symbol(group, (0,) * group.factors)
+    size = GaussRat(group.matrix_size)
+    q = GeneratorPoly({tuple(sorted(key + (zero_tau,))): c for key, c in p.terms.items()})
+    q = q - p.scaled(size)
+    assert expand(q, group) == ref.expand(q, group) == LaurentPoly.zero(group)
+
+
+def test_empty_operands_and_width_edges():
+    for family in FAMILIES:
+        group = GroupSpec(family, 2, 2)
+        zero = LaurentPoly.zero(group)
+        one = LaurentPoly.constant(group, 1)
+        assert zero * one == zero == one * zero
+        assert expand(GeneratorPoly.zero(), group) == zero
+        assert expand(GeneratorPoly.constant(3), group) == one.scaled(3)
+        for e in EDGES:
+            a = LaurentPoly.monomial(group, exponents([[e, -1], [0, 2]]), ONE) + one
+            b = LaurentPoly.monomial(group, exponents([[e, 3], [-e, 0]]), ONE)
+            assert a * b == ref.mul(a, b)
+            t = GeneratorPoly.symbol(tau_symbol(group, (e, 1)))
+            image = tau_image(group, (e, 1))
+            assert expand(t * t, group) == ref.mul(image, image)

@@ -16,6 +16,7 @@ from toruschar.lie import (
     cohomology_dims,
     in_group,
     in_lie_algebra,
+    is_generic_tuple,
     killing_ratio,
     lie_basis,
     log_gradient,
@@ -334,3 +335,13 @@ def test_random_group_element_membership():
         g = GroupSpec(fam, 2, 1)
         for _ in range(3):
             assert in_group(g, random_group_element(g, rng))
+
+
+@pytest.mark.parametrize("family", ["GL", "SL"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_random_torus_point_one_factor_rank_20(family, seed):
+    # One column must separate all 190 roots on its own: 20 distinct
+    # eigenvalues, more than the rank-10 pool reliably gives.
+    group = GroupSpec(family, 20, 1)
+    pt = random_torus_point(group, random.Random(seed))
+    assert pt.exact and is_generic_tuple(group, pt.coords)
