@@ -28,8 +28,6 @@ import random
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import (
     DomainError,
     InternalCheckError,
@@ -42,6 +40,7 @@ from .groups import GroupSpec
 from .jsonio import json_check
 from .laurent import LaurentPoly, exponents_from_json
 from .lie import LIE_DIM_CAP, cohomology_dims, killing_ratio, random_torus_point, torus_matrix
+from .linalg import to_numpy
 from .poisson import bracket_symbols, structure_constants
 from .scalars import GaussRat
 from .verify import bracket_agreement, jacobi_suite, killing_table
@@ -256,7 +255,7 @@ def _cmd_cohomology(args) -> int:
         pt = random_torus_point(group, rng, exact=True)
         gens = [torus_matrix(group, pt.column(j)) for j in range(1, group.factors + 1)]
     if args.mode == "float":
-        gens = [np.array([[complex(x) for x in row] for row in g]) for g in gens]
+        gens = [to_numpy(g) for g in gens]
     z1, b1, h1 = cohomology_dims(group, gens, tol=args.tol)
     print(f"Z1 = {z1}, B1 = {b1}, H1 = {h1}")
     return 0

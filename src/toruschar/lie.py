@@ -8,12 +8,21 @@ bracket obtained from the two-form B(v1,w2) - B(v2,w1) on pairs of Cartan
 vectors in eigenvalue coordinates.
 
 Exact mode (GaussRat matrices and points) is authoritative; float mode
-(numpy) exists for Monte-Carlo style verification at scale.
+(numpy) exists for Monte-Carlo style verification at scale.  Where the
+formula is the same, one body serves both scalars and picks them from
+its input.  Float input is taken by ``torus_matrix`` (complex
+parameters), ``ad_operator``, ``cocycle_space_dims`` and
+``cohomology_dims`` (numpy matrices), ``CartanMetric``, ``log_gradients``
+and ``numeric_bracket`` (float torus points), ``root_value`` and
+``is_generic_tuple``, and ``random_torus_point(exact=False)``.
+``variation``, ``killing_ratio``, the membership checks and the random
+group elements are exact only.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -31,6 +40,7 @@ from .linalg import (
     exact_rank,
     float_rank,
     identity,
+    mat_add,
     mat_det,
     mat_eq,
     mat_inv,
@@ -46,7 +56,6 @@ from .points import TorusPoint
 from .scalars import GaussRat, I, ONE, ZERO
 
 HALF = GaussRat(Fraction(1, 2))
-HALF_I = GaussRat(0, Fraction(1, 2))
 
 # The largest Lie-algebra dimension the ``killing`` and ``cohomology``
 # commands accept.  killing_ratio grows faster than lie_dim**2: at the cap,
@@ -64,10 +73,12 @@ def _freeze(rows: list[list[GaussRat]]) -> Mat:
 
 
 @lru_cache(maxsize=None)
-def _basis_forms(group: GroupSpec) -> tuple[tuple[Mat, ...], tuple[tuple, ...]]:
-    """The Lie-algebra basis twice, built once per group: as dense
-    matrices, and as the ((row, col), value) pairs of each element's
-    nonzero entries."""
+def _basis_forms(group: GroupSpec) -> tuple[tuple[Mat, ...], tuple[tuple, ...], tuple]:
+    """The Lie-algebra basis, built once per group: as dense matrices, as
+    the ((row, col), value) pairs of each element's nonzero entries, and
+    as each element's read-off position, its first entry.  No other
+    element is nonzero at a read-off position except the SL diagonal
+    elements, which ``basis_coords`` reads as running sums."""
     n = group.rank
     m = group.matrix_size
     if group.family == "GL":
@@ -89,7 +100,11 @@ def _basis_forms(group: GroupSpec) -> tuple[tuple[Mat, ...], tuple[tuple, ...]]:
         for (r, c), v in x.items():
             rows[r][c] = v
         dense.append(_freeze(rows))
-    return tuple(dense), tuple(tuple(x.items()) for x in entries)
+    return (
+        tuple(dense),
+        tuple(tuple(x.items()) for x in entries),
+        tuple(next(iter(x)) for x in entries),
+    )
 
 
 def lie_basis(group: GroupSpec) -> tuple[Mat, ...]:
@@ -102,39 +117,18 @@ def lie_basis(group: GroupSpec) -> tuple[Mat, ...]:
     return _basis_forms(group)[0]
 
 
-def basis_coords(group: GroupSpec, entry: Callable[[int, int], GaussRat]) -> list[GaussRat]:
+def basis_coords(group: GroupSpec, entry: Callable[[int, int], object]) -> list:
     """Coordinates of a Lie-algebra element in lie_basis order, read off
-    entrywise (closed form per family, no linear solve needed)."""
-    n = group.rank
-    coords: list[GaussRat] = []
-    if group.family == "GL":
-        for i in range(n):
-            for j in range(n):
-                coords.append(entry(i, j))
-    elif group.family == "SL":
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    coords.append(entry(i, j))
+    entrywise at each basis element's read-off position (no linear solve).
+
+    The coordinate of E_ii - E_{i+1,i+1} in SL is the sum of the first
+    i + 1 diagonal entries.  ``entry`` may return exact or complex scalars.
+    """
+    coords = [entry(r, c) for r, c in _basis_forms(group)[2]]
+    if group.family == "SL":
         acc = 0
-        for i in range(n - 1):
-            acc = acc + entry(i, i)
-            coords.append(acc)
-    elif group.family == "Sp":
-        for i in range(n):
-            for j in range(n):
-                coords.append(entry(i, j))
-        for i in range(n):
-            for j in range(i, n):
-                coords.append(entry(i, n + j))
-        for i in range(n):
-            for j in range(i, n):
-                coords.append(entry(n + i, j))
-    else:
-        m = group.matrix_size
-        for a in range(m):
-            for b in range(a + 1, m):
-                coords.append(entry(a, b))
+        for k in range(len(coords) - group.rank + 1, len(coords)):
+            acc = coords[k] = acc + coords[k]
     return coords
 
 
@@ -179,10 +173,10 @@ def torus_matrix(group: GroupSpec, eigvals: Sequence):
     """Torus element with the given eigenvalue parameters.
 
     Exact GaussRat parameters produce an exact matrix; complex ones a
-    numpy array.  GL/SL: diag(x_1..x_n) with the SL product-one condition
-    enforced.  Sp: diag(x, x^{-1}).  SO: per-parameter 2x2 blocks
-    [[(x+1/x)/2, i(x-1/x)/2], [-i(x-1/x)/2, (x+1/x)/2]], odd SO appending
-    a fixed eigenvalue 1.
+    numpy array.  One body serves both scalars.  GL/SL: diag(x_1..x_n)
+    with the SL product-one condition enforced.  Sp: diag(x, x^{-1}).  SO:
+    per-parameter 2x2 blocks [[(x+1/x)/2, i(x-1/x)/2], [-i(x-1/x)/2,
+    (x+1/x)/2]], odd SO appending a fixed eigenvalue 1.
     """
     n = group.rank
     if len(eigvals) != n:
@@ -190,70 +184,37 @@ def torus_matrix(group: GroupSpec, eigvals: Sequence):
     exact = all(isinstance(v, (GaussRat, int, Fraction)) for v in eigvals)
     if exact:
         vals = [v if isinstance(v, GaussRat) else GaussRat(v) for v in eigvals]
-        if any(not v for v in vals):
-            raise DomainError("eigenvalue parameters must be nonzero")
-        if group.family == "SL":
-            prod = ONE
-            for v in vals:
-                prod = prod * v
-            if prod != ONE:
-                raise DomainError("SL eigenvalues must multiply to 1")
-        return _torus_matrix_exact(group, vals)
-    vals = [complex(v) for v in eigvals]
-    if any(v == 0 for v in vals):
+        zero, one, unit_i = ZERO, ONE, I
+    else:
+        vals = [complex(v) for v in eigvals]
+        zero, one, unit_i = 0j, 1, 1j
+    if any(not v for v in vals):
         raise DomainError("eigenvalue parameters must be nonzero")
-    if group.family == "SL" and abs(np.prod(vals) - 1) > 1e-9:
+    if group.family == "SL" and (
+        math.prod(vals, start=ONE) != ONE if exact else abs(np.prod(vals) - 1) > 1e-9
+    ):
         raise DomainError("SL eigenvalues must multiply to 1")
-    return _torus_matrix_float(group, vals)
-
-
-def _torus_matrix_exact(group: GroupSpec, vals: list[GaussRat]) -> Mat:
-    n = group.rank
     m = group.matrix_size
-    rows = [[ZERO] * m for _ in range(m)]
+    rows = [[zero] * m for _ in range(m)]
     if group.family in ("GL", "SL"):
         for i, v in enumerate(vals):
             rows[i][i] = v
     elif group.family == "Sp":
         for i, v in enumerate(vals):
             rows[i][i] = v
-            rows[n + i][n + i] = ONE / v
+            rows[n + i][n + i] = one / v
     else:
         for j, v in enumerate(vals):
-            w = ONE / v
-            c = (v + w) * HALF
-            s = (v - w) * HALF_I
+            w = one / v
+            c = (v + w) / 2
+            s = unit_i * (v - w) / 2
             rows[2 * j][2 * j] = c
             rows[2 * j][2 * j + 1] = s
             rows[2 * j + 1][2 * j] = -s
             rows[2 * j + 1][2 * j + 1] = c
         if group.family == "SOodd":
-            rows[m - 1][m - 1] = ONE
-    return _freeze(rows)
-
-
-def _torus_matrix_float(group: GroupSpec, vals: list[complex]) -> np.ndarray:
-    n = group.rank
-    m = group.matrix_size
-    out = np.zeros((m, m), dtype=complex)
-    if group.family in ("GL", "SL"):
-        for i, v in enumerate(vals):
-            out[i, i] = v
-    elif group.family == "Sp":
-        for i, v in enumerate(vals):
-            out[i, i] = v
-            out[n + i, n + i] = 1 / v
-    else:
-        for j, v in enumerate(vals):
-            c = (v + 1 / v) / 2
-            s = 1j * (v - 1 / v) / 2
-            out[2 * j, 2 * j] = c
-            out[2 * j, 2 * j + 1] = s
-            out[2 * j + 1, 2 * j] = -s
-            out[2 * j + 1, 2 * j + 1] = c
-        if group.family == "SOodd":
-            out[m - 1, m - 1] = 1.0
-    return out
+            rows[m - 1][m - 1] = one
+    return _freeze(rows) if exact else np.array(rows, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +293,8 @@ def killing_ratio(group: GroupSpec) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def variation(group: GroupSpec, a, c: Fraction = Fraction(1)):
-    """Variation function for the bilinear form c * trace form.
+    """Variation function for the bilinear form c * trace form, of an
+    exact matrix ``a`` (a numpy array is refused).
 
     SL: (A - tr(A)/n * I)/c.  SO/Sp: (A - A^{-1})/(2c).  GL: A/c (the
     trace-form orthogonal projection onto gl is the identity).
@@ -340,12 +302,7 @@ def variation(group: GroupSpec, a, c: Fraction = Fraction(1)):
     if c == 0:
         raise DomainError("c must be nonzero")
     if isinstance(a, np.ndarray):
-        n = a.shape[0]
-        if group.family == "SL":
-            return (a - np.trace(a) / n * np.eye(n)) / float(c)
-        if group.family == "GL":
-            return a / float(c)
-        return (a - np.linalg.inv(a)) / (2 * float(c))
+        raise DomainError("variation takes an exact matrix, not a numpy array")
     m = len(a)
     inv_c = GaussRat(Fraction(1, 1) / c)
     if group.family == "SL":
@@ -398,48 +355,38 @@ def cocycle_space_dims(action_mats: Sequence, tol: float = 1e-10) -> tuple[int, 
 
     A cocycle is determined by its values u_1..u_N on the generators,
     constrained pairwise by (A_j - 1) u_i = (A_i - 1) u_j; coboundaries are
-    the tuples ((A_i - 1) v)_i.  Exact operators are read once into sparse
-    rows of A_i - 1 (their nonzeros, -1 added on the diagonal), and both
-    constraint systems are built from those rows for ``exact_rank``.
+    the tuples ((A_i - 1) v)_i.  The operators, exact or numpy, are read
+    once into sparse rows of A_i - 1 (their nonzeros, 1 subtracted on the
+    diagonal), and both constraint systems are built from those rows.
+    Only the rank differs: ``exact_rank``, or ``float_rank`` with ``tol``.
     """
     mats = list(action_mats)
     if not mats:
         raise DomainError("need at least one generator")
     exact = not isinstance(mats[0], np.ndarray)
+    zero, one = (ZERO, ONE) if exact else (0j, 1)
     n_gen = len(mats)
-    d = len(mats[0]) if exact else mats[0].shape[0]
+    d = len(mats[0])
 
-    if exact:
-        # Sparse rows of A_k - 1: the nonzeros of A_k, -1 added on the diagonal.
-        minus_one = -ONE
-        diffs = []
-        for m in mats:
-            rows = [dict(nz) for nz in nonzero_rows(m)]
-            for r, row in enumerate(rows):
-                sparse.add_term(row, r, minus_one)
-            diffs.append(rows)
-        b_rank = exact_rank([row for rows in diffs for row in rows])
-        zrows = []
-        for i, j in itertools.combinations(range(n_gen), 2):
-            # (A_j - 1) u_i - (A_i - 1) u_j = 0; u_k sits in columns k*d..
-            for row_j, row_i in zip(diffs[j], diffs[i]):
-                row = {i * d + c: v for c, v in row_j.items()}
-                for c, w in row_i.items():
-                    row[j * d + c] = -w
-                if row:
-                    zrows.append(row)
-        z_rank = exact_rank(zrows)
-    else:
-        eye = np.eye(d)
-        diffs = [np.asarray(m, dtype=complex) - eye for m in mats]
-        b_rank = float_rank(np.vstack(diffs), tol)
-        blocks = []
-        for i, j in itertools.combinations(range(n_gen), 2):
-            row = [np.zeros((d, d), dtype=complex) for _ in range(n_gen)]
-            row[i] = diffs[j]
-            row[j] = -diffs[i]
-            blocks.append(np.hstack(row))
-        z_rank = float_rank(np.vstack(blocks), tol) if blocks else 0
+    def rank(rows: list[dict], width: int) -> int:
+        return exact_rank(rows) if exact else float_rank(rows, width, tol)
+
+    diffs = []
+    for m in mats:
+        rows = [dict(nz) for nz in nonzero_rows(m if exact else m.tolist())]
+        for r, row in enumerate(rows):
+            row[r] = row.get(r, zero) - one
+        diffs.append(rows)
+    b_rank = rank([row for rows in diffs for row in rows], d)
+    zrows = []
+    for i, j in itertools.combinations(range(n_gen), 2):
+        # (A_j - 1) u_i - (A_i - 1) u_j = 0; u_k sits in columns k*d..
+        for row_j, row_i in zip(diffs[j], diffs[i]):
+            row = {i * d + c: v for c, v in row_j.items()}
+            for c, w in row_i.items():
+                row[j * d + c] = -w
+            zrows.append(row)
+    z_rank = rank(zrows, n_gen * d)
     dim_z1 = n_gen * d - z_rank
     dim_b1 = b_rank
     return dim_z1, dim_b1, dim_z1 - dim_b1
@@ -487,34 +434,23 @@ class CartanMetric:
     def project(self, vec: list):
         if self.group.family != "SL":
             return list(vec)
-        n = len(vec)
-        if isinstance(vec[0], GaussRat):
-            mean = ZERO
-            for v in vec:
-                mean = mean + v
-            mean = mean * GaussRat(Fraction(1, n))
-        else:
-            mean = sum(vec) / n
+        mean = sum(vec) / len(vec)
         return [v - mean for v in vec]
 
+    def _dot(self, u: list, v: list):
+        """The dot product of the projected vectors, and c * multiplier in
+        the matching scalar: a Fraction for exact vectors, else ``scale``."""
+        dot = sum(x * y for x, y in zip(self.project(u), self.project(v)))
+        return dot, (self.c * self.multiplier if isinstance(dot, GaussRat) else self.scale)
+
     def pair(self, u: list, v: list):
-        pu, pv = self.project(u), self.project(v)
-        if isinstance(pu[0], GaussRat):
-            acc = ZERO
-            for x, y in zip(pu, pv):
-                acc = acc + x * y
-            return acc * GaussRat(self.c * self.multiplier)
-        return sum(x * y for x, y in zip(pu, pv)) * self.scale
+        dot, scale = self._dot(u, v)
+        return dot * scale
 
     def dual_pair(self, xi: list, eta: list):
         """Inverse form on functionals given by coordinate vectors."""
-        pu, pv = self.project(xi), self.project(eta)
-        if isinstance(pu[0], GaussRat):
-            acc = ZERO
-            for x, y in zip(pu, pv):
-                acc = acc + x * y
-            return acc * GaussRat(Fraction(1, 1) / (self.c * self.multiplier))
-        return sum(x * y for x, y in zip(pu, pv)) / self.scale
+        dot, scale = self._dot(xi, eta)
+        return dot / scale
 
 
 def cartan_tangent(group: GroupSpec, u: Sequence) -> Mat:
@@ -759,7 +695,7 @@ def random_conjugator(group: GroupSpec, rng, max_tries: int = 100) -> Mat:
         for _ in range(3):
             x = basis[rng.randrange(len(basis))]
             lam = GaussRat(Fraction(rng.randint(-1, 1), rng.randint(2, 3)))
-            s = mat_add_scaled(s, x, lam)
+            s = mat_add(s, mat_scale(x, lam))
         try:
             cand = cayley(s)
         except DomainError:
@@ -767,12 +703,6 @@ def random_conjugator(group: GroupSpec, rng, max_tries: int = 100) -> Mat:
         if in_group(group, cand):
             return cand
     raise InternalCheckError("failed to sample a conjugator")
-
-
-def mat_add_scaled(a: Mat, b: Mat, lam: GaussRat) -> Mat:
-    return tuple(
-        tuple(x + lam * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
 
 
 def random_group_element(group: GroupSpec, rng, conjugate: bool = True) -> Mat:

@@ -5,14 +5,15 @@ The matrices of the Lie layer are almost all zeros (Ad of a torus element
 has 36 nonzeros out of 1296 entries for Sp(4)), so ``mat_mul`` walks
 nonzeros only, and ``nonzero_rows`` gives the (column, value) lists the
 Lie layer builds its sparse rows from.  Inverse and determinant are plain
-Gauss-Jordan elimination.  ``exact_rank`` eliminates sparse dict rows for
-the cohomology constraint systems; ``float_rank`` uses numpy singular
-values for the float verification path.
+Gauss-Jordan elimination.  ``exact_rank`` and ``float_rank`` both take
+the sparse dict rows of the cohomology constraint systems: the first
+eliminates them exactly, the second writes them into one dense array and
+counts numpy singular values for the float verification path.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -159,7 +160,14 @@ def exact_rank(rows: Iterable[dict[int, GaussRat]]) -> int:
     return len(pivots)
 
 
-def float_rank(matrix: np.ndarray, tol: float = 1e-10) -> int:
+def float_rank(rows: Sequence[dict[int, complex]], width: int, tol: float = 1e-10) -> int:
+    """Numerical rank of the matrix with the given sparse rows and
+    ``width`` columns: the count of singular values above ``tol`` times
+    max(1, largest singular value)."""
+    matrix = np.zeros((len(rows), width), dtype=complex)
+    for k, row in enumerate(rows):
+        for c, v in row.items():
+            matrix[k, c] = v
     if matrix.size == 0:
         return 0
     svals = np.linalg.svd(matrix, compute_uv=False)

@@ -18,6 +18,17 @@ from .laurent import ExponentMatrix
 from .scalars import GaussRat, ONE, ZERO
 
 
+def _scalars(rows, exact: bool | None = None) -> tuple[tuple, bool]:
+    """``rows`` as a tuple of tuples of GaussRat (exact) or complex, and
+    whether they are exact.  With ``exact`` unset they are exact when every
+    entry is a GaussRat, int or Fraction."""
+    rows = tuple(tuple(row) for row in rows)
+    if exact is None:
+        exact = all(isinstance(v, (GaussRat, int, Fraction)) for row in rows for v in row)
+    convert = (lambda v: v if isinstance(v, GaussRat) else GaussRat(v)) if exact else complex
+    return tuple(tuple(map(convert, row)) for row in rows), exact
+
+
 class TorusPoint:
     """Evaluation point on the N-fold product of the maximal torus.
 
@@ -45,33 +56,18 @@ class TorusPoint:
         coords = tuple(tuple(row) for row in coords)
         if len(coords) != N or any(len(row) != n for row in coords):
             raise StructureError(f"expected {N} coordinate vectors of length {n}")
-        exact = all(
-            isinstance(v, (GaussRat, int, Fraction)) for row in coords for v in row
-        )
-        if exact:
-            coords = tuple(
-                tuple(v if isinstance(v, GaussRat) else GaussRat(v) for v in row)
-                for row in coords
-            )
-            if any(not v for row in coords for v in row):
-                raise DomainError("torus point has a zero coordinate")
-        else:
-            coords = tuple(tuple(complex(v) for v in row) for row in coords)
-            if any(v == 0 for row in coords for v in row):
-                raise DomainError("torus point has a zero coordinate")
+        coords, exact = _scalars(coords)
+        if any(not v for row in coords for v in row):
+            raise DomainError("torus point has a zero coordinate")
         if sqrts is not None:
+            sqrts, _ = _scalars(sqrts, exact)
             if exact:
-                sqrts = tuple(
-                    tuple(v if isinstance(v, GaussRat) else GaussRat(v) for v in row)
-                    for row in sqrts
-                )
                 ok = all(
                     s * s == x
                     for xr, sr in zip(coords, sqrts)
                     for x, s in zip(xr, sr)
                 )
             else:
-                sqrts = tuple(tuple(complex(v) for v in row) for row in sqrts)
                 ok = all(
                     abs(s * s - x) <= 1e-9 * (1 + abs(x))
                     for xr, sr in zip(coords, sqrts)
@@ -88,17 +84,8 @@ class TorusPoint:
     @classmethod
     def from_sqrt(cls, group: GroupSpec, sqrts) -> "TorusPoint":
         """Build a point from square-root coordinates (fixes the branch)."""
-        sq = tuple(tuple(row) for row in sqrts)
-        if all(isinstance(v, (GaussRat, int, Fraction)) for row in sq for v in row):
-            sq = tuple(
-                tuple(v if isinstance(v, GaussRat) else GaussRat(v) for v in row)
-                for row in sq
-            )
-            coords = tuple(tuple(v * v for v in row) for row in sq)
-        else:
-            sq = tuple(tuple(complex(v) for v in row) for row in sq)
-            coords = tuple(tuple(v * v for v in row) for row in sq)
-        return cls(group, coords, sq)
+        sq, _ = _scalars(sqrts)
+        return cls(group, tuple(tuple(v * v for v in row) for row in sq), sq)
 
     # -- evaluation -----------------------------------------------------
 
@@ -142,21 +129,6 @@ class TorusPoint:
     def column(self, j: int):
         """Eigenvalue parameters of the j-th generator (1-based)."""
         return self.coords[j - 1]
-
-    def sl_consistent(self, tol: float = 1e-9) -> bool:
-        """Whether each factor satisfies the SL relation prod_i x_ij = 1."""
-        if self.group.family != "SL":
-            return True
-        for row in self.coords:
-            prod = ONE if self.exact else (1 + 0j)
-            for v in row:
-                prod = prod * v
-            if self.exact:
-                if prod != ONE:
-                    return False
-            elif abs(prod - 1) > tol:
-                return False
-        return True
 
     def __repr__(self):
         mode = "exact" if self.exact else "float"

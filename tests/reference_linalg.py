@@ -1,20 +1,113 @@
-"""Dense exact reference for the sparse linear algebra of the Lie layer.
+"""Reference bodies for the linear algebra of the Lie layer.
 
-These are the dense bodies that ``linalg.mat_mul`` and the exact branches
-of ``lie.ad_operator`` and ``lie.cocycle_space_dims`` replaced: every entry
-of every product is formed, and A X A^{-1} is two full matrix products per
-basis element.  They stay here as the oracle for
-``tests/test_linalg_reference.py``.
+These are the bodies that ``linalg.mat_mul``, the exact branches of
+``lie.ad_operator`` and ``lie.cocycle_space_dims``, ``lie.basis_coords``
+and ``lie.torus_matrix`` replaced: every entry of every product is formed,
+A X A^{-1} is two full matrix products per basis element, coordinates are
+read off by a closed form per family, and torus matrices are built by one
+body per scalar.  They stay here as the oracle for
+``tests/test_linalg_reference.py`` and ``tests/test_lie.py``.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+
+import numpy as np
 
 from toruschar import sparse
-from toruschar.lie import basis_coords, lie_basis
+from toruschar.lie import lie_basis
 from toruschar.linalg import exact_rank, identity, mat_inv, mat_sub
-from toruschar.scalars import ZERO
+from toruschar.scalars import GaussRat, ONE, ZERO
+
+
+def closed_form_basis_coords(group, entry):
+    """Coordinates of a Lie-algebra element in lie_basis order, read off
+    entrywise by a closed form per family."""
+    n = group.rank
+    coords = []
+    if group.family == "GL":
+        for i in range(n):
+            for j in range(n):
+                coords.append(entry(i, j))
+    elif group.family == "SL":
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    coords.append(entry(i, j))
+        acc = 0
+        for i in range(n - 1):
+            acc = acc + entry(i, i)
+            coords.append(acc)
+    elif group.family == "Sp":
+        for i in range(n):
+            for j in range(n):
+                coords.append(entry(i, j))
+        for i in range(n):
+            for j in range(i, n):
+                coords.append(entry(i, n + j))
+        for i in range(n):
+            for j in range(i, n):
+                coords.append(entry(n + i, j))
+    else:
+        m = group.matrix_size
+        for a in range(m):
+            for b in range(a + 1, m):
+                coords.append(entry(a, b))
+    return coords
+
+
+def exact_torus_matrix(group, vals):
+    """Torus matrix of nonzero GaussRat parameters (checks left out)."""
+    half, half_i = GaussRat(Fraction(1, 2)), GaussRat(0, Fraction(1, 2))
+    n = group.rank
+    m = group.matrix_size
+    rows = [[ZERO] * m for _ in range(m)]
+    if group.family in ("GL", "SL"):
+        for i, v in enumerate(vals):
+            rows[i][i] = v
+    elif group.family == "Sp":
+        for i, v in enumerate(vals):
+            rows[i][i] = v
+            rows[n + i][n + i] = ONE / v
+    else:
+        for j, v in enumerate(vals):
+            w = ONE / v
+            c = (v + w) * half
+            s = (v - w) * half_i
+            rows[2 * j][2 * j] = c
+            rows[2 * j][2 * j + 1] = s
+            rows[2 * j + 1][2 * j] = -s
+            rows[2 * j + 1][2 * j + 1] = c
+        if group.family == "SOodd":
+            rows[m - 1][m - 1] = ONE
+    return tuple(map(tuple, rows))
+
+
+def float_torus_matrix(group, vals):
+    """Torus matrix of nonzero complex parameters (checks left out)."""
+    n = group.rank
+    m = group.matrix_size
+    out = np.zeros((m, m), dtype=complex)
+    if group.family in ("GL", "SL"):
+        for i, v in enumerate(vals):
+            out[i, i] = v
+    elif group.family == "Sp":
+        for i, v in enumerate(vals):
+            out[i, i] = v
+            out[n + i, n + i] = 1 / v
+    else:
+        for j, v in enumerate(vals):
+            c = (v + 1 / v) / 2
+            s = 1j * (v - 1 / v) / 2
+            out[2 * j, 2 * j] = c
+            out[2 * j, 2 * j + 1] = s
+            out[2 * j + 1, 2 * j] = -s
+            out[2 * j + 1, 2 * j + 1] = c
+        if group.family == "SOodd":
+            out[m - 1, m - 1] = 1.0
+    return out
 
 
 def dense_mat_mul(a, b):
@@ -40,7 +133,7 @@ def dense_ad_operator(group, a):
     cols = []
     for x in basis:
         y = dense_mat_mul(a, dense_mat_mul(x, ainv))
-        cols.append(basis_coords(group, lambda r, c: y[r][c]))
+        cols.append(closed_form_basis_coords(group, lambda r, c: y[r][c]))
     return tuple(tuple(cols[b][r] for b in range(d)) for r in range(d))
 
 

@@ -397,6 +397,11 @@ GOLDEN = {
         ["verify-bracket", "--family", "sp", "--rank", "1", "--trials", "3", "--seed", "7"],
         "f860781f21373924522a1ee4179c59d279fbcba78313242a0b48a0802c1d1221",
     ),
+    "cohomology_float_soodd2": (
+        ["cohomology", "--family", "so-odd", "--rank", "2", "--factors", "3",
+         "--mode", "float", "--seed", "5"],
+        "cd1bb3e538e4583fde4fa4b805fc6f361aec25647c46402e0d2b8da89f90979d",
+    ),
     "verify_jacobi_sl2": (
         ["verify-jacobi", "--family", "sl", "--rank", "2", "--trials", "5", "--seed", "3"],
         "b03afa31d5263f93fc6dab7bb4e61038b133663a7bc239623272e73e92f64f7d",

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from reference_linalg import exact_torus_matrix, float_torus_matrix
 from toruschar.errors import DomainError
 from toruschar.generators import tau_image
 from toruschar.groups import GroupSpec
@@ -25,6 +26,7 @@ from toruschar.lie import (
     positive_roots,
     random_conjugator,
     random_group_element,
+    random_rational,
     random_torus_point,
     torus_matrix,
     variation,
@@ -90,6 +92,26 @@ def test_torus_matrix_float_membership():
     assert np.max(np.abs(m.T @ m - np.eye(4))) < 1e-12
 
 
+def test_torus_matrix_matches_former_bodies():
+    """One body serves both scalars: float entries equal the former float
+    body's bit for bit, signed zeros included, and exact entries the former
+    exact body's."""
+    rng = random.Random(5)
+    fixed = [1 + 0j, -1 + 0j, 1j, -1j, complex(2, -0.0), complex(-2, -0.0),
+             complex(0.5, 0.0), complex(-0.5, -0.0), complex(-0.0, 3), complex(1e-3, -0.0)]
+    pool = fixed + [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(100)]
+    for fam in ("GL", "SL", "Sp", "SOodd", "SOeven"):
+        g = GroupSpec(fam, 2, 1)
+        for k in range(len(pool) - 1):
+            vals = [pool[k], 1 / pool[k] if fam == "SL" else pool[k + 1]]
+            assert torus_matrix(g, vals).tobytes() == float_torus_matrix(g, vals).tobytes()
+        for _ in range(20):
+            vals = [GaussRat(random_rational(rng), random_rational(rng)) for _ in range(2)]
+            if fam == "SL":
+                vals[1] = ONE / vals[0]
+            assert torus_matrix(g, vals) == exact_torus_matrix(g, vals)
+
+
 def test_killing_ratio_table():
     assert killing_ratio(GroupSpec("SL", 2, 1)) == 4
     assert killing_ratio(GroupSpec("SOodd", 2, 1)) == 3  # SO(5)
@@ -117,6 +139,11 @@ def test_variation_examples():
     assert f3[0][0] == GaussRat(Fraction(3, 4))
     assert f3[1][1] == GaussRat(Fraction(-3, 4))
     assert trace(f3) == GaussRat(0)
+
+
+def test_variation_is_exact_only():
+    with pytest.raises(DomainError):
+        variation(GroupSpec("SL", 2, 1), np.eye(2, dtype=complex))
 
 
 def test_variation_contracts_random():

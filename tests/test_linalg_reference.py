@@ -1,17 +1,24 @@
 """Differential tests: the sparse exact linear algebra of the Lie layer
 against the dense reference in ``reference_linalg.py``, with exact
-equality."""
+equality, and ``basis_coords`` against its closed form per family."""
 
 import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference_linalg import dense_ad_operator, dense_cocycle_space_dims, dense_mat_mul
+from reference_linalg import (
+    closed_form_basis_coords,
+    dense_ad_operator,
+    dense_cocycle_space_dims,
+    dense_mat_mul,
+)
 from toruschar.groups import GroupSpec
 from toruschar.lie import (
     ad_operator,
+    basis_coords,
     cocycle_space_dims,
     random_conjugator,
     random_group_element,
@@ -121,3 +128,31 @@ def _small_eigenvalues(group: GroupSpec, rng) -> list[GaussRat]:
             prod = prod * v
         vals[-1] = GaussRat(1) / prod
     return vals
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_basis_coords_matches_closed_form(family, rank):
+    """Random exact and complex entries, signed zeros among the complex
+    ones; complex coordinates must agree bit for bit, so they are compared
+    through ``repr``."""
+    group = GroupSpec(family, rank, 1)
+    m = group.matrix_size
+    rng = random.Random(f"{family}{rank}")
+    draws = (
+        lambda: GaussRat(Fraction(rng.randint(-9, 9), rng.randint(1, 4)), rng.randint(-2, 2)),
+        lambda: rng.choice(
+            (0j, complex(-0.0, -0.0), complex(rng.uniform(-2, 2), -0.0),
+             complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+        ),
+    )
+    for draw in draws:
+        for _ in range(20):
+            entries = [[draw() for _ in range(m)] for _ in range(m)]
+
+            def entry(r, c):
+                return entries[r][c]
+
+            got = basis_coords(group, entry)
+            assert len(got) == group.lie_dim
+            assert list(map(repr, got)) == list(map(repr, closed_form_basis_coords(group, entry)))
