@@ -189,8 +189,11 @@ def _cmd_expand(args) -> int:
 def _cmd_bracket(args) -> int:
     group = _group_from(args, factors=2)
     c = Fraction(args.c)
-    br = bracket_symbols(_parse_vec(args.a), _parse_vec(args.b), group, c,
-                         extrapolated_gl=args.extrapolated)
+    a, b = _parse_vec(args.a), _parse_vec(args.b)
+    for flag, vec in (("--a", a), ("--b", b)):
+        if len(vec) != 2:
+            raise DomainError(f"{flag} must have 2 entries, got {len(vec)}")
+    br = bracket_symbols(a, b, group, c, extrapolated_gl=args.extrapolated)
     print(br)
     if args.outfile:
         _write_json(args.outfile, br.to_json())

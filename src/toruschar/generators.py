@@ -6,10 +6,12 @@ Pfaffian-flavoured generators Q(alpha_1..alpha_n).  This module computes
 their Laurent images and, in the other direction, rewrites any Weyl-
 invariant integer-weight Laurent polynomial as a polynomial in the
 generator symbols.  The rewriting proceeds by strictly decreasing level:
-a level-l orbit sum is recovered from the product of a level-1 image with
-a level-(l-1) orbit sum, after subtracting the lower-level remainder and
-dividing by a multiplicity constant that is computed from the expansion
-itself rather than assumed.
+a level-l pattern sum P(m) is recovered from tau(alpha) * P(m_sub) =
+beta * P(m) + A, with m_sub one level down.  One loop forms that product
+over the images of m_sub and sorts its terms into beta * P(m) and the
+lower-level remainder A; level 1 is the same step with the level-0 sum
+P(0) = |P|, where A is empty.  The multiplicity constant beta is read from
+the product rather than assumed, and checked exactly.
 
 A note on the Q image: the alternating sum
 
@@ -28,8 +30,6 @@ and the zero pruning) lives in ``toruschar.sparse``.
 
 from __future__ import annotations
 
-import itertools
-import math
 from fractions import Fraction
 from functools import lru_cache, partial
 from operator import add
@@ -275,23 +275,18 @@ def tau_image(group: GroupSpec, alpha: tuple[int, ...]) -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def _q_image_cached(group: GroupSpec, alphas: tuple[tuple[int, ...], ...]) -> LaurentPoly:
-    n, N = group.rank, group.factors
-    zero_row = (0,) * N
-    i_pow_n = I ** n
-    terms: dict[ExponentMatrix, GaussRat] = {}
-    for perm in itertools.permutations(range(n)):
-        for deltas in itertools.product((1, -1), repeat=n):
-            rows = [zero_row] * n
-            for i in range(n):
-                rows[perm[i]] = tuple(2 * deltas[i] * a for a in alphas[i])
-            coeff = i_pow_n if math.prod(deltas) == 1 else -i_pow_n
-            sparse.add_term(terms, tuple(rows), coeff)
-    return LaurentPoly(group, terms)
+    m = tuple(tuple(2 * a for a in alpha) for alpha in alphas)
+    signed_sum = orbit_sum(m, group).scaled(2) - pattern_sum(m, group)
+    return signed_sum.scaled(I ** group.rank)
 
 
 def q_image(group: GroupSpec, alphas) -> LaurentPoly:
     """Laurent image of Q(alpha_1..alpha_n) on the even SO torus:
     i^n * sum over permutations s of prod_i (x_{s(i)}^{a_i} - x_{s(i)}^{-a_i}).
+    That is i^n times the sum of w . m over the signed group, m with rows
+    2*alpha_i and w weighted by (-1)^(flips of w): the Weyl group minus the
+    odd elements, i^n * (2 * orbit_sum(m) - pattern_sum(m)).  It costs the
+    orbit size and is bounded by WEYL_CAP.
     """
     sym, sign = q_symbol(group, alphas)
     if sym is None:
@@ -417,101 +412,65 @@ def _reduce_pattern_monomial(m: ExponentMatrix, group: GroupSpec, bound: int) ->
     level = level_of_monomial(m, group)
     if level >= bound:
         raise InternalCheckError("level reduction failed to descend")
+    if level == 0:
+        return GeneratorPoly.constant(pattern_order(group))
     key = _memo_key(m, group)
     cached = _REDUCE_CACHE.get(key)
     if cached is not None:
         return cached
 
-    result = _reduce_pattern_monomial_uncached(m, group, level)
-    _REDUCE_CACHE[key] = result
-    return result
-
-
-def _reduce_pattern_monomial_uncached(
-    m: ExponentMatrix, group: GroupSpec, level: int
-) -> GeneratorPoly:
-    if level == 0:
-        return GeneratorPoly.constant(pattern_order(group))
-
-    if level == 1:
-        alpha_row = next(row for row in m if any(row))
-        alpha = _true_row(alpha_row)
-        if group.symmetric_traces:
-            alpha, _ = _normalize_vector(alpha)
-        timg = tau_image(group, alpha)
-        psum = pattern_sum(m, group)
-        probe = next(k for k in timg.terms if any(any(r) for r in k))
-        lam = psum.coefficient(probe) / timg.terms[probe]
-        resid = psum - timg.scaled(lam)
-        if not resid.is_constant():
-            raise InternalCheckError("level-1 reduction left a nonconstant residue")
-        out = GeneratorPoly.symbol(tau_symbol(group, alpha), lam)
-        const = resid.constant_coefficient()
-        if const:
-            out = out + GeneratorPoly.constant(const)
-        return out
-
-    # level >= 2: multiply a level-1 image against the sum one level down,
-    # subtract the lower-level remainder A, divide by the computed constant.
+    # tau(alpha) * P(m_sub) = beta * P(m) + A, with m_sub = m less one row
+    # alpha; at level 1, m_sub = 0 and A is empty.
     pos, alpha_row = max(
         ((i, row) for i, row in enumerate(m) if any(row)), key=lambda t: t[1]
     )
-    alpha = _true_row(alpha_row)
-    sub_rows = list(m)
-    sub_rows[pos] = (0,) * group.factors
-    m_sub = tuple(sub_rows)
+    m_sub = m[:pos] + ((0,) * group.factors,) + m[pos + 1:]
     if level_of_monomial(m_sub, group) != level - 1:
         raise InternalCheckError("peeled monomial level did not drop by one")
 
-    timg = tau_image(group, alpha)
-    level_one = (
-        timg - LaurentPoly.constant(group, 1) if group.family == "SOodd" else timg
-    )
-    gen_one = GeneratorPoly.symbol(tau_symbol(group, alpha))
-    if group.family == "SOodd":
-        gen_one = gen_one + GeneratorPoly.constant(GaussRat(-1))
-
-    sub_sum = pattern_sum(m_sub, group)
-    expanded = level_one * sub_sum
-
-    lower = _lower_terms(m_sub, alpha, group)
-    remainder = expanded - lower
+    top, lower = _step_product(m_sub, alpha_row, group)
     full_sum = pattern_sum(m, group)
-    beta = remainder.coefficient(m) / full_sum.coefficient(m)
-    if not beta or remainder != full_sum.scaled(beta):
+    beta = top.coefficient(m) / full_sum.coefficient(m)
+    if not beta or top != full_sum.scaled(beta):
         # The multiplicity constant is (n - l + 1) (times 2 for signed
         # families) in the sum-over-all-elements convention, hence never
         # zero; reaching this branch indicates a bug, not degeneracy.
         raise InternalCheckError("reduction constant mismatch")
-
     if lower and level_of_poly(lower, group) >= level:
         raise InternalCheckError("lower-level remainder has full level")
 
-    gen_sub = _reduce_pattern_monomial(m_sub, group, bound=level)
-    gen_lower = _reduce_pattern_poly(lower, group, bound=level)
-    inv_beta = ONE / beta
-    return (gen_one * gen_sub - gen_lower).scaled(inv_beta)
+    gen_one = GeneratorPoly.symbol(tau_symbol(group, _true_row(alpha_row)))
+    if group.family == "SOodd":
+        gen_one = gen_one + GeneratorPoly.constant(GaussRat(-1))
+    out = gen_one * _reduce_pattern_monomial(m_sub, group, bound=level)
+    if lower:
+        out = out - _reduce_pattern_poly(lower, group, bound=level)
+    result = _REDUCE_CACHE[key] = out.scaled(ONE / beta)
+    return result
 
 
-def _lower_terms(m_sub: ExponentMatrix, alpha: tuple[int, ...], group: GroupSpec) -> LaurentPoly:
-    """A: the terms of tau(alpha) * pattern_sum(m_sub) whose new variable
-    lands on an already occupied row; they have strictly lower level."""
-    doubled = tuple(2 * a for a in alpha)
-    deltas = (1,) if group.family in ("GL", "SL") else (1, -1)
+def _step_product(
+    m_sub: ExponentMatrix, alpha_row: tuple[int, ...], group: GroupSpec
+) -> tuple[LaurentPoly, LaurentPoly]:
+    """tau(alpha) * pattern_sum(m_sub), less the constant 1 of odd SO, as
+    (top, lower): the terms whose new variable lands on an empty row of
+    the image (beta * pattern_sum(m)) and those where it lands on an
+    occupied row (A, of strictly lower level).  ``alpha_row`` is alpha as
+    a stored (doubled) row."""
+    shifts = (alpha_row, tuple(-e for e in alpha_row)) if group.signed else (alpha_row,)
     # Each image of the raw m_sub stands for the pattern elements reaching
-    # it; for SL, which rows count as occupied depends on the presentation.
+    # it; for SL, which rows count as empty depends on the presentation.
     images = pattern_images(m_sub, group)
     weight = GaussRat(pattern_order(group) // len(images))
-    a_terms: dict[ExponentMatrix, GaussRat] = {}
+    top, lower = {}, {}
     for mw in images:
         for k, row in enumerate(mw):
-            if not any(row):
-                continue
-            for delta in deltas:
+            terms = lower if any(row) else top
+            for shift in shifts:
                 rows = list(mw)
-                rows[k] = tuple(e + delta * d for e, d in zip(row, doubled))
-                sparse.add_term(a_terms, canonical_mod_relations(tuple(rows), group), weight)
-    return LaurentPoly._trusted(group, a_terms)
+                rows[k] = tuple(map(add, row, shift))
+                sparse.add_term(terms, canonical_mod_relations(tuple(rows), group), weight)
+    return LaurentPoly._trusted(group, top), LaurentPoly._trusted(group, lower)
 
 
 def _reduce_pattern_poly(f: LaurentPoly, group: GroupSpec, bound: int) -> GeneratorPoly:

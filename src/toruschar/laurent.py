@@ -379,12 +379,6 @@ class LaurentPoly:
     def coefficient(self, m: ExponentMatrix) -> GaussRat:
         return self.terms.get(canonical_mod_relations(m, self.group), ZERO)
 
-    def constant_coefficient(self) -> GaussRat:
-        return self.terms.get(zero_exponents(self.group), ZERO)
-
-    def is_constant(self) -> bool:
-        return all(not any(any(r) for r in m) for m in self.terms)
-
     def has_half_weights(self) -> bool:
         return any(e & 1 for m in self.terms for row in m for e in row)
 

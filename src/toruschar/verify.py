@@ -11,7 +11,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .errors import InternalCheckError
+from .errors import DomainError, InternalCheckError
 from .generators import decompose, q_image, tau_image
 from .groups import GroupSpec
 from .laurent import LaurentPoly, exponents
@@ -203,6 +203,8 @@ def bracket_agreement(
 ) -> dict:
     """Symbolic bracket versus the symplectic-form oracle at random
     generic float points, every symbol pair in the window."""
+    if trials < 1:  # a suite that checked nothing must not report success
+        raise DomainError(f"trials must be at least 1, got {trials}")
     rng = random.Random(seed)
     syms = symbol_window(group, window)
     pairs = [(a, b) for i, a in enumerate(syms) for b in syms[i:]]
@@ -272,6 +274,8 @@ def jacobi_suite(
     Records whether every defect vanished identically in the free symbol
     algebra or only numerically at sampled points (the distinction the
     bracket's validity rests on)."""
+    if trials < 1:  # a suite that checked nothing must not report success
+        raise DomainError(f"trials must be at least 1, got {trials}")
     rng = random.Random(seed)
     identical = True
     worst = 0.0

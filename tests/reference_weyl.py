@@ -1,14 +1,17 @@
-"""Reference orbit sums that enumerate the whole group.
+"""Reference sums that enumerate the whole group.
 
-These are the sums ``toruschar.weyl`` used to compute by walking every
-element, kept as the oracle for the orbit-sized construction.  They are
-built from the public ``weyl_elements`` and ``act_monomial`` only; the
-signed pattern group is the Weyl group of Sp, the full signed group.
+These are the sums ``toruschar.weyl`` and ``toruschar.generators`` used to
+compute by walking every element, kept as the oracle for the orbit-sized
+construction: the orbit and pattern sums, the product of one
+level-reduction step, and the Q image.  They are built from the public
+``weyl_elements`` and ``act_monomial`` only; the signed pattern group is
+the Weyl group of Sp, the full signed group.
 """
 
 from toruschar.groups import GroupSpec
-from toruschar.laurent import LaurentPoly
-from toruschar.scalars import GaussRat, ONE
+from toruschar.laurent import LaurentPoly, canonical_mod_relations
+from toruschar.scalars import GaussRat, I, ONE
+from toruschar.sparse import add_term
 from toruschar.weyl import act_monomial, weyl_elements
 
 
@@ -36,3 +39,32 @@ def orbit_sum(m, group):
 
 def pattern_sum(m, group):
     return images_sum(m, group, pattern_elements(group))
+
+
+def step_product(m_sub, doubled, group):
+    """tau(alpha) * pattern_sum(m_sub), less the constant of odd SO, one
+    term per pattern element, row and sign, as (top, lower): the new
+    variable on an empty row of w . m_sub, or on an occupied one.
+    ``doubled`` is alpha as a stored row."""
+    deltas = (1, -1) if group.signed else (1,)
+    top, lower = {}, {}
+    for w in pattern_elements(group):
+        mw = act_monomial(w, m_sub)
+        for k, row in enumerate(mw):
+            terms = lower if any(row) else top
+            for delta in deltas:
+                rows = list(mw)
+                rows[k] = tuple(e + delta * d for e, d in zip(row, doubled))
+                add_term(terms, canonical_mod_relations(tuple(rows), group), ONE)
+    return LaurentPoly(group, top), LaurentPoly(group, lower)
+
+
+def q_image(group, alphas):
+    """i^n * sum over permutations s and signs delta of
+    prod_i delta_i * x_{s(i)}^{delta_i * alpha_i}, from the raw arguments."""
+    m = tuple(tuple(2 * a for a in alpha) for alpha in alphas)
+    terms = {}
+    for w in pattern_elements(group):
+        sign = -1 if w.sign_change_count() % 2 else 1
+        add_term(terms, act_monomial(w, m), GaussRat(sign))
+    return LaurentPoly(group, terms).scaled(I ** group.rank)

@@ -462,3 +462,37 @@ def test_cohomology_accepts_group_at_cap(capsys):
     argv = ["cohomology", "--family", "gl", "--rank", "20", "--factors", "2", "--seed", "1"]
     assert run(argv) == 0
     assert capsys.readouterr().out.strip() == "Z1 = 420, B1 = 380, H1 = 40"
+
+
+def test_expand_large_q_exits_2_fast(tmp_path, capsys):
+    doc = {"terms": [{"coeff": "1", "factors": [{"q": [[k] for k in range(1, 10)]}]}]}
+    infile = tmp_path / "q9.json"
+    infile.write_text(json.dumps(doc))
+    argv = ["expand", "--family", "so-even", "--rank", "9", "--factors", "1", "--in", str(infile)]
+    start = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert err == "error: orbit of 92897280 monomials exceeds cap 1000000\n"
+
+
+@pytest.mark.parametrize("a, b", [("1", "0,1"), ("1,0,5", "0,1"), ("1,0", "0")])
+def test_bracket_vectors_need_two_entries(capsys, a, b):
+    assert run(["bracket", "--family", "sl", "--rank", "2", "--a", a, "--b", b]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "2 entries" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-bracket", "--family", "sp", "--rank", "1", "--trials", "-3"],
+        ["verify-bracket", "--family", "sp", "--rank", "1", "--trials", "0"],
+        ["verify-jacobi", "--family", "sl", "--rank", "2", "--trials", "-1"],
+    ],
+)
+def test_suites_refuse_fewer_than_one_trial(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: trials must be at least 1")

@@ -1,5 +1,5 @@
-"""The orbit-sized Weyl sums and the level reduction against the
-enumerating reference in ``reference_weyl``."""
+"""The orbit-sized Weyl sums, the level reduction and the Q image against
+the enumerating reference in ``reference_weyl``."""
 
 from unittest import mock
 
@@ -7,13 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 import reference_weyl as ref
 from toruschar import generators
-from toruschar.generators import expand
+from toruschar.generators import expand, q_image, tau_image
 from toruschar.groups import FAMILIES, GroupSpec
-from toruschar.laurent import LaurentPoly, canonical_mod_relations, exponents
-from toruschar.scalars import GaussRat, ONE
-from toruschar.sparse import add_term
+from toruschar.laurent import LaurentPoly, exponents
+from toruschar.scalars import GaussRat
 from toruschar.weyl import (
-    act_monomial,
     level_of_monomial,
     orbit_sum,
     pattern_sum,
@@ -76,29 +74,25 @@ def test_soeven_sign_pair_and_zero_row():
     assert orb == ref.orbit_sum(with_zero, g)
 
 
-def reference_lower_terms(m_sub, alpha, group):
-    """The A-terms of the level reduction, one per pattern element."""
-    doubled = tuple(2 * a for a in alpha)
-    deltas = (1,) if group.family in ("GL", "SL") else (1, -1)
-    terms = {}
-    for w in ref.pattern_elements(group):
-        mw = act_monomial(w, m_sub)
-        for k, row in enumerate(mw):
-            if not any(row):
-                continue
-            for delta in deltas:
-                rows = list(mw)
-                rows[k] = tuple(e + delta * d for e, d in zip(row, doubled))
-                add_term(terms, canonical_mod_relations(tuple(rows), group), ONE)
-    return LaurentPoly(group, terms)
-
-
 @settings(max_examples=150, deadline=None)
 @given(monomials(integer_weights=True), st.data())
 def test_lower_terms_match_enumeration(case, data):
     group, m_sub = case  # raw: for SL, not canonical
     alpha = data.draw(st.tuples(*[st.integers(-2, 2)] * group.factors))
-    assert generators._lower_terms(m_sub, alpha, group) == reference_lower_terms(m_sub, alpha, group)
+    doubled = tuple(2 * a for a in alpha)
+    assert generators._step_product(m_sub, doubled, group) == ref.step_product(m_sub, doubled, group)
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomials(integer_weights=True), st.data())
+def test_step_product_splits_the_packed_product(case, data):
+    group, m_sub = case
+    alpha = data.draw(st.tuples(*[st.integers(-2, 2)] * group.factors))
+    top, lower = generators._step_product(m_sub, tuple(2 * a for a in alpha), group)
+    level_one = tau_image(group, alpha)
+    if group.family == "SOodd":
+        level_one = level_one - LaurentPoly.constant(group, 1)
+    assert top + lower == level_one * pattern_sum(m_sub, group)
 
 
 @settings(max_examples=200, deadline=None)
@@ -112,7 +106,34 @@ def test_reduction_matches_orbit_sum_and_reference(case):
         bound = level_of_monomial(m, group) + 1
         fast = generators._reduce_pattern_monomial(m, group, bound)
         generators._REDUCE_CACHE.clear()
-        with mock.patch.object(generators, "_lower_terms", reference_lower_terms):
+        with mock.patch.object(generators, "_step_product", ref.step_product):
             assert generators._reduce_pattern_monomial(m, group, bound) == fast
     finally:
         generators._REDUCE_CACHE.clear()
+
+
+@st.composite
+def q_arguments(draw):
+    """An even SO group of rank 1-4 with N = 1-2 and n arguments that
+    repeat, come in alpha, -alpha pairs or vanish."""
+    group = GroupSpec("SOeven", draw(st.integers(1, 4)), draw(st.integers(1, 2)))
+    fresh = st.tuples(*[st.integers(-2, 2)] * group.factors)
+    alphas = []
+    for _ in range(group.rank):
+        kinds = ("new", "new", "zero", "repeat", "negate") if alphas else ("new", "zero")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "new":
+            alphas.append(draw(fresh))
+        elif kind == "zero":
+            alphas.append((0,) * group.factors)
+        else:
+            alpha = draw(st.sampled_from(alphas))
+            alphas.append(alpha if kind == "repeat" else tuple(-a for a in alpha))
+    return group, tuple(alphas)
+
+
+@settings(max_examples=150, deadline=None)
+@given(q_arguments())
+def test_q_image_matches_signed_walk(case):
+    group, alphas = case
+    assert q_image(group, alphas) == ref.q_image(group, alphas)
