@@ -204,12 +204,13 @@ class LaurentPoly:
 
     Instances are treated as immutable; every operation returns a new
     polynomial.  Zero coefficients are never stored and SL keys are always
-    in canonical form.  The table of logarithmic partials is built on first
-    use and kept for the life of the instance (see
-    ``log_gradient_values``).
+    in canonical form.  The table of logarithmic partials and the sorted
+    ``(m, complex)`` terms of float evaluation are built on first use and
+    kept for the life of the instance (see ``log_gradient_values`` and
+    ``evaluate``).
     """
 
-    __slots__ = ("group", "terms", "_log_partials")
+    __slots__ = ("group", "terms", "_log_partials", "_float_terms")
 
     def __init__(self, group: GroupSpec, terms: Mapping[ExponentMatrix, GaussRat] = ()):
         self.group = group
@@ -220,14 +221,15 @@ class LaurentPoly:
                 coeff = GaussRat(coeff)
             sparse.add_term(clean, canonical_mod_relations(m, group), coeff)
         self.terms = clean
-        self._log_partials = None
+        self._log_partials = self._float_terms = None
 
     @classmethod
     def _trusted(cls, group: GroupSpec, terms: dict) -> "LaurentPoly":
         """Wrap ``terms`` without checks or copy; they must already be in
         the stored form (canonical keys, no zero coefficient)."""
         p = cls.__new__(cls)
-        p.group, p.terms, p._log_partials = group, terms, None
+        p.group, p.terms = group, terms
+        p._log_partials = p._float_terms = None
         return p
 
     # -- constructors ---------------------------------------------------
@@ -301,7 +303,7 @@ class LaurentPoly:
     # -- calculus / evaluation -------------------------------------------
 
     def _require_point_group(self, point) -> None:
-        if point.group != self.group:
+        if point.group is not self.group and point.group != self.group:
             raise StructureError(f"group mismatch: {self.group} vs point of {point.group}")
 
     def partial(self, i: int, j: int) -> "LaurentPoly":
@@ -352,12 +354,18 @@ class LaurentPoly:
         ``point`` must provide ``group``, ``exact``,
         ``monomial_value(exponent_matrix)`` and ``zero_value()``; the
         result type follows the point (complex in float mode, GaussRat in
-        exact mode).
+        exact mode).  Float points reuse the sorted ``(m, complex)`` terms
+        kept from the first float evaluation; exact points sort the exact
+        terms.
         """
         self._require_point_group(point)
-        terms = sorted(self.terms.items())
-        if not point.exact:
-            terms = [(m, complex(c)) for m, c in terms]
+        if point.exact:
+            return sum_terms(sorted(self.terms.items()), point)
+        terms = self._float_terms
+        if terms is None:
+            terms = self._float_terms = tuple(
+                (m, complex(c)) for m, c in sorted(self.terms.items())
+            )
         return sum_terms(terms, point)
 
     # -- structure queries -------------------------------------------------

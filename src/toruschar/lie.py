@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -431,26 +432,24 @@ class CartanMetric:
     def __post_init__(self):
         object.__setattr__(self, "scale", float(self.c * self.multiplier))
 
-    def project(self, vec: list):
-        if self.group.family != "SL":
-            return list(vec)
-        mean = sum(vec) / len(vec)
-        return [v - mean for v in vec]
-
-    def _dot(self, u: list, v: list):
-        """The dot product of the projected vectors, and c * multiplier in
-        the matching scalar: a Fraction for exact vectors, else ``scale``."""
-        dot = sum(x * y for x, y in zip(self.project(u), self.project(v)))
-        return dot, (self.c * self.multiplier if isinstance(dot, GaussRat) else self.scale)
+    def project(self, vec):
+        return cartan_projection(self.group, vec)
 
     def pair(self, u: list, v: list):
-        dot, scale = self._dot(u, v)
-        return dot * scale
+        """c * multiplier times the dot product of the projected vectors,
+        in the scalar of the vectors."""
+        dot = sum(x * y for x, y in zip(self.project(u), self.project(v)))
+        return dot * (self.c * self.multiplier if isinstance(dot, GaussRat) else self.scale)
 
-    def dual_pair(self, xi: list, eta: list):
-        """Inverse form on functionals given by coordinate vectors."""
-        dot, scale = self._dot(xi, eta)
-        return dot / scale
+
+def cartan_projection(group: GroupSpec, vec):
+    """Trace-form orthogonal projection of a coordinate vector onto the
+    Cartan: the traceless part, as a new list, for SL; ``vec`` itself for
+    the other families.  It does not depend on c."""
+    if group.family != "SL":
+        return vec
+    mean = sum(vec) / len(vec)
+    return [v - mean for v in vec]
 
 
 def cartan_tangent(group: GroupSpec, u: Sequence) -> Mat:
@@ -509,6 +508,20 @@ def omega_prime(group: GroupSpec, c: Fraction, pair1, pair2):
     return metric.pair(list(v1), list(w2)) - metric.pair(list(v2), list(w1))
 
 
+def _gradient_entry(f: LaurentPoly, point: TorusPoint) -> tuple:
+    """``(f, gradients, projected gradients)``, memoised in ``point.memo``
+    under ``("grad", id(f))``; the entry holds ``f`` itself, so ``id(f)``
+    cannot be reused while it lives.  The projected vectors are the
+    gradients themselves except for SL."""
+    key = ("grad", id(f))
+    hit = point.memo.get(key)
+    if hit is None:
+        grads = f.log_gradient_values(point)
+        projected = tuple(cartan_projection(f.group, g) for g in grads)
+        hit = point.memo[key] = (f, grads, projected)
+    return hit
+
+
 def log_gradients(f: LaurentPoly, point: TorusPoint) -> tuple:
     """All N vectors (x_ij d f / d x_ij)_i at the point, one per factor j.
 
@@ -519,12 +532,7 @@ def log_gradients(f: LaurentPoly, point: TorusPoint) -> tuple:
     so every symbol pair sharing ``f`` at one point reuses them.  Each
     entry equals ``f.partial(i, j).evaluate(point)`` bit for bit.
     """
-    key = ("grad", id(f))
-    hit = point.memo.get(key)
-    if hit is None:
-        # The entry holds f itself, so id(f) cannot be reused while it lives.
-        hit = point.memo[key] = (f, f.log_gradient_values(point))
-    return hit[1]
+    return _gradient_entry(f, point)[1]
 
 
 def log_gradient(f: LaurentPoly, point: TorusPoint, j: int) -> list:
@@ -544,18 +552,21 @@ def numeric_bracket(
 
     The bracket is B^{-1}(d_1 f, d_2 h) - B^{-1}(d_2 f, d_1 h), where d_j
     is the logarithmic gradient along the j-th torus factor (projected to
-    the traceless part for SL).  The orientation is pinned once against
-    the SL(2) bracket formula at the reference point (2, 3) and is part of
-    the test suite.
+    the traceless part for SL) and B^{-1}(u, v) is the dot product of the
+    projected vectors divided by c * multiplier of the Cartan metric: by
+    ``metric.scale`` at float points, by the Fraction at exact points.
+    The orientation is pinned once against the SL(2) bracket formula at
+    the reference point (2, 3) and is part of the test suite.
 
-    The gradients come from ``log_gradients``: exact partials are built
-    once per polynomial, their values once per (polynomial, point), so a
-    sweep over symbol pairs at one point does the exact work once per
-    symbol and the float work once per symbol and point.  The Cartan
-    metric for ``c`` is looked up once per point too, in ``point.memo``.
+    Exact partials are built once per polynomial, their values and
+    projections once per (polynomial, point) by ``_gradient_entry`` (the
+    projection does not depend on c), and the Cartan metric for ``c``
+    once per point, so a symbol pair costs two dot products.
     """
     group = f.group
-    if group != h.group or group != point.group:
+    if (h.group is not group and h.group != group) or (
+        point.group is not group and point.group != group
+    ):
         raise StructureError("mismatched groups")
     if group.factors != 2:
         raise DomainError("the symplectic oracle needs exactly two factors")
@@ -565,9 +576,10 @@ def numeric_bracket(
         metric = cartan_metric(group, c if isinstance(c, Fraction) else Fraction(c))
         hit = point.memo[key] = (c, metric)  # holding c keeps id(c) unique
     metric = hit[1]
-    gf1, gf2 = log_gradients(f, point)
-    gh1, gh2 = log_gradients(h, point)
-    return metric.dual_pair(gf1, gh2) - metric.dual_pair(gf2, gh1)
+    pf1, pf2 = _gradient_entry(f, point)[2]
+    ph1, ph2 = _gradient_entry(h, point)[2]
+    scale = metric.c * metric.multiplier if point.exact else metric.scale
+    return sum(map(mul, pf1, ph2)) / scale - sum(map(mul, pf2, ph1)) / scale
 
 
 # ---------------------------------------------------------------------------

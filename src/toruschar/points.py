@@ -42,10 +42,14 @@ class TorusPoint:
     ``_powers`` holds coordinate powers, and ``memo`` is a small dict for
     values that other modules derive at this point.  Its keys are tuples
     whose first entry names the kind of value.  ``lie.log_gradients``
-    stores ``("grad", id(f)) -> (f, gradients)`` and ``lie.numeric_bracket``
+    stores ``("grad", id(f)) -> (f, gradients, projected gradients)``,
+    where the projected vectors are the SL traceless parts that
+    ``lie.numeric_bracket`` pairs (the gradients themselves for the other
+    families), and ``lie.numeric_bracket`` stores
     ``("metric", id(c)) -> (c, metric)``; each entry keeps its object
     alive, so the id cannot be reused while the point lives.
-    ``TauPoly.evaluate`` stores ``("tau", group, symbol) -> value``.
+    ``TauPoly.evaluate`` stores ``("tau", symbol) -> value``: the point
+    fixes the group.
     """
 
     __slots__ = ("group", "coords", "sqrts", "exact", "_powers", "memo")

@@ -44,9 +44,10 @@ def _norm_symbol(group: GroupSpec, a) -> LatticeVec:
 
 class TauPoly:
     """Polynomial in trace symbols over GaussRat, tied to a group and a
-    trace-form multiple c."""
+    trace-form multiple c.  Instances are treated as immutable, so the
+    float terms that ``evaluate`` keeps never go stale."""
 
-    __slots__ = ("group", "c", "terms")
+    __slots__ = ("group", "c", "terms", "_float_terms")
 
     def __init__(self, group: GroupSpec, c: Fraction, terms: Mapping[tuple, GaussRat] = ()):
         if group.factors != 2:
@@ -62,13 +63,14 @@ class TauPoly:
                 coeff = GaussRat(coeff)
             sparse.add_term(clean, tuple(sorted(_norm_symbol(group, a) for a in key)), coeff)
         self.terms = clean
+        self._float_terms = None
 
     @classmethod
     def _trusted(cls, group: GroupSpec, c: Fraction, terms: dict) -> "TauPoly":
         """Wrap ``terms`` without checks or copy; they must already be in
         the stored form (normalized sorted keys, no zero coefficient)."""
         p = cls.__new__(cls)
-        p.group, p.c, p.terms = group, c, terms
+        p.group, p.c, p.terms, p._float_terms = group, c, terms, None
         return p
 
     # -- constructors ----------------------------------------------------
@@ -135,20 +137,29 @@ class TauPoly:
         """Substitute tau(a) by the trace of the corresponding torus
         element at the point (via the Laurent image of the generator).
 
-        The value of each tau(a) is memoised in ``point.memo`` under
-        ``("tau", group, a)`` and lives as long as the point, so every
-        polynomial evaluated at one point shares it.
+        Float points use the sorted ``(key, complex)`` terms, built on the
+        first float evaluation and kept as long as the polynomial; exact
+        points use the sorted exact terms.  The value of each tau(a) is
+        memoised in ``point.memo`` under ``("tau", a)`` (the point fixes
+        the group) and lives as long as the point, so every polynomial
+        evaluated at one point shares it.
         """
         group = self.group
-        if point.group != group:
+        if point.group is not group and point.group != group:
             raise StructureError(f"group mismatch: {group} vs point of {point.group}")
+        if point.exact:
+            terms = self.sorted_terms()
+        else:
+            terms = self._float_terms
+            if terms is None:
+                terms = self._float_terms = tuple(
+                    (key, complex(coeff)) for key, coeff in self.sorted_terms()
+                )
         memo = point.memo
-        exact = point.exact
         total = None
-        for key, coeff in self.sorted_terms():
-            term = coeff if exact else complex(coeff)
+        for key, term in terms:
             for a in key:
-                k = ("tau", group, a)
+                k = ("tau", a)
                 v = memo.get(k)
                 if v is None:
                     v = memo[k] = tau_image(group, a).evaluate(point)

@@ -8,6 +8,7 @@ command line and the test suite share one implementation.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -192,6 +193,16 @@ def roundtrip_suite(trials: int = 200, seed: int = 0, max_rank: int = 3) -> dict
 # bracket oracle agreement
 # ---------------------------------------------------------------------------
 
+def _require_run(trials: int, tol: float) -> None:
+    """Refuse a suite run whose outcome would mean nothing: one that checks
+    nothing must not report success, and a tol that is nan, infinite, zero
+    or negative fails or passes every error."""
+    if trials < 1:
+        raise DomainError(f"trials must be at least 1, got {trials}")
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tol must be a positive finite number, got {tol}")
+
+
 def bracket_agreement(
     group: GroupSpec,
     trials: int = 100,
@@ -203,8 +214,9 @@ def bracket_agreement(
 ) -> dict:
     """Symbolic bracket versus the symplectic-form oracle at random
     generic float points, every symbol pair in the window."""
-    if trials < 1:  # a suite that checked nothing must not report success
-        raise DomainError(f"trials must be at least 1, got {trials}")
+    _require_run(trials, tol)
+    if window < 1:  # the window would hold at most tau(0, 0), whose brackets vanish
+        raise DomainError(f"window must be at least 1, got {window}")
     rng = random.Random(seed)
     syms = symbol_window(group, window)
     pairs = [(a, b) for i, a in enumerate(syms) for b in syms[i:]]
@@ -274,8 +286,7 @@ def jacobi_suite(
     Records whether every defect vanished identically in the free symbol
     algebra or only numerically at sampled points (the distinction the
     bracket's validity rests on)."""
-    if trials < 1:  # a suite that checked nothing must not report success
-        raise DomainError(f"trials must be at least 1, got {trials}")
+    _require_run(trials, tol)
     rng = random.Random(seed)
     identical = True
     worst = 0.0

@@ -496,3 +496,29 @@ def test_suites_refuse_fewer_than_one_trial(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: trials must be at least 1")
+
+
+_SUITES = (
+    ["verify-bracket", "--family", "sp", "--rank", "1"],
+    ["verify-jacobi", "--family", "sl", "--rank", "2"],
+)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify-bracket", "--family", "sl", "--rank", "2", "--window", w],
+         f"window must be at least 1, got {w}")
+        for w in ("-1", "0")
+    ]
+    + [
+        (suite + ["--tol", tol], f"tol must be a positive finite number, got {shown}")
+        for suite in _SUITES
+        for tol, shown in (("nan", "nan"), ("inf", "inf"), ("0", "0.0"), ("-1", "-1.0"))
+    ],
+)
+def test_suites_refuse_empty_windows_and_bad_tolerances(capsys, argv, message):
+    assert run(argv + ["--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

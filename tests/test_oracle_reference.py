@@ -16,11 +16,12 @@ import pytest
 
 import reference_oracle as ref
 from toruschar.generators import tau_image
+from toruschar.errors import StructureError
 from toruschar.groups import GroupSpec
 from toruschar.laurent import LaurentPoly, exponents
 from toruschar.lie import log_gradient, numeric_bracket, random_torus_point
 from toruschar.points import TorusPoint
-from toruschar.poisson import TauPoly, bracket_symbols, symbol_window
+from toruschar.poisson import TauPoly, bracket_poly, bracket_symbols, symbol_window
 from toruschar.scalars import GaussRat
 from toruschar.verify import BRACKET_GROUPS
 
@@ -132,10 +133,69 @@ def test_memo_entries_never_cross_polynomials():
 
 
 def test_metric_memo_follows_c():
-    group = GroupSpec("Sp", 2, 2)
-    syms, pairs, images = _window(group)
-    pt = random_torus_point(group, random.Random(SEEDS[0]), exact=False)
-    for c in (Fraction(1), Fraction(2, 7), 3, Fraction(1)):
-        for a, b in pairs[:20]:
-            got = numeric_bracket(images[a], images[b], pt, c)
-            assert _bits(got) == _bits(ref.numeric_bracket(images[a], images[b], pt, c))
+    # SL too: its projected gradients are memoised per point and must not
+    # carry c.
+    for group in (GroupSpec("Sp", 2, 2), GroupSpec("SL", 3, 2)):
+        syms, pairs, images = _window(group)
+        pt = random_torus_point(group, random.Random(SEEDS[0]), exact=False)
+        for c in (Fraction(1), Fraction(2, 7), 3, Fraction(1)):
+            for a, b in pairs[:20]:
+                got = numeric_bracket(images[a], images[b], pt, c)
+                assert _bits(got) == _bits(ref.numeric_bracket(images[a], images[b], pt, c))
+
+
+def _float_twin(point):
+    """The point with its exact coordinates converted to complex."""
+    return TorusPoint(point.group, [[complex(v) for v in row] for row in point.coords])
+
+
+@pytest.mark.parametrize("group", BRACKET_GROUPS, ids=str)
+def test_float_term_tables_never_reach_exact_points(group):
+    exact_pt = random_torus_point(group, random.Random(SEEDS[1]), exact=True)
+    float_pt = _float_twin(exact_pt)
+    tau = bracket_symbols((1, 0), (1, 2), group, Fraction(1)) + TauPoly(
+        group, 1, {((0, 1), (1, 1)): GaussRat(Fraction(-2, 3), 1), (): 5}
+    )
+    laurent = tau_image(group, (1, 1)) * tau_image(group, (2, -1))
+    for poly, want in ((tau, ref.tau_evaluate), (laurent, ref.evaluate)):
+        for pt in (exact_pt, float_pt, exact_pt):
+            got = poly.evaluate(pt)
+            assert isinstance(got, GaussRat if pt.exact else complex)
+            assert _bits(got) == _bits(want(poly, _fresh(pt)))
+
+
+def test_trusted_tau_polys_match_the_reference():
+    group = GroupSpec("SL", 3, 2)
+    c = Fraction(1)
+    p = TauPoly(group, c, {((1, 0), (0, 1)): 2, ((1, 1),): GaussRat(0, 1)})
+    q = bracket_symbols((1, 0), (-1, 2), group, c)
+    built = [p + q, p - q, p * q, q.scaled(GaussRat(Fraction(3, 4), -1)), bracket_poly(p, q)]
+    for exact in (False, True):
+        pt = random_torus_point(group, random.Random(SEEDS[2]), exact=exact)
+        for poly in built:
+            assert _bits(poly.evaluate(pt)) == _bits(ref.tau_evaluate(poly, _fresh(pt)))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_group_checks_take_equal_groups_and_refuse_others(exact):
+    group = GroupSpec("SL", 3, 2)
+    twin = GroupSpec("SL", 3, 2)
+    assert twin == group and twin is not group
+    images = _window(group)[2]
+    pt = random_torus_point(group, random.Random(SEEDS[0]), exact=exact)
+    twin_pt = TorusPoint(twin, pt.coords)
+    tau = bracket_symbols((1, 0), (1, 2), group, Fraction(1))
+    f, h = images[(1, 0)], images[(1, 1)] * images[(0, 1)]
+    assert _bits(tau.evaluate(twin_pt)) == _bits(ref.tau_evaluate(tau, pt))
+    assert _bits(f.evaluate(twin_pt)) == _bits(ref.evaluate(f, pt))
+    assert _bits(numeric_bracket(f, h, twin_pt)) == _bits(ref.numeric_bracket(f, h, pt))
+    gl = GroupSpec("GL", 3, 2)
+    gl_pt = TorusPoint(gl, pt.coords)
+    for call in (
+        lambda: tau.evaluate(gl_pt),
+        lambda: f.evaluate(gl_pt),
+        lambda: log_gradient(f, gl_pt, 1),
+        lambda: numeric_bracket(f, h, gl_pt),
+    ):
+        with pytest.raises(StructureError):
+            call()
