@@ -349,10 +349,10 @@ def _true_row(row: tuple[int, ...]) -> tuple[int, ...]:
 def decompose(f: LaurentPoly, group: GroupSpec) -> GeneratorPoly:
     """Express a W-invariant integer-weight polynomial in the generators.
 
-    Raises DomainError (with the violating generator) on non-invariant
-    input and UnsupportedInputError on half-integer weights.  The result P
-    satisfies expand(P, group) == f exactly; this is verified before
-    returning.
+    The peel proves invariance; if it fails, a DomainError names a Weyl
+    generator moving f (none moving it is an InternalCheckError).  Orbits
+    beyond WEYL_CAP raise ResourceLimitError, half-integer weights
+    UnsupportedInputError.  expand(P, group) == f is checked exactly.
     """
     if f.group != group:
         raise DomainError("polynomial belongs to a different group")
@@ -360,13 +360,14 @@ def decompose(f: LaurentPoly, group: GroupSpec) -> GeneratorPoly:
         raise UnsupportedInputError(
             "decomposition supports integer-weight invariants only"
         )
-    witness = invariance_violation(f, group)
-    if witness is not None:
-        raise DomainError(f"input is not W-invariant; moved by {witness.describe()}")
-
-    result = _peel(f, group, orbit_sum, _reduce_orbit)
-    check = expand(result, group)
-    if check != f:
+    try:
+        result = _peel(f, group, orbit_sum, _reduce_orbit)
+    except InternalCheckError:  # a bug, unless a Weyl generator moves f
+        witness = invariance_violation(f, group)
+        if witness is None:
+            raise
+        raise DomainError(f"input is not W-invariant; moved by {witness.describe()}") from None
+    if expand(result, group) != f:
         raise InternalCheckError("decomposition failed its expand round trip")
     return result
 
@@ -479,28 +480,26 @@ def _reduce_pattern_poly(f: LaurentPoly, group: GroupSpec, bound: int) -> Genera
 
 
 def _peel(f: LaurentPoly, group: GroupSpec, group_sum, reduce) -> GeneratorPoly:
-    """Peel ``f`` into sums ``group_sum(m, group)`` of its monomials, highest
-    (level, key) first, and add up ``reduce(m, group)`` with the same
-    coefficients.
+    """Split ``f`` into multiples of sums ``group_sum(m, group)`` and add up
+    ``reduce(m, group)`` with the same multiples.
 
-    The keys are sorted once.  Each sum is subtracted in place from one
-    working dict; on an invariant ``f`` it removes exactly the terms of
-    one orbit, so later keys are either still present with their original
-    coefficient or gone.  Any term left at the end (one the sums did not
-    cancel) is an InternalCheckError.
+    A group sum gives all monomials of an orbit one coefficient, so each
+    step removes the orbit of any key m left, which must be there in full
+    with m's coefficient, else an InternalCheckError is raised before any
+    reduction.  Orbits are disjoint, so their order is free, and emptying
+    ``f`` proves it invariant.
     """
     work = dict(f.terms)
-    result: dict = {}
-    for _, m in sorted(((level_of_monomial(m, group), m) for m in work), reverse=True):
-        c = work.get(m)
-        if c is None:
-            continue
+    parts = []
+    while work:
+        m, c = next(iter(work.items()))
         psum = group_sum(m, group).terms
-        coeff = c / psum[m]
-        for k, v in psum.items():
-            sparse.add_term(work, k, -(v * coeff))
+        for k in psum:
+            if work.pop(k, None) != c:
+                raise InternalCheckError("orbit peeling left terms it could not cancel")
+        parts.append((m, c / psum[m]))
+    result: dict = {}
+    for m, coeff in parts:
         for k, v in reduce(m, group).terms.items():
             sparse.add_term(result, k, v * coeff)
-    if work:
-        raise InternalCheckError("orbit peeling left terms it could not cancel")
     return GeneratorPoly(result)

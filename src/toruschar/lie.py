@@ -393,6 +393,13 @@ def cocycle_space_dims(action_mats: Sequence, tol: float = 1e-10) -> tuple[int, 
     return dim_z1, dim_b1, dim_z1 - dim_b1
 
 
+def require_tol(tol: float) -> None:
+    """Refuse a tol that is nan, infinite, zero or negative: it would fail
+    or pass every comparison."""
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tol must be a positive finite number, got {tol}")
+
+
 def cohomology_dims(
     group: GroupSpec, generators: Sequence, tol: float = 1e-10
 ) -> tuple[int, int, int]:
@@ -402,6 +409,8 @@ def cohomology_dims(
     if not gens:
         raise DomainError("need at least one generator")
     exact = not isinstance(gens[0], np.ndarray)
+    if not exact:
+        require_tol(tol)
     for a, b in itertools.combinations(gens, 2):
         if exact:
             if not mat_eq(mat_mul(a, b), mat_mul(b, a)):

@@ -8,7 +8,6 @@ command line and the test suite share one implementation.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -25,6 +24,7 @@ from .lie import (
     random_group_element,
     random_rational,
     random_torus_point,
+    require_tol,
     torus_matrix,
     variation,
 )
@@ -195,12 +195,10 @@ def roundtrip_suite(trials: int = 200, seed: int = 0, max_rank: int = 3) -> dict
 
 def _require_run(trials: int, tol: float) -> None:
     """Refuse a suite run whose outcome would mean nothing: one that checks
-    nothing must not report success, and a tol that is nan, infinite, zero
-    or negative fails or passes every error."""
+    nothing must not report success, nor one with an unusable tol."""
     if trials < 1:
         raise DomainError(f"trials must be at least 1, got {trials}")
-    if not 0 < tol < math.inf:
-        raise DomainError(f"tol must be a positive finite number, got {tol}")
+    require_tol(tol)
 
 
 def bracket_agreement(

@@ -178,6 +178,8 @@ def _images(
 
     The orbit size is checked against ``cap`` before anything is built.
     """
+    if not any(map(any, m)):  # the zero matrix is its own orbit
+        return [m]
     if signed:
         base = [max(row, tuple(-e for e in row)) for row in m]
         nonzero = sum(1 for row in base if any(row))

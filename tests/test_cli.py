@@ -82,6 +82,19 @@ def test_decompose_non_invariant_exit_2(tmp_path, capsys):
     assert "not W-invariant" in err and "perm" in err
 
 
+def test_decompose_non_invariant_beyond_orbit_cap_exit_2(tmp_path, capsys):
+    # A single full-level Sp(9) monomial: its orbit exceeds WEYL_CAP, which
+    # the peel meets before it finds the input is not invariant.
+    g = GroupSpec("Sp", 9, 1)
+    f = LaurentPoly.monomial(g, exponents([[k] for k in range(1, 10)]))
+    src = tmp_path / "big.json"
+    src.write_text(json.dumps(f.to_json()))
+    assert run(["decompose", "--in", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: orbit of 185794560 monomials exceeds cap 1000000\n"
+
+
 def test_orbit_sum_and_level(tmp_path, capsys):
     assert (
         run(
@@ -331,6 +344,18 @@ def test_cohomology_cli_in_file(tmp_path, capsys):
                 "--mode", mode, "--in", str(src)]
         assert run(argv) == 0
         assert capsys.readouterr().out.strip() == "Z1 = 4, B1 = 2, H1 = 2"
+
+
+@pytest.mark.parametrize("tol, shown", [("nan", "nan"), ("inf", "inf"), ("-1", "-1.0"), ("0", "0.0")])
+def test_cohomology_float_refuses_bad_tolerances(capsys, tol, shown):
+    argv = ["cohomology", "--family", "sl", "--rank", "2", "--factors", "2", "--tol", tol]
+    assert run(argv + ["--mode", "float"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: tol must be a positive finite number, got {shown}\n"
+    # The exact mode computes exact ranks and never reads tol.
+    assert run(argv) == 0
+    assert capsys.readouterr().out.strip() == "Z1 = 4, B1 = 2, H1 = 2"
 
 
 @pytest.mark.parametrize("exps", ['[[1], "x"]', "[[null], [0]]", "7", "[[0.3], [0]]"])

@@ -1,0 +1,95 @@
+"""``decompose``, whose peel proves invariance, against the reference in
+``reference_decompose``, which checks every Weyl generator first and
+peels in (level, key) order: equal results on invariant inputs, the same
+exception class and message (witness included) on perturbed ones."""
+
+from fractions import Fraction
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
+
+import reference_decompose as ref
+from toruschar import generators
+from toruschar.errors import DomainError
+from toruschar.groups import FAMILIES, GroupSpec
+from toruschar.laurent import LaurentPoly, exponents
+from toruschar.scalars import GaussRat
+from toruschar.weyl import is_invariant, orbit_sum
+
+coeffs = st.builds(
+    lambda a, b, d: GaussRat(Fraction(a, d), Fraction(b, d)),
+    st.integers(-3, 3), st.integers(-2, 2), st.integers(1, 3),
+).filter(bool)
+
+
+def rows_of(group, entry):
+    row = st.tuples(*[entry] * group.factors)
+    return st.lists(row, min_size=group.rank, max_size=group.rank)
+
+
+@st.composite
+def invariants(draw):
+    """A group of rank 1-4 with N = 1-2 and a GaussRat combination of
+    orbit sums (raw SL rows, canonicalised by ``orbit_sum``), with a full
+    level orbit and Q images likely for even SO."""
+    family = draw(st.sampled_from(FAMILIES))
+    group = GroupSpec(family, draw(st.integers(1, 4)), draw(st.integers(1, 2)))
+    f = LaurentPoly.zero(group)
+    for _ in range(draw(st.integers(1, 3))):
+        rows = draw(rows_of(group, st.integers(-2, 2)))
+        f = f + orbit_sum(exponents(rows), group).scaled(draw(coeffs))
+    if family == "SOeven" and draw(st.booleans()):
+        alphas = draw(rows_of(group, st.integers(-2, 2)))
+        f = f + generators.q_image(group, alphas).scaled(draw(coeffs))
+    return group, f
+
+
+def outcome(decompose, f, group):
+    """The result, or the class and message of the exception raised, with
+    the reduction cache cleared first so every level is computed again."""
+    generators._REDUCE_CACHE.clear()
+    try:
+        return decompose(f, group)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+    finally:
+        generators._REDUCE_CACHE.clear()
+
+
+def reference(f, group):
+    with mock.patch.object(generators, "_reduce_pattern_poly", ref.reduce_pattern_poly):
+        return outcome(ref.decompose, f, group)
+
+
+@settings(max_examples=150, deadline=None)
+@given(invariants())
+def test_invariant_inputs_match_reference(case):
+    group, f = case
+    fast = outcome(generators.decompose, f, group)
+    assert isinstance(fast, generators.GeneratorPoly)
+    assert fast == reference(f, group)
+
+
+@settings(max_examples=150, deadline=None)
+@given(invariants(), st.data())
+def test_perturbed_inputs_fail_like_reference(case, data):
+    group, f = case
+    kind = data.draw(st.sampled_from(("add", "rescale", "drop") if f else ("add",)))
+    if kind == "add":
+        # Odd stored entries are half weights, allowed only for even SO.
+        entry = st.integers(-4, 4) if group.allows_half_weights else st.integers(-2, 2).map(lambda e: 2 * e)
+        m = tuple(map(tuple, data.draw(rows_of(group, entry))))
+        g = f + LaurentPoly.monomial(group, m, data.draw(coeffs))
+    else:
+        m = data.draw(st.sampled_from(sorted(f.terms)))
+        terms = dict(f.terms)
+        if kind == "drop":
+            del terms[m]
+        else:
+            terms[m] = terms[m] * data.draw(coeffs.filter(lambda c: c != 1))
+        g = LaurentPoly(group, terms)
+    fast = outcome(generators.decompose, g, group)
+    assert fast == reference(g, group)
+    if not g.has_half_weights() and not is_invariant(g, group):
+        assert fast[0] is DomainError
+        assert fast[1].startswith("input is not W-invariant; moved by perm")

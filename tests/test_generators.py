@@ -3,7 +3,12 @@ import random
 
 import pytest
 
-from toruschar.errors import DomainError, InternalCheckError, UnsupportedInputError
+from toruschar.errors import (
+    DomainError,
+    InternalCheckError,
+    ResourceLimitError,
+    UnsupportedInputError,
+)
 from toruschar import generators
 from toruschar.generators import (
     GeneratorPoly,
@@ -269,3 +274,41 @@ def test_peeling_reports_terms_it_cannot_cancel():
     f = LaurentPoly.variable(group, 1, 1)
     with pytest.raises(InternalCheckError, match="could not cancel"):
         generators._reduce_pattern_poly(f, group, bound=2)
+
+
+def test_decompose_of_an_invariant_never_tries_the_generators(monkeypatch):
+    def tried(f, group):
+        raise AssertionError("invariance_violation called on the success path")
+
+    monkeypatch.setattr(generators, "invariance_violation", tried)
+    g = GroupSpec("Sp", 3, 2)
+    f = random_invariant(g, random.Random(5), force_full_level=True)
+    assert expand(decompose(f, g), g) == f
+
+
+def test_non_invariant_input_fails_before_any_reduction(monkeypatch):
+    def reduced(m, group):
+        raise AssertionError("reduction started on a non-invariant input")
+
+    monkeypatch.setattr(generators, "_reduce_orbit", reduced)
+    g = GroupSpec("SOeven", 3, 1)
+    f = orbit_sum(exponents([[1], [2], [3]]), g) + LaurentPoly.variable(g, 1, 1)
+    with pytest.raises(DomainError, match="not W-invariant; moved by perm"):
+        decompose(f, g)
+
+
+def test_leftover_terms_without_a_moving_generator_are_a_bug(monkeypatch):
+    monkeypatch.setattr(generators, "invariance_violation", lambda f, group: None)
+    gl2 = GroupSpec("GL", 2, 1)
+    with pytest.raises(InternalCheckError, match="could not cancel"):
+        decompose(LaurentPoly.variable(gl2, 1, 1), gl2)
+
+
+def test_non_invariant_input_beyond_the_orbit_cap_hits_the_cap():
+    # Nine distinct nonzero rows: the orbit is all of |W(Sp(9))| =
+    # 9! * 2^9 monomials, refused before it is built.  The peel meets the
+    # cap before it could find that the single monomial is not invariant.
+    g = GroupSpec("Sp", 9, 1)
+    f = LaurentPoly.monomial(g, exponents([[k] for k in range(1, 10)]))
+    with pytest.raises(ResourceLimitError, match="exceeds cap"):
+        decompose(f, g)
