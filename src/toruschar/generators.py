@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
+from math import lcm
 from operator import add
 from typing import Mapping, Optional
 
@@ -46,7 +47,7 @@ from .laurent import (
     canonical_mod_relations,
     max_abs_exponent,
 )
-from .scalars import GaussRat, I, ONE, ZERO
+from .scalars import GaussRat, I, ONE, ZERO, _reduced
 from .weyl import (
     invariance_violation,
     level_of_monomial,
@@ -301,27 +302,45 @@ def symbol_image(group: GroupSpec, sym: Symbol) -> LaurentPoly:
     return q_image(group, payload)
 
 
+def _unit_ints(terms: dict) -> tuple[int, dict]:
+    """``(k, ints)`` with ``terms == i**k * ints``: a unit power k in {0, 1}
+    and int coefficients, the shape of every tau and Q image.  Any other
+    image (a denominator, or real and imaginary coefficients mixed) is an
+    InternalCheckError."""
+    coeffs = terms.values()
+    if all(c._b == 0 and c._d == 1 for c in coeffs):
+        return 0, {key: c._a for key, c in terms.items()}
+    if all(c._a == 0 and c._d == 1 for c in coeffs):
+        return 1, {key: c._b for key, c in terms.items()}
+    raise InternalCheckError("generator image is not a unit times an integer polynomial")
+
+
 def expand(p: GeneratorPoly, group: GroupSpec) -> LaurentPoly:
     """Substitute generator images and multiply out, exactly.
 
     The distinct symbol images are packed once, into one ``Packing`` wide
-    enough for the largest term (the sum of the max |e| of its factors).
+    enough for the largest term (the sum of the max |e| of its factors),
+    each as a unit power k and int coefficients (image = i^k * ints).
     Terms are walked in sorted order, so terms sharing a prefix of
-    symbols are adjacent: the chain of prefix products of the previous
-    term is kept and only the factors past the shared prefix are
-    multiplied.  The last factor of each term, scaled by the term's
-    coefficient, is multiplied straight into one packed dict of the whole
-    sum, which is unpacked once at the end.  Nothing is kept between
-    calls.
+    symbols are adjacent: the chain of int prefix products of the
+    previous term is kept (their unit powers add mod 4) and only the
+    factors past the shared prefix are multiplied.  With L the lcm of the
+    term denominators, each term coefficient times its i^k becomes the
+    Gaussian integer A + Bi = L * coeff * i^k; the last factor, scaled by
+    A and by B, is multiplied straight into two int dicts of the whole
+    sum, re and im.  Each result key gets one GaussRat (re + im*i)/L, and
+    the sum is unpacked once at the end.  Nothing is kept between calls.
     """
     syms = dict.fromkeys(sym for key in p.terms for sym in key)
     images = {sym: symbol_image(group, sym).terms for sym in syms}
     spans = {sym: max_abs_exponent(terms) for sym, terms in images.items()}
     packing = Packing(group, max((sum(map(spans.get, key)) for key in p.terms), default=0))
-    packed = {sym: packing.pack_terms(terms) for sym, terms in images.items()}
-    chain = [{0: ONE}]  # chain[d]: product of the first d symbols of ``prev``
+    packed = {sym: _unit_ints(packing.pack_terms(terms)) for sym, terms in images.items()}
+    denom = lcm(*(c._d for c in p.terms.values()))
+    chain = [(0, {0: 1})]  # chain[d]: (unit power, ints) of the first d symbols of ``prev``
     prev: tuple = ()
-    total: dict = {}
+    re: dict = {}
+    im: dict = {}
     for key, coeff in p.sorted_terms():
         head = key[:-1]
         shared = 0
@@ -329,10 +348,20 @@ def expand(p: GeneratorPoly, group: GroupSpec) -> LaurentPoly:
             shared += 1
         del chain[shared + 1:]
         for sym in head[shared:]:
-            chain.append(sparse.mul(chain[-1], packed[sym], add))
+            unit, ints = packed[sym]
+            chain.append(((chain[-1][0] + unit) % 4, sparse.mul(chain[-1][1], ints, add)))
         prev = head
-        last = sparse.scale(packed[key[-1]], coeff) if key else {0: coeff}
-        sparse.mul(chain[-1], last, add, total)
+        unit, last = packed[key[-1]] if key else (0, {0: 1})
+        prefix_unit, prefix = chain[-1]
+        scale = denom // coeff._d
+        a, b = coeff._a * scale, coeff._b * scale
+        for _ in range((prefix_unit + unit) % 4):
+            a, b = -b, a
+        if a:
+            sparse.mul(prefix, sparse.scale(last, a), add, re)
+        if b:
+            sparse.mul(prefix, sparse.scale(last, b), add, im)
+    total = {k: _reduced(re.get(k, 0), im.get(k, 0), denom) for k in re | im}
     return LaurentPoly._trusted(group, packing.unpack_terms(total))
 
 

@@ -24,7 +24,9 @@ and one multiply is one int addition per term pair.  Keys are unpacked
 once per result term.  For SL the raw sums are canonicalized only then,
 merging keys that meet through ``sparse.add_term``: shifting every row by
 one vector commutes with addition, so this equals canonicalizing each
-pair's sum.
+pair's sum.  Inside ``expand`` the packed coefficients are plain ints as
+well (every generator image is i^k times an integer polynomial), and one
+``GaussRat`` per result key is built just before unpacking.
 
 The dict arithmetic behind ``LaurentPoly`` (add, negate, scale, multiply
 and the zero pruning) lives in ``toruschar.sparse``.

@@ -25,13 +25,18 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import sparse
-from .errors import DomainError, StructureError
+from .errors import DomainError, ResourceLimitError, StructureError
 from .generators import tau_image
 from .groups import GroupSpec
 from .jsonio import json_check, json_coeff, json_field, json_ints
 from .scalars import GaussRat, ONE
 
 LatticeVec = tuple[int, int]
+
+# A window of |p|, |q| <= 8 holds up to 289 symbols; its structure-constant
+# table (about 42 000 brackets, 27 MB of JSON for SL(3)) takes about 2 s on
+# a 2-vCPU host, and the cost grows as the fourth power of the cutoff.
+CUTOFF_CAP = 8
 
 
 def _norm_symbol(group: GroupSpec, a) -> LatticeVec:
@@ -300,7 +305,10 @@ def jacobi_defect(
 
 
 def symbol_window(group: GroupSpec, cutoff: int) -> list[LatticeVec]:
-    """Distinct canonical symbols with |p|, |q| <= cutoff, sorted."""
+    """Distinct canonical symbols with |p|, |q| <= cutoff, sorted.  A
+    cutoff above CUTOFF_CAP raises ResourceLimitError."""
+    if cutoff > CUTOFF_CAP:
+        raise ResourceLimitError(f"symbol window cutoff {cutoff} exceeds cap {CUTOFF_CAP}")
     seen = set()
     for p in range(-cutoff, cutoff + 1):
         for q in range(-cutoff, cutoff + 1):

@@ -1,4 +1,5 @@
-"""Arithmetic on sparse polynomials stored as ``dict[key, GaussRat]``.
+"""Arithmetic on sparse polynomials stored as ``dict[key, GaussRat]``
+(or ``dict[key, int]``).
 
 ``LaurentPoly``, ``GeneratorPoly`` and ``TauPoly`` keep their terms in such
 a dict, and so do a few internal accumulators.  The stored form is the
@@ -6,7 +7,9 @@ same for all of them: no zero coefficient is ever stored, and every key is
 already in its owner's canonical form.  These functions are the one
 implementation of add, negate, scale and multiply on that form.  They
 treat keys as opaque: ``mul`` takes a ``combine`` function that returns the
-canonical key of the product of two keys.
+canonical key of the product of two keys.  They use only ``+``, ``*``,
+unary ``-`` and truth of the coefficients, so the same functions also run
+on plain int coefficients, as in the int kernel of ``generators.expand``.
 """
 
 from __future__ import annotations

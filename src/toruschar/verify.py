@@ -11,7 +11,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .errors import DomainError, InternalCheckError
+from .errors import DomainError, InternalCheckError, ResourceLimitError
 from .generators import decompose, q_image, tau_image
 from .groups import GroupSpec
 from .laurent import LaurentPoly, exponents
@@ -45,6 +45,10 @@ KILLING_CASES = (
     ]
     + [("Sp", n, Fraction(2 * n + 2)) for n in (1, 2, 3)]
 )
+
+# One bracket-suite trial at window 2 costs up to about 3 ms (SL(3), 325
+# symbol pairs) on a 2-vCPU host, so the cap keeps a run to a few seconds.
+TRIALS_CAP = 1000
 
 BRACKET_GROUPS = (
     GroupSpec("SL", 2, 2),
@@ -195,9 +199,12 @@ def roundtrip_suite(trials: int = 200, seed: int = 0, max_rank: int = 3) -> dict
 
 def _require_run(trials: int, tol: float) -> None:
     """Refuse a suite run whose outcome would mean nothing: one that checks
-    nothing must not report success, nor one with an unusable tol."""
+    nothing must not report success, nor one with an unusable tol, and one
+    above TRIALS_CAP is a ResourceLimitError."""
     if trials < 1:
         raise DomainError(f"trials must be at least 1, got {trials}")
+    if trials > TRIALS_CAP:
+        raise ResourceLimitError(f"{trials} trials exceed cap {TRIALS_CAP}")
     require_tol(tol)
 
 

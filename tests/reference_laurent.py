@@ -5,12 +5,18 @@ used before monomials were packed into ints: the product adds exponent
 matrices entry by entry for every term pair (canonicalizing each SL sum
 on the spot), and ``expand`` multiplies every generator term out on its
 own.  They are kept as the oracle for the packed multiply and the
-prefix-shared ``expand``.
+prefix-shared ``expand``.  ``expand_shared`` is the packed, prefix-shared
+``expand`` as it was before its inner loops moved to int coefficients:
+every term pair multiplies two ``GaussRat`` values.  It is a second oracle
+for the int kernel.
 """
+
+from operator import add
 
 from toruschar import sparse
 from toruschar.generators import symbol_image
-from toruschar.laurent import LaurentPoly, canonical_mod_relations
+from toruschar.laurent import LaurentPoly, Packing, canonical_mod_relations, max_abs_exponent
+from toruschar.scalars import ONE
 
 
 def add_exponents(m1, m2):
@@ -49,3 +55,28 @@ def expand(gp, group):
             part = mul(part, symbol_image(group, sym))
         total = total + part
     return total
+
+
+def expand_shared(gp, group):
+    """Packed images, prefix products shared between adjacent sorted terms,
+    and ``GaussRat`` coefficients throughout."""
+    syms = dict.fromkeys(sym for key in gp.terms for sym in key)
+    images = {sym: symbol_image(group, sym).terms for sym in syms}
+    spans = {sym: max_abs_exponent(terms) for sym, terms in images.items()}
+    packing = Packing(group, max((sum(map(spans.get, key)) for key in gp.terms), default=0))
+    packed = {sym: packing.pack_terms(terms) for sym, terms in images.items()}
+    chain = [{0: ONE}]  # chain[d]: product of the first d symbols of ``prev``
+    prev = ()
+    total = {}
+    for key, coeff in gp.sorted_terms():
+        head = key[:-1]
+        shared = 0
+        while shared < min(len(head), len(prev)) and head[shared] == prev[shared]:
+            shared += 1
+        del chain[shared + 1:]
+        for sym in head[shared:]:
+            chain.append(sparse.mul(chain[-1], packed[sym], add))
+        prev = head
+        last = sparse.scale(packed[key[-1]], coeff) if key else {0: coeff}
+        sparse.mul(chain[-1], last, add, total)
+    return LaurentPoly._trusted(group, packing.unpack_terms(total))

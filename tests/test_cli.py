@@ -547,3 +547,37 @@ def test_suites_refuse_empty_windows_and_bad_tolerances(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["structure-constants", "--family", "sp", "--rank", "1", "--cutoff", "100000"],
+         "symbol window cutoff 100000 exceeds cap 8"),
+        (["structure-constants", "--family", "sl", "--rank", "3", "--cutoff", "9"],
+         "symbol window cutoff 9 exceeds cap 8"),
+        (["verify-bracket", "--family", "sl", "--rank", "2", "--window", "100000"],
+         "symbol window cutoff 100000 exceeds cap 8"),
+        (["verify-bracket", "--family", "sl", "--rank", "2", "--trials", "100000000"],
+         "100000000 trials exceed cap 1000"),
+        (["verify-jacobi", "--family", "sl", "--rank", "2", "--trials", "100000000"],
+         "100000000 trials exceed cap 1000"),
+        (["verify-jacobi", "--family", "sp", "--rank", "1", "--trials", "1001"],
+         "1001 trials exceed cap 1000"),
+    ],
+)
+def test_budgets_refuse_huge_cutoffs_and_trials_fast(capsys, argv, message):
+    start = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_budgets_accept_values_at_the_caps():
+    from toruschar.poisson import CUTOFF_CAP, symbol_window
+    from toruschar.verify import TRIALS_CAP, _require_run
+
+    assert len(symbol_window(GroupSpec("SL", 3, 2), CUTOFF_CAP)) == (2 * CUTOFF_CAP + 1) ** 2
+    _require_run(TRIALS_CAP, 1e-9)

@@ -1,5 +1,6 @@
 """The packed Laurent multiply and the prefix-shared ``expand`` against the
-nested-tuple bodies in ``reference_laurent``, by exact equality.
+nested-tuple bodies in ``reference_laurent``, by exact equality; ``expand``
+also against the ``GaussRat`` prefix-shared body it replaced.
 
 Exponent entries include values around 2**7, 2**15, 2**31, 2**63 and
 2**64, so the digit width of the packing changes from case to case,
@@ -21,9 +22,13 @@ EDGES = tuple(
             for d in (-1, 0, 1) for s in (1, -1)})
 )
 
+# Denominators 7, 11 and the prime 2**64 - 59 make the common denominator
+# of a generator polynomial a real lcm, which the int kernel of ``expand``
+# must divide back out of each result coefficient.
 coeffs = st.builds(
     lambda a, b, d: GaussRat(Fraction(a, d), Fraction(b, d)),
-    st.integers(-3, 3), st.integers(-2, 2), st.integers(1, 3),
+    st.integers(-3, 3), st.integers(-2, 2),
+    st.one_of(st.integers(1, 3), st.sampled_from((7, 11, 2 ** 64 - 59))),
 )
 
 
@@ -51,11 +56,12 @@ def laurent_polys(draw, group, max_terms=5):
 @st.composite
 def generator_polys(draw, group):
     """Keys are sorted multisets drawn from a pool of 1-4 symbols, so many
-    terms share a prefix; SOeven of rank <= 2 may add a Q symbol."""
+    terms share a prefix; SOeven adds a Q symbol, whose image is i^n
+    times an integer polynomial (n = 3 gives the unit -i)."""
     entry = st.one_of(st.integers(-2, 2), st.sampled_from(EDGES))
     alpha = st.tuples(*[entry] * group.factors)
     pool = [tau_symbol(group, draw(alpha)) for _ in range(draw(st.integers(1, 4)))]
-    if group.family == "SOeven" and group.rank <= 2 and draw(st.booleans()):
+    if group.family == "SOeven":
         alphas = [draw(alpha.filter(any)) for _ in range(group.rank)]
         pool.append(q_symbol(group, alphas)[0])
     key = st.lists(st.sampled_from(pool), max_size=3).map(lambda syms: tuple(sorted(syms)))
@@ -87,7 +93,42 @@ def test_pow_matches_reference(data):
 def test_expand_matches_reference(data):
     group = data.draw(groups(max_rank=3))
     p = data.draw(generator_polys(group))
-    assert expand(p, group) == ref.expand(p, group)
+    assert expand(p, group) == ref.expand_shared(p, group) == ref.expand(p, group)
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_expand_rank3_q_matches_reference(data):
+    # groups() rarely draws rank 3, where Q carries the unit -i.
+    group = GroupSpec("SOeven", 3, data.draw(st.integers(1, 2)))
+    p = data.draw(generator_polys(group))
+    assert expand(p, group) == ref.expand_shared(p, group) == ref.expand(p, group)
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_expand_real_parts_cancel(data):
+    # Each term c * K is paired with ((-re c + yi) / size) * K * tau(0), and
+    # tau(0) is the constant matrix size, so the real parts of the term
+    # coefficients cancel and their imaginary parts add up to im c + y.
+    # One int accumulator of the kernel then cancels and the other does
+    # not: the real one for real images, the imaginary one under a Q image
+    # of odd rank (a unit +-i).
+    group = data.draw(groups(max_rank=3))
+    p = data.draw(generator_polys(group))
+    ys = st.integers(-3, 3).map(lambda y: y or 1)
+    zero_tau = tau_symbol(group, (0,) * group.factors)
+    size = GaussRat(group.matrix_size)
+    q = p
+    imag = GeneratorPoly.zero()
+    for key, c in p.terms.items():
+        y = GaussRat(0, data.draw(ys))
+        q = q + GeneratorPoly({tuple(sorted(key + (zero_tau,))): (y - c.re) / size})
+        imag = imag + GeneratorPoly({key: GaussRat(0, c.im) + y})
+    out = expand(q, group)
+    assert out == ref.expand_shared(q, group) == expand(imag, group)
+    if not any(sym[0] == "q" for key in p.terms for sym in key):
+        assert all(not c.re for c in out.terms.values())
 
 
 @settings(max_examples=50)
@@ -100,7 +141,30 @@ def test_expand_cancelling_to_zero(data):
     size = GaussRat(group.matrix_size)
     q = GeneratorPoly({tuple(sorted(key + (zero_tau,))): c for key, c in p.terms.items()})
     q = q - p.scaled(size)
-    assert expand(q, group) == ref.expand(q, group) == LaurentPoly.zero(group)
+    out = expand(q, group)
+    assert out == ref.expand_shared(q, group) == ref.expand(q, group) == LaurentPoly.zero(group)
+
+
+def test_expand_rank3_q_with_large_denominators():
+    # Q at rank 3 carries the unit i^3 = -i; tau images carry 1.  The
+    # coefficient denominators have lcm 7 * 11 * (2**64 - 59), and the
+    # result coefficients must come back in lowest terms.
+    group = GroupSpec("SOeven", 3, 2)
+    big = 2 ** 64 - 59
+    q = q_symbol(group, [(1, 0), (0, -1), (2, 1)])[0]
+    t1 = tau_symbol(group, (1, 1))
+    t2 = tau_symbol(group, (0, 3))
+    p = GeneratorPoly({
+        (q,): GaussRat(Fraction(1, 7), Fraction(2, 7)),
+        tuple(sorted((q, t1))): GaussRat(Fraction(3, 11), Fraction(-1, 11)),
+        tuple(sorted((q, t1, t2))): GaussRat(Fraction(5, big), 0),
+        (t1, t2): GaussRat(0, Fraction(-1, big)),
+        (): GaussRat(Fraction(1, 2), Fraction(1, 3)),
+    })
+    out = expand(p, group)
+    assert out == ref.expand_shared(p, group) == ref.expand(p, group)
+    assert {c._d for c in out.terms.values()} == {6, 7, 11, big}
+    assert any(c._b for c in out.terms.values()) and any(c._a for c in out.terms.values())
 
 
 def test_empty_operands_and_width_edges():
