@@ -7,11 +7,12 @@ their Laurent images and, in the other direction, rewrites any Weyl-
 invariant integer-weight Laurent polynomial as a polynomial in the
 generator symbols.  The rewriting proceeds by strictly decreasing level:
 a level-l pattern sum P(m) is recovered from tau(alpha) * P(m_sub) =
-beta * P(m) + A, with m_sub one level down.  One loop forms that product
-over the images of m_sub and sorts its terms into beta * P(m) and the
-lower-level remainder A; level 1 is the same step with the level-0 sum
-P(0) = |P|, where A is empty.  The multiplicity constant beta is read from
-the product rather than assumed, and checked exactly.
+beta * P(m) + A, with m_sub one level down.  As the pattern group fixes
+tau(alpha), that product is the sum of P(x + s*e_k) over rows k and
+shifts s, x one presentation of m_sub (Macdonald, Symmetric Functions,
+I.2).  Each step counts these n * |shifts| sums by orbit and builds no
+orbit: those on an empty row of x must all be P(m), beta is their number,
+and the rest are A.  Level 1 is the same step with P(0) = |P|.
 
 A note on the Q image: the alternating sum
 
@@ -31,7 +32,7 @@ and the zero pruning) lives in ``toruschar.sparse``.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import lcm
 from operator import add
 from typing import Mapping, Optional
@@ -51,9 +52,7 @@ from .scalars import GaussRat, I, ONE, ZERO, _reduced
 from .weyl import (
     invariance_violation,
     level_of_monomial,
-    level_of_poly,
     orbit_sum,
-    pattern_images,
     pattern_order,
     pattern_sum,
 )
@@ -390,7 +389,7 @@ def decompose(f: LaurentPoly, group: GroupSpec) -> GeneratorPoly:
             "decomposition supports integer-weight invariants only"
         )
     try:
-        result = _peel(f, group, orbit_sum, _reduce_orbit)
+        result = _peel(f, group)
     except InternalCheckError:  # a bug, unless a Weyl generator moves f
         witness = invariance_violation(f, group)
         if witness is None:
@@ -457,62 +456,49 @@ def _reduce_pattern_monomial(m: ExponentMatrix, group: GroupSpec, bound: int) ->
     m_sub = m[:pos] + ((0,) * group.factors,) + m[pos + 1:]
     if level_of_monomial(m_sub, group) != level - 1:
         raise InternalCheckError("peeled monomial level did not drop by one")
-
-    top, lower = _step_product(m_sub, alpha_row, group)
-    full_sum = pattern_sum(m, group)
-    beta = top.coefficient(m) / full_sum.coefficient(m)
-    if not beta or top != full_sum.scaled(beta):
-        # The multiplicity constant is (n - l + 1) (times 2 for signed
-        # families) in the sum-over-all-elements convention, hence never
-        # zero; reaching this branch indicates a bug, not degeneracy.
+    top, lower = _step_counts(m_sub, alpha_row, group)
+    if list(top) != [key]:  # beta is never 0: m_sub has an empty row
         raise InternalCheckError("reduction constant mismatch")
-    if lower and level_of_poly(lower, group) >= level:
-        raise InternalCheckError("lower-level remainder has full level")
 
     gen_one = GeneratorPoly.symbol(tau_symbol(group, _true_row(alpha_row)))
     if group.family == "SOodd":
         gen_one = gen_one + GeneratorPoly.constant(GaussRat(-1))
-    out = gen_one * _reduce_pattern_monomial(m_sub, group, bound=level)
-    if lower:
-        out = out - _reduce_pattern_poly(lower, group, bound=level)
-    result = _REDUCE_CACHE[key] = out.scaled(ONE / beta)
+    out = (gen_one * _reduce_pattern_monomial(m_sub, group, bound=level)).terms
+    for y, count in lower.values():
+        for k, v in _reduce_pattern_monomial(y, group, bound=level).terms.items():
+            sparse.add_term(out, k, v * -count)
+    result = _REDUCE_CACHE[key] = GeneratorPoly(out).scaled(GaussRat(Fraction(1, top[key][1])))
     return result
 
 
-def _step_product(
+def _step_counts(
     m_sub: ExponentMatrix, alpha_row: tuple[int, ...], group: GroupSpec
-) -> tuple[LaurentPoly, LaurentPoly]:
+) -> tuple[dict, dict]:
     """tau(alpha) * pattern_sum(m_sub), less the constant 1 of odd SO, as
-    (top, lower): the terms whose new variable lands on an empty row of
-    the image (beta * pattern_sum(m)) and those where it lands on an
-    occupied row (A, of strictly lower level).  ``alpha_row`` is alpha as
-    a stored (doubled) row."""
+    (top, lower): ``{memo key: [first y, count]}`` in first-hit order over
+    y = x + s*e_k with row k of x empty (beta * P(m)) or occupied (A).  x
+    is m_sub with its rows sign-normalised (signed families) and sorted;
+    ``alpha_row`` is alpha as a stored (doubled) row."""
     shifts = (alpha_row, tuple(-e for e in alpha_row)) if group.signed else (alpha_row,)
-    # Each image of the raw m_sub stands for the pattern elements reaching
-    # it; for SL, which rows count as empty depends on the presentation.
-    images = pattern_images(m_sub, group)
-    weight = GaussRat(pattern_order(group) // len(images))
+    if group.signed:
+        m_sub = [max(row, tuple(-e for e in row)) for row in m_sub]
+    x = sorted(m_sub)  # for SL, the raw rows decide which ones are empty
     top, lower = {}, {}
-    for mw in images:
-        for k, row in enumerate(mw):
-            terms = lower if any(row) else top
-            for shift in shifts:
-                rows = list(mw)
-                rows[k] = tuple(map(add, row, shift))
-                sparse.add_term(terms, canonical_mod_relations(tuple(rows), group), weight)
-    return LaurentPoly._trusted(group, top), LaurentPoly._trusted(group, lower)
+    for k, row in enumerate(x):
+        hits = lower if any(row) else top
+        for shift in shifts:
+            rows = list(x)
+            rows[k] = tuple(map(add, row, shift))
+            y = canonical_mod_relations(tuple(rows), group)
+            hits.setdefault(_memo_key(y, group), [y, 0])[1] += 1
+    return top, lower
 
 
-def _reduce_pattern_poly(f: LaurentPoly, group: GroupSpec, bound: int) -> GeneratorPoly:
-    """Reduce a pattern-group-invariant polynomial of level < bound."""
-    return _peel(f, group, pattern_sum, partial(_reduce_pattern_monomial, bound=bound))
+def _peel(f: LaurentPoly, group: GroupSpec) -> GeneratorPoly:
+    """Split ``f`` into multiples of Weyl orbit sums and add up the
+    reductions of their monomials with the same multiples.
 
-
-def _peel(f: LaurentPoly, group: GroupSpec, group_sum, reduce) -> GeneratorPoly:
-    """Split ``f`` into multiples of sums ``group_sum(m, group)`` and add up
-    ``reduce(m, group)`` with the same multiples.
-
-    A group sum gives all monomials of an orbit one coefficient, so each
+    An orbit sum gives all monomials of an orbit one coefficient, so each
     step removes the orbit of any key m left, which must be there in full
     with m's coefficient, else an InternalCheckError is raised before any
     reduction.  Orbits are disjoint, so their order is free, and emptying
@@ -522,13 +508,13 @@ def _peel(f: LaurentPoly, group: GroupSpec, group_sum, reduce) -> GeneratorPoly:
     parts = []
     while work:
         m, c = next(iter(work.items()))
-        psum = group_sum(m, group).terms
+        psum = orbit_sum(m, group).terms
         for k in psum:
             if work.pop(k, None) != c:
                 raise InternalCheckError("orbit peeling left terms it could not cancel")
         parts.append((m, c / psum[m]))
     result: dict = {}
     for m, coeff in parts:
-        for k, v in reduce(m, group).terms.items():
+        for k, v in _reduce_orbit(m, group).terms.items():
             sparse.add_term(result, k, v * coeff)
     return GeneratorPoly(result)

@@ -50,6 +50,10 @@ KILLING_CASES = (
 # symbol pairs) on a 2-vCPU host, so the cap keeps a run to a few seconds.
 TRIALS_CAP = 1000
 
+# Trials x symbol pairs of one bracket suite: window 2 at TRIALS_CAP is at
+# most 325 000 (SL(3)); window 8 with 1000 trials would take about 100 s.
+PAIR_TRIALS_CAP = 400_000
+
 BRACKET_GROUPS = (
     GroupSpec("SL", 2, 2),
     GroupSpec("SL", 3, 2),
@@ -218,13 +222,18 @@ def bracket_agreement(
     extrapolated_gl: bool = False,
 ) -> dict:
     """Symbolic bracket versus the symplectic-form oracle at random
-    generic float points, every symbol pair in the window."""
+    generic float points, every symbol pair in the window.  More than
+    PAIR_TRIALS_CAP trials x pairs is refused before any bracket is built."""
     _require_run(trials, tol)
     if window < 1:  # the window would hold at most tau(0, 0), whose brackets vanish
         raise DomainError(f"window must be at least 1, got {window}")
     rng = random.Random(seed)
     syms = symbol_window(group, window)
     pairs = [(a, b) for i, a in enumerate(syms) for b in syms[i:]]
+    if trials * len(pairs) > PAIR_TRIALS_CAP:
+        raise ResourceLimitError(
+            f"{trials} trials x {len(pairs)} symbol pairs exceed cap {PAIR_TRIALS_CAP}"
+        )
     images = {a: tau_image(group, a) for a in syms}
     brackets = {
         (a, b): bracket_symbols(a, b, group, c, extrapolated_gl) for a, b in pairs

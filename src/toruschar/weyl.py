@@ -257,13 +257,6 @@ def pattern_sum(m: ExponentMatrix, group: GroupSpec, cap: int = WEYL_CAP) -> Lau
     return _orbit_sum(m, group, pattern_order(group), False, cap)
 
 
-def pattern_images(m: ExponentMatrix, group: GroupSpec) -> list[ExponentMatrix]:
-    """The distinct images of the presentation ``m`` under the pattern
-    group, not canonicalised: each is reached pattern_order(group) //
-    len(result) times.  Raises ResourceLimitError beyond WEYL_CAP."""
-    return _images(m, group.signed, False, WEYL_CAP)
-
-
 def invariance_violation(f: LaurentPoly, group: GroupSpec) -> Optional[SignedPerm]:
     """A Weyl generator moving f, or None if f is invariant.
 

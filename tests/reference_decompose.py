@@ -7,17 +7,30 @@ order, subtracting each orbit sum from one working dict with
 ``add_term``.  It is kept as the oracle for the two-phase peel, whose
 results and error messages must be the same.
 
-``reduce_pattern_poly`` is the matching body of the lower-level peel; a
-test patches it over ``generators._reduce_pattern_poly`` so that every
-level runs the reference peel.
+``reduce_pattern_monomial`` is the orbit-sized body of the level
+reduction that ``generators._reduce_pattern_monomial`` replaced by counts
+on one presentation of m_sub: the step product enumerated over the whole
+pattern group (``reference_weyl.step_product``), its top checked against
+``pattern_sum(m)`` and its lower-level remainder peeled by pattern sums.
+It recurses into itself and fills ``generators._REDUCE_CACHE``, so a test
+can patch it over the reduction and run the reference at every level.
 """
 
 from functools import partial
 
+import reference_weyl
 from toruschar import generators, sparse
 from toruschar.errors import DomainError, InternalCheckError, UnsupportedInputError
-from toruschar.generators import GeneratorPoly, expand
-from toruschar.weyl import invariance_violation, level_of_monomial, orbit_sum, pattern_sum
+from toruschar.generators import GeneratorPoly, expand, tau_symbol
+from toruschar.scalars import GaussRat, ONE
+from toruschar.weyl import (
+    invariance_violation,
+    level_of_monomial,
+    level_of_poly,
+    orbit_sum,
+    pattern_order,
+    pattern_sum,
+)
 
 
 def decompose(f, group):
@@ -36,9 +49,38 @@ def decompose(f, group):
     return result
 
 
-def reduce_pattern_poly(f, group, bound):
-    return peel(f, group, pattern_sum,
-                partial(generators._reduce_pattern_monomial, bound=bound))
+def reduce_pattern_monomial(m, group, bound):
+    level = level_of_monomial(m, group)
+    if level >= bound:
+        raise InternalCheckError("level reduction failed to descend")
+    if level == 0:
+        return GeneratorPoly.constant(pattern_order(group))
+    key = generators._memo_key(m, group)
+    cached = generators._REDUCE_CACHE.get(key)
+    if cached is not None:
+        return cached
+    pos, alpha_row = max(
+        ((i, row) for i, row in enumerate(m) if any(row)), key=lambda t: t[1]
+    )
+    m_sub = m[:pos] + ((0,) * group.factors,) + m[pos + 1:]
+    if level_of_monomial(m_sub, group) != level - 1:
+        raise InternalCheckError("peeled monomial level did not drop by one")
+    top, lower = reference_weyl.step_product(m_sub, alpha_row, group)
+    full_sum = pattern_sum(m, group)
+    beta = top.coefficient(m) / full_sum.coefficient(m)
+    if not beta or top != full_sum.scaled(beta):
+        raise InternalCheckError("reduction constant mismatch")
+    if lower and level_of_poly(lower, group) >= level:
+        raise InternalCheckError("lower-level remainder has full level")
+    gen_one = GeneratorPoly.symbol(tau_symbol(group, generators._true_row(alpha_row)))
+    if group.family == "SOodd":
+        gen_one = gen_one + GeneratorPoly.constant(GaussRat(-1))
+    out = gen_one * reduce_pattern_monomial(m_sub, group, bound=level)
+    if lower:
+        out = out - peel(lower, group, pattern_sum,
+                         partial(reduce_pattern_monomial, bound=level))
+    result = generators._REDUCE_CACHE[key] = out.scaled(ONE / beta)
+    return result
 
 
 def peel(f, group, group_sum, reduce):

@@ -482,6 +482,31 @@ def test_lie_commands_refuse_groups_above_cap(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ") and "above the cap" in lines[0]
 
 
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        (["cohomology", "--family", "sp", "--rank", "4", "--factors", "400"], 2872800),
+        (["cohomology", "--family", "gl", "--rank", "2", "--factors", "200", "--mode", "float"],
+         79600),
+        (["cohomology", "--family", "sl", "--rank", "2", "--factors", "1000000"], 1499998500000),
+        (["cohomology", "--family", "gl", "--rank", "1", "--factors", "201"], 20100),
+    ],
+)
+def test_cohomology_refuses_z1_systems_above_cap(capsys, argv, rows):
+    start = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: Z1 system of {rows} rows exceeds cap 20000\n"
+
+
+def test_cohomology_accepts_z1_system_at_cap(capsys):
+    # GL(1) with 200 factors: 19 900 rows, the largest N under the cap.
+    assert run(["cohomology", "--family", "gl", "--rank", "1", "--factors", "200"]) == 0
+    assert capsys.readouterr().out.strip() == "Z1 = 200, B1 = 0, H1 = 200"
+
+
 def test_cohomology_accepts_group_at_cap(capsys):
     # GL(20) has dimension 400, exactly the cap.
     argv = ["cohomology", "--family", "gl", "--rank", "20", "--factors", "2", "--seed", "1"]
@@ -564,6 +589,12 @@ def test_suites_refuse_empty_windows_and_bad_tolerances(capsys, argv, message):
          "100000000 trials exceed cap 1000"),
         (["verify-jacobi", "--family", "sp", "--rank", "1", "--trials", "1001"],
          "1001 trials exceed cap 1000"),
+        (["verify-bracket", "--family", "sl", "--rank", "2", "--window", "8", "--trials", "1000"],
+         "1000 trials x 41905 symbol pairs exceed cap 400000"),
+        (["verify-bracket", "--family", "sp", "--rank", "2", "--window", "8", "--trials", "38"],
+         "38 trials x 10585 symbol pairs exceed cap 400000"),
+        (["verify-bracket", "--family", "sl", "--rank", "3", "--window", "3", "--trials", "327"],
+         "327 trials x 1225 symbol pairs exceed cap 400000"),
     ],
 )
 def test_budgets_refuse_huge_cutoffs_and_trials_fast(capsys, argv, message):
@@ -577,7 +608,10 @@ def test_budgets_refuse_huge_cutoffs_and_trials_fast(capsys, argv, message):
 
 def test_budgets_accept_values_at_the_caps():
     from toruschar.poisson import CUTOFF_CAP, symbol_window
-    from toruschar.verify import TRIALS_CAP, _require_run
+    from toruschar.verify import BRACKET_GROUPS, PAIR_TRIALS_CAP, TRIALS_CAP, _require_run
 
     assert len(symbol_window(GroupSpec("SL", 3, 2), CUTOFF_CAP)) == (2 * CUTOFF_CAP + 1) ** 2
     _require_run(TRIALS_CAP, 1e-9)
+    for group in BRACKET_GROUPS:  # the default window 2 at the trials cap
+        size = len(symbol_window(group, 2))
+        assert TRIALS_CAP * size * (size + 1) // 2 <= PAIR_TRIALS_CAP

@@ -1,7 +1,8 @@
 """``decompose``, whose peel proves invariance, against the reference in
-``reference_decompose``, which checks every Weyl generator first and
-peels in (level, key) order: equal results on invariant inputs, the same
-exception class and message (witness included) on perturbed ones."""
+``reference_decompose``, which checks every Weyl generator first, peels
+in (level, key) order and reduces each orbit with the orbit-sized step:
+equal results on invariant inputs, the same exception class and message
+(witness included) on perturbed ones."""
 
 from fractions import Fraction
 from unittest import mock
@@ -57,7 +58,7 @@ def outcome(decompose, f, group):
 
 
 def reference(f, group):
-    with mock.patch.object(generators, "_reduce_pattern_poly", ref.reduce_pattern_poly):
+    with mock.patch.object(generators, "_reduce_pattern_monomial", ref.reduce_pattern_monomial):
         return outcome(ref.decompose, f, group)
 
 

@@ -10,7 +10,7 @@ from toruschar.errors import (
     ResourceLimitError,
     UnsupportedInputError,
 )
-from toruschar import generators
+from toruschar import generators, weyl
 from toruschar.generators import (
     GeneratorPoly,
     decompose,
@@ -307,12 +307,33 @@ def test_expand_refuses_images_off_the_kernel_shape(monkeypatch, extra):
 
 
 def test_peeling_reports_terms_it_cannot_cancel():
-    # x_1 alone is not S_2-invariant: peeling its pattern sum x_1 + x_2
-    # leaves -x_2 behind, which must not pass silently.
+    # x_1 alone is not S_2-invariant: its orbit sum x_1 + x_2 finds no x_2
+    # to cancel, which must not pass silently.
     group = GroupSpec("GL", 2, 1)
     f = LaurentPoly.variable(group, 1, 1)
     with pytest.raises(InternalCheckError, match="could not cancel"):
-        generators._reduce_pattern_poly(f, group, bound=2)
+        generators._peel(f, group)
+
+
+@pytest.mark.parametrize(
+    "family, rank, factors, rows",
+    [
+        ("Sp", 6, 1, [[2], [2], [2], [2], [4], [6]]),
+        ("SOodd", 5, 2, [[2, 0], [2, 0], [0, 2], [2, -2], [4, 2]]),
+        ("SOeven", 5, 2, [[2, 0], [2, 0], [0, 2], [-2, 2], [4, 2]]),
+    ],
+)
+def test_reduction_builds_no_orbit(monkeypatch, family, rank, factors, rows):
+    def built(*args):
+        raise AssertionError("the level reduction built an orbit")
+
+    group = GroupSpec(family, rank, factors)
+    (m,) = LaurentPoly.monomial(group, exponents(rows)).terms
+    generators._REDUCE_CACHE.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(weyl, "_images", built)
+        reduced = generators._reduce_orbit(m, group)
+    assert expand(reduced, group) == orbit_sum(m, group)
 
 
 def test_decompose_of_an_invariant_never_tries_the_generators(monkeypatch):

@@ -1,15 +1,15 @@
-"""The orbit-sized Weyl sums, the level reduction and the Q image against
-the enumerating reference in ``reference_weyl``."""
-
-from unittest import mock
+"""The orbit-sized Weyl sums, the counted level-reduction step and the Q
+image against the enumerating references in ``reference_weyl``, and the
+level reduction against the orbit-sized body in ``reference_decompose``."""
 
 from hypothesis import given, settings, strategies as st
 
+import reference_decompose
 import reference_weyl as ref
 from toruschar import generators
 from toruschar.generators import expand, q_image, tau_image
 from toruschar.groups import FAMILIES, GroupSpec
-from toruschar.laurent import LaurentPoly, exponents
+from toruschar.laurent import LaurentPoly, canonical_mod_relations, exponents
 from toruschar.scalars import GaussRat
 from toruschar.weyl import (
     level_of_monomial,
@@ -74,13 +74,42 @@ def test_soeven_sign_pair_and_zero_row():
     assert orb == ref.orbit_sum(with_zero, g)
 
 
+def counted(hits, group):
+    """The sum of count * pattern_sum(y) over a ``_step_counts`` part."""
+    total = LaurentPoly.zero(group)
+    for y, count in hits.values():
+        total = total + pattern_sum(y, group).scaled(count)
+    return total
+
+
+def scan(m_sub, doubled, group):
+    """The canonical x + s*e_k over occupied rows k and shifts s, in (k, s)
+    order, x the rows of m_sub (sign-normalised for the signed families)
+    sorted."""
+    shifts = (1, -1) if group.signed else (1,)
+    x = sorted(max(r, tuple(-e for e in r)) if group.signed else r for r in m_sub)
+    for k, row in enumerate(x):
+        if any(row):
+            for s in shifts:
+                rows = list(x)
+                rows[k] = tuple(e + s * d for e, d in zip(row, doubled))
+                yield canonical_mod_relations(tuple(rows), group)
+
+
 @settings(max_examples=150, deadline=None)
 @given(monomials(integer_weights=True), st.data())
 def test_lower_terms_match_enumeration(case, data):
     group, m_sub = case  # raw: for SL, not canonical
     alpha = data.draw(st.tuples(*[st.integers(-2, 2)] * group.factors))
     doubled = tuple(2 * a for a in alpha)
-    assert generators._step_product(m_sub, doubled, group) == ref.step_product(m_sub, doubled, group)
+    top, lower = generators._step_counts(m_sub, doubled, group)
+    assert len(top) <= 1  # beta * P(m): every empty row gives one orbit
+    assert (counted(top, group), counted(lower, group)) == ref.step_product(m_sub, doubled, group)
+    # A's orbits in first-hit order, each with its first y
+    firsts = {}
+    for y in scan(m_sub, doubled, group):
+        firsts.setdefault(generators._memo_key(y, group), y)
+    assert [(k, y) for k, (y, _) in lower.items()] == list(firsts.items())
 
 
 @settings(max_examples=150, deadline=None)
@@ -88,11 +117,11 @@ def test_lower_terms_match_enumeration(case, data):
 def test_step_product_splits_the_packed_product(case, data):
     group, m_sub = case
     alpha = data.draw(st.tuples(*[st.integers(-2, 2)] * group.factors))
-    top, lower = generators._step_product(m_sub, tuple(2 * a for a in alpha), group)
+    top, lower = generators._step_counts(m_sub, tuple(2 * a for a in alpha), group)
     level_one = tau_image(group, alpha)
     if group.family == "SOodd":
         level_one = level_one - LaurentPoly.constant(group, 1)
-    assert top + lower == level_one * pattern_sum(m_sub, group)
+    assert counted(top, group) + counted(lower, group) == level_one * pattern_sum(m_sub, group)
 
 
 @settings(max_examples=200, deadline=None)
@@ -106,8 +135,7 @@ def test_reduction_matches_orbit_sum_and_reference(case):
         bound = level_of_monomial(m, group) + 1
         fast = generators._reduce_pattern_monomial(m, group, bound)
         generators._REDUCE_CACHE.clear()
-        with mock.patch.object(generators, "_step_product", ref.step_product):
-            assert generators._reduce_pattern_monomial(m, group, bound) == fast
+        assert reference_decompose.reduce_pattern_monomial(m, group, bound) == fast
     finally:
         generators._REDUCE_CACHE.clear()
 
