@@ -46,7 +46,6 @@ from .laurent import (
     LaurentPoly,
     Packing,
     canonical_mod_relations,
-    max_abs_exponent,
 )
 from .scalars import GaussRat, I, ONE, ZERO, _reduced
 from .weyl import (
@@ -301,6 +300,16 @@ def symbol_image(group: GroupSpec, sym: Symbol) -> LaurentPoly:
     return q_image(group, payload)
 
 
+def symbol_span(sym: Symbol) -> int:
+    """A bound on the stored |e| of any key of ``symbol_image(group, sym)``,
+    read off the payload: 2 * max |a| over its alpha (tau) or alphas (Q).
+    Every image key has rows 0 or +-2*alpha (an SL shift moves one such
+    row to zero and the zero row to -2*alpha)."""
+    kind, payload = sym
+    rows = (payload,) if kind == "tau" else payload
+    return 2 * max((abs(a) for row in rows for a in row), default=0)
+
+
 def _unit_ints(terms: dict) -> tuple[int, dict]:
     """``(k, ints)`` with ``terms == i**k * ints``: a unit power k in {0, 1}
     and int coefficients, the shape of every tau and Q image.  Any other
@@ -318,8 +327,9 @@ def expand(p: GeneratorPoly, group: GroupSpec) -> LaurentPoly:
     """Substitute generator images and multiply out, exactly.
 
     The distinct symbol images are packed once, into one ``Packing`` wide
-    enough for the largest term (the sum of the max |e| of its factors),
-    each as a unit power k and int coefficients (image = i^k * ints).
+    enough for the largest term (the sum of the ``symbol_span`` of its
+    factors), each as a unit power k and int coefficients (image = i^k *
+    ints).
     Terms are walked in sorted order, so terms sharing a prefix of
     symbols are adjacent: the chain of int prefix products of the
     previous term is kept (their unit powers add mod 4) and only the
@@ -332,7 +342,7 @@ def expand(p: GeneratorPoly, group: GroupSpec) -> LaurentPoly:
     """
     syms = dict.fromkeys(sym for key in p.terms for sym in key)
     images = {sym: symbol_image(group, sym).terms for sym in syms}
-    spans = {sym: max_abs_exponent(terms) for sym, terms in images.items()}
+    spans = {sym: symbol_span(sym) for sym in syms}
     packing = Packing(group, max((sum(map(spans.get, key)) for key in p.terms), default=0))
     packed = {sym: _unit_ints(packing.pack_terms(terms)) for sym, terms in images.items()}
     denom = lcm(*(c._d for c in p.terms.values()))

@@ -28,6 +28,10 @@ pair's sum.  Inside ``expand`` the packed coefficients are plain ints as
 well (every generator image is i^k times an integer polynomial), and one
 ``GaussRat`` per result key is built just before unpacking.
 
+``from_json`` doubles int exponents directly (only floats and strings go
+through ``Fraction``), checks and canonicalizes each key once while
+reading, and wraps the merged terms without a second pass.
+
 The dict arithmetic behind ``LaurentPoly`` (add, negate, scale, multiply
 and the zero pruning) lives in ``toruschar.sparse``.
 """
@@ -64,12 +68,19 @@ def exponents(rows: Iterable[Iterable[int]], halves: bool = False) -> ExponentMa
 
 def exponents_from_json(rows, path: str) -> ExponentMatrix:
     """A doubled-integer exponent matrix from JSON rows of integer or
-    half-integer exponents (``0.5``, ``"1/2"``)."""
+    half-integer exponents (``0.5``, ``"1/2"``).  Ints are doubled
+    directly; floats and strings go through ``Fraction``; booleans are
+    refused."""
     doubled = []
     for i, row in enumerate(json_check(rows, list, path)):
         out = []
         for j, e in enumerate(json_check(row, list, f"{path}[{i}]")):
+            if type(e) is int:
+                out.append(2 * e)
+                continue
             try:
+                if isinstance(e, bool):  # Fraction would read True as 1
+                    raise TypeError
                 d = 2 * Fraction(e)
             except (TypeError, ValueError, OverflowError):
                 raise DomainError(f"{path}[{i}][{j}]: not a number: {e!r}") from None
@@ -414,9 +425,9 @@ class LaurentPoly:
             where = f"terms[{k}]"
             json_check(entry, dict, where)
             m = exponents_from_json(json_field(entry, "exps", list, where), where + ".exps")
-            check_exponents(m, group)  # also for terms that cancel before the constructor
-            sparse.add_term(terms, m, json_coeff(entry, where))
-        return LaurentPoly(group, terms)
+            check_exponents(m, group)  # also for terms that cancel
+            sparse.add_term(terms, canonical_mod_relations(m, group), json_coeff(entry, where))
+        return LaurentPoly._trusted(group, terms)
 
     def __str__(self) -> str:
         if not self.terms:

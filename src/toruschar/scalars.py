@@ -6,7 +6,10 @@ ints: a Gaussian-integer numerator ``a + b*i`` over one denominator
 form of a rational (as in FLINT's ``fmpq``) extended to Q(i), so equal
 values have equal fields and equality is a field comparison.  Arithmetic
 works on the ints directly and skips the gcd step when the result's
-denominator is 1.  ``re`` and ``im`` are read-only ``Fraction`` views.
+denominator is 1.  ``parse`` reads the forms ``str`` writes (``a``,
+``a/b``, ``a/b+c/di``, ``-c/di``) with one ASCII regex and int
+arithmetic; other text goes through ``Fraction``, with the same values
+and errors.  ``re`` and ``im`` are read-only ``Fraction`` views.
 These scalars are the coefficient field of every symbolic object in the
 library; floats appear only in the numeric oracle.
 """
@@ -20,6 +23,13 @@ from math import gcd
 Rational = int | Fraction
 
 _SEGMENT = _re.compile(r"[+-]?[^+-]+")
+# The forms ``str`` writes, ASCII only: a[/b] with an optional signed
+# [c][/d]i after it (c only left out without d), or that imaginary part
+# alone, its sign optional.
+_CANONICAL = _re.compile(
+    r"([+-]?[0-9]+)(?:/([0-9]+))?(?:([+-])(?:([0-9]+)(?:/([0-9]+))?)?[iI])?"
+    r"|([+-]?)(?:([0-9]+)(?:/([0-9]+))?)?[iI]"
+)
 
 
 def _rat_str(n: int, d: int) -> str:
@@ -66,10 +76,28 @@ class GaussRat:
         """Parse strings like ``"3/2+1/2i"``, ``"-2"``, ``"i"``, ``"-1/3i"``.
 
         A trailing ``i`` marks an imaginary segment; the imaginary numerator
-        of 1 may be omitted.  Unicode minus signs are accepted.
+        of 1 may be omitted.  Unicode minus signs are accepted.  The forms
+        ``str`` writes are read with int arithmetic; any other text, and a
+        zero denominator, goes through ``Fraction``.
         """
         if not isinstance(text, str):
             raise ValueError(f"scalar must be a string, not {type(text).__name__}")
+        m = _CANONICAL.fullmatch(text)
+        if m is not None:
+            a, q, sign, c, d, *imaginary = m.groups()
+            if a is None:
+                a = "0"
+                sign, c, d = imaginary
+            try:  # int() refuses over-long digit strings, like Fraction
+                q = int(q) if q else 1
+                d = int(d) if d else 1
+                if q and d:
+                    b = 0 if sign is None else int(c) if c else 1
+                    if sign == "-":
+                        b = -b
+                    return _reduced(int(a) * d, b * q, q * d)
+            except ValueError:
+                pass
         s = text.replace("−", "-").replace(" ", "")
         if not s:
             raise ValueError("empty scalar string")

@@ -10,6 +10,8 @@ treat keys as opaque: ``mul`` takes a ``combine`` function that returns the
 canonical key of the product of two keys.  They use only ``+``, ``*``,
 unary ``-`` and truth of the coefficients, so the same functions also run
 on plain int coefficients, as in the int kernel of ``generators.expand``.
+``mul`` inlines the ``add_term`` step, so each term pair costs one dict
+lookup and no extra Python call.
 """
 
 from __future__ import annotations
@@ -53,9 +55,17 @@ def mul(a: dict, b: dict, combine, out: dict | None = None) -> dict:
     the product is added into that dict in place, which is returned."""
     if out is None:
         out = {}
+    get = out.get
     for k1, c1 in a.items():
         for k2, c2 in b.items():
-            add_term(out, combine(k1, k2), c1 * c2)
+            # add_term(out, combine(k1, k2), c1 * c2), inlined
+            key = combine(k1, k2)
+            acc = get(key)
+            acc = c1 * c2 if acc is None else acc + c1 * c2
+            if acc:
+                out[key] = acc
+            else:
+                out.pop(key, None)
     return out
 
 

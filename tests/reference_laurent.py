@@ -8,11 +8,13 @@ own.  They are kept as the oracle for the packed multiply and the
 prefix-shared ``expand``.  ``expand_shared`` is the packed, prefix-shared
 ``expand`` as it was before its inner loops moved to int coefficients:
 every term pair multiplies two ``GaussRat`` values.  It is a second oracle
-for the int kernel.
+for the int kernel.  All three multiply through ``reference_sparse.mul``,
+the per-pair ``add_term`` body.
 """
 
 from operator import add
 
+import reference_sparse
 from toruschar import sparse
 from toruschar.generators import symbol_image
 from toruschar.laurent import LaurentPoly, Packing, canonical_mod_relations, max_abs_exponent
@@ -31,7 +33,7 @@ def mul(p, q):
             return canonical_mod_relations(add_exponents(m1, m2), group)
     else:
         combine = add_exponents
-    return LaurentPoly._trusted(group, sparse.mul(p.terms, q.terms, combine))
+    return LaurentPoly._trusted(group, reference_sparse.mul(p.terms, q.terms, combine))
 
 
 def power(p, k):
@@ -75,8 +77,8 @@ def expand_shared(gp, group):
             shared += 1
         del chain[shared + 1:]
         for sym in head[shared:]:
-            chain.append(sparse.mul(chain[-1], packed[sym], add))
+            chain.append(reference_sparse.mul(chain[-1], packed[sym], add))
         prev = head
         last = sparse.scale(packed[key[-1]], coeff) if key else {0: coeff}
-        sparse.mul(chain[-1], last, add, total)
+        reference_sparse.mul(chain[-1], last, add, total)
     return LaurentPoly._trusted(group, packing.unpack_terms(total))

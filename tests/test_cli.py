@@ -280,6 +280,8 @@ _GOOD_POLY = {
         ({**_GOOD_POLY, "group": {"family": "GL", "rank": 1}}, "group.factors: missing"),
         ({**_GOOD_POLY, "group": {"family": "GL", "rank": "1", "factors": 1}}, "group.rank: expected an integer"),
         ({**_GOOD_POLY, "group": ["GL", 1, 1]}, "group: expected an object"),
+        ({**_GOOD_POLY, "terms": [{"coeff": "1", "exps": [[True]]}]},
+         "terms[0].exps[0][0]: not a number: True"),
     ],
 )
 def test_decompose_malformed_json_exit_2(tmp_path, capsys, doc, where):
@@ -358,7 +360,7 @@ def test_cohomology_float_refuses_bad_tolerances(capsys, tol, shown):
     assert capsys.readouterr().out.strip() == "Z1 = 4, B1 = 2, H1 = 2"
 
 
-@pytest.mark.parametrize("exps", ['[[1], "x"]', "[[null], [0]]", "7", "[[0.3], [0]]"])
+@pytest.mark.parametrize("exps", ['[[1], "x"]', "[[null], [0]]", "7", "[[0.3], [0]]", "[[true], [0]]"])
 def test_malformed_exps_flag_exit_2(capsys, exps):
     assert run(["orbit-sum", "--family", "gl", "--rank", "2", "--exps", exps]) == 2
     assert "--exps" in capsys.readouterr().err

@@ -17,11 +17,13 @@ from toruschar.generators import (
     expand,
     q_image,
     q_symbol,
+    symbol_image,
+    symbol_span,
     tau_image,
     tau_symbol,
 )
 from toruschar.groups import FAMILIES, GroupSpec
-from toruschar.laurent import LaurentPoly, exponents
+from toruschar.laurent import LaurentPoly, exponents, max_abs_exponent
 from toruschar.scalars import GaussRat, I, ONE
 from toruschar.verify import random_invariant
 from toruschar.weyl import is_invariant, orbit_sum
@@ -290,6 +292,36 @@ def test_every_generator_image_is_a_unit_times_ints():
             alphas = [(s * (k + 1),) for k, s in enumerate(signs)]
             image = q_image(group, alphas)
             assert image and _assert_unit_times_ints(image) == rank % 2
+
+
+_SPAN_ALPHAS = {
+    1: ((0,), (1,), (-2,), (3,)),
+    2: ((0, 0), (1, 0), (0, -1), (-2, 3), (3, -3)),
+}
+
+
+def test_symbol_span_bounds_every_image():
+    # ``expand`` sizes its packing from the payload alone, so the span must
+    # bound the image's entries after SL canonicalisation and Q's signs.
+    for factors, alphas in _SPAN_ALPHAS.items():
+        for family in FAMILIES:
+            for rank in (1, 2, 3, 4):
+                group = GroupSpec(family, rank, factors)
+                for alpha in alphas:
+                    sym = tau_symbol(group, alpha)
+                    assert symbol_span(sym) >= max_abs_exponent(symbol_image(group, sym).terms)
+        for rank in (1, 2, 3, 4):
+            group = GroupSpec("SOeven", rank, factors)
+            nonzero = [a for a in alphas if any(a)]
+            for shift in range(len(nonzero)):
+                args = [nonzero[(shift + k) % len(nonzero)] for k in range(rank)]
+                for negated in (args, [tuple(-e for e in args[0])] + args[1:]):
+                    sym, _ = q_symbol(group, negated)
+                    assert symbol_span(sym) >= max_abs_exponent(symbol_image(group, sym).terms)
+    # SL(2): tau(-1) is canonicalised from rows (-2), (0) to (0), (2).
+    image = tau_image(GroupSpec("SL", 2, 1), (-1,))
+    assert exponents([[0], [1]]) in image.terms
+    assert symbol_span(("tau", (-1,))) == max_abs_exponent(image.terms) == 2
 
 
 @pytest.mark.parametrize(

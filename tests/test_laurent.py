@@ -7,7 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from toruschar.errors import DomainError, StructureError
 from toruschar.groups import GroupSpec
-from toruschar.laurent import LaurentPoly, canonical_mod_relations, exponents
+from toruschar.laurent import (
+    LaurentPoly,
+    canonical_mod_relations,
+    exponents,
+    exponents_from_json,
+)
 from toruschar.points import TorusPoint
 from toruschar.scalars import GaussRat, ONE
 
@@ -233,6 +238,48 @@ def test_json_half_integer_exponents():
     obj = f.to_json()
     assert obj["terms"][0]["exps"] == [[0.5], [0.5]]
     assert LaurentPoly.from_json(obj) == f
+
+
+def test_exponents_from_json_matches_fraction_path():
+    rows = [[3, -(2 ** 70), 0], [0.5, "1/2", "1e5"], [-7, "-3/2", 2.0]]
+    doubled = exponents_from_json(rows, "exps")
+    assert doubled == tuple(tuple(int(2 * Fraction(e)) for e in row) for row in rows)
+    assert all(type(e) is int for row in doubled for e in row)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_from_json_matches_constructor(data):
+    """Raw (non-canonical SL) keys, repeated keys and cancelling terms:
+    ``from_json`` stores what the constructor stores."""
+    family = data.draw(st.sampled_from(["SL", "GL", "Sp"]))
+    group = GroupSpec(family, data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2)))
+    row = st.lists(st.integers(-1, 1), min_size=group.factors, max_size=group.factors)
+    entries = data.draw(st.lists(
+        st.tuples(st.lists(row, min_size=group.rank, max_size=group.rank), st.integers(-1, 1)),
+        max_size=8,
+    ))
+    doc = {
+        "group": group.to_json(),
+        "terms": [{"coeff": str(c), "exps": rows} for rows, c in entries],
+    }
+    expected = {}
+    for rows, c in entries:
+        m = exponents(rows)
+        expected[m] = expected.get(m, GaussRat(0)) + c
+    f = LaurentPoly.from_json(doc)
+    assert f == LaurentPoly(group, expected)
+    assert all(c for c in f.terms.values())
+    assert all(canonical_mod_relations(m, group) == m for m in f.terms)
+
+
+def test_from_json_checks_terms_that_cancel():
+    doc = {
+        "group": {"family": "GL", "rank": 1, "factors": 1},
+        "terms": [{"coeff": "1", "exps": [[0.5]]}, {"coeff": "-1", "exps": [[0.5]]}],
+    }
+    with pytest.raises(DomainError, match="half-integer"):
+        LaurentPoly.from_json(doc)
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])

@@ -2,6 +2,7 @@
 reference in ``reference_scalars.py``."""
 
 import operator
+import re
 from fractions import Fraction
 
 import pytest
@@ -93,9 +94,45 @@ def test_unary_ops_match_reference(x):
     same(lambda cls, a: cls.parse(str(a)), x)
 
 
-@given(st.text(alphabet="0123456789/+-iI .−\t", max_size=14))
+# An exponent of four or more digits ("1e9999999999") would make Fraction
+# build an int of that many digits, so such texts are left out, looked
+# at as parse sees them (spaces dropped, Unicode minus as "-").
+_HUGE_EXPONENT = re.compile(r"[eE][+-]?[\d_]{4}")
+
+
+@given(
+    st.text(alphabet="0123456789/+-iI .−\t_eE٣", max_size=14).filter(
+        lambda text: not _HUGE_EXPONENT.search(text.replace("−", "-").replace(" ", ""))
+    )
+)
 def test_parse_matches_reference_on_any_text(text):
+    """Around the boundary of the int fast path: underscores, exponents,
+    decimal points and non-ASCII digits are Fraction syntax it leaves to
+    the general body."""
     same(lambda cls: cls.parse(text))
+
+
+def error_of(fn):
+    try:
+        fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "text", ["1/0", "1/0i", "/2i", "+", "i+1", "-1/3i", "1/2+0/3i", "-/2i", "12i", "٣"]
+)
+def test_parse_values_and_errors_match_reference(text):
+    same(lambda cls: cls.parse(text))
+    assert error_of(lambda: GaussRat.parse(text)) == error_of(lambda: RefGaussRat.parse(text))
+
+
+@given(x=gauss_specs)
+def test_parse_of_str_is_normal_form(x):
+    value = build(x, GaussRat)
+    back = GaussRat.parse(str(value))
+    assert (back._a, back._b, back._d) == (value._a, value._b, value._d)
 
 
 def test_division_and_pow_by_zero():

@@ -5,9 +5,11 @@ also sign-normalized)."""
 
 import random
 from fractions import Fraction
+from operator import add
 
 from hypothesis import given, settings, strategies as st
 
+import reference_sparse
 from toruschar import sparse
 from toruschar.generators import GeneratorPoly
 from toruschar.groups import GroupSpec
@@ -120,3 +122,46 @@ def test_add_term_drops_cancelled_and_zero_terms():
     sparse.add_term(terms, "a", GaussRat(2))
     sparse.add_term(terms, "a", GaussRat(-2))
     assert terms == {}
+
+
+# Few keys under ``add``, so that term pairs often meet and cancel.
+_int_coeffs = st.integers(-2, 2)
+_gauss_coeffs = st.builds(
+    lambda a, b, d: GaussRat(Fraction(a, d), b), st.integers(-2, 2), st.integers(-1, 1),
+    st.integers(1, 2),
+)
+
+
+def _polys(coeffs):
+    return st.dictionaries(st.integers(-3, 3), coeffs, max_size=5)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_mul_matches_per_pair_reference(data):
+    """``sparse.mul`` against the per-pair ``add_term`` body: the same dict
+    in the same insertion order, fresh and accumulated into ``out`` over
+    several calls."""
+    coeffs = data.draw(st.sampled_from([_int_coeffs, _gauss_coeffs]))
+    pairs = data.draw(st.lists(st.tuples(_polys(coeffs), _polys(coeffs)), min_size=1, max_size=4))
+    out, ref_out = {}, {}
+    for a, b in pairs:
+        assert list(sparse.mul(a, b, add).items()) == list(reference_sparse.mul(a, b, add).items())
+        assert sparse.mul(a, b, add, out) is out
+        reference_sparse.mul(a, b, add, ref_out)
+        assert list(out.items()) == list(ref_out.items())
+        assert all(out.values())
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_mul_into_out_cancels_to_empty(data):
+    """Accumulating a product into the negation of itself leaves ``{}``."""
+    coeffs = data.draw(st.sampled_from([_int_coeffs, _gauss_coeffs]))
+    a, b = data.draw(_polys(coeffs)), data.draw(_polys(coeffs))
+    out = sparse.neg(reference_sparse.mul(a, b, add))
+    assert sparse.mul(a, b, add, out) == {}
+    # (x + 1)(x - 1) - (x**2 - 1): the cross terms cancel inside one call.
+    one = GaussRat(1) if coeffs is _gauss_coeffs else 1
+    out = {2: -one, 0: one}
+    assert sparse.mul({1: one, 0: one}, {1: one, 0: -one}, add, out) == {}
