@@ -26,7 +26,6 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 
 from .errors import (
     DomainError,
@@ -42,7 +41,7 @@ from .laurent import LaurentPoly, exponents_from_json
 from .lie import LIE_DIM_CAP, cohomology_dims, killing_ratio, random_torus_point, torus_matrix
 from .linalg import to_numpy
 from .poisson import bracket_symbols, structure_constants
-from .scalars import GaussRat
+from .scalars import GaussRat, read_rational
 from .verify import bracket_agreement, jacobi_suite, killing_table
 from .weyl import level_of_monomial, level_of_poly, orbit_sum
 
@@ -198,7 +197,7 @@ def _cmd_expand(args) -> int:
 
 def _cmd_bracket(args) -> int:
     group = _group_from(args, factors=2)
-    c = Fraction(args.c)
+    c = read_rational(args.c)
     a, b = _parse_vec(args.a), _parse_vec(args.b)
     for flag, vec in (("--a", a), ("--b", b)):
         if len(vec) != 2:
@@ -218,7 +217,7 @@ def _cmd_verify_bracket(args) -> int:
         seed=args.seed,
         window=args.window,
         tol=args.tol,
-        c=Fraction(args.c),
+        c=read_rational(args.c),
         extrapolated_gl=args.extrapolated,
     )
     print(
@@ -231,7 +230,7 @@ def _cmd_verify_bracket(args) -> int:
 def _cmd_verify_jacobi(args) -> int:
     group = _group_from(args, factors=2)
     res = jacobi_suite(group, trials=args.trials, seed=args.seed,
-                       tol=args.tol, c=Fraction(args.c))
+                       tol=args.tol, c=read_rational(args.c))
     print(
         f"{res['group']}: {res['trials']} triples, defect mode: {res['mode']}, "
         f"max numeric defect {res['max_defect']:.3e}"
@@ -249,7 +248,7 @@ def _eigenvalue_columns(data) -> list[list[GaussRat]]:
             try:
                 if isinstance(v, bool) or not isinstance(v, (int, float, str)):
                     raise ValueError
-                column.append(GaussRat(Fraction(str(v))))
+                column.append(GaussRat(read_rational(str(v))))
             except (ValueError, ZeroDivisionError):
                 raise DomainError(f"[{j}][{i}]: not a number: {v!r}") from None
         columns.append(column)
@@ -291,7 +290,7 @@ def _cmd_killing(args) -> int:
 
 def _cmd_structure_constants(args) -> int:
     group = _group_from(args, factors=2)
-    table = structure_constants(group, Fraction(args.c), args.cutoff,
+    table = structure_constants(group, read_rational(args.c), args.cutoff,
                                 extrapolated_gl=args.extrapolated)
     _write_json(args.outfile, table)
     return 0

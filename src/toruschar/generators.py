@@ -24,9 +24,6 @@ so could not lie in the invariant ring, and the antisymmetrized half of a
 level-n orbit sum (which is exactly what the top-level reduction produces)
 carries no sign either.  Consequently Q is symmetric under permuting its
 alpha arguments and flips sign when a single argument is negated.
-
-The dict arithmetic behind ``GeneratorPoly`` (add, negate, scale, multiply
-and the zero pruning) lives in ``toruschar.sparse``.
 """
 
 from __future__ import annotations
@@ -113,17 +110,36 @@ def q_symbol(group: GroupSpec, alphas) -> tuple[Optional[QSymbol], GaussRat]:
 # generator polynomials
 # ---------------------------------------------------------------------------
 
-class GeneratorPoly:
+class GeneratorPoly(sparse.SparsePoly):
     """Polynomial in commuting generator symbols with GaussRat coefficients.
 
     Keys are sorted tuples of symbols (monomial multisets); the empty tuple
     is the constant term.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[tuple, GaussRat] = ()):
         self.terms = {k: v for k, v in dict(terms).items() if v}
+        self._float_terms = None
+
+    def _ring(self) -> tuple:
+        return ()
+
+    def _wrap(self, terms: dict) -> "GeneratorPoly":
+        p = GeneratorPoly.__new__(GeneratorPoly)
+        p.terms, p._float_terms = terms, None
+        return p
+
+    def _factors(self, key: tuple) -> str:
+        factors = []
+        for kind, payload in key:
+            if kind == "tau":
+                factors.append("T(" + ",".join(map(str, payload)) + ")")
+            else:
+                body = ";".join(",".join(map(str, a)) for a in payload)
+                factors.append(f"Q({body})")
+        return "*".join(factors)
 
     @classmethod
     def zero(cls) -> "GeneratorPoly":
@@ -138,37 +154,6 @@ class GeneratorPoly:
     def symbol(cls, sym: Symbol, coeff=ONE) -> "GeneratorPoly":
         c = coeff if isinstance(coeff, GaussRat) else GaussRat(coeff)
         return cls({(sym,): c})
-
-    def __add__(self, other: "GeneratorPoly") -> "GeneratorPoly":
-        return GeneratorPoly(sparse.add(self.terms, other.terms))
-
-    def __neg__(self) -> "GeneratorPoly":
-        return GeneratorPoly(sparse.neg(self.terms))
-
-    def __sub__(self, other: "GeneratorPoly") -> "GeneratorPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "GeneratorPoly":
-        if isinstance(other, (int, Fraction, GaussRat)):
-            return self.scaled(other)
-        return GeneratorPoly(sparse.mul(self.terms, other.terms, sparse.merge_keys))
-
-    __rmul__ = __mul__
-
-    def scaled(self, factor) -> "GeneratorPoly":
-        f = factor if isinstance(factor, GaussRat) else GaussRat(factor)
-        return GeneratorPoly(sparse.scale(self.terms, f))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GeneratorPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
 
     # -- serialization ---------------------------------------------------
 
@@ -185,7 +170,7 @@ class GeneratorPoly:
         return {"terms": entries}
 
     @staticmethod
-    def from_json(obj: dict, group: Optional[GroupSpec] = None) -> "GeneratorPoly":
+    def from_json(obj: dict, group: GroupSpec) -> "GeneratorPoly":
         json_check(obj, dict, "")
         terms: dict[tuple, GaussRat] = {}
         for k, entry in enumerate(json_field(obj, "terms", list, "", default=[])):
@@ -197,43 +182,20 @@ class GeneratorPoly:
                 fwhere = f"{where}.factors[{j}]"
                 json_check(factor, dict, fwhere)
                 if "tau" in factor:
-                    alpha = json_ints(factor["tau"], fwhere + ".tau")
-                    if group is not None:
-                        syms.append(tau_symbol(group, alpha))
-                    else:
-                        syms.append(("tau", alpha))
+                    syms.append(tau_symbol(group, json_ints(factor["tau"], fwhere + ".tau")))
                 elif "q" in factor:
                     raw = json_field(factor, "q", list, fwhere)
                     alphas = tuple(json_ints(v, f"{fwhere}.q[{i}]") for i, v in enumerate(raw))
-                    if group is not None:
-                        sym, s = q_symbol(group, alphas)
-                        if sym is None:
-                            coeff = ZERO
-                            break
-                        coeff = coeff * s
-                        syms.append(sym)
-                    else:
-                        syms.append(("q", alphas))
+                    sym, s = q_symbol(group, alphas)
+                    if sym is None:
+                        coeff = ZERO
+                        break
+                    coeff = coeff * s
+                    syms.append(sym)
                 else:
                     raise DomainError(f"{fwhere}: unknown generator factor {factor}")
             sparse.add_term(terms, tuple(sorted(syms)), coeff)
         return GeneratorPoly(terms)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for key, coeff in self.sorted_terms():
-            factors = []
-            for kind, payload in key:
-                if kind == "tau":
-                    factors.append("T(" + ",".join(map(str, payload)) + ")")
-                else:
-                    body = ";".join(",".join(map(str, a)) for a in payload)
-                    factors.append(f"Q({body})")
-            mono = "*".join(factors) if factors else "1"
-            parts.append(f"({coeff})*{mono}")
-        return " + ".join(parts)
 
     def __repr__(self) -> str:
         return f"GeneratorPoly({self})"

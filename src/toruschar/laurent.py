@@ -29,11 +29,9 @@ well (every generator image is i^k times an integer polynomial), and one
 ``GaussRat`` per result key is built just before unpacking.
 
 ``from_json`` doubles int exponents directly (only floats and strings go
-through ``Fraction``), checks and canonicalizes each key once while
-reading, and wraps the merged terms without a second pass.
-
-The dict arithmetic behind ``LaurentPoly`` (add, negate, scale, multiply
-and the zero pruning) lives in ``toruschar.sparse``.
+through ``Fraction``, strings by way of ``scalars.read_rational``), checks
+and canonicalizes each key once while reading, and wraps the merged terms
+without a second pass.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from . import sparse
 from .errors import DomainError, StructureError
 from .groups import GroupSpec
 from .jsonio import json_check, json_coeff, json_field
-from .scalars import GaussRat, ONE, ZERO
+from .scalars import GaussRat, ONE, ZERO, read_rational
 
 ExponentMatrix = tuple[tuple[int, ...], ...]
 
@@ -69,8 +67,8 @@ def exponents(rows: Iterable[Iterable[int]], halves: bool = False) -> ExponentMa
 def exponents_from_json(rows, path: str) -> ExponentMatrix:
     """A doubled-integer exponent matrix from JSON rows of integer or
     half-integer exponents (``0.5``, ``"1/2"``).  Ints are doubled
-    directly; floats and strings go through ``Fraction``; booleans are
-    refused."""
+    directly; floats go through ``Fraction`` and strings through
+    ``read_rational``; booleans are refused."""
     doubled = []
     for i, row in enumerate(json_check(rows, list, path)):
         out = []
@@ -81,7 +79,7 @@ def exponents_from_json(rows, path: str) -> ExponentMatrix:
             try:
                 if isinstance(e, bool):  # Fraction would read True as 1
                     raise TypeError
-                d = 2 * Fraction(e)
+                d = 2 * (read_rational(e) if isinstance(e, str) else Fraction(e))
             except (TypeError, ValueError, OverflowError):
                 raise DomainError(f"{path}[{i}][{j}]: not a number: {e!r}") from None
             if d.denominator != 1:
@@ -212,7 +210,7 @@ def sum_terms(terms, point):
     return total
 
 
-class LaurentPoly:
+class LaurentPoly(sparse.SparsePoly):
     """Sparse exact Laurent polynomial over GaussRat coefficients.
 
     Instances are treated as immutable; every operation returns a new
@@ -223,7 +221,7 @@ class LaurentPoly:
     ``evaluate``).
     """
 
-    __slots__ = ("group", "terms", "_log_partials", "_float_terms")
+    __slots__ = ("group", "_log_partials")
 
     def __init__(self, group: GroupSpec, terms: Mapping[ExponentMatrix, GaussRat] = ()):
         self.group = group
@@ -244,6 +242,21 @@ class LaurentPoly:
         p.group, p.terms = group, terms
         p._log_partials = p._float_terms = None
         return p
+
+    def _ring(self) -> tuple:
+        return (self.group,)
+
+    def _wrap(self, terms: dict) -> "LaurentPoly":
+        return LaurentPoly._trusted(self.group, terms)
+
+    def _factors(self, m: ExponentMatrix) -> str:
+        factors = []
+        for i, row in enumerate(m, start=1):
+            for j, e in enumerate(row, start=1):
+                if e:
+                    p = e // 2 if e % 2 == 0 else f"{e}/2"
+                    factors.append(f"x{i}{j}^{p}" if p != 1 else f"x{i}{j}")
+        return "*".join(factors)
 
     # -- constructors ---------------------------------------------------
 
@@ -268,38 +281,22 @@ class LaurentPoly:
 
     # -- ring operations -------------------------------------------------
 
-    def _require_same_group(self, other: "LaurentPoly") -> None:
-        if self.group != other.group:
-            raise StructureError(f"group mismatch: {self.group} vs {other.group}")
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._require_same_group(other)
-        return LaurentPoly._trusted(self.group, sparse.add(self.terms, other.terms))
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._trusted(self.group, sparse.neg(self.terms))
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
+    # Bound on the class itself so that perfbench/spans.py can wrap it.
     def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction, GaussRat)):
-            return self.scaled(other)
-        self._require_same_group(other)
+        return sparse.SparsePoly.__mul__(self, other)
+
+    __rmul__ = __mul__
+
+    def _product(self, other: "LaurentPoly") -> dict:
+        """The packed multiply: keys packed into ints by one ``Packing``
+        wide enough for the product, so a key product is an int sum."""
         packing = Packing(
             self.group, max_abs_exponent(self.terms) + max_abs_exponent(other.terms)
         )
         product = sparse.mul(
             packing.pack_terms(self.terms), packing.pack_terms(other.terms), add
         )
-        return LaurentPoly._trusted(self.group, packing.unpack_terms(product))
-
-    __rmul__ = __mul__
-
-    def scaled(self, factor) -> "LaurentPoly":
-        if not isinstance(factor, GaussRat):
-            factor = GaussRat(factor)
-        return LaurentPoly._trusted(self.group, sparse.scale(self.terms, factor))
+        return packing.unpack_terms(product)
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
@@ -373,29 +370,11 @@ class LaurentPoly:
         """
         self._require_point_group(point)
         if point.exact:
-            return sum_terms(sorted(self.terms.items()), point)
-        terms = self._float_terms
-        if terms is None:
-            terms = self._float_terms = tuple(
-                (m, complex(c)) for m, c in sorted(self.terms.items())
-            )
-        return sum_terms(terms, point)
+            return sum_terms(self.sorted_terms(), point)
+        # The slot is read first, as a method call costs the oracle ~3%.
+        return sum_terms(self._float_terms or self._float_sorted(), point)
 
     # -- structure queries -------------------------------------------------
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.group == other.group and self.terms == other.terms
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def sorted_terms(self) -> list[tuple[ExponentMatrix, GaussRat]]:
-        return sorted(self.terms.items())
 
     def coefficient(self, m: ExponentMatrix) -> GaussRat:
         return self.terms.get(canonical_mod_relations(m, self.group), ZERO)
@@ -428,21 +407,6 @@ class LaurentPoly:
             check_exponents(m, group)  # also for terms that cancel
             sparse.add_term(terms, canonical_mod_relations(m, group), json_coeff(entry, where))
         return LaurentPoly._trusted(group, terms)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.sorted_terms():
-            factors = []
-            for i, row in enumerate(m, start=1):
-                for j, e in enumerate(row, start=1):
-                    if e:
-                        p = e // 2 if e % 2 == 0 else f"{e}/2"
-                        factors.append(f"x{i}{j}^{p}" if p != 1 else f"x{i}{j}")
-            mono = "*".join(factors) if factors else "1"
-            parts.append(f"({c})*{mono}")
-        return " + ".join(parts)
 
     def __repr__(self) -> str:
         return f"LaurentPoly[{self.group}]({self})"

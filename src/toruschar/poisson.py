@@ -14,9 +14,6 @@ made for GL/SL.
 There is no GL formula in this scheme; an extrapolated rule
 {tau_a, tau_b} = det(a,b)/c * tau_{a+b} is available behind an explicit
 flag, validated only by agreement with the numeric oracle.
-
-The dict arithmetic behind ``TauPoly`` (add, negate, scale, multiply and
-the zero pruning) lives in ``toruschar.sparse``.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from .errors import DomainError, ResourceLimitError, StructureError
 from .generators import tau_image
 from .groups import GroupSpec
 from .jsonio import json_check, json_coeff, json_field, json_ints
-from .scalars import GaussRat, ONE
+from .scalars import GaussRat, ONE, read_rational
 
 LatticeVec = tuple[int, int]
 
@@ -47,12 +44,12 @@ def _norm_symbol(group: GroupSpec, a) -> LatticeVec:
     return (p, q)
 
 
-class TauPoly:
+class TauPoly(sparse.SparsePoly):
     """Polynomial in trace symbols over GaussRat, tied to a group and a
     trace-form multiple c.  Instances are treated as immutable, so the
     float terms that ``evaluate`` keeps never go stale."""
 
-    __slots__ = ("group", "c", "terms", "_float_terms")
+    __slots__ = ("group", "c")
 
     def __init__(self, group: GroupSpec, c: Fraction, terms: Mapping[tuple, GaussRat] = ()):
         if group.factors != 2:
@@ -70,13 +67,16 @@ class TauPoly:
         self.terms = clean
         self._float_terms = None
 
-    @classmethod
-    def _trusted(cls, group: GroupSpec, c: Fraction, terms: dict) -> "TauPoly":
-        """Wrap ``terms`` without checks or copy; they must already be in
-        the stored form (normalized sorted keys, no zero coefficient)."""
-        p = cls.__new__(cls)
-        p.group, p.c, p.terms, p._float_terms = group, c, terms, None
+    def _ring(self) -> tuple:
+        return (self.group, self.c)
+
+    def _wrap(self, terms: dict) -> "TauPoly":
+        p = TauPoly.__new__(TauPoly)
+        p.group, p.c, p.terms, p._float_terms = self.group, self.c, terms, None
         return p
+
+    def _factors(self, key: tuple) -> str:
+        return "*".join(f"tau({a[0]},{a[1]})" for a in key)
 
     # -- constructors ----------------------------------------------------
 
@@ -91,50 +91,6 @@ class TauPoly:
     @classmethod
     def symbol(cls, group: GroupSpec, c: Fraction, a) -> "TauPoly":
         return cls(group, c, {(tuple(a),): ONE})
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _require_compatible(self, other: "TauPoly"):
-        if self.group != other.group or self.c != other.c:
-            raise StructureError("mismatched group or c parameter")
-
-    def __add__(self, other: "TauPoly") -> "TauPoly":
-        self._require_compatible(other)
-        return TauPoly._trusted(self.group, self.c, sparse.add(self.terms, other.terms))
-
-    def __neg__(self) -> "TauPoly":
-        return TauPoly._trusted(self.group, self.c, sparse.neg(self.terms))
-
-    def __sub__(self, other: "TauPoly") -> "TauPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "TauPoly":
-        if isinstance(other, (int, Fraction, GaussRat)):
-            return self.scaled(other)
-        self._require_compatible(other)
-        terms = sparse.mul(self.terms, other.terms, sparse.merge_keys)
-        return TauPoly._trusted(self.group, self.c, terms)
-
-    __rmul__ = __mul__
-
-    def scaled(self, factor) -> "TauPoly":
-        f = factor if isinstance(factor, GaussRat) else GaussRat(factor)
-        return TauPoly._trusted(self.group, self.c, sparse.scale(self.terms, f))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TauPoly):
-            return NotImplemented
-        return (
-            self.group == other.group
-            and self.c == other.c
-            and self.terms == other.terms
-        )
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
 
     # -- evaluation ---------------------------------------------------------
 
@@ -152,14 +108,8 @@ class TauPoly:
         group = self.group
         if point.group is not group and point.group != group:
             raise StructureError(f"group mismatch: {group} vs point of {point.group}")
-        if point.exact:
-            terms = self.sorted_terms()
-        else:
-            terms = self._float_terms
-            if terms is None:
-                terms = self._float_terms = tuple(
-                    (key, complex(coeff)) for key, coeff in self.sorted_terms()
-                )
+        # The slot is read first, as a method call costs the oracle ~3%.
+        terms = self.sorted_terms() if point.exact else (self._float_terms or self._float_sorted())
         memo = point.memo
         total = None
         for key, term in terms:
@@ -192,7 +142,7 @@ class TauPoly:
         group = GroupSpec.from_json(json_field(obj, "group", dict, ""))
         c_text = json_field(obj, "c", str, "", default="1")
         try:
-            c = Fraction(c_text)
+            c = read_rational(c_text)
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"c: {exc}") from None
         terms: dict[tuple, GaussRat] = {}
@@ -207,15 +157,6 @@ class TauPoly:
                 key.append(tuple(a))
             sparse.add_term(terms, tuple(key), json_coeff(entry, where))
         return TauPoly(group, c, terms)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for key, coeff in self.sorted_terms():
-            mono = "*".join(f"tau({a[0]},{a[1]})" for a in key) if key else "1"
-            parts.append(f"({coeff})*{mono}")
-        return " + ".join(parts)
 
     def __repr__(self) -> str:
         return f"TauPoly[{self.group}, c={self.c}]({self})"
@@ -271,8 +212,7 @@ def bracket_poly(
     f: TauPoly, h: TauPoly, extrapolated_gl: bool = False
 ) -> TauPoly:
     """Bilinear, Leibniz extension of the symbol bracket."""
-    if f.group != h.group or f.c != h.c:
-        raise StructureError("mismatched group or c parameter")
+    f._require_same_ring(h)
     group, c = f.group, f.c
     terms: dict[tuple, GaussRat] = {}
     for k1, v1 in f.terms.items():
@@ -286,7 +226,7 @@ def bracket_poly(
                     extra = rest1 + rest2
                     for key, v in br.terms.items():
                         sparse.add_term(terms, sparse.merge_keys(key, extra), v * scale)
-    return TauPoly._trusted(group, c, terms)
+    return f._wrap(terms)
 
 
 def jacobi_defect(

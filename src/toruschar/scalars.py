@@ -8,8 +8,10 @@ values have equal fields and equality is a field comparison.  Arithmetic
 works on the ints directly and skips the gcd step when the result's
 denominator is 1.  ``parse`` reads the forms ``str`` writes (``a``,
 ``a/b``, ``a/b+c/di``, ``-c/di``) with one ASCII regex and int
-arithmetic; other text goes through ``Fraction``, with the same values
-and errors.  ``re`` and ``im`` are read-only ``Fraction`` views.
+arithmetic; other text goes through ``read_rational``, the one reader of
+outside rational text: ``Fraction``, with the same values and errors,
+except that a decimal exponent of four or more digits is refused.  ``re``
+and ``im`` are read-only ``Fraction`` views.
 These scalars are the coefficient field of every symbolic object in the
 library; floats appear only in the numeric oracle.
 """
@@ -23,6 +25,9 @@ from math import gcd
 Rational = int | Fraction
 
 _SEGMENT = _re.compile(r"[+-]?[^+-]+")
+# A decimal exponent of four or more digits (underscores between them
+# allowed, as Fraction reads them).
+_HUGE_EXPONENT = _re.compile(r"[eE][+-]?(?:_?\d){4}")
 # The forms ``str`` writes, ASCII only: a[/b] with an optional signed
 # [c][/d]i after it (c only left out without d), or that imaginary part
 # alone, its sign optional.
@@ -30,6 +35,15 @@ _CANONICAL = _re.compile(
     r"([+-]?[0-9]+)(?:/([0-9]+))?(?:([+-])(?:([0-9]+)(?:/([0-9]+))?)?[iI])?"
     r"|([+-]?)(?:([0-9]+)(?:/([0-9]+))?)?[iI]"
 )
+
+
+def read_rational(text: str) -> Fraction:
+    """``Fraction(text)`` for text from outside the library.  An exponent
+    of four or more digits is refused with ``ValueError`` first: Fraction
+    builds ``10**k`` in full, so ``"1e1000000000"`` would not finish."""
+    if _HUGE_EXPONENT.search(text):
+        raise ValueError(f"exponent too large in {text!r}")
+    return Fraction(text)
 
 
 def _rat_str(n: int, d: int) -> str:
@@ -78,7 +92,7 @@ class GaussRat:
         A trailing ``i`` marks an imaginary segment; the imaginary numerator
         of 1 may be omitted.  Unicode minus signs are accepted.  The forms
         ``str`` writes are read with int arithmetic; any other text, and a
-        zero denominator, goes through ``Fraction``.
+        zero denominator, goes through ``read_rational``.
         """
         if not isinstance(text, str):
             raise ValueError(f"scalar must be a string, not {type(text).__name__}")
@@ -113,9 +127,9 @@ class GaussRat:
                 elif body == "-":
                     im_part -= 1
                 else:
-                    im_part += Fraction(body)
+                    im_part += read_rational(body)
             else:
-                re_part += Fraction(seg)
+                re_part += read_rational(seg)
         if consumed != len(s):
             raise ValueError(f"cannot parse scalar {text!r}")
         return GaussRat(re_part, im_part)

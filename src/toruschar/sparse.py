@@ -1,5 +1,5 @@
 """Arithmetic on sparse polynomials stored as ``dict[key, GaussRat]``
-(or ``dict[key, int]``).
+(or ``dict[key, int]``), and the one polynomial class around it.
 
 ``LaurentPoly``, ``GeneratorPoly`` and ``TauPoly`` keep their terms in such
 a dict, and so do a few internal accumulators.  The stored form is the
@@ -12,9 +12,23 @@ unary ``-`` and truth of the coefficients, so the same functions also run
 on plain int coefficients, as in the int kernel of ``generators.expand``.
 ``mul`` inlines the ``add_term`` step, so each term pair costs one dict
 lookup and no extra Python call.
+
+``SparsePoly`` is the shell all three polynomial classes share: the ring
+operations, equality, ``len``, ``sorted_terms``, ``str`` and the float
+terms kept for ``evaluate``.  A subclass supplies three hooks: ``_ring()``,
+the fields two operands must share (``()``, ``(group,)`` or ``(group,
+c)``); ``_wrap(terms)``, a new instance of the same ring around terms
+already in stored form; and ``_factors(key)``, the text of one monomial
+("" for the constant).  Products multiply keys with ``merge_keys`` unless
+the subclass overrides ``_product``.  Instances are treated as immutable.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+
+from .errors import StructureError
+from .scalars import GaussRat
 
 
 def add_term(terms: dict, key, coeff) -> None:
@@ -72,3 +86,76 @@ def mul(a: dict, b: dict, combine, out: dict | None = None) -> dict:
 def merge_keys(k1: tuple, k2: tuple) -> tuple:
     """``combine`` for monomials stored as sorted tuples of factors."""
     return tuple(sorted(k1 + k2))
+
+
+class SparsePoly:
+    """A polynomial with GaussRat coefficients in ``terms``, in stored
+    form; see the module docstring for the hooks a subclass supplies."""
+
+    __slots__ = ("terms", "_float_terms")
+
+    def _require_same_ring(self, other: "SparsePoly") -> None:
+        if self._ring() != other._ring():
+            a, b = (f"{type(p).__name__}[{', '.join(map(str, p._ring()))}]" for p in (self, other))
+            raise StructureError(f"ring mismatch: {a} vs {b}")
+
+    def __add__(self, other):
+        self._require_same_ring(other)
+        return self._wrap(add(self.terms, other.terms))
+
+    def __neg__(self):
+        return self._wrap(neg(self.terms))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, GaussRat)):
+            return self.scaled(other)
+        self._require_same_ring(other)
+        return self._wrap(self._product(other))
+
+    __rmul__ = __mul__
+
+    def _product(self, other: "SparsePoly") -> dict:
+        return mul(self.terms, other.terms, merge_keys)
+
+    def scaled(self, factor):
+        if not isinstance(factor, GaussRat):
+            factor = GaussRat(factor)
+        return self._wrap(scale(self.terms, factor))
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SparsePoly):
+            return NotImplemented
+        return (
+            type(self) is type(other)
+            and self._ring() == other._ring()
+            and self.terms == other.terms
+        )
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def sorted_terms(self) -> list:
+        return sorted(self.terms.items())
+
+    def _float_sorted(self) -> tuple:
+        """The sorted ``(key, complex)`` terms, built on first use and kept
+        in ``_float_terms`` for the life of the instance."""
+        terms = self._float_terms
+        if terms is None:
+            terms = self._float_terms = tuple(
+                (key, complex(c)) for key, c in self.sorted_terms()
+            )
+        return terms
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        return " + ".join(
+            f"({c})*{self._factors(key) or '1'}" for key, c in self.sorted_terms()
+        )

@@ -282,12 +282,21 @@ _GOOD_POLY = {
         ({**_GOOD_POLY, "group": ["GL", 1, 1]}, "group: expected an object"),
         ({**_GOOD_POLY, "terms": [{"coeff": "1", "exps": [[True]]}]},
          "terms[0].exps[0][0]: not a number: True"),
+        # Fraction would build 10**1000000000 from these.
+        ({**_GOOD_POLY, "terms": [{"coeff": "1e1000000000", "exps": [[0]]}]},
+         "terms[0].coeff: exponent too large"),
+        ({**_GOOD_POLY, "terms": [{"coeff": "1e1000000000i", "exps": [[0]]}]},
+         "terms[0].coeff: exponent too large"),
+        ({**_GOOD_POLY, "terms": [{"coeff": "1", "exps": [["1e1000000000"]]}]},
+         "terms[0].exps[0][0]: not a number"),
     ],
 )
 def test_decompose_malformed_json_exit_2(tmp_path, capsys, doc, where):
     src = tmp_path / "bad.json"
     src.write_text(json.dumps(doc))
+    start = time.perf_counter()
     assert run(["decompose", "--in", str(src)]) == 2
+    assert time.perf_counter() - start < 2.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert where in err
@@ -326,13 +335,16 @@ def test_expand_malformed_json_exit_2(tmp_path, capsys, doc, where):
         ([[1, [2]], [1, 1]], "[0][1]: not a number"),
         ([["1/0", 1], [1, 1]], "[0][0]: not a number"),
         ([[1, 1]], "expected 2 generator vectors"),
+        ([["1e1000000000", 1], [1, 1]], "[0][0]: not a number"),
     ],
 )
 def test_cohomology_malformed_json_exit_2(tmp_path, capsys, doc, where):
     src = tmp_path / "bad.json"
     src.write_text(json.dumps(doc))
     argv = ["cohomology", "--family", "sl", "--rank", "2", "--factors", "2", "--in", str(src)]
+    start = time.perf_counter()
     assert run(argv) == 2
+    assert time.perf_counter() - start < 2.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert where in err
@@ -360,9 +372,14 @@ def test_cohomology_float_refuses_bad_tolerances(capsys, tol, shown):
     assert capsys.readouterr().out.strip() == "Z1 = 4, B1 = 2, H1 = 2"
 
 
-@pytest.mark.parametrize("exps", ['[[1], "x"]', "[[null], [0]]", "7", "[[0.3], [0]]", "[[true], [0]]"])
+@pytest.mark.parametrize(
+    "exps",
+    ['[[1], "x"]', "[[null], [0]]", "7", "[[0.3], [0]]", "[[true], [0]]", '[["1e1000000000"], [0]]'],
+)
 def test_malformed_exps_flag_exit_2(capsys, exps):
+    start = time.perf_counter()
     assert run(["orbit-sum", "--family", "gl", "--rank", "2", "--exps", exps]) == 2
+    assert time.perf_counter() - start < 2.0
     assert "--exps" in capsys.readouterr().err
 
 
@@ -597,6 +614,15 @@ def test_suites_refuse_empty_windows_and_bad_tolerances(capsys, argv, message):
          "38 trials x 10585 symbol pairs exceed cap 400000"),
         (["verify-bracket", "--family", "sl", "--rank", "3", "--window", "3", "--trials", "327"],
          "327 trials x 1225 symbol pairs exceed cap 400000"),
+        # A huge exponent in --c: Fraction would build 10**1000000000.
+        (["bracket", "--family", "sl", "--rank", "2", "--a", "1,0", "--b", "0,1",
+          "--c", "1e1000000000"], "exponent too large in '1e1000000000'"),
+        (["verify-bracket", "--family", "sp", "--rank", "1", "--c", "1E+1_000_000_000"],
+         "exponent too large in '1E+1_000_000_000'"),
+        (["verify-jacobi", "--family", "sp", "--rank", "1", "--c", "1e1000000000"],
+         "exponent too large in '1e1000000000'"),
+        (["structure-constants", "--family", "sp", "--rank", "1", "--c", "2.5e-1000000000"],
+         "exponent too large in '2.5e-1000000000'"),
     ],
 )
 def test_budgets_refuse_huge_cutoffs_and_trials_fast(capsys, argv, message):

@@ -227,6 +227,7 @@ _GOOD_TAU = {
         ({"c": "1", "terms": []}, "group: missing"),
         ({**_GOOD_TAU, "group": {"family": "Sp", "rank": 1}}, "group.factors: missing"),
         ([_GOOD_TAU], "top level: expected an object"),
+        ({**_GOOD_TAU, "c": "1e1000000000"}, "c: exponent too large"),
     ],
 )
 def test_taupoly_from_json_malformed(doc, where):

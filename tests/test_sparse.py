@@ -1,16 +1,21 @@
 """Ring axioms and the stored form for the three polynomial classes that
 share ``toruschar.sparse``: no zero coefficient is stored, SL Laurent keys
 are canonical, and generator and trace-symbol keys are sorted (Sp symbols
-also sign-normalized)."""
+also sign-normalized).  The shared shell also refuses operands of another
+ring, is unequal to every polynomial of another class and writes the same
+``str`` as each class did on its own."""
 
+import operator
 import random
 from fractions import Fraction
 from operator import add
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_sparse
 from toruschar import sparse
+from toruschar.errors import StructureError
 from toruschar.generators import GeneratorPoly
 from toruschar.groups import GroupSpec
 from toruschar.laurent import LaurentPoly, canonical_mod_relations, exponents
@@ -70,8 +75,18 @@ def _sp_keys_ok(p):
     )
 
 
-def _check_ring(make, keys_ok, rng):
+def _check_ring(make, keys_ok, rng, strangers, pinned):
+    """The ring axioms on random polynomials; ``+``, ``-`` and ``*`` with
+    each of ``strangers`` (of another ring) raise and ``==`` is False; each
+    polynomial of ``pinned`` prints as its text."""
     f, h, k = make(rng), make(rng), make(rng)
+    for other in strangers:
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(StructureError):
+                op(f, other)
+        assert not f == other and not other == f
+    for p, text in pinned:
+        assert str(p) == text
     i = GaussRat(0, 1)
     pairs = [
         ((f + h) + k, f + (h + k)),
@@ -91,28 +106,68 @@ def _check_ring(make, keys_ok, rng):
             assert keys_ok(p)
 
 
+_LAURENT_STRANGERS = [
+    LaurentPoly.constant(GroupSpec("GL", 3, 1), 1),
+    GeneratorPoly.constant(1),
+    TauPoly.constant(SL22, C, 1),
+]
+_LAURENT_PINNED = [
+    (LaurentPoly.zero(SL31), "0"),
+    (LaurentPoly.constant(SL31, Fraction(-3, 2)), "(-3/2)*1"),
+    (LaurentPoly(SL31, {exponents([[1], [0], [0]]): GaussRat(1, -1),
+                        exponents([[0], [2], [-1]]): 4, exponents([[0], [0], [0]]): 1}),
+     "(1)*1 + (1-1i)*x11 + (4)*x11*x21^3"),
+    (LaurentPoly(GroupSpec("SOeven", 2, 1), {exponents([[1], [-3]], halves=True): 2}),
+     "(2)*x11^1/2*x21^-3/2"),
+]
+_GENERATOR_STRANGERS = [LaurentPoly.zero(SL31), TauPoly.zero(SL22, C)]
+_GENERATOR_PINNED = [
+    (GeneratorPoly.zero(), "0"),
+    (GeneratorPoly.constant(GaussRat(0, 2)), "(2i)*1"),
+    (GeneratorPoly({(): -1, (_SYMBOLS[3], _SYMBOLS[0]): Fraction(1, 2), (_SYMBOLS[2],): 3}),
+     "(-1)*1 + (1/2)*Q(1,0;0,1)*T(1,0) + (3)*T(1,-1)"),
+]
+
+
+def _tau_strangers(group):
+    return [TauPoly.zero(group, C + 1), TauPoly.zero(SL22 if group is SP12 else SP12, C),
+            LaurentPoly.zero(group), GeneratorPoly.zero()]
+
+
+def _tau_pinned(group, mixed):
+    return [
+        (TauPoly.zero(group, C), "0"),
+        (TauPoly.constant(group, C, 5), "(5)*1"),
+        (TauPoly(group, C, {((-1, 0), (0, 1)): 2, ((1, -1),): GaussRat(0, 1), (): -7}), mixed),
+    ]
+
+
 @settings(max_examples=40)
 @given(st.integers(0, 10 ** 6))
 def test_laurent_sl_ring_axioms_and_stored_form(seed):
-    _check_ring(_random_laurent, _laurent_keys_ok, random.Random(seed))
+    _check_ring(_random_laurent, _laurent_keys_ok, random.Random(seed),
+                _LAURENT_STRANGERS, _LAURENT_PINNED)
 
 
 @settings(max_examples=40)
 @given(st.integers(0, 10 ** 6))
 def test_generator_ring_axioms_and_stored_form(seed):
-    _check_ring(_random_generator, _sorted_keys_ok, random.Random(seed))
+    _check_ring(_random_generator, _sorted_keys_ok, random.Random(seed),
+                _GENERATOR_STRANGERS, _GENERATOR_PINNED)
 
 
 @settings(max_examples=40)
 @given(st.integers(0, 10 ** 6))
 def test_taupoly_sp_ring_axioms_and_stored_form(seed):
-    _check_ring(_random_tau(SP12), _sp_keys_ok, random.Random(seed))
+    _check_ring(_random_tau(SP12), _sp_keys_ok, random.Random(seed), _tau_strangers(SP12),
+                _tau_pinned(SP12, "(-7)*1 + (2)*tau(0,1)*tau(1,0) + (1i)*tau(1,-1)"))
 
 
 @settings(max_examples=40)
 @given(st.integers(0, 10 ** 6))
 def test_taupoly_sl_ring_axioms_and_stored_form(seed):
-    _check_ring(_random_tau(SL22), _sorted_keys_ok, random.Random(seed))
+    _check_ring(_random_tau(SL22), _sorted_keys_ok, random.Random(seed), _tau_strangers(SL22),
+                _tau_pinned(SL22, "(-7)*1 + (2)*tau(-1,0)*tau(0,1) + (1i)*tau(1,-1)"))
 
 
 def test_add_term_drops_cancelled_and_zero_terms():
