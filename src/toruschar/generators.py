@@ -14,6 +14,15 @@ I.2).  Each step counts these n * |shifts| sums by orbit and builds no
 orbit: those on an empty row of x must all be P(m), beta is their number,
 and the rest are A.  Level 1 is the same step with P(0) = |P|.
 
+The result is checked exactly in the basis of Weyl orbit sums S(m), not
+in Laurent terms.  Peeling f has already written it as a sum of
+c_m * S(m).  ``orbit_coefficients`` multiplies every generator term out
+in that basis, by the same identity with W in place of the pattern
+group: tau(alpha) * S(x) is the sum of S(x + s*alpha e_k) (plus S(x) for
+odd SO).  The two lists of coefficients must agree.  ``expand`` builds
+the Laurent image; it is the ``expand`` command and the reference the
+tests hold the check to.
+
 A note on the Q image: the alternating sum
 
     i^n * sum_{s in S_n} prod_i (x_{s(i)}^{a_i} - x_{s(i)}^{-a_i})
@@ -28,6 +37,7 @@ alpha arguments and flips sign when a single argument is negated.
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -43,11 +53,13 @@ from .laurent import (
     LaurentPoly,
     Packing,
     canonical_mod_relations,
+    zero_exponents,
 )
 from .scalars import GaussRat, I, ONE, ZERO, _reduced
 from .weyl import (
     invariance_violation,
     level_of_monomial,
+    orbit_rep,
     orbit_sum,
     pattern_order,
     pattern_sum,
@@ -120,13 +132,19 @@ class GeneratorPoly(sparse.SparsePoly):
     __slots__ = ()
 
     def __init__(self, terms: Mapping[tuple, GaussRat] = ()):
-        self.terms = {k: v for k, v in dict(terms).items() if v}
+        clean: dict[tuple, GaussRat] = {}
+        for key, coeff in dict(terms).items():
+            if not isinstance(coeff, GaussRat):
+                coeff = GaussRat(coeff)
+            sparse.add_term(clean, tuple(sorted(key)), coeff)
+        self.terms = clean
         self._float_terms = None
 
     def _ring(self) -> tuple:
         return ()
 
-    def _wrap(self, terms: dict) -> "GeneratorPoly":
+    @staticmethod
+    def _wrap(terms: dict) -> "GeneratorPoly":
         p = GeneratorPoly.__new__(GeneratorPoly)
         p.terms, p._float_terms = terms, None
         return p
@@ -195,7 +213,7 @@ class GeneratorPoly(sparse.SparsePoly):
                 else:
                     raise DomainError(f"{fwhere}: unknown generator factor {factor}")
             sparse.add_term(terms, tuple(sorted(syms)), coeff)
-        return GeneratorPoly(terms)
+        return GeneratorPoly._wrap(terms)
 
     def __repr__(self) -> str:
         return f"GeneratorPoly({self})"
@@ -336,6 +354,125 @@ def expand(p: GeneratorPoly, group: GroupSpec) -> LaurentPoly:
     return LaurentPoly._trusted(group, packing.unpack_terms(total))
 
 
+def _times_tau(terms: dict, alpha: tuple[int, ...], group: GroupSpec, factor: int, out: dict) -> None:
+    """Add ``factor * tau(alpha) * sum c * S(x)`` over ``terms = {orbit key
+    of x: c}`` into ``out``, in orbit keys (``weyl.orbit_rep``).
+
+    The shifts {s*alpha e_k} form a W-stable set, so tau(alpha) * S(x) is
+    the sum of S(x + s*alpha e_k) over rows k and shifts s, plus S(x) for
+    odd SO.  Equal rows give equal sums: for each distinct row r of x,
+    with multiplicity mu, one copy of r becomes r + s, sign-normalised
+    (signed families), and the rows are re-sorted; for SL the result is
+    canonicalised, which keeps the order.  For even SO, normalising
+    r + s flips the parity exactly when it negates the row, and the parity
+    is 0 whenever a row is zero (zero rows sort first).
+    """
+    row = tuple(2 * a for a in alpha)
+    shifts = (row, tuple(-e for e in row)) if group.signed else (row,)
+    signed, sl = group.signed, group.family == "SL"
+    even, odd = group.family == "SOeven", group.family == "SOodd"
+    get = out.get
+    for key, c in terms.items():
+        c *= factor
+        if odd:
+            out[key] = get(key, 0) + c
+        rows, parity = key
+        n = len(rows)
+        k = 0
+        while k < n:
+            r = rows[k]
+            mu = 1
+            while k + mu < n and rows[k + mu] == r:
+                mu += 1
+            rest = rows[:k] + rows[k + 1:]
+            k += mu
+            cm = c * mu
+            for s in shifts:
+                y = tuple(map(add, r, s))
+                flip = 0
+                if signed:
+                    for e in y:
+                        if e:
+                            if e < 0:
+                                y, flip = tuple([-e for e in y]), 1
+                            break
+                new = list(rest)
+                insort(new, y)
+                new = tuple(new)
+                if sl:
+                    new = canonical_mod_relations(new, group)
+                new_key = (new, parity ^ flip if any(new[0]) else 0) if even else (new, 0)
+                out[new_key] = get(new_key, 0) + cm
+
+
+def orbit_coefficients(p: GeneratorPoly, group: GroupSpec) -> dict:
+    """``{orbit key: coefficient}`` with expand(p, group) equal to the sum
+    of coefficient * S(m) over them, S(m) = orbit_sum(m, group) and the
+    keys those of ``weyl.orbit_rep``; no coefficient is zero.
+
+    It multiplies out as ``expand`` does, with the same sorted-term prefix
+    chain, unit powers and common denominator L, but in the orbit-sum
+    basis, so no Laurent image is built: the constant 1 is S(0)/|W|, the
+    chain starts from S(0), each tau factor is one ``_times_tau`` step, and
+    the sums are divided by L * |W| at the end.  A Q factor sorts before
+    every tau and seeds the chain: its image 2 * orbit_sum - pattern_sum
+    is i^n * (S(2a) - S(2a')), 2a the doubled alphas and 2a' the same with
+    one row negated, as pattern_sum(2a) = S(2a) + S(2a').  A Q after
+    another factor raises InternalCheckError (no decomposition makes one).
+    """
+    order = group.weyl_order
+    zero = orbit_rep(zero_exponents(group), group)
+    denom = lcm(*(c._d for c in p.terms.values()))
+
+    def step(sym, depth: int, terms: dict, factor: int, out: dict) -> None:
+        kind, payload = sym
+        if kind == "tau":
+            _times_tau(terms, payload, group, factor, out)
+            return
+        if depth:
+            raise InternalCheckError("a Q factor after another factor")
+        rows, _ = orbit_rep(tuple(tuple(2 * a for a in alpha) for alpha in payload), group)
+        for key, c in (((rows, 0), order * factor), ((rows, 1), -order * factor)):
+            out[key] = out.get(key, 0) + c
+
+    def unit(sym) -> int:
+        return group.rank if sym[0] == "q" else 0
+
+    # chain[d]: (unit power, ints) of the first d symbols of ``prev``;
+    # chain[0] is S(0) = |W| * 1.
+    chain = [(0, {zero: 1})]
+    prev: tuple = ()
+    re: dict = {}
+    im: dict = {}
+    for key, coeff in p.sorted_terms():
+        head = key[:-1]
+        shared = 0
+        while shared < min(len(head), len(prev)) and head[shared] == prev[shared]:
+            shared += 1
+        del chain[shared + 1:]
+        for sym in head[shared:]:
+            terms: dict = {}
+            step(sym, len(chain) - 1, chain[-1][1], 1, terms)
+            terms = {k: c for k, c in terms.items() if c}
+            chain.append(((chain[-1][0] + unit(sym)) % 4, terms))
+        prev = head
+        prefix_unit, prefix = chain[-1]
+        scale = denom // coeff._d
+        a, b = coeff._a * scale, coeff._b * scale
+        for _ in range((prefix_unit + (unit(key[-1]) if key else 0)) % 4):
+            a, b = -b, a
+        for part, out in ((a, re), (b, im)):
+            if not part:
+                continue
+            if key:
+                step(key[-1], len(head), prefix, part, out)
+            else:  # the constant term, first in sorted order
+                out[zero] = part
+    full = denom * order
+    total = {k: _reduced(re.get(k, 0), im.get(k, 0), full) for k in re | im}
+    return {k: v for k, v in total.items() if v}
+
+
 # ---------------------------------------------------------------------------
 # decomposition
 # ---------------------------------------------------------------------------
@@ -352,7 +489,9 @@ def decompose(f: LaurentPoly, group: GroupSpec) -> GeneratorPoly:
     The peel proves invariance; if it fails, a DomainError names a Weyl
     generator moving f (none moving it is an InternalCheckError).  Orbits
     beyond WEYL_CAP raise ResourceLimitError, half-integer weights
-    UnsupportedInputError.  expand(P, group) == f is checked exactly.
+    UnsupportedInputError.  expand(P, group) == f is checked exactly, in
+    the orbit-sum basis: ``orbit_coefficients(P)`` must equal the peel's
+    ``{orbit key of m: c_m}`` for f = sum of c_m * orbit_sum(m).
     """
     if f.group != group:
         raise DomainError("polynomial belongs to a different group")
@@ -361,13 +500,13 @@ def decompose(f: LaurentPoly, group: GroupSpec) -> GeneratorPoly:
             "decomposition supports integer-weight invariants only"
         )
     try:
-        result = _peel(f, group)
+        result, parts = _peel(f, group)
     except InternalCheckError:  # a bug, unless a Weyl generator moves f
         witness = invariance_violation(f, group)
         if witness is None:
             raise
         raise DomainError(f"input is not W-invariant; moved by {witness.describe()}") from None
-    if expand(result, group) != f:
+    if orbit_coefficients(result, group) != {orbit_rep(m, group): c for m, c in parts}:
         raise InternalCheckError("decomposition failed its expand round trip")
     return result
 
@@ -395,13 +534,7 @@ _REDUCE_CACHE: dict = {}
 
 
 def _memo_key(m: ExponentMatrix, group: GroupSpec):
-    rows = []
-    for row in m:
-        if any(row):
-            if group.signed:
-                row, _ = _normalize_vector(row)
-            rows.append(row)
-    return (group, tuple(sorted(rows)))
+    return (group, orbit_rep(m, group)[0])
 
 
 def _reduce_pattern_monomial(m: ExponentMatrix, group: GroupSpec, bound: int) -> GeneratorPoly:
@@ -439,7 +572,7 @@ def _reduce_pattern_monomial(m: ExponentMatrix, group: GroupSpec, bound: int) ->
     for y, count in lower.values():
         for k, v in _reduce_pattern_monomial(y, group, bound=level).terms.items():
             sparse.add_term(out, k, v * -count)
-    result = _REDUCE_CACHE[key] = GeneratorPoly(out).scaled(GaussRat(Fraction(1, top[key][1])))
+    result = _REDUCE_CACHE[key] = GeneratorPoly._wrap(out).scaled(GaussRat(Fraction(1, top[key][1])))
     return result
 
 
@@ -452,9 +585,7 @@ def _step_counts(
     is m_sub with its rows sign-normalised (signed families) and sorted;
     ``alpha_row`` is alpha as a stored (doubled) row."""
     shifts = (alpha_row, tuple(-e for e in alpha_row)) if group.signed else (alpha_row,)
-    if group.signed:
-        m_sub = [max(row, tuple(-e for e in row)) for row in m_sub]
-    x = sorted(m_sub)  # for SL, the raw rows decide which ones are empty
+    x = list(orbit_rep(m_sub, group)[0])  # for SL, the raw rows decide which ones are empty
     top, lower = {}, {}
     for k, row in enumerate(x):
         hits = lower if any(row) else top
@@ -466,9 +597,10 @@ def _step_counts(
     return top, lower
 
 
-def _peel(f: LaurentPoly, group: GroupSpec) -> GeneratorPoly:
+def _peel(f: LaurentPoly, group: GroupSpec) -> tuple[GeneratorPoly, list]:
     """Split ``f`` into multiples of Weyl orbit sums and add up the
-    reductions of their monomials with the same multiples.
+    reductions of their monomials with the same multiples.  Returns the
+    sum and the split ``[(m, c_m)]``, f = sum of c_m * orbit_sum(m).
 
     An orbit sum gives all monomials of an orbit one coefficient, so each
     step removes the orbit of any key m left, which must be there in full
@@ -489,4 +621,4 @@ def _peel(f: LaurentPoly, group: GroupSpec) -> GeneratorPoly:
     for m, coeff in parts:
         for k, v in _reduce_orbit(m, group).terms.items():
             sparse.add_term(result, k, v * coeff)
-    return GeneratorPoly(result)
+    return GeneratorPoly._wrap(result), parts

@@ -54,7 +54,7 @@ from .linalg import (
     zeros,
 )
 from .points import TorusPoint
-from .scalars import GaussRat, I, ONE, ZERO
+from .scalars import GaussRat, I, ONE, ZERO, to_fraction
 
 HALF = GaussRat(Fraction(1, 2))
 
@@ -486,6 +486,7 @@ def cartan_tangent(group: GroupSpec, u: Sequence) -> Mat:
 def cartan_metric(group: GroupSpec, c: Fraction = Fraction(1)) -> CartanMetric:
     """Derive the diagonal multiplier by evaluating the trace form on the
     explicit Cartan tangent matrices (never assumed)."""
+    c = to_fraction(c)
     if c == 0:
         raise DomainError("c must be nonzero")
     n = group.rank
@@ -506,14 +507,14 @@ def cartan_metric(group: GroupSpec, c: Fraction = Fraction(1)) -> CartanMetric:
                 raise InternalCheckError("Cartan metric is not diagonal")
     if mult is None or not mult or not mult.is_rational():
         raise InternalCheckError("degenerate Cartan metric")
-    return CartanMetric(group, Fraction(c), mult.as_fraction())
+    return CartanMetric(group, c, mult.as_fraction())
 
 
 def omega_prime(group: GroupSpec, c: Fraction, pair1, pair2):
     """The two-form B(v1, w2) - B(v2, w1) on pairs of Cartan vectors."""
     v1, w1 = pair1
     v2, w2 = pair2
-    metric = cartan_metric(group, Fraction(c))
+    metric = cartan_metric(group, c)
     return metric.pair(list(v1), list(w2)) - metric.pair(list(v2), list(w1))
 
 
@@ -582,7 +583,7 @@ def numeric_bracket(
     key = ("metric", id(c))
     hit = point.memo.get(key)
     if hit is None:
-        metric = cartan_metric(group, c if isinstance(c, Fraction) else Fraction(c))
+        metric = cartan_metric(group, c)
         hit = point.memo[key] = (c, metric)  # holding c keeps id(c) unique
     metric = hit[1]
     pf1, pf2 = _gradient_entry(f, point)[2]

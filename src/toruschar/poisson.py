@@ -26,7 +26,7 @@ from .errors import DomainError, ResourceLimitError, StructureError
 from .generators import tau_image
 from .groups import GroupSpec
 from .jsonio import json_check, json_coeff, json_field, json_ints
-from .scalars import GaussRat, ONE, read_rational
+from .scalars import GaussRat, ONE, read_rational, to_fraction
 
 LatticeVec = tuple[int, int]
 
@@ -54,7 +54,7 @@ class TauPoly(sparse.SparsePoly):
     def __init__(self, group: GroupSpec, c: Fraction, terms: Mapping[tuple, GaussRat] = ()):
         if group.factors != 2:
             raise StructureError("trace symbols need exactly two factors")
-        c = Fraction(c)
+        c = to_fraction(c)
         if c == 0:
             raise StructureError("c must be nonzero")
         self.group = group
@@ -174,7 +174,7 @@ def bracket_symbols(
     extrapolated_gl: bool = False,
 ) -> TauPoly:
     """Poisson bracket of two trace symbols."""
-    c = Fraction(c)
+    c = to_fraction(c)
     if c == 0:
         raise DomainError("c must be nonzero")
     p, q = int(a[0]), int(a[1])
@@ -272,7 +272,7 @@ def structure_constants(
             entries.append({"a": list(a), "b": list(b), "bracket": br.to_json()})
     return {
         "group": group.to_json(),
-        "c": str(Fraction(c)),
+        "c": str(to_fraction(c)),
         "cutoff": cutoff,
         "entries": entries,
     }

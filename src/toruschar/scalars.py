@@ -46,6 +46,11 @@ def read_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+def to_fraction(value) -> Fraction:
+    """``Fraction(value)``, with text read by ``read_rational``."""
+    return read_rational(value) if isinstance(value, str) else Fraction(value)
+
+
 def _rat_str(n: int, d: int) -> str:
     g = gcd(n, d)
     if g != 1:
@@ -65,8 +70,8 @@ class GaussRat:
             self._b = im
             self._d = 1
             return
-        re = Fraction(re)
-        im = Fraction(im)
+        re = to_fraction(re)
+        im = to_fraction(im)
         q = re.denominator
         s = im.denominator
         # d = lcm(q, s); both parts in lowest terms make gcd(a, b, d) == 1

@@ -20,6 +20,8 @@ orbit is half of the full one: the sign patterns whose number of flips has
 the parity of the input's (an input with rows r, -r has one flip).
 Each orbit monomial carries the coefficient |G|/|orbit|, its stabiliser
 order, so the result is the sum of w . m over every element w of G.
+``orbit_rep`` names an orbit by these same data: the sorted rows up to
+sign, and for even SO with no zero row the parity of the flips.
 """
 
 from __future__ import annotations
@@ -170,24 +172,21 @@ def act(w: SignedPerm, f: LaurentPoly) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 
 def _images(
-    m: ExponentMatrix, signed: bool, even_flips: bool, cap: int
+    m: ExponentMatrix, group: GroupSpec, even_flips: bool, cap: int
 ) -> list[ExponentMatrix]:
     """The distinct images of the presentation ``m`` (not canonicalised)
-    under row permutations and, if ``signed``, sign changes of rows, which
-    are restricted to even numbers of flips when ``even_flips``.
+    under row permutations and, if ``group`` is signed, sign changes of
+    rows, which are restricted to even numbers of flips when
+    ``even_flips``.
 
     The orbit size is checked against ``cap`` before anything is built.
     """
     if not any(map(any, m)):  # the zero matrix is its own orbit
         return [m]
-    if signed:
-        base = [max(row, tuple(-e for e in row)) for row in m]
-        nonzero = sum(1 for row in base if any(row))
-    else:
-        base, nonzero = list(m), 0
-    parity = None
-    if even_flips and nonzero == len(m):
-        parity = sum(1 for row, b in zip(m, base) if row != b) % 2
+    base, parity = orbit_rep(m, group)
+    nonzero = sum(1 for row in base if any(row)) if group.signed else 0
+    if not (even_flips and nonzero == len(m)):
+        parity = None
     size = math.factorial(len(m)) << nonzero
     for k in Counter(base).values():
         size //= math.factorial(k)
@@ -229,13 +228,40 @@ def _arrangements(rows: list) -> Iterator[ExponentMatrix]:
         a[i + 1:] = reversed(a[i + 1:])
 
 
+def orbit_rep(m: ExponentMatrix, group: GroupSpec) -> tuple[ExponentMatrix, int]:
+    """The key ``(rows, parity)`` of the Weyl orbit of the stored key ``m``
+    (SL keys canonical mod relations): two keys get one orbit key exactly
+    when they lie in one orbit.  ``rows`` are the rows of ``m`` sorted,
+    each sign-normalised (first nonzero entry positive) in the signed
+    families; a zero row then sorts first.  ``parity`` is, for even SO
+    with no zero row, the number of rows that normalising negated, mod 2,
+    and 0 otherwise.  ``rows`` alone keys the orbit under the pattern
+    group (``pattern_sum``)."""
+    if not group.signed:
+        return tuple(sorted(m)), 0
+    rows = []
+    flips = 0
+    for row in m:
+        for e in row:
+            if e:
+                if e < 0:
+                    row = tuple([-e for e in row])
+                    flips += 1
+                break
+        rows.append(row)
+    rows.sort()
+    if group.family == "SOeven" and any(rows[0]):
+        return tuple(rows), flips & 1
+    return tuple(rows), 0
+
+
 def _orbit_sum(
     m: ExponentMatrix, group: GroupSpec, order: int, even_flips: bool, cap: int
 ) -> LaurentPoly:
     """Sum of w . m over a group of ``order`` elements, built as the orbit
     with the stabiliser order |G|/|orbit| on every monomial."""
     (key,) = LaurentPoly(group, {m: ONE}).terms  # validates + canonicalizes the key
-    images = _images(key, group.signed, even_flips, cap)
+    images = _images(key, group, even_flips, cap)
     coeff = GaussRat(order // len(images))
     # Permuting the rows of a canonical SL key leaves it canonical: the
     # shift that canonicalises a key depends only on its multiset of rows.

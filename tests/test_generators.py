@@ -404,3 +404,14 @@ def test_non_invariant_input_beyond_the_orbit_cap_hits_the_cap():
     f = LaurentPoly.monomial(g, exponents([[k] for k in range(1, 10)]))
     with pytest.raises(ResourceLimitError, match="exceeds cap"):
         decompose(f, g)
+
+
+def test_generator_poly_constructor_coerces_and_sorts():
+    sp2 = GroupSpec("Sp", 2, 1)
+    t1, t2 = tau_symbol(sp2, (1,)), tau_symbol(sp2, (2,))
+    p = GeneratorPoly({(t1,): 2})
+    assert p.terms == {(t1,): GaussRat(2)}
+    assert expand(p, sp2) == tau_image(sp2, (1,)).scaled(2)
+    assert GeneratorPoly({(t2, t1): 1}) == GeneratorPoly({(t1, t2): 1})
+    assert GeneratorPoly({(t2, t1): 1}).terms == {(t1, t2): ONE}
+    assert not GeneratorPoly({(t2, t1): 1, (t1, t2): -1})

@@ -1,9 +1,15 @@
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from toruschar.groups import GroupSpec
+from toruschar.lie import cartan_metric
+from toruschar.poisson import TauPoly, bracket_symbols
 from toruschar.scalars import GaussRat, I, ONE, ZERO
+
+SL22 = GroupSpec("SL", 2, 2)
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12
@@ -97,3 +103,22 @@ def test_parse_rejects_non_strings():
     for bad in (5, 1.5, None, ["1"], {"re": 1}):
         with pytest.raises(ValueError):
             GaussRat.parse(bad)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda text: GaussRat(text),
+        lambda text: GaussRat(0, text),
+        lambda text: TauPoly.zero(SL22, text).c,
+        lambda text: bracket_symbols((1, 0), (0, 1), SL22, text),
+        lambda text: cartan_metric(SL22, text).c,
+    ],
+    ids=["GaussRat re", "GaussRat im", "TauPoly c", "bracket_symbols c", "cartan_metric c"],
+)
+def test_library_text_goes_through_read_rational(build):
+    assert build("1/2") == build(Fraction(1, 2))
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="exponent too large"):
+        build("1e1000000000")
+    assert time.perf_counter() - started < 2.0

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toruschar.errors import ResourceLimitError
-from toruschar.groups import GroupSpec
+from toruschar.groups import FAMILIES, GroupSpec
 from toruschar.laurent import LaurentPoly, exponents
 from toruschar.scalars import GaussRat
 from toruschar.weyl import (
@@ -16,6 +17,7 @@ from toruschar.weyl import (
     is_invariant,
     level_of_monomial,
     level_of_poly,
+    orbit_rep,
     orbit_sum,
     weyl_elements,
 )
@@ -195,3 +197,21 @@ def test_level_weyl_invariant_and_shift_invariant():
         shift = [rng.randint(-2, 2) for _ in range(2)]
         shifted = exponents([[r + s for r, s in zip(row, shift)] for row in rows])
         assert level_of_monomial(shifted, sl3) == lvl
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("rank, factors", [(1, 2), (2, 2), (3, 1), (3, 2), (4, 1)])
+def test_orbit_rep_keys_each_orbit_once(family, rank, factors):
+    # Every monomial of a box of entries (half weights for even SO), keyed
+    # by orbit_rep: all images of one orbit share one key, and no key is
+    # shared by two orbits.
+    group = GroupSpec(family, rank, factors)
+    entries = (-1, 0, 1) if group.allows_half_weights else (-2, 0, 2)
+    rows = list(itertools.product(entries, repeat=factors))
+    keys = {k for m in itertools.product(rows, repeat=rank)
+            for k in LaurentPoly.monomial(group, m).terms}  # SL keys canonical
+    orbits = {}
+    for m in keys:
+        images = frozenset(orbit_sum(m, group).terms)
+        assert {orbit_rep(y, group) for y in images} == {orbit_rep(m, group)}
+        assert orbits.setdefault(orbit_rep(m, group), images) == images
