@@ -495,7 +495,9 @@ def decompose(f: LaurentPoly, group: GroupSpec) -> GeneratorPoly:
     """
     if f.group != group:
         raise DomainError("polynomial belongs to a different group")
-    if f.has_half_weights():
+    # Odd (half-weight) entries exist only where the family allows them:
+    # ``check_exponents`` refuses them in every other LaurentPoly.
+    if group.allows_half_weights and f.has_half_weights():
         raise UnsupportedInputError(
             "decomposition supports integer-weight invariants only"
         )

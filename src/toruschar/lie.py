@@ -8,7 +8,10 @@ bracket obtained from the two-form B(v1,w2) - B(v2,w1) on pairs of Cartan
 vectors in eigenvalue coordinates.
 
 Exact mode (GaussRat matrices and points) is authoritative; float mode
-(numpy) exists for Monte-Carlo style verification at scale.  Where the
+exists for Monte-Carlo style verification at scale.  numpy is imported
+only where a float matrix is built or read (``torus_matrix`` with complex
+parameters, float ``ad_operator`` and ``cohomology_dims``), so importing
+this module does not load it; float points use plain complex.  Where the
 formula is the same, one body serves both scalars and picks them from
 its input.  Float input is taken by ``torus_matrix`` (complex
 parameters), ``ad_operator``, ``cocycle_space_dims`` and
@@ -23,13 +26,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import sparse
 from .errors import DomainError, InternalCheckError, StructureError
@@ -56,6 +58,9 @@ from .linalg import (
 from .points import TorusPoint
 from .scalars import GaussRat, I, ONE, ZERO, to_fraction
 
+if TYPE_CHECKING:
+    import numpy as np
+
 HALF = GaussRat(Fraction(1, 2))
 
 # The largest Lie-algebra dimension the ``killing`` and ``cohomology``
@@ -63,6 +68,13 @@ HALF = GaussRat(Fraction(1, 2))
 # SL(20) (dimension 399) and SOeven(14) (378) take about 3 s on a 2-vCPU
 # host, and cohomology of SL(20) with 10 factors about 1 s.
 LIE_DIM_CAP = 400
+
+
+def _is_array(a) -> bool:
+    """True for a numpy array.  Exact without importing numpy: no array
+    can exist before numpy is loaded."""
+    np_mod = sys.modules.get("numpy")
+    return np_mod is not None and isinstance(a, np_mod.ndarray)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +199,8 @@ def torus_matrix(group: GroupSpec, eigvals: Sequence):
         vals = [v if isinstance(v, GaussRat) else GaussRat(v) for v in eigvals]
         zero, one, unit_i = ZERO, ONE, I
     else:
+        import numpy as np
+
         vals = [complex(v) for v in eigvals]
         zero, one, unit_i = 0j, 1, 1j
     if any(not v for v in vals):
@@ -302,7 +316,7 @@ def variation(group: GroupSpec, a, c: Fraction = Fraction(1)):
     """
     if c == 0:
         raise DomainError("c must be nonzero")
-    if isinstance(a, np.ndarray):
+    if _is_array(a):
         raise DomainError("variation takes an exact matrix, not a numpy array")
     m = len(a)
     inv_c = GaussRat(Fraction(1, 1) / c)
@@ -328,11 +342,13 @@ def ad_operator(group: GroupSpec, a) -> Mat | np.ndarray:
     the rows of A^{-1} are multiplied; ``basis_coords`` reads off the
     coordinates.  The element entries come from the per-group basis cache.
     """
-    exact = not isinstance(a, np.ndarray)
+    exact = not _is_array(a)
     basis = _basis_forms(group)[1]
     if exact:
         a_rows, inv_rows, zero = a, mat_inv(a), ZERO
     else:
+        import numpy as np
+
         a_rows, inv_rows, zero = a.tolist(), np.linalg.inv(a).tolist(), 0j
         basis = [[(rc, complex(v)) for rc, v in x] for x in basis]
     a_cols = nonzero_rows(zip(*a_rows))
@@ -364,7 +380,7 @@ def cocycle_space_dims(action_mats: Sequence, tol: float = 1e-10) -> tuple[int, 
     mats = list(action_mats)
     if not mats:
         raise DomainError("need at least one generator")
-    exact = not isinstance(mats[0], np.ndarray)
+    exact = not _is_array(mats[0])
     zero, one = (ZERO, ONE) if exact else (0j, 1)
     n_gen = len(mats)
     d = len(mats[0])
@@ -408,8 +424,10 @@ def cohomology_dims(
     gens = list(generators)
     if not gens:
         raise DomainError("need at least one generator")
-    exact = not isinstance(gens[0], np.ndarray)
+    exact = not _is_array(gens[0])
     if not exact:
+        import numpy as np
+
         require_tol(tol)
     for a, b in itertools.combinations(gens, 2):
         if exact:

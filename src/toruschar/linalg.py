@@ -8,17 +8,20 @@ Lie layer builds its sparse rows from.  Inverse and determinant are plain
 Gauss-Jordan elimination.  ``exact_rank`` and ``float_rank`` both take
 the sparse dict rows of the cohomology constraint systems: the first
 eliminates them exactly, the second writes them into one dense array and
-counts numpy singular values for the float verification path.
+counts numpy singular values for the float verification path.  numpy is
+imported inside ``to_numpy`` and ``float_rank`` only, so the exact toolkit
+loads without it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from .errors import DomainError
 from .scalars import GaussRat, ONE, ZERO
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Mat = tuple[tuple[GaussRat, ...], ...]
 
@@ -129,6 +132,8 @@ def mat_eq(a: Mat, b: Mat) -> bool:
 
 
 def to_numpy(a: Mat) -> np.ndarray:
+    import numpy as np
+
     return np.array([[complex(v) for v in row] for row in a], dtype=complex)
 
 
@@ -164,6 +169,8 @@ def float_rank(rows: Sequence[dict[int, complex]], width: int, tol: float = 1e-1
     """Numerical rank of the matrix with the given sparse rows and
     ``width`` columns: the count of singular values above ``tol`` times
     max(1, largest singular value)."""
+    import numpy as np
+
     matrix = np.zeros((len(rows), width), dtype=complex)
     for k, row in enumerate(rows):
         for c, v in row.items():

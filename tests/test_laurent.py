@@ -180,6 +180,18 @@ def test_half_weights_rejected_outside_soeven():
     assert LaurentPoly(g, {((1,), (1,)): ONE}).has_half_weights()
 
 
+def test_half_weights_refused_by_constructor_and_json_outside_soeven():
+    # decompose scans for half weights only where the family allows them;
+    # every other family must refuse an odd doubled entry on the way in.
+    for fam in ("GL", "SL", "Sp", "SOodd"):
+        g = GroupSpec(fam, 2, 2)
+        with pytest.raises(DomainError):
+            LaurentPoly(g, {((0, 2), (1, 0)): ONE})
+        blob = {"group": g.to_json(), "terms": [{"coeff": "1", "exps": [[0, 1], [0.5, 0]]}]}
+        with pytest.raises(DomainError):
+            LaurentPoly.from_json(blob)
+
+
 def test_json_round_trip():
     g = GroupSpec("SL", 2, 2)
     f = LaurentPoly(
