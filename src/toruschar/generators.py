@@ -14,14 +14,14 @@ I.2).  Each step counts these n * |shifts| sums by orbit and builds no
 orbit: those on an empty row of x must all be P(m), beta is their number,
 and the rest are A.  Level 1 is the same step with P(0) = |P|.
 
-The result is checked exactly in the basis of Weyl orbit sums S(m), not
-in Laurent terms.  Peeling f has already written it as a sum of
-c_m * S(m).  ``orbit_coefficients`` multiplies every generator term out
-in that basis, by the same identity with W in place of the pattern
-group: tau(alpha) * S(x) is the sum of S(x + s*alpha e_k) (plus S(x) for
-odd SO).  The two lists of coefficients must agree.  ``expand`` builds
-the Laurent image; it is the ``expand`` command and the reference the
-tests hold the check to.
+A generator polynomial is multiplied out by one walk over its sorted
+terms, ``_multiply_out``, in either of two bases.  ``expand`` runs it on
+Laurent terms: it is the ``expand`` command and the reference the tests
+hold the check to.  ``orbit_coefficients`` runs it on Weyl orbit sums
+S(m), by the identity above with W in place of the pattern group:
+tau(alpha) * S(x) is the sum of S(x + s*alpha e_k) (plus S(x) for odd
+SO).  ``decompose`` checks its result exactly in that basis, as peeling f
+has already written it as a sum of c_m * S(m).
 
 A note on the Q image: the alternating sum
 
@@ -200,18 +200,22 @@ class GeneratorPoly(sparse.SparsePoly):
                 fwhere = f"{where}.factors[{j}]"
                 json_check(factor, dict, fwhere)
                 if "tau" in factor:
-                    syms.append(tau_symbol(group, json_ints(factor["tau"], fwhere + ".tau")))
+                    kind, args = "tau", json_ints(factor["tau"], fwhere + ".tau")
                 elif "q" in factor:
                     raw = json_field(factor, "q", list, fwhere)
-                    alphas = tuple(json_ints(v, f"{fwhere}.q[{i}]") for i, v in enumerate(raw))
-                    sym, s = q_symbol(group, alphas)
-                    if sym is None:
-                        coeff = ZERO
-                        break
-                    coeff = coeff * s
-                    syms.append(sym)
+                    kind, args = "q", tuple(json_ints(v, f"{fwhere}.q[{i}]") for i, v in enumerate(raw))
                 else:
                     raise DomainError(f"{fwhere}: unknown generator factor {factor}")
+                try:
+                    if kind == "tau":
+                        syms.append(tau_symbol(group, args))
+                        continue
+                    sym, s = q_symbol(group, args)  # s == 0 when an alpha vanishes
+                except DomainError as exc:
+                    raise DomainError(f"{fwhere}.{kind}: {exc}") from None
+                coeff = coeff * s
+                if sym is not None:
+                    syms.append(sym)
             sparse.add_term(terms, tuple(sorted(syms)), coeff)
         return GeneratorPoly._wrap(terms)
 
@@ -303,33 +307,26 @@ def _unit_ints(terms: dict) -> tuple[int, dict]:
     raise InternalCheckError("generator image is not a unit times an integer polynomial")
 
 
-def expand(p: GeneratorPoly, group: GroupSpec) -> LaurentPoly:
-    """Substitute generator images and multiply out, exactly.
+def _multiply_out(p: GeneratorPoly, seed: dict, unit, times, divisor: int = 1) -> dict:
+    """``p`` multiplied out as ``{basis key: GaussRat}``, no value zero.
+    ``seed`` is ``divisor`` times the constant 1 as ``{key: int}``; a
+    symbol's image is i**unit(sym) times the int map that
+    ``times(sym, terms, factor, out)`` applies: it adds ``factor`` times
+    the product of the image with ``terms`` into ``out``.
 
-    The distinct symbol images are packed once, into one ``Packing`` wide
-    enough for the largest term (the sum of the ``symbol_span`` of its
-    factors), each as a unit power k and int coefficients (image = i^k *
-    ints).
-    Terms are walked in sorted order, so terms sharing a prefix of
-    symbols are adjacent: the chain of int prefix products of the
-    previous term is kept (their unit powers add mod 4) and only the
-    factors past the shared prefix are multiplied.  With L the lcm of the
-    term denominators, each term coefficient times its i^k becomes the
-    Gaussian integer A + Bi = L * coeff * i^k; the last factor, scaled by
-    A and by B, is multiplied straight into two int dicts of the whole
-    sum, re and im.  Each result key gets one GaussRat (re + im*i)/L, and
-    the sum is unpacked once at the end.  Nothing is kept between calls.
+    Terms are walked in sorted order, so terms sharing a prefix of symbols
+    are adjacent: the chain of int prefix products of the previous term is
+    kept (their unit powers add mod 4) and only the factors past the shared
+    prefix are multiplied.  With L the lcm of the term denominators, each
+    term coefficient times its i^k becomes the Gaussian integer A + Bi =
+    L * coeff * i^k; the last factor, times A and times B, goes straight
+    into two int dicts of the whole sum, re and im.  Each result key gets
+    one GaussRat (re + im*i) / (L * divisor).
     """
-    syms = dict.fromkeys(sym for key in p.terms for sym in key)
-    images = {sym: symbol_image(group, sym).terms for sym in syms}
-    spans = {sym: symbol_span(sym) for sym in syms}
-    packing = Packing(group, max((sum(map(spans.get, key)) for key in p.terms), default=0))
-    packed = {sym: _unit_ints(packing.pack_terms(terms)) for sym, terms in images.items()}
     denom = lcm(*(c._d for c in p.terms.values()))
-    chain = [(0, {0: 1})]  # chain[d]: (unit power, ints) of the first d symbols of ``prev``
+    chain = [(0, seed)]  # chain[d]: (unit power, ints) of the first d symbols of ``prev``
     prev: tuple = ()
-    re: dict = {}
-    im: dict = {}
+    re, im = {}, {}
     for key, coeff in p.sorted_terms():
         head = key[:-1]
         shared = 0
@@ -337,20 +334,44 @@ def expand(p: GeneratorPoly, group: GroupSpec) -> LaurentPoly:
             shared += 1
         del chain[shared + 1:]
         for sym in head[shared:]:
-            unit, ints = packed[sym]
-            chain.append(((chain[-1][0] + unit) % 4, sparse.mul(chain[-1][1], ints, add)))
+            terms: dict = {}
+            times(sym, chain[-1][1], 1, terms)
+            chain.append(((chain[-1][0] + unit(sym)) % 4, {k: c for k, c in terms.items() if c}))
         prev = head
-        unit, last = packed[key[-1]] if key else (0, {0: 1})
         prefix_unit, prefix = chain[-1]
         scale = denom // coeff._d
         a, b = coeff._a * scale, coeff._b * scale
-        for _ in range((prefix_unit + unit) % 4):
+        for _ in range((prefix_unit + (unit(key[-1]) if key else 0)) % 4):
             a, b = -b, a
-        if a:
-            sparse.mul(prefix, sparse.scale(last, a), add, re)
-        if b:
-            sparse.mul(prefix, sparse.scale(last, b), add, im)
-    total = {k: _reduced(re.get(k, 0), im.get(k, 0), denom) for k in re | im}
+        for part, out in ((a, re), (b, im)):
+            if not key:  # the constant term, first in sorted order
+                out.update(sparse.scale(seed, part))
+            elif part:
+                times(key[-1], prefix, part, out)
+    denom *= divisor
+    return {k: v for k in re | im if (v := _reduced(re.get(k, 0), im.get(k, 0), denom))}
+
+
+def expand(p: GeneratorPoly, group: GroupSpec) -> LaurentPoly:
+    """Substitute generator images and multiply out, exactly.
+
+    The distinct symbol images are packed once, into one ``Packing`` wide
+    enough for the largest term (the sum of the ``symbol_span`` of its
+    factors), each as a unit power k and int coefficients (image = i^k *
+    ints), and ``_multiply_out`` multiplies them with ``sparse.mul`` from
+    the seed {packed 0: 1}.  The sum is unpacked once at the end.  Nothing
+    is kept between calls.
+    """
+    syms = dict.fromkeys(sym for key in p.terms for sym in key)
+    images = {sym: symbol_image(group, sym).terms for sym in syms}
+    spans = {sym: symbol_span(sym) for sym in syms}
+    packing = Packing(group, max((sum(map(spans.get, key)) for key in p.terms), default=0))
+    packed = {sym: _unit_ints(packing.pack_terms(terms)) for sym, terms in images.items()}
+
+    def times(sym, terms: dict, factor: int, out: dict) -> None:
+        sparse.mul(terms, sparse.scale(packed[sym][1], factor), add, out)
+
+    total = _multiply_out(p, {0: 1}, lambda sym: packed[sym][0], times)
     return LaurentPoly._trusted(group, packing.unpack_terms(total))
 
 
@@ -410,67 +431,29 @@ def orbit_coefficients(p: GeneratorPoly, group: GroupSpec) -> dict:
     of coefficient * S(m) over them, S(m) = orbit_sum(m, group) and the
     keys those of ``weyl.orbit_rep``; no coefficient is zero.
 
-    It multiplies out as ``expand`` does, with the same sorted-term prefix
-    chain, unit powers and common denominator L, but in the orbit-sum
-    basis, so no Laurent image is built: the constant 1 is S(0)/|W|, the
-    chain starts from S(0), each tau factor is one ``_times_tau`` step, and
-    the sums are divided by L * |W| at the end.  A Q factor sorts before
-    every tau and seeds the chain: its image 2 * orbit_sum - pattern_sum
-    is i^n * (S(2a) - S(2a')), 2a the doubled alphas and 2a' the same with
-    one row negated, as pattern_sum(2a) = S(2a) + S(2a').  A Q after
-    another factor raises InternalCheckError (no decomposition makes one).
+    ``_multiply_out`` runs in the orbit-sum basis, so no Laurent image is
+    built: the seed is S(0) = |W| * 1, the divisor |W|, and each tau factor
+    is one ``_times_tau`` step.  A Q factor sorts before every tau and is
+    applied to the seed only: its image 2 * orbit_sum - pattern_sum is
+    i^n * (S(2a) - S(2a')), 2a the doubled alphas and 2a' the same with one
+    row negated, as pattern_sum(2a) = S(2a) + S(2a').  A Q after another
+    factor raises InternalCheckError (no decomposition makes one).
     """
+    if any(sym[0] == "q" for key in p.terms for sym in key[1:]):
+        raise InternalCheckError("a Q factor after another factor")
     order = group.weyl_order
-    zero = orbit_rep(zero_exponents(group), group)
-    denom = lcm(*(c._d for c in p.terms.values()))
 
-    def step(sym, depth: int, terms: dict, factor: int, out: dict) -> None:
+    def times(sym, terms: dict, factor: int, out: dict) -> None:
         kind, payload = sym
         if kind == "tau":
             _times_tau(terms, payload, group, factor, out)
             return
-        if depth:
-            raise InternalCheckError("a Q factor after another factor")
         rows, _ = orbit_rep(tuple(tuple(2 * a for a in alpha) for alpha in payload), group)
         for key, c in (((rows, 0), order * factor), ((rows, 1), -order * factor)):
             out[key] = out.get(key, 0) + c
 
-    def unit(sym) -> int:
-        return group.rank if sym[0] == "q" else 0
-
-    # chain[d]: (unit power, ints) of the first d symbols of ``prev``;
-    # chain[0] is S(0) = |W| * 1.
-    chain = [(0, {zero: 1})]
-    prev: tuple = ()
-    re: dict = {}
-    im: dict = {}
-    for key, coeff in p.sorted_terms():
-        head = key[:-1]
-        shared = 0
-        while shared < min(len(head), len(prev)) and head[shared] == prev[shared]:
-            shared += 1
-        del chain[shared + 1:]
-        for sym in head[shared:]:
-            terms: dict = {}
-            step(sym, len(chain) - 1, chain[-1][1], 1, terms)
-            terms = {k: c for k, c in terms.items() if c}
-            chain.append(((chain[-1][0] + unit(sym)) % 4, terms))
-        prev = head
-        prefix_unit, prefix = chain[-1]
-        scale = denom // coeff._d
-        a, b = coeff._a * scale, coeff._b * scale
-        for _ in range((prefix_unit + (unit(key[-1]) if key else 0)) % 4):
-            a, b = -b, a
-        for part, out in ((a, re), (b, im)):
-            if not part:
-                continue
-            if key:
-                step(key[-1], len(head), prefix, part, out)
-            else:  # the constant term, first in sorted order
-                out[zero] = part
-    full = denom * order
-    total = {k: _reduced(re.get(k, 0), im.get(k, 0), full) for k in re | im}
-    return {k: v for k, v in total.items() if v}
+    seed = {orbit_rep(zero_exponents(group), group): 1}
+    return _multiply_out(p, seed, lambda sym: group.rank if sym[0] == "q" else 0, times, order)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,8 @@ CUTOFF_CAP = 8
 
 
 def _norm_symbol(group: GroupSpec, a) -> LatticeVec:
+    if len(a) != 2:
+        raise DomainError(f"a trace symbol takes 2 entries, got {len(a)}")
     p, q = int(a[0]), int(a[1])
     if group.symmetric_traces:
         if p < 0 or (p == 0 and q < 0):
@@ -177,6 +179,8 @@ def bracket_symbols(
     c = to_fraction(c)
     if c == 0:
         raise DomainError("c must be nonzero")
+    if len(a) != 2 or len(b) != 2:
+        raise DomainError(f"a trace symbol takes 2 entries, got {len(a)} and {len(b)}")
     p, q = int(a[0]), int(a[1])
     r, s = int(b[0]), int(b[1])
     det = p * s - q * r

@@ -182,7 +182,7 @@ def roundtrip_suite(trials: int = 200, seed: int = 0, max_rank: int = 3) -> dict
             if not f:
                 continue
             try:
-                p = decompose(f, group)  # checks expand(p) == f itself
+                p = decompose(f, group)  # checks expand(p) == f in the orbit-sum basis
             except InternalCheckError:
                 failures += 1
                 continue

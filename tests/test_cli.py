@@ -311,6 +311,13 @@ def test_decompose_malformed_json_exit_2(tmp_path, capsys, doc, where):
         ({"terms": [{"coeff": "1", "factors": [{"x": [1, 0]}]}]}, "terms[0].factors[0]: unknown generator factor"),
         ({"terms": [{"coeff": "1", "factors": "tau"}]}, "terms[0].factors: expected a list"),
         ("terms", "top level: expected an object"),
+        ({"terms": [{"coeff": "1", "factors": [{"tau": [1, 2, 3]}]}]}, "terms[0].factors[0].tau: alpha must have 2 entries"),
+        ({"terms": [{"coeff": "1", "factors": [{"q": [[1, 0]]}]}]}, "terms[0].factors[0].q: Q takes exactly 2 vectors"),
+        # a vanishing Q zeroes the term, but the factors after it are still read
+        ({"terms": [{"coeff": "1", "factors": [{"q": [[0, 0], [1, 0]]}, {"bogus": 1}]}]},
+         "terms[0].factors[1]: unknown generator factor"),
+        ({"terms": [{"coeff": "1", "factors": [{"q": [[0, 0], [1, 0]]}, {"tau": [1, 2, 3]}]}]},
+         "terms[0].factors[1].tau: alpha must have 2 entries"),
     ],
 )
 def test_expand_malformed_json_exit_2(tmp_path, capsys, doc, where):

@@ -127,6 +127,19 @@ def test_a_second_q_factor_is_refused():
     assert from_orbits(orbit_coefficients(p, group), group) == expand(p, group)
 
 
+def test_a_generator_relation_multiplies_out_to_nothing():
+    # Newton's identity for the eigenvalues x1, x2 and their inverses on
+    # Sp(2), where e3 = e1: p3 = 3/2 p1 p2 - 1/2 p1^3 + 3 p1.
+    group = GroupSpec("Sp", 2, 1)
+    t1, t2, t3 = (tau_symbol(group, (a,)) for a in (1, 2, 3))
+    p = GeneratorPoly({
+        (t3,): 1, (t1, t2): Fraction(-3, 2), (t1, t1, t1): Fraction(1, 2), (t1,): -3,
+    })
+    assert len(p) == 4
+    assert orbit_coefficients(p, group) == {}
+    assert expand(p, group) == LaurentPoly.zero(group)
+
+
 def test_a_failed_check_still_names_the_round_trip(monkeypatch):
     group = GroupSpec("Sp", 2, 1)
     f = orbit_sum(exponents([[1], [2]]), group)

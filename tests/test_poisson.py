@@ -71,6 +71,18 @@ def test_symbol_normalization_so_like():
     assert t_sl != TauPoly.symbol(SL2, ONE_C, (1, 2))
 
 
+@pytest.mark.parametrize(
+    "a, b", [((1, 2, 3), (0, 1)), ((1, 0, 7), (0, 1, 9)), ((1,), (0, 1)), ((1, 0), (1,))]
+)
+def test_trace_symbols_take_two_entries(a, b):
+    with pytest.raises(DomainError, match="a trace symbol takes 2 entries"):
+        bracket_symbols(a, b, SL2, ONE_C)
+    for vec in (a, b):
+        if len(vec) != 2:
+            with pytest.raises(DomainError, match="a trace symbol takes 2 entries"):
+                TauPoly.symbol(SL2, ONE_C, vec)
+
+
 def test_antisymmetry_bilinearity_leibniz():
     rng = random.Random(5)
     for g in (GroupSpec("SL", 3, 2), GroupSpec("Sp", 2, 2), GroupSpec("SOodd", 2, 2)):
