@@ -13,10 +13,11 @@ Subcommands wrap the library with JSON file I/O:
     orbit-sum            Weyl orbit sum of a monomial
     level                level of a monomial or polynomial
 
-Exit codes: 0 success, 1 a verification suite missed its tolerance,
-2 invalid input, flags or a resource limit (such as a group above the
-Lie-dimension cap of `killing` and `cohomology`), 3 an internal
-self-check failed (a bug).  All randomness is seeded (default 0); equal
+Exit codes: 0 success, 1 a verification suite missed its tolerance
+(`verify-bracket` then prints to stderr a command that reproduces its
+largest error), 2 invalid input, flags or a resource limit (such as a
+group above the Lie-dimension cap of `killing` and `cohomology`), 3 an
+internal self-check failed (a bug).  All randomness is seeded (default 0); equal
 seeds and flags give byte-identical outputs.
 """
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import shlex
 import sys
 
 from .errors import (
@@ -224,7 +226,18 @@ def _cmd_verify_bracket(args) -> int:
         f"{res['group']}: {res['checked']} checks over {res['pairs']} pairs, "
         f"max relative error {res['max_rel_err']:.3e} (tol {res['tol']:.1e})"
     )
-    return 0 if res["ok"] else 1
+    if res["ok"]:
+        return 0
+    # A witness: the same run cut after the worst trial gives the same error.
+    argv = ["toruschar", "verify-bracket", "--family", args.family, "--rank", str(args.rank),
+            "--c", args.c, "--trials", str(res["worst_trial"] + 1), "--seed", str(args.seed),
+            "--tol", repr(args.tol), "--window", str(args.window)]
+    if args.extrapolated:
+        argv.append("--extrapolated")
+    a, b = res["worst_pair"]
+    print(f"{shlex.join(argv)}  # worst: {{tau{a}, tau{b}}} at trial {res['worst_trial'] + 1}",
+          file=sys.stderr)
+    return 1
 
 
 def _cmd_verify_jacobi(args) -> int:

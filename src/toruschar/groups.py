@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import StructureError
+from .errors import DomainError, StructureError
 from .jsonio import json_check, json_field
 
 FAMILIES = ("GL", "SL", "Sp", "SOodd", "SOeven")
@@ -93,6 +93,21 @@ class GroupSpec:
     @property
     def allows_half_weights(self) -> bool:
         return self.family == "SOeven"
+
+    # -- index checks ---------------------------------------------------
+
+    def require_factor(self, j: int) -> None:
+        """Refuse a 1-based factor index outside 1..factors (indexing
+        would wrap 0 and negative ones)."""
+        if not 1 <= j <= self.factors:
+            raise DomainError(f"factor index {j} outside 1..{self.factors}")
+
+    def require_position(self, i: int, j: int) -> None:
+        """Refuse x_ij with row i outside 1..rank or factor j outside
+        1..factors."""
+        if not 1 <= i <= self.rank:
+            raise DomainError(f"row index {i} outside 1..{self.rank}")
+        self.require_factor(j)
 
     # -- (de)serialization helpers --------------------------------------
 

@@ -194,11 +194,9 @@ class Packing:
 def sum_terms(terms, point):
     """Sum of ``coeff * point.monomial_value(m)`` over ``(m, coeff)`` pairs,
     in the order given, starting from the first term; ``point.zero_value()``
-    when there are none.  Coefficients must already be in the point's
-    scalar type (GaussRat for exact points, complex for float points).
-
-    This is the one evaluation loop of ``evaluate`` and
-    ``log_gradient_values``, so both give bit-identical values.
+    when there are none.  Coefficients must be GaussRat; this is the
+    evaluation loop of exact points (float points sum the memoised
+    monomial values of ``LaurentPoly._point_values``).
     """
     total = None
     value = point.monomial_value
@@ -215,13 +213,17 @@ class LaurentPoly(sparse.SparsePoly):
 
     Instances are treated as immutable; every operation returns a new
     polynomial.  Zero coefficients are never stored and SL keys are always
-    in canonical form.  The table of logarithmic partials and the sorted
-    ``(m, complex)`` terms of float evaluation are built on first use and
-    kept for the life of the instance (see ``log_gradient_values`` and
-    ``evaluate``).
+    in canonical form.  Float evaluation keeps two tables for the life
+    of the instance, so they never go stale: per sorted term the nonzero
+    power keys ``(i, j, e)`` in row-major order and the complex
+    coefficient (built on first float use), and per log-partial ``(i,
+    j)`` the ``(term index, complex coefficient)`` pairs of its terms in
+    sorted order (built on the first float gradient).  At a float point
+    each polynomial then computes its monomial values once
+    (``_point_values``), and its value and every log-partial sum them.
     """
 
-    __slots__ = ("group", "_log_partials")
+    __slots__ = ("group", "_float_table", "_float_partials")
 
     def __init__(self, group: GroupSpec, terms: Mapping[ExponentMatrix, GaussRat] = ()):
         self.group = group
@@ -232,7 +234,7 @@ class LaurentPoly(sparse.SparsePoly):
                 coeff = GaussRat(coeff)
             sparse.add_term(clean, canonical_mod_relations(m, group), coeff)
         self.terms = clean
-        self._log_partials = self._float_terms = None
+        self._float_table = self._float_partials = None
 
     @classmethod
     def _trusted(cls, group: GroupSpec, terms: dict) -> "LaurentPoly":
@@ -240,7 +242,7 @@ class LaurentPoly(sparse.SparsePoly):
         the stored form (canonical keys, no zero coefficient)."""
         p = cls.__new__(cls)
         p.group, p.terms = group, terms
-        p._log_partials = p._float_terms = None
+        p._float_table = p._float_partials = None
         return p
 
     def _ring(self) -> tuple:
@@ -275,6 +277,7 @@ class LaurentPoly(sparse.SparsePoly):
     @classmethod
     def variable(cls, group: GroupSpec, i: int, j: int, power: int = 1) -> "LaurentPoly":
         """The monomial x_ij^power (1-based indices, integer power)."""
+        group.require_position(i, j)
         rows = [[0] * group.factors for _ in range(group.rank)]
         rows[i - 1][j - 1] = power
         return cls.monomial(group, exponents(rows))
@@ -322,6 +325,7 @@ class LaurentPoly(sparse.SparsePoly):
         Each term is multiplied by its true (possibly half-integer)
         exponent in variable (i, j).
         """
+        self.group.require_position(i, j)
         out: dict[ExponentMatrix, GaussRat] = {}
         for m, c in self.terms.items():
             e = m[i - 1][j - 1]
@@ -329,50 +333,103 @@ class LaurentPoly(sparse.SparsePoly):
                 out[m] = c * GaussRat(Fraction(e, 2))
         return LaurentPoly._trusted(self.group, out)
 
+    def _build_float_table(self) -> tuple:
+        """``(power keys, coefficients)`` per sorted term, kept in
+        ``_float_table``."""
+        keys, coeffs = [], []
+        for m, c in self.sorted_terms():
+            keys.append(tuple(
+                (i, j, e) for i, row in enumerate(m, 1) for j, e in enumerate(row, 1) if e
+            ))
+            coeffs.append(complex(c))
+        table = self._float_table = (tuple(keys), tuple(coeffs))
+        return table
+
+    def _build_float_partials(self) -> tuple:
+        """``[j-1][i-1]``: the ``(term index, coefficient)`` pairs of
+        ``partial(i, j)``, kept in ``_float_partials``.  Built on the
+        first float gradient only, as most polynomials evaluated at a
+        point never need one."""
+        group = self.group
+        partials = [[[] for _ in range(group.rank)] for _ in range(group.factors)]
+        for k, (m, c) in enumerate(self.sorted_terms()):
+            for i, row in enumerate(m):
+                for j, e in enumerate(row):
+                    if e:  # c * e / 2 is the coefficient partial(i+1, j+1) has
+                        partials[j][i].append((k, complex(c * e / 2)))
+        table = self._float_partials = tuple(tuple(map(tuple, row)) for row in partials)
+        return table
+
+    def _point_values(self, point) -> tuple:
+        """The value of each sorted monomial at a float point, memoised in
+        ``point.memo`` under ``("vals", id(self))`` (the entry holds the
+        polynomial, so its id is not reused while the point lives).  Each
+        is ``point.monomial_value(m)`` bit for bit: 1 + 0j times the
+        coordinate powers in row-major order."""
+        memo = point.memo
+        hit = memo.get(("vals", id(self)))
+        if hit is not None:
+            return hit[1]
+        table = self._float_table or self._build_float_table()
+        get = point.powers.get
+        values = []
+        for keys in table[0]:
+            v = 1 + 0j
+            for key in keys:
+                power = get(key)
+                if power is None:
+                    power = point.coordinate_power(*key)
+                v = v * power
+            values.append(v)
+        values = tuple(values)
+        memo[("vals", id(self))] = (self, values)
+        return values
+
     def log_gradient_values(self, point) -> tuple:
         """Values of every logarithmic partial at a point of the same group:
         entry ``[j-1][i-1]`` equals ``self.partial(i, j).evaluate(point)``
-        bit for bit (the same terms in the same order through
-        ``sum_terms``).
-
-        The exact work is done once per polynomial: on first use a table
-        of the sorted terms of each ``partial(i, j)`` is built, as
-        ``(m, GaussRat)`` and as ``(m, complex)`` pairs, and kept as long
-        as the polynomial.  Instances are immutable, so it never goes
-        stale.  Only the float (or exact) sums are left for each point.
+        bit for bit.  At a float point each partial sums its coefficients
+        times the memoised monomial values, in sorted term order from the
+        first term; exact points evaluate the partials themselves.
         """
         self._require_point_group(point)
-        table = self._log_partials
-        if table is None:
+        if point.exact:
             group = self.group
-            table = []
-            for j in range(1, group.factors + 1):
-                row = []
-                for i in range(1, group.rank + 1):
-                    exact = tuple(self.partial(i, j).sorted_terms())
-                    row.append((exact, tuple((m, complex(c)) for m, c in exact)))
-                table.append(tuple(row))
-            table = self._log_partials = tuple(table)
-        mode = 0 if point.exact else 1
-        return tuple(
-            tuple(sum_terms(terms[mode], point) for terms in row) for row in table
-        )
+            return tuple(
+                tuple(self.partial(i, j).evaluate(point) for i in range(1, group.rank + 1))
+                for j in range(1, group.factors + 1)
+            )
+        values = self._point_values(point)
+        grads = []
+        for row in self._float_partials or self._build_float_partials():
+            vec = []
+            for terms in row:
+                total = None
+                for k, c in terms:
+                    term = c * values[k]
+                    total = term if total is None else total + term
+                vec.append(0j if total is None else total)
+            grads.append(tuple(vec))
+        return tuple(grads)
 
     def evaluate(self, point):
         """Substitution homomorphism at a torus point of the same group.
 
-        ``point`` must provide ``group``, ``exact``,
-        ``monomial_value(exponent_matrix)`` and ``zero_value()``; the
-        result type follows the point (complex in float mode, GaussRat in
-        exact mode).  Float points reuse the sorted ``(m, complex)`` terms
-        kept from the first float evaluation; exact points sort the exact
-        terms.
+        ``point`` is a ``TorusPoint``; the result type follows it (complex
+        in float mode, GaussRat in exact mode).  Exact points sum the
+        sorted exact terms; float points sum the complex coefficients of
+        the float table times the monomial values memoised at the point,
+        which ``log_gradient_values`` shares.
         """
         self._require_point_group(point)
         if point.exact:
             return sum_terms(self.sorted_terms(), point)
-        # The slot is read first, as a method call costs the oracle ~3%.
-        return sum_terms(self._float_terms or self._float_sorted(), point)
+        values = self._point_values(point)  # builds the table on first use
+        total = None
+        for c, v in zip(self._float_table[1], values):
+            term = c * v
+            total = term if total is None else total + term
+        return 0j if total is None else total
 
     # -- structure queries -------------------------------------------------
 

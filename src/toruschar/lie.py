@@ -553,8 +553,11 @@ def _gradient_entry(f: LaurentPoly, point: TorusPoint) -> tuple:
 def log_gradients(f: LaurentPoly, point: TorusPoint) -> tuple:
     """All N vectors (x_ij d f / d x_ij)_i at the point, one per factor j.
 
-    The exact partials are hoisted out of the sample loop: they are built
-    once per polynomial and kept as long as ``f`` (see
+    At a float point the exact partials are hoisted out of the sample
+    loop: their coefficients are tabled once per polynomial and kept as
+    long as ``f``, and they sum the monomial values of ``f`` that
+    ``f.evaluate`` memoises at the point too, so each monomial is
+    computed once per polynomial and point (see
     ``LaurentPoly.log_gradient_values``).  The vectors are memoised per
     (polynomial, point) in ``point.memo`` and live as long as the point,
     so every symbol pair sharing ``f`` at one point reuses them.  Each
@@ -567,8 +570,10 @@ def log_gradient(f: LaurentPoly, point: TorusPoint, j: int) -> list:
     """Vector of x_ij d f / d x_ij evaluated at the point (1-based j).
 
     A copy of the j-th vector of ``log_gradients``, which memoises all N
-    vectors of ``f`` at the point on first use.
+    vectors of ``f`` at the point on first use.  A j outside 1..N is
+    refused with ``DomainError``.
     """
+    f.group.require_factor(j)
     return list(log_gradients(f, point)[j - 1])
 
 
@@ -586,10 +591,14 @@ def numeric_bracket(
     The orientation is pinned once against the SL(2) bracket formula at
     the reference point (2, 3) and is part of the test suite.
 
-    Exact partials are built once per polynomial, their values and
-    projections once per (polynomial, point) by ``_gradient_entry`` (the
-    projection does not depend on c), and the Cartan metric for ``c``
-    once per point, so a symbol pair costs two dot products.
+    At a float point the partials' coefficients are tabled once per
+    polynomial and each monomial value computed once per (polynomial,
+    point), shared with ``evaluate``; the gradients and their projections
+    once per (polynomial, point) by ``_gradient_entry`` (the projection
+    does not depend on c); and the Cartan metric for ``c`` once per
+    point.  The ``"metric"`` and ``"grad"`` entries of ``point.memo`` are
+    read inline, so a symbol pair costs three dict lookups and two dot
+    products.
     """
     group = f.group
     if (h.group is not group and h.group != group) or (
@@ -598,14 +607,15 @@ def numeric_bracket(
         raise StructureError("mismatched groups")
     if group.factors != 2:
         raise DomainError("the symplectic oracle needs exactly two factors")
+    memo = point.memo
     key = ("metric", id(c))
-    hit = point.memo.get(key)
+    hit = memo.get(key)
     if hit is None:
         metric = cartan_metric(group, c)
-        hit = point.memo[key] = (c, metric)  # holding c keeps id(c) unique
+        hit = memo[key] = (c, metric)  # holding c keeps id(c) unique
     metric = hit[1]
-    pf1, pf2 = _gradient_entry(f, point)[2]
-    ph1, ph2 = _gradient_entry(h, point)[2]
+    pf1, pf2 = (memo.get(("grad", id(f))) or _gradient_entry(f, point))[2]
+    ph1, ph2 = (memo.get(("grad", id(h))) or _gradient_entry(h, point))[2]
     scale = metric.c * metric.multiplier if point.exact else metric.scale
     return sum(map(mul, pf1, ph2)) / scale - sum(map(mul, pf2, ph1)) / scale
 

@@ -39,20 +39,29 @@ class TorusPoint:
 
     A point caches what is derived from it and lives exactly as long as
     the point, so nothing outlives it and no cache is module-wide:
-    ``_powers`` holds coordinate powers, and ``memo`` is a small dict for
+    ``powers`` maps ``(i, j, doubled)`` to the coordinate power that
+    ``coordinate_power`` computed (``LaurentPoly`` reads it directly on
+    its float path), and ``memo`` is a small dict for
     values that other modules derive at this point.  Its keys are tuples
-    whose first entry names the kind of value.  ``lie.log_gradients``
-    stores ``("grad", id(f)) -> (f, gradients, projected gradients)``,
-    where the projected vectors are the SL traceless parts that
-    ``lie.numeric_bracket`` pairs (the gradients themselves for the other
-    families), and ``lie.numeric_bracket`` stores
-    ``("metric", id(c)) -> (c, metric)``; each entry keeps its object
-    alive, so the id cannot be reused while the point lives.
-    ``TauPoly.evaluate`` stores ``("tau", symbol) -> value``: the point
-    fixes the group.
+    whose first entry names the kind of value:
+
+    - ``("vals", id(f)) -> (f, values)``: the value of each sorted
+      monomial of the LaurentPoly ``f`` at a float point, which
+      ``f.evaluate`` and ``f.log_gradient_values`` both sum;
+    - ``("grad", id(f)) -> (f, gradients, projected gradients)``, stored
+      by ``lie.log_gradients``, where the projected vectors are the SL
+      traceless parts that ``lie.numeric_bracket`` pairs (the gradients
+      themselves for the other families);
+    - ``("metric", id(c)) -> (c, metric)``, stored by
+      ``lie.numeric_bracket``;
+    - ``("tau", symbol) -> value``, stored by ``TauPoly.evaluate`` (the
+      point fixes the group).
+
+    The id-keyed entries keep their object alive, so the id cannot be
+    reused while the point lives.
     """
 
-    __slots__ = ("group", "coords", "sqrts", "exact", "_powers", "memo")
+    __slots__ = ("group", "coords", "sqrts", "exact", "powers", "memo")
 
     def __init__(self, group: GroupSpec, coords, sqrts=None):
         self.group = group
@@ -82,7 +91,7 @@ class TorusPoint:
         self.coords = coords
         self.sqrts = sqrts
         self.exact = exact
-        self._powers: dict = {}
+        self.powers: dict = {}
         self.memo: dict = {}
 
     @classmethod
@@ -106,18 +115,21 @@ class TorusPoint:
         return cmath.sqrt(self.coords[j][i])
 
     def coordinate_power(self, i: int, j: int, doubled: int):
-        """x_{ij}^(doubled/2) with 1-based i, j."""
+        """x_{ij}^(doubled/2) with 1-based i, j; an index outside the
+        group is refused with ``DomainError`` (checked on a cache miss,
+        as every cached key passed the check)."""
         key = (i, j, doubled)
-        cached = self._powers.get(key)
+        cached = self.powers.get(key)
         if cached is not None:
             return cached
+        self.group.require_position(i, j)
         jj, ii = j - 1, i - 1
         if doubled % 2 == 0:
             base = self.coords[jj][ii]
             val = base ** (doubled // 2)
         else:
             val = self._sqrt(jj, ii) ** doubled
-        self._powers[key] = val
+        self.powers[key] = val
         return val
 
     def monomial_value(self, m: ExponentMatrix):
@@ -132,6 +144,7 @@ class TorusPoint:
 
     def column(self, j: int):
         """Eigenvalue parameters of the j-th generator (1-based)."""
+        self.group.require_factor(j)
         return self.coords[j - 1]
 
     def __repr__(self):

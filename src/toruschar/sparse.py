@@ -15,7 +15,8 @@ lookup and no extra Python call.
 
 ``SparsePoly`` is the shell all three polynomial classes share: the ring
 operations, equality, ``len``, ``sorted_terms``, ``str`` and the float
-terms kept for ``evaluate``.  A subclass supplies three hooks: ``_ring()``,
+terms kept for ``TauPoly.evaluate`` (``LaurentPoly`` keeps its own float
+table).  A subclass supplies three hooks: ``_ring()``,
 the fields two operands must share (``()``, ``(group,)`` or ``(group,
 c)``); ``_wrap(terms)``, a new instance of the same ring around terms
 already in stored form; and ``_factors(key)``, the text of one monomial

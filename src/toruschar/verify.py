@@ -223,7 +223,12 @@ def bracket_agreement(
 ) -> dict:
     """Symbolic bracket versus the symplectic-form oracle at random
     generic float points, every symbol pair in the window.  More than
-    PAIR_TRIALS_CAP trials x pairs is refused before any bracket is built."""
+    PAIR_TRIALS_CAP trials x pairs is refused before any bracket is built.
+
+    ``worst_trial`` (0-based) and ``worst_pair`` locate the first check
+    with the largest error (``None`` when every error is 0).  The points
+    are drawn in trial order from ``seed``, so a run with the same
+    arguments and ``worst_trial + 1`` trials reproduces ``max_rel_err``."""
     _require_run(trials, tol)
     if window < 1:  # the window would hold at most tau(0, 0), whose brackets vanish
         raise DomainError(f"window must be at least 1, got {window}")
@@ -239,15 +244,16 @@ def bracket_agreement(
         (a, b): bracket_symbols(a, b, group, c, extrapolated_gl) for a, b in pairs
     }
     worst = 0.0
+    worst_trial = worst_pair = None
     checked = 0
-    for _ in range(trials):
+    for trial in range(trials):
         pt = random_torus_point(group, rng, exact=False)
         for (a, b), br in brackets.items():
             num = numeric_bracket(images[a], images[b], pt, c)
             sym = br.evaluate(pt)
             err = abs(sym - num) / (1 + abs(num))
             if err > worst:
-                worst = err
+                worst, worst_trial, worst_pair = err, trial, (a, b)
             checked += 1
     return {
         "group": str(group),
@@ -255,6 +261,8 @@ def bracket_agreement(
         "points": trials,
         "checked": checked,
         "max_rel_err": worst,
+        "worst_trial": worst_trial,
+        "worst_pair": worst_pair,
         "tol": tol,
         "ok": worst < tol,
     }

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+import shlex
 import time
 from pathlib import Path
 
@@ -231,6 +233,25 @@ def test_verify_bracket_small(capsys):
     assert "max relative error" in capsys.readouterr().out
 
 
+def _max_rel_err(out: str) -> str:
+    return re.search(r"max relative error (\S+)", out).group(1)
+
+
+def test_failed_verify_bracket_prints_a_witness(capsys):
+    argv = ["verify-bracket", "--family", "sp", "--rank", "1", "--trials", "3",
+            "--seed", "7", "--tol", "1e-300"]
+    assert run(argv) == 1
+    first = capsys.readouterr()
+    (witness,) = first.err.splitlines()
+    words = shlex.split(witness, comments=True)
+    assert words[:2] == ["toruschar", "verify-bracket"]
+    assert int(words[words.index("--trials") + 1]) <= 3
+    assert run(words[1:]) == 1
+    again = capsys.readouterr()
+    assert _max_rel_err(again.out) == _max_rel_err(first.out)
+    assert again.err.splitlines() == [witness]
+
+
 def test_verify_jacobi_small(capsys):
     code = run(
         [
@@ -447,6 +468,19 @@ GOLDEN = {
     "verify_bracket_sp1": (
         ["verify-bracket", "--family", "sp", "--rank", "1", "--trials", "3", "--seed", "7"],
         "f860781f21373924522a1ee4179c59d279fbcba78313242a0b48a0802c1d1221",
+    ),
+    "verify_bracket_sl3": (
+        ["verify-bracket", "--family", "sl", "--rank", "3", "--trials", "3", "--seed", "7"],
+        "d25ab2fd25968bbffe76ce9fc4eb053189da7759f7327bf6a1def17c0c2f6fa3",
+    ),
+    "verify_bracket_soeven2": (
+        ["verify-bracket", "--family", "so-even", "--rank", "2", "--trials", "3", "--seed", "7"],
+        "eac8272cfc208130f2f9d84a50359e538caf94db1d7ca6f684b9cff69029cd9a",
+    ),
+    "verify_bracket_gl2_extrapolated": (
+        ["verify-bracket", "--family", "gl", "--rank", "2", "--extrapolated",
+         "--trials", "3", "--seed", "7"],
+        "c192122bc6ff1262198649304f77c626b14f10aa889d6431254a80bba4ea8065",
     ),
     "cohomology_float_soodd2": (
         ["cohomology", "--family", "so-odd", "--rank", "2", "--factors", "3",

@@ -372,3 +372,29 @@ def test_random_torus_point_one_factor_rank_20(family, seed):
     group = GroupSpec(family, 20, 1)
     pt = random_torus_point(group, random.Random(seed))
     assert pt.exact and is_generic_tuple(group, pt.coords)
+
+
+# Rows of SL(3) x SL(3) run 1..3 and factors 1..2; Python indexing would
+# wrap 0 and negative indices to the last row or factor.
+_BAD_POSITIONS = [(0, 1), (-1, 1), (4, 1), (1, 0), (1, -1), (1, 3)]
+
+
+@pytest.mark.parametrize(
+    "which, i, j",
+    [(w, i, j) for w in ("partial", "variable", "coordinate_power") for i, j in _BAD_POSITIONS]
+    + [(w, 1, j) for w in ("log_gradient", "column") for j in (0, -1, 3)],
+)
+def test_indices_outside_the_group_are_refused(which, i, j):
+    group = GroupSpec("SL", 3, 2)
+    f = tau_image(group, (1, 1))
+    pt = random_torus_point(group, random.Random(0), exact=False)
+    calls = {
+        "partial": lambda i, j: f.partial(i, j),
+        "variable": lambda i, j: LaurentPoly.variable(group, i, j),
+        "coordinate_power": lambda i, j: pt.coordinate_power(i, j, 2),
+        "log_gradient": lambda i, j: log_gradient(f, pt, j),
+        "column": lambda i, j: pt.column(j),
+    }
+    calls[which](3, 2)  # the last row and factor are in range
+    with pytest.raises(DomainError):
+        calls[which](i, j)

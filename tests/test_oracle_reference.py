@@ -13,12 +13,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_oracle as ref
 from toruschar.generators import tau_image
 from toruschar.errors import StructureError
 from toruschar.groups import GroupSpec
-from toruschar.laurent import LaurentPoly, exponents
+from toruschar.groups import FAMILIES
+from toruschar.laurent import LaurentPoly, exponents, zero_exponents
 from toruschar.lie import log_gradient, numeric_bracket, random_torus_point
 from toruschar.points import TorusPoint
 from toruschar.poisson import TauPoly, bracket_poly, bracket_symbols, symbol_window
@@ -112,13 +114,20 @@ def test_memo_entries_never_cross_polynomials():
     pt = random_torus_point(group, random.Random(SEEDS[2]), exact=False)
     # Distinct polynomials of one group with the same number of terms, each
     # a new object that is dropped after use, so a memo keyed by anything
-    # coarser than the object, or by a reused id, returns a stale vector.
+    # coarser than the object, or by a reused id, returns a stale vector
+    # or stale monomial values.  The value comes before the gradients on
+    # even k and after them on odd k, so each fills the "vals" entry.
     for k, a in enumerate(syms):
         f = images[a].scaled(k + 2)
+        if k % 2 == 0:
+            assert _bits(f.evaluate(pt)) == _bits(ref.evaluate(f, _fresh(pt))), a
         for j in (1, 2):
             assert [_bits(v) for v in log_gradient(f, pt, j)] == [
                 _bits(v) for v in ref.log_gradient(f, pt, j)
             ], (a, j)
+        if k % 2 == 1:
+            assert _bits(f.evaluate(pt)) == _bits(ref.evaluate(f, _fresh(pt))), a
+        assert pt.memo[("vals", id(f))][0] is f
         del f
         gc.collect()
     for a, b in zip(syms, syms[1:]):
@@ -199,3 +208,52 @@ def test_group_checks_take_equal_groups_and_refuse_others(exact):
     ):
         with pytest.raises(StructureError):
             call()
+
+
+# Parts of float square roots of coordinates; the signed zeros reach
+# products whose zero parts differ only in sign.
+_PARTS = (-2.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 3.0)
+
+
+@st.composite
+def _float_point_and_polys(draw):
+    """A float point from square roots and a few polynomials of its group:
+    zero, a constant, and random ones (SL keys canonicalized by the
+    constructor, odd stored exponents for SOeven)."""
+    group = GroupSpec(draw(st.sampled_from(FAMILIES)), draw(st.integers(1, 3)),
+                      draw(st.integers(1, 2)))
+    sqrts = []
+    for _ in range(group.factors):
+        row = []
+        for _ in range(group.rank):
+            z = complex(draw(st.sampled_from(_PARTS)), draw(st.sampled_from(_PARTS)))
+            row.append(z if z else 1 + 0j)
+        sqrts.append(row)
+    pt = TorusPoint.from_sqrt(group, sqrts)
+    coeff = st.builds(GaussRat, st.fractions(-3, 3, max_denominator=12),
+                      st.fractions(-2, 2, max_denominator=12))
+    step = 1 if group.allows_half_weights else 2
+    entry = st.integers(-3, 3).map(lambda e: e * step)
+    row = st.tuples(*[entry] * group.factors)
+    key = st.tuples(*[row] * group.rank)
+    polys = [LaurentPoly.zero(group), LaurentPoly(group, {zero_exponents(group): draw(coeff)})]
+    polys += [LaurentPoly(group, draw(st.dictionaries(key, coeff, max_size=6)))
+              for _ in range(draw(st.integers(1, 4)))]
+    order = draw(st.permutations(range(len(polys))))
+    value_first = draw(st.lists(st.booleans(), min_size=len(polys), max_size=len(polys)))
+    return pt, [(polys[k], value_first[k]) for k in order]
+
+
+@settings(max_examples=60)
+@given(_float_point_and_polys())
+def test_random_polys_share_a_float_point_bitwise(case):
+    pt, polys = case
+    factors = range(1, pt.group.factors + 1)
+    for f, value_first in polys:
+        value = _bits(ref.evaluate(f, _fresh(pt)))
+        grads = [[_bits(v) for v in ref.log_gradient(f, _fresh(pt), j)] for j in factors]
+        if value_first:
+            assert _bits(f.evaluate(pt)) == value
+        assert [[_bits(v) for v in log_gradient(f, pt, j)] for j in factors] == grads
+        if not value_first:
+            assert _bits(f.evaluate(pt)) == value
