@@ -7,21 +7,22 @@ their Laurent images and, in the other direction, rewrites any Weyl-
 invariant integer-weight Laurent polynomial as a polynomial in the
 generator symbols.  The rewriting proceeds by strictly decreasing level:
 a level-l pattern sum P(m) is recovered from tau(alpha) * P(m_sub) =
-beta * P(m) + A, with m_sub one level down.  As the pattern group fixes
-tau(alpha), that product is the sum of P(x + s*e_k) over rows k and
-shifts s, x one presentation of m_sub (Macdonald, Symmetric Functions,
-I.2).  Each step counts these n * |shifts| sums by orbit and builds no
-orbit: those on an empty row of x must all be P(m), beta is their number,
-and the rest are A.  Level 1 is the same step with P(0) = |P|.
+beta * P(m) + A, with m_sub one level down.  Both sides are orbit sums
+over a group G that fixes tau(alpha), so tau(alpha) * S_G(x) is the sum
+of S_G(x + s*alpha e_k) over rows k and shifts s, x one presentation of
+the orbit (Macdonald, Symmetric Functions, I.2), plus S_G(x) for the
+constant 1 of odd SO.  ``_times_tau`` adds up these n * |shifts| sums by
+orbit and builds no orbit.  A reduction step is one such call with G the
+pattern group: beta is the count of m's orbit and the other orbits, all
+of lower level, are A.  Level 1 is the same step with P(0) = |P|.
 
 A generator polynomial is multiplied out by one walk over its sorted
 terms, ``_multiply_out``, in either of two bases.  ``expand`` runs it on
 Laurent terms: it is the ``expand`` command and the reference the tests
 hold the check to.  ``orbit_coefficients`` runs it on Weyl orbit sums
-S(m), by the identity above with W in place of the pattern group:
-tau(alpha) * S(x) is the sum of S(x + s*alpha e_k) (plus S(x) for odd
-SO).  ``decompose`` checks its result exactly in that basis, as peeling f
-has already written it as a sum of c_m * S(m).
+S(m), each tau factor one ``_times_tau`` call with G = W.  ``decompose``
+checks its result exactly in that basis, as peeling f has already written
+it as a sum of c_m * S(m).
 
 A note on the Q image: the alternating sum
 
@@ -138,7 +139,6 @@ class GeneratorPoly(sparse.SparsePoly):
                 coeff = GaussRat(coeff)
             sparse.add_term(clean, tuple(sorted(key)), coeff)
         self.terms = clean
-        self._float_terms = None
 
     def _ring(self) -> tuple:
         return ()
@@ -146,7 +146,7 @@ class GeneratorPoly(sparse.SparsePoly):
     @staticmethod
     def _wrap(terms: dict) -> "GeneratorPoly":
         p = GeneratorPoly.__new__(GeneratorPoly)
-        p.terms, p._float_terms = terms, None
+        p.terms = terms
         return p
 
     def _factors(self, key: tuple) -> str:
@@ -377,7 +377,9 @@ def expand(p: GeneratorPoly, group: GroupSpec) -> LaurentPoly:
 
 def _times_tau(terms: dict, alpha: tuple[int, ...], group: GroupSpec, factor: int, out: dict) -> None:
     """Add ``factor * tau(alpha) * sum c * S(x)`` over ``terms = {orbit key
-    of x: c}`` into ``out``, in orbit keys (``weyl.orbit_rep``).
+    of x: c}`` into ``out``, in orbit keys (``weyl.orbit_rep``), S the
+    orbit sum over the Weyl group of ``group``.  The level reduction passes
+    the pattern group (Sp for even SO), so S is then the pattern sum.
 
     The shifts {s*alpha e_k} form a W-stable set, so tau(alpha) * S(x) is
     the sum of S(x + s*alpha e_k) over rows k and shifts s, plus S(x) for
@@ -525,6 +527,14 @@ def _memo_key(m: ExponentMatrix, group: GroupSpec):
 def _reduce_pattern_monomial(m: ExponentMatrix, group: GroupSpec, bound: int) -> GeneratorPoly:
     """GeneratorPoly equal to pattern_sum(m, group).
 
+    With m_sub the key m less its largest row alpha, one ``_times_tau``
+    call over the pattern group P gives tau(alpha) * P(m_sub) by orbit:
+    beta times m's orbit, and A, orbits of lower level (for odd SO, P(m_sub)
+    is one of them, the constant 1 of tau).  Then P(m) = (tau(alpha) *
+    R(m_sub) - sum of count * R(rows) over A) / beta, R this function
+    applied to each orbit's ``rows``.  A missing beta or an orbit of A at
+    level(m) or above raises InternalCheckError.
+
     ``bound`` is a strict upper bound on the level still allowed; every
     recursive call decreases it, which is asserted.
     """
@@ -538,48 +548,27 @@ def _reduce_pattern_monomial(m: ExponentMatrix, group: GroupSpec, bound: int) ->
     if cached is not None:
         return cached
 
-    # tau(alpha) * P(m_sub) = beta * P(m) + A, with m_sub = m less one row
-    # alpha; at level 1, m_sub = 0 and A is empty.
     pos, alpha_row = max(
         ((i, row) for i, row in enumerate(m) if any(row)), key=lambda t: t[1]
     )
     m_sub = m[:pos] + ((0,) * group.factors,) + m[pos + 1:]
     if level_of_monomial(m_sub, group) != level - 1:
         raise InternalCheckError("peeled monomial level did not drop by one")
-    top, lower = _step_counts(m_sub, alpha_row, group)
-    if list(top) != [key]:  # beta is never 0: m_sub has an empty row
+    pattern = GroupSpec("Sp", group.rank, group.factors) if group.family == "SOeven" else group
+    alpha = _true_row(alpha_row)
+    counts: dict = {}
+    _times_tau({orbit_rep(m_sub, pattern): 1}, alpha, pattern, 1, counts)
+    beta = counts.pop((key[1], 0), 0)  # never 0: m_sub has an empty row
+    if not beta or any(level_of_monomial(rows, group) >= level for rows, _ in counts):
         raise InternalCheckError("reduction constant mismatch")
 
-    gen_one = GeneratorPoly.symbol(tau_symbol(group, _true_row(alpha_row)))
-    if group.family == "SOodd":
-        gen_one = gen_one + GeneratorPoly.constant(GaussRat(-1))
+    gen_one = GeneratorPoly.symbol(tau_symbol(group, alpha))
     out = (gen_one * _reduce_pattern_monomial(m_sub, group, bound=level)).terms
-    for y, count in lower.values():
-        for k, v in _reduce_pattern_monomial(y, group, bound=level).terms.items():
+    for (rows, _), count in counts.items():
+        for k, v in _reduce_pattern_monomial(rows, group, bound=level).terms.items():
             sparse.add_term(out, k, v * -count)
-    result = _REDUCE_CACHE[key] = GeneratorPoly._wrap(out).scaled(GaussRat(Fraction(1, top[key][1])))
+    result = _REDUCE_CACHE[key] = GeneratorPoly._wrap(out).scaled(GaussRat(Fraction(1, beta)))
     return result
-
-
-def _step_counts(
-    m_sub: ExponentMatrix, alpha_row: tuple[int, ...], group: GroupSpec
-) -> tuple[dict, dict]:
-    """tau(alpha) * pattern_sum(m_sub), less the constant 1 of odd SO, as
-    (top, lower): ``{memo key: [first y, count]}`` in first-hit order over
-    y = x + s*e_k with row k of x empty (beta * P(m)) or occupied (A).  x
-    is m_sub with its rows sign-normalised (signed families) and sorted;
-    ``alpha_row`` is alpha as a stored (doubled) row."""
-    shifts = (alpha_row, tuple(-e for e in alpha_row)) if group.signed else (alpha_row,)
-    x = list(orbit_rep(m_sub, group)[0])  # for SL, the raw rows decide which ones are empty
-    top, lower = {}, {}
-    for k, row in enumerate(x):
-        hits = lower if any(row) else top
-        for shift in shifts:
-            rows = list(x)
-            rows[k] = tuple(map(add, row, shift))
-            y = canonical_mod_relations(tuple(rows), group)
-            hits.setdefault(_memo_key(y, group), [y, 0])[1] += 1
-    return top, lower
 
 
 def _peel(f: LaurentPoly, group: GroupSpec) -> tuple[GeneratorPoly, list]:

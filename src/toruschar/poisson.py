@@ -51,7 +51,7 @@ class TauPoly(sparse.SparsePoly):
     trace-form multiple c.  Instances are treated as immutable, so the
     float terms that ``evaluate`` keeps never go stale."""
 
-    __slots__ = ("group", "c")
+    __slots__ = ("group", "c", "_float_terms")
 
     def __init__(self, group: GroupSpec, c: Fraction, terms: Mapping[tuple, GaussRat] = ()):
         if group.factors != 2:
@@ -79,6 +79,16 @@ class TauPoly(sparse.SparsePoly):
 
     def _factors(self, key: tuple) -> str:
         return "*".join(f"tau({a[0]},{a[1]})" for a in key)
+
+    def _float_sorted(self) -> tuple:
+        """The sorted ``(key, complex)`` terms, built on first use and kept
+        in ``_float_terms`` for the life of the instance."""
+        terms = self._float_terms
+        if terms is None:
+            terms = self._float_terms = tuple(
+                (key, complex(c)) for key, c in self.sorted_terms()
+            )
+        return terms
 
     # -- constructors ----------------------------------------------------
 

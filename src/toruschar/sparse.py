@@ -14,14 +14,15 @@ on plain int coefficients, as in the int kernel of ``generators.expand``.
 lookup and no extra Python call.
 
 ``SparsePoly`` is the shell all three polynomial classes share: the ring
-operations, equality, ``len``, ``sorted_terms``, ``str`` and the float
-terms kept for ``TauPoly.evaluate`` (``LaurentPoly`` keeps its own float
-table).  A subclass supplies three hooks: ``_ring()``,
-the fields two operands must share (``()``, ``(group,)`` or ``(group,
-c)``); ``_wrap(terms)``, a new instance of the same ring around terms
-already in stored form; and ``_factors(key)``, the text of one monomial
-("" for the constant).  Products multiply keys with ``merge_keys`` unless
-the subclass overrides ``_product``.  Instances are treated as immutable.
+operations, equality, ``len``, ``sorted_terms`` and ``str``.  The float
+forms used at a point belong to the two classes that evaluate,
+``LaurentPoly`` and ``TauPoly``.  A subclass supplies three hooks:
+``_ring()``, the fields two operands must share (``()``, ``(group,)`` or
+``(group, c)``); ``_wrap(terms)``, a new instance of the same ring around
+terms already in stored form; and ``_factors(key)``, the text of one
+monomial ("" for the constant).  Products multiply keys with
+``merge_keys`` unless the subclass overrides ``_product``.  Instances are
+treated as immutable.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class SparsePoly:
     """A polynomial with GaussRat coefficients in ``terms``, in stored
     form; see the module docstring for the hooks a subclass supplies."""
 
-    __slots__ = ("terms", "_float_terms")
+    __slots__ = ("terms",)
 
     def _require_same_ring(self, other: "SparsePoly") -> None:
         if self._ring() != other._ring():
@@ -143,16 +144,6 @@ class SparsePoly:
 
     def sorted_terms(self) -> list:
         return sorted(self.terms.items())
-
-    def _float_sorted(self) -> tuple:
-        """The sorted ``(key, complex)`` terms, built on first use and kept
-        in ``_float_terms`` for the life of the instance."""
-        terms = self._float_terms
-        if terms is None:
-            terms = self._float_terms = tuple(
-                (key, complex(c)) for key, c in self.sorted_terms()
-            )
-        return terms
 
     def __str__(self) -> str:
         if not self.terms:

@@ -8,6 +8,7 @@ command line and the test suite share one implementation.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -201,6 +202,13 @@ def roundtrip_suite(trials: int = 200, seed: int = 0, max_rank: int = 3) -> dict
 # bracket oracle agreement
 # ---------------------------------------------------------------------------
 
+def _worse(err: float, worst: float) -> bool:
+    """Whether ``err`` becomes the worst error: it is larger, or it is the
+    first NaN, which compares false with every number and so must be the
+    worst to fail ``worst < tol``."""
+    return err > worst or (math.isnan(err) and not math.isnan(worst))
+
+
 def _require_run(trials: int, tol: float) -> None:
     """Refuse a suite run whose outcome would mean nothing: one that checks
     nothing must not report success, nor one with an unusable tol, and one
@@ -226,9 +234,10 @@ def bracket_agreement(
     PAIR_TRIALS_CAP trials x pairs is refused before any bracket is built.
 
     ``worst_trial`` (0-based) and ``worst_pair`` locate the first check
-    with the largest error (``None`` when every error is 0).  The points
-    are drawn in trial order from ``seed``, so a run with the same
-    arguments and ``worst_trial + 1`` trials reproduces ``max_rel_err``."""
+    with the largest error, a NaN counting as largest (``None`` when every
+    error is 0).  The points are drawn in trial order from ``seed``, so a
+    run with the same arguments and ``worst_trial + 1`` trials reproduces
+    ``max_rel_err``."""
     _require_run(trials, tol)
     if window < 1:  # the window would hold at most tau(0, 0), whose brackets vanish
         raise DomainError(f"window must be at least 1, got {window}")
@@ -252,7 +261,7 @@ def bracket_agreement(
             num = numeric_bracket(images[a], images[b], pt, c)
             sym = br.evaluate(pt)
             err = abs(sym - num) / (1 + abs(num))
-            if err > worst:
+            if _worse(err, worst):
                 worst, worst_trial, worst_pair = err, trial, (a, b)
             checked += 1
     return {
@@ -323,7 +332,7 @@ def jacobi_suite(
         for _ in range(points_per_defect):
             pt = random_torus_point(group, rng, exact=False, generic=False)
             val = abs(defect.evaluate(pt))
-            if val > worst:
+            if _worse(val, worst):
                 worst = val
     return {
         "group": str(group),
@@ -352,7 +361,7 @@ def sl2_sp1_suite(trials: int = 100, seed: int = 0, tol: float = 1e-9, span: int
         v1 = bracket_symbols(a, b, sl2).evaluate(pt_sl)
         v2 = bracket_symbols(a, b, sp1).evaluate(pt_sp)
         err = abs(v1 - v2) / (1 + abs(v2))
-        if err > worst:
+        if _worse(err, worst):
             worst = err
     return {"trials": trials, "max_rel_err": worst, "tol": tol, "ok": worst < tol}
 
@@ -398,7 +407,7 @@ def q_block_suite(trials: int = 50, seed: int = 0, tol: float = 1e-9, span: int 
         direct *= 1j ** n
         symbolic = q_image(group, alphas).evaluate(pt)
         err = float(abs(direct - symbolic) / (1 + abs(direct)))
-        if err > worst:
+        if _worse(err, worst):
             worst = err
     return {"trials": trials, "max_rel_err": worst, "tol": tol, "ok": bool(worst < tol)}
 

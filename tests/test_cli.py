@@ -252,6 +252,36 @@ def test_failed_verify_bracket_prints_a_witness(capsys):
     assert again.err.splitlines() == [witness]
 
 
+def test_nan_bracket_error_fails_with_a_witness(monkeypatch, capsys):
+    from toruschar import verify
+
+    group = GroupSpec("Sp", 1, 2)
+    monkeypatch.setattr(verify, "numeric_bracket", lambda *args: complex("nan"))
+    res = verify.bracket_agreement(group, trials=2)
+    assert not res["ok"] and res["max_rel_err"] != res["max_rel_err"]  # NaN
+    first = verify.symbol_window(group, 2)[0]
+    assert (res["worst_trial"], res["worst_pair"]) == (0, (first, first))
+    assert run(["verify-bracket", "--family", "sp", "--rank", "1", "--trials", "2"]) == 1
+    captured = capsys.readouterr()
+    assert _max_rel_err(captured.out) == "nan"
+    (witness,) = captured.err.splitlines()
+    assert "--trials 1" in witness
+
+
+def test_nan_jacobi_defect_fails(monkeypatch):
+    from toruschar import verify
+    from toruschar.points import TorusPoint
+    from toruschar.poisson import TauPoly
+
+    group = GroupSpec("Sp", 1, 2)
+    monkeypatch.setattr(verify, "jacobi_defect", lambda *args: TauPoly.symbol(group, 1, (1, 0)))
+    nan_point = TorusPoint(group, [[complex("nan")], [2]])
+    monkeypatch.setattr(verify, "random_torus_point", lambda *args, **kwargs: nan_point)
+    res = verify.jacobi_suite(group, trials=2)
+    assert res["mode"] == "numeric" and not res["ok"]
+    assert res["max_defect"] != res["max_defect"]
+
+
 def test_verify_jacobi_small(capsys):
     code = run(
         [
@@ -425,6 +455,19 @@ GOLDEN = {
     "decompose_soeven2": (
         ["decompose", "--in", str(_DATA / "decompose_soeven2.json")],
         "d90edd36a80b14564360a3be49442c18087700823632c82f684414af3c5a5fc0",
+    ),
+    # full-level orbit sums whose reduction steps have lower-level terms
+    "decompose_gl2": (
+        ["decompose", "--in", str(_DATA / "decompose_gl2.json")],
+        "d379602f33704d593aaf396671bbdef165798d52ccad10aa71607facf3ceed8d",
+    ),
+    "decompose_sl2": (
+        ["decompose", "--in", str(_DATA / "decompose_sl2.json")],
+        "e157d78055c752df3a5098329dea55198c4acc333a3d5a0f05731650f691e014",
+    ),
+    "decompose_soodd2": (
+        ["decompose", "--in", str(_DATA / "decompose_soodd2.json")],
+        "aadaf17d0b1fc5586e7b9436496605273f5c6cfb8241f78a32b5c3c70cc6ab45",
     ),
     "expand_soeven2": (
         ["expand", "--family", "so-even", "--rank", "2", "--factors", "2",

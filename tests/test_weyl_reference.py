@@ -2,17 +2,18 @@
 image against the enumerating references in ``reference_weyl``, and the
 level reduction against the orbit-sized body in ``reference_decompose``."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import reference_decompose
 import reference_weyl as ref
 from toruschar import generators
 from toruschar.generators import expand, q_image, tau_image
 from toruschar.groups import FAMILIES, GroupSpec
-from toruschar.laurent import LaurentPoly, canonical_mod_relations, exponents
+from toruschar.laurent import LaurentPoly, exponents
 from toruschar.scalars import GaussRat
 from toruschar.weyl import (
     level_of_monomial,
+    orbit_rep,
     orbit_sum,
     pattern_sum,
 )
@@ -74,42 +75,47 @@ def test_soeven_sign_pair_and_zero_row():
     assert orb == ref.orbit_sum(with_zero, g)
 
 
-def counted(hits, group):
-    """The sum of count * pattern_sum(y) over a ``_step_counts`` part."""
+def step(m_sub, alpha, group):
+    """``m_sub`` canonicalised, and ``{orbit key: count}`` of tau(alpha) *
+    pattern_sum(m_sub) by the one ``_times_tau`` call the reduction makes,
+    over the pattern group: the Weyl group of Sp for even SO, the group
+    itself otherwise."""
+    (m_sub,) = LaurentPoly.monomial(group, m_sub).terms  # canonical for SL
+    pattern = GroupSpec("Sp", group.rank, group.factors) if group.family == "SOeven" else group
+    counts = {}
+    generators._times_tau({orbit_rep(m_sub, pattern): 1}, alpha, pattern, 1, counts)
+    return m_sub, counts
+
+
+def counted(counts, group):
+    """The sum of count * pattern_sum(rows) over ``{(rows, parity): count}``."""
     total = LaurentPoly.zero(group)
-    for y, count in hits.values():
-        total = total + pattern_sum(y, group).scaled(count)
+    for (rows, _), count in counts.items():
+        total = total + pattern_sum(rows, group).scaled(count)
     return total
 
 
-def scan(m_sub, doubled, group):
-    """The canonical x + s*e_k over occupied rows k and shifts s, in (k, s)
-    order, x the rows of m_sub (sign-normalised for the signed families)
-    sorted."""
-    shifts = (1, -1) if group.signed else (1,)
-    x = sorted(max(r, tuple(-e for e in r)) if group.signed else r for r in m_sub)
-    for k, row in enumerate(x):
-        if any(row):
-            for s in shifts:
-                rows = list(x)
-                rows[k] = tuple(e + s * d for e, d in zip(row, doubled))
-                yield canonical_mod_relations(tuple(rows), group)
-
-
 @settings(max_examples=150, deadline=None)
-@given(monomials(integer_weights=True), st.data())
-def test_lower_terms_match_enumeration(case, data):
-    group, m_sub = case  # raw: for SL, not canonical
-    alpha = data.draw(st.tuples(*[st.integers(-2, 2)] * group.factors))
-    doubled = tuple(2 * a for a in alpha)
-    top, lower = generators._step_counts(m_sub, doubled, group)
-    assert len(top) <= 1  # beta * P(m): every empty row gives one orbit
-    assert (counted(top, group), counted(lower, group)) == ref.step_product(m_sub, doubled, group)
-    # A's orbits in first-hit order, each with its first y
-    firsts = {}
-    for y in scan(m_sub, doubled, group):
-        firsts.setdefault(generators._memo_key(y, group), y)
-    assert [(k, y) for k, (y, _) in lower.items()] == list(firsts.items())
+@given(monomials(integer_weights=True))
+def test_lower_terms_match_enumeration(case):
+    """One reduction step: m_sub is m less its largest row alpha, as in
+    ``_reduce_pattern_monomial``.  The orbits one level above m_sub are the
+    enumerated top, m's orbit alone; the rest are the enumerated lower part
+    (with P(m_sub) once more for the constant 1 of odd SO)."""
+    group, raw = case
+    (m,) = LaurentPoly.monomial(group, raw).terms
+    level = level_of_monomial(m, group)
+    assume(level > 0)
+    pos, doubled = max(((i, row) for i, row in enumerate(m) if any(row)), key=lambda t: t[1])
+    m_sub = m[:pos] + ((0,) * group.factors,) + m[pos + 1:]
+    m_sub, counts = step(m_sub, generators._true_row(doubled), group)
+    top = {k: c for k, c in counts.items() if level_of_monomial(k[0], group) == level}
+    lower = {k: c for k, c in counts.items() if k not in top}
+    assert [rows for rows, _ in top] == [orbit_rep(m, group)[0]]
+    want_top, want_lower = ref.step_product(m_sub, doubled, group)
+    if group.family == "SOodd":
+        want_lower = want_lower + pattern_sum(m_sub, group)
+    assert (counted(top, group), counted(lower, group)) == (want_top, want_lower)
 
 
 @settings(max_examples=150, deadline=None)
@@ -117,11 +123,8 @@ def test_lower_terms_match_enumeration(case, data):
 def test_step_product_splits_the_packed_product(case, data):
     group, m_sub = case
     alpha = data.draw(st.tuples(*[st.integers(-2, 2)] * group.factors))
-    top, lower = generators._step_counts(m_sub, tuple(2 * a for a in alpha), group)
-    level_one = tau_image(group, alpha)
-    if group.family == "SOodd":
-        level_one = level_one - LaurentPoly.constant(group, 1)
-    assert counted(top, group) + counted(lower, group) == level_one * pattern_sum(m_sub, group)
+    m_sub, counts = step(m_sub, alpha, group)
+    assert counted(counts, group) == tau_image(group, alpha) * pattern_sum(m_sub, group)
 
 
 @settings(max_examples=200, deadline=None)
