@@ -17,12 +17,14 @@ pattern group: beta is the count of m's orbit and the other orbits, all
 of lower level, are A.  Level 1 is the same step with P(0) = |P|.
 
 A generator polynomial is multiplied out by one walk over its sorted
-terms, ``_multiply_out``, in either of two bases.  ``expand`` runs it on
-Laurent terms: it is the ``expand`` command and the reference the tests
-hold the check to.  ``orbit_coefficients`` runs it on Weyl orbit sums
-S(m), each tau factor one ``_times_tau`` call with G = W.  ``decompose``
-checks its result exactly in that basis, as peeling f has already written
-it as a sum of c_m * S(m).
+terms, ``orbit_coefficients``, in the basis of Weyl orbit sums S(m) (a
+basis of the invariants: Bourbaki, Lie Groups and Lie Algebras, VI.3):
+each tau factor is one ``_times_tau`` call with G = W and each Q factor
+one ``_times_q`` call.  ``decompose`` checks its result exactly in that
+basis, as peeling f has already written it as a sum of c_m * S(m), and
+``expand`` writes each S(m) out as one ``orbit_sum``.  Neither builds the
+Laurent image of a generator; ``tau_image`` and ``q_image`` serve the
+evaluation paths (``poisson``, ``verify``).
 
 A note on the Q image: the alternating sum
 
@@ -49,13 +51,7 @@ from . import sparse
 from .errors import DomainError, InternalCheckError, UnsupportedInputError
 from .groups import GroupSpec
 from .jsonio import json_check, json_coeff, json_field, json_ints
-from .laurent import (
-    ExponentMatrix,
-    LaurentPoly,
-    Packing,
-    canonical_mod_relations,
-    zero_exponents,
-)
+from .laurent import ExponentMatrix, LaurentPoly, canonical_mod_relations, zero_exponents
 from .scalars import GaussRat, I, ONE, ZERO, _reduced
 from .weyl import (
     invariance_violation,
@@ -277,102 +273,26 @@ def q_image(group: GroupSpec, alphas) -> LaurentPoly:
     return _q_image_cached(group, sym[1]).scaled(sign)
 
 
-def symbol_image(group: GroupSpec, sym: Symbol) -> LaurentPoly:
-    kind, payload = sym
-    if kind == "tau":
-        return tau_image(group, payload)
-    return q_image(group, payload)
-
-
-def symbol_span(sym: Symbol) -> int:
-    """A bound on the stored |e| of any key of ``symbol_image(group, sym)``,
-    read off the payload: 2 * max |a| over its alpha (tau) or alphas (Q).
-    Every image key has rows 0 or +-2*alpha (an SL shift moves one such
-    row to zero and the zero row to -2*alpha)."""
-    kind, payload = sym
-    rows = (payload,) if kind == "tau" else payload
-    return 2 * max((abs(a) for row in rows for a in row), default=0)
-
-
-def _unit_ints(terms: dict) -> tuple[int, dict]:
-    """``(k, ints)`` with ``terms == i**k * ints``: a unit power k in {0, 1}
-    and int coefficients, the shape of every tau and Q image.  Any other
-    image (a denominator, or real and imaginary coefficients mixed) is an
-    InternalCheckError."""
-    coeffs = terms.values()
-    if all(c._b == 0 and c._d == 1 for c in coeffs):
-        return 0, {key: c._a for key, c in terms.items()}
-    if all(c._a == 0 and c._d == 1 for c in coeffs):
-        return 1, {key: c._b for key, c in terms.items()}
-    raise InternalCheckError("generator image is not a unit times an integer polynomial")
-
-
-def _multiply_out(p: GeneratorPoly, seed: dict, unit, times, divisor: int = 1) -> dict:
-    """``p`` multiplied out as ``{basis key: GaussRat}``, no value zero.
-    ``seed`` is ``divisor`` times the constant 1 as ``{key: int}``; a
-    symbol's image is i**unit(sym) times the int map that
-    ``times(sym, terms, factor, out)`` applies: it adds ``factor`` times
-    the product of the image with ``terms`` into ``out``.
-
-    Terms are walked in sorted order, so terms sharing a prefix of symbols
-    are adjacent: the chain of int prefix products of the previous term is
-    kept (their unit powers add mod 4) and only the factors past the shared
-    prefix are multiplied.  With L the lcm of the term denominators, each
-    term coefficient times its i^k becomes the Gaussian integer A + Bi =
-    L * coeff * i^k; the last factor, times A and times B, goes straight
-    into two int dicts of the whole sum, re and im.  Each result key gets
-    one GaussRat (re + im*i) / (L * divisor).
-    """
-    denom = lcm(*(c._d for c in p.terms.values()))
-    chain = [(0, seed)]  # chain[d]: (unit power, ints) of the first d symbols of ``prev``
-    prev: tuple = ()
-    re, im = {}, {}
-    for key, coeff in p.sorted_terms():
-        head = key[:-1]
-        shared = 0
-        while shared < min(len(head), len(prev)) and head[shared] == prev[shared]:
-            shared += 1
-        del chain[shared + 1:]
-        for sym in head[shared:]:
-            terms: dict = {}
-            times(sym, chain[-1][1], 1, terms)
-            chain.append(((chain[-1][0] + unit(sym)) % 4, {k: c for k, c in terms.items() if c}))
-        prev = head
-        prefix_unit, prefix = chain[-1]
-        scale = denom // coeff._d
-        a, b = coeff._a * scale, coeff._b * scale
-        for _ in range((prefix_unit + (unit(key[-1]) if key else 0)) % 4):
-            a, b = -b, a
-        for part, out in ((a, re), (b, im)):
-            if not key:  # the constant term, first in sorted order
-                out.update(sparse.scale(seed, part))
-            elif part:
-                times(key[-1], prefix, part, out)
-    denom *= divisor
-    return {k: v for k in re | im if (v := _reduced(re.get(k, 0), im.get(k, 0), denom))}
+def _presentation(key: tuple) -> ExponentMatrix:
+    """A monomial in the orbit with key ``(rows, parity)`` (``weyl.orbit_rep``):
+    ``rows``, the first negated when the parity is 1."""
+    rows, parity = key
+    return ((tuple(-e for e in rows[0]),) + rows[1:]) if parity else rows
 
 
 def expand(p: GeneratorPoly, group: GroupSpec) -> LaurentPoly:
     """Substitute generator images and multiply out, exactly.
 
-    The distinct symbol images are packed once, into one ``Packing`` wide
-    enough for the largest term (the sum of the ``symbol_span`` of its
-    factors), each as a unit power k and int coefficients (image = i^k *
-    ints), and ``_multiply_out`` multiplies them with ``sparse.mul`` from
-    the seed {packed 0: 1}.  The sum is unpacked once at the end.  Nothing
-    is kept between calls.
+    ``orbit_coefficients`` writes p as a sum of c * S(m) over Weyl orbit
+    keys, and each S(m) is one ``orbit_sum``: the orbit's monomials, each
+    with its stabiliser order, here times c.  Orbits are disjoint, so no
+    monomial gets two contributions.  An orbit above WEYL_CAP monomials
+    raises ResourceLimitError before it is built.
     """
-    syms = dict.fromkeys(sym for key in p.terms for sym in key)
-    images = {sym: symbol_image(group, sym).terms for sym in syms}
-    spans = {sym: symbol_span(sym) for sym in syms}
-    packing = Packing(group, max((sum(map(spans.get, key)) for key in p.terms), default=0))
-    packed = {sym: _unit_ints(packing.pack_terms(terms)) for sym, terms in images.items()}
-
-    def times(sym, terms: dict, factor: int, out: dict) -> None:
-        sparse.mul(terms, sparse.scale(packed[sym][1], factor), add, out)
-
-    total = _multiply_out(p, {0: 1}, lambda sym: packed[sym][0], times)
-    return LaurentPoly._trusted(group, packing.unpack_terms(total))
+    terms: dict = {}
+    for key, c in orbit_coefficients(p, group).items():
+        terms.update(sparse.scale(orbit_sum(_presentation(key), group).terms, c))
+    return LaurentPoly._trusted(group, terms)
 
 
 def _times_tau(terms: dict, alpha: tuple[int, ...], group: GroupSpec, factor: int, out: dict) -> None:
@@ -428,34 +348,79 @@ def _times_tau(terms: dict, alpha: tuple[int, ...], group: GroupSpec, factor: in
                 out[new_key] = get(new_key, 0) + cm
 
 
-def orbit_coefficients(p: GeneratorPoly, group: GroupSpec) -> dict:
-    """``{orbit key: coefficient}`` with expand(p, group) equal to the sum
-    of coefficient * S(m) over them, S(m) = orbit_sum(m, group) and the
-    keys those of ``weyl.orbit_rep``; no coefficient is zero.
+def _times_q(terms: dict, alphas: tuple, group: GroupSpec, factor: int, out: dict) -> None:
+    """Add ``factor * i^-n * Q(alphas) * sum c * S(x)`` over ``terms =
+    {orbit key of x: c}`` into ``out``, in orbit keys, S the Weyl orbit sum
+    of even SO.
 
-    ``_multiply_out`` runs in the orbit-sum basis, so no Laurent image is
-    built: the seed is S(0) = |W| * 1, the divisor |W|, and each tau factor
-    is one ``_times_tau`` step.  A Q factor sorts before every tau and is
-    applied to the seed only: its image 2 * orbit_sum - pattern_sum is
-    i^n * (S(2a) - S(2a')), 2a the doubled alphas and 2a' the same with one
-    row negated, as pattern_sum(2a) = S(2a) + S(2a').  A Q after another
-    factor raises InternalCheckError (no decomposition makes one).
+    Q's image is i^n * (S(y) - S(y')), y the doubled alphas and y' the same
+    with the first row negated, as pattern_sum(y) = S(y) + S(y').  A
+    product of orbit sums is S(x) * S(y) = |Stab(x)| * sum of S(x' + y)
+    over the distinct images x' of x (put u = v^-1 w in the sum of
+    w.x + v.y over pairs w, v).  On the constant S(0) that is one image.
     """
-    if any(sym[0] == "q" for key in p.terms for sym in key[1:]):
-        raise InternalCheckError("a Q factor after another factor")
+    y = tuple(tuple(2 * a for a in alpha) for alpha in alphas)
+    shifts = ((y, 1), ((tuple(-e for e in y[0]),) + y[1:], -1))
     order = group.weyl_order
+    get = out.get
+    for key, c in terms.items():
+        images = orbit_sum(_presentation(key), group).terms
+        c *= factor * (order // len(images))
+        for x in images:
+            for shift, sign in shifts:
+                k = orbit_rep(tuple(tuple(map(add, r, s)) for r, s in zip(x, shift)), group)
+                out[k] = get(k, 0) + sign * c
 
-    def times(sym, terms: dict, factor: int, out: dict) -> None:
-        kind, payload = sym
-        if kind == "tau":
-            _times_tau(terms, payload, group, factor, out)
-            return
-        rows, _ = orbit_rep(tuple(tuple(2 * a for a in alpha) for alpha in payload), group)
-        for key, c in (((rows, 0), order * factor), ((rows, 1), -order * factor)):
-            out[key] = out.get(key, 0) + c
 
+def orbit_coefficients(p: GeneratorPoly, group: GroupSpec) -> dict:
+    """``{orbit key: coefficient}`` with ``expand(p, group)`` equal to the
+    sum of coefficient * S(m) over them, S(m) = orbit_sum(m, group), the
+    keys those of ``weyl.orbit_rep`` and m their ``_presentation``; no
+    coefficient is zero.  No Laurent image is built.
+
+    An int map ``{orbit key of x: c}`` stands for the sum of c * S(x) / |W|,
+    so the seed {key of 0: 1} is the constant 1.  Each tau factor is one
+    ``_times_tau`` step and each Q one ``_times_q`` step, Q's unit i^n
+    kept apart as a power of i.  Terms are walked in sorted order, so terms
+    sharing a prefix of symbols are adjacent: the chain of prefix products
+    of the previous term is kept (their unit powers add mod 4) and only
+    the factors past the shared prefix are applied.  With L the lcm of the
+    term denominators, each term coefficient times its i^k becomes the
+    Gaussian integer A + Bi = L * coeff * i^k; the last factor, times A and
+    times B, goes straight into two int dicts of the whole sum, re and im.
+    Each result key gets one GaussRat (re + im*i) / (L * |W|).
+    """
+    order = group.weyl_order
     seed = {orbit_rep(zero_exponents(group), group): 1}
-    return _multiply_out(p, seed, lambda sym: group.rank if sym[0] == "q" else 0, times, order)
+    units = {"tau": 0, "q": group.rank}
+    steps = {"tau": _times_tau, "q": _times_q}
+    denom = lcm(*(c._d for c in p.terms.values()))
+    chain = [(0, seed)]  # chain[d]: (unit power, ints) of the first d symbols of ``prev``
+    prev: tuple = ()
+    re, im = {}, {}
+    for key, coeff in p.sorted_terms():
+        head = key[:-1]
+        shared = 0
+        while shared < min(len(head), len(prev)) and head[shared] == prev[shared]:
+            shared += 1
+        del chain[shared + 1:]
+        for kind, payload in head[shared:]:
+            terms: dict = {}
+            steps[kind](chain[-1][1], payload, group, 1, terms)
+            chain.append(((chain[-1][0] + units[kind]) % 4, {k: c for k, c in terms.items() if c}))
+        prev = head
+        prefix_unit, prefix = chain[-1]
+        scale = denom // coeff._d
+        a, b = coeff._a * scale, coeff._b * scale
+        for _ in range((prefix_unit + (units[key[-1][0]] if key else 0)) % 4):
+            a, b = -b, a
+        for part, out in ((a, re), (b, im)):
+            if not key:  # the constant term, first in sorted order
+                out.update(sparse.scale(seed, part))
+            elif part:
+                steps[key[-1][0]](prefix, key[-1][1], group, part, out)
+    denom *= order
+    return {k: v for k in re | im if (v := _reduced(re.get(k, 0), im.get(k, 0), denom))}
 
 
 # ---------------------------------------------------------------------------

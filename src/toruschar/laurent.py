@@ -13,20 +13,18 @@ keys are normalized by ``canonical_mod_relations`` at construction time, so
 polynomial equality is equality in the quotient ring.
 
 Keys are stored as these nested tuples everywhere.  Only inside a
-multiply (``LaurentPoly.__mul__`` and ``generators.expand``) are they
-packed into ints by a ``Packing`` (Kronecker substitution): the n*N
-entries, read row by row, become the big-endian digits ``e + half`` of
-width w bits, where ``half = 2**(w-1)`` exceeds the largest |e| any
-product can reach (there is no cap on w).  The packed key itself is ``sum_k e_k * 2**(w*(L-1-k))``
+multiply (``LaurentPoly.__mul__``) are they packed into ints by a
+``Packing`` (Kronecker substitution): the n*N entries, read row by row,
+become the big-endian digits ``e + half`` of width w bits, where
+``half = 2**(w-1)`` exceeds the largest |e| any product can reach (there
+is no cap on w).  The packed key itself is ``sum_k e_k * 2**(w*(L-1-k))``
 (L = n*N), the digit form minus the constant ``bias = half * sum_k
 2**(w*(L-1-k))``, so the key of a monomial product is the sum of the keys
 and one multiply is one int addition per term pair.  Keys are unpacked
 once per result term.  For SL the raw sums are canonicalized only then,
 merging keys that meet through ``sparse.add_term``: shifting every row by
 one vector commutes with addition, so this equals canonicalizing each
-pair's sum.  Inside ``expand`` the packed coefficients are plain ints as
-well (every generator image is i^k times an integer polynomial), and one
-``GaussRat`` per result key is built just before unpacking.
+pair's sum.
 
 ``from_json`` doubles int exponents directly (only floats and strings go
 through ``Fraction``, strings by way of ``scalars.read_rational``), checks

@@ -9,9 +9,9 @@ implementation of add, negate, scale and multiply on that form.  They
 treat keys as opaque: ``mul`` takes a ``combine`` function that returns the
 canonical key of the product of two keys.  They use only ``+``, ``*``,
 unary ``-`` and truth of the coefficients, so the same functions also run
-on plain int coefficients, as in the int kernel of ``generators.expand``.
-``mul`` inlines the ``add_term`` step, so each term pair costs one dict
-lookup and no extra Python call.
+on plain int coefficients, as ``scale`` does on the int orbit maps of
+``generators.orbit_coefficients``.  ``mul`` inlines the ``add_term``
+step, so each term pair costs one dict lookup and no extra Python call.
 
 ``SparsePoly`` is the shell all three polynomial classes share: the ring
 operations, equality, ``len``, ``sorted_terms`` and ``str``.  The float
@@ -65,12 +65,10 @@ def scale(a: dict, factor) -> dict:
     return {key: coeff * factor for key, coeff in a.items()}
 
 
-def mul(a: dict, b: dict, combine, out: dict | None = None) -> dict:
+def mul(a: dict, b: dict, combine) -> dict:
     """The product of two polynomials; ``combine(k1, k2)`` is the canonical
-    key of the product of the monomials ``k1`` and ``k2``.  With ``out``
-    the product is added into that dict in place, which is returned."""
-    if out is None:
-        out = {}
+    key of the product of the monomials ``k1`` and ``k2``."""
+    out = {}
     get = out.get
     for k1, c1 in a.items():
         for k2, c2 in b.items():

@@ -3,20 +3,22 @@
 These are the bodies ``toruschar.laurent`` and ``toruschar.generators``
 used before monomials were packed into ints: the product adds exponent
 matrices entry by entry for every term pair (canonicalizing each SL sum
-on the spot), and ``expand`` multiplies every generator term out on its
-own.  They are kept as the oracle for the packed multiply and the
-prefix-shared ``expand``.  ``expand_shared`` is the packed, prefix-shared
-``expand`` as it was before its inner loops moved to int coefficients:
-every term pair multiplies two ``GaussRat`` values.  It is a second oracle
-for the int kernel.  All three multiply through ``reference_sparse.mul``,
-the per-pair ``add_term`` body.
+on the spot), and ``expand`` substitutes each generator's Laurent image
+(``symbol_image``) and multiplies every term out on its own.
+``expand_shared`` is the packed, prefix-shared Laurent multiply-out that
+``generators.expand`` ran before it moved to the Weyl orbit-sum basis,
+with ``GaussRat`` coefficients on every term pair.  Both ``expand``
+bodies build the Laurent image of every generator, so they are the oracle
+for ``generators.expand`` and ``generators.orbit_coefficients``, which
+build none.  All three multiply through ``reference_sparse.mul``, the
+per-pair ``add_term`` body.
 """
 
 from operator import add
 
 import reference_sparse
 from toruschar import sparse
-from toruschar.generators import symbol_image
+from toruschar.generators import q_image, tau_image
 from toruschar.laurent import LaurentPoly, Packing, canonical_mod_relations, max_abs_exponent
 from toruschar.scalars import ONE
 
@@ -46,6 +48,14 @@ def power(p, k):
         base = mul(base, base)
         k >>= 1
     return out
+
+
+def symbol_image(group, sym):
+    """The Laurent image of one generator symbol."""
+    kind, payload = sym
+    if kind == "tau":
+        return tau_image(group, payload)
+    return q_image(group, payload)
 
 
 def expand(gp, group):

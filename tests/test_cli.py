@@ -474,6 +474,12 @@ GOLDEN = {
          "--in", str(_DATA / "expand_soeven2.json")],
         "fcf2539a2ed7326455ed5a9b37df4e6dce83932523c2f6340720466a24990bd8",
     ),
+    # Q * Q and Q * Q * tau terms, with negated Q arguments
+    "expand_soeven2_qq": (
+        ["expand", "--family", "so-even", "--rank", "2", "--factors", "2",
+         "--in", str(_DATA / "expand_soeven2_qq.json")],
+        "a212e901c342b2eee24fbdcafd53f6f4d3dfd45087d9b8e2ee022394f4b930ba",
+    ),
     "orbit_sum_soodd2": (
         ["orbit-sum", "--family", "so-odd", "--rank", "2", "--factors", "2",
          "--exps", "[[1,0],[0,-1]]"],

@@ -1,6 +1,8 @@
-"""The packed Laurent multiply and the prefix-shared ``expand`` against the
-nested-tuple bodies in ``reference_laurent``, by exact equality; ``expand``
-also against the ``GaussRat`` prefix-shared body it replaced.
+"""The packed Laurent multiply against the nested-tuple body in
+``reference_laurent``, and ``expand``, which multiplies out in the Weyl
+orbit-sum basis, against both Laurent multiply-outs there: the per-term
+``expand`` and the packed, prefix-shared ``expand_shared``.  All by exact
+equality.
 
 Exponent entries include values around 2**7, 2**15, 2**31, 2**63 and
 2**64, so the digit width of the packing changes from case to case,
@@ -23,8 +25,8 @@ EDGES = tuple(
 )
 
 # Denominators 7, 11 and the prime 2**64 - 59 make the common denominator
-# of a generator polynomial a real lcm, which the int kernel of ``expand``
-# must divide back out of each result coefficient.
+# of a generator polynomial a real lcm, which the int accumulators of
+# ``expand`` must divide back out of each result coefficient.
 coeffs = st.builds(
     lambda a, b, d: GaussRat(Fraction(a, d), Fraction(b, d)),
     st.integers(-3, 3), st.integers(-2, 2),
@@ -111,7 +113,7 @@ def test_expand_real_parts_cancel(data):
     # Each term c * K is paired with ((-re c + yi) / size) * K * tau(0), and
     # tau(0) is the constant matrix size, so the real parts of the term
     # coefficients cancel and their imaginary parts add up to im c + y.
-    # One int accumulator of the kernel then cancels and the other does
+    # One int accumulator of ``expand`` then cancels and the other does
     # not: the real one for real images, the imaginary one under a Q image
     # of odd rank (a unit +-i).
     group = data.draw(groups(max_rank=3))

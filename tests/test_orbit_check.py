@@ -1,15 +1,16 @@
-"""The check that closes ``decompose``: ``orbit_coefficients`` multiplies
-a generator polynomial out in the Weyl orbit-sum basis.  Against the
-Laurent ``expand``, which stays the reference: the orbit coefficients
-sum back to ``expand(P)`` for every P, and the check accepts P exactly
-when ``expand(P) == f``, also for P perturbed away from the
-decomposition."""
+"""``orbit_coefficients`` multiplies a generator polynomial out in the
+Weyl orbit-sum basis; it closes ``decompose`` and ``expand`` is built on
+it.  Against the Laurent multiply-out of ``reference_laurent.expand``:
+the orbit coefficients sum back to it for every P, Q * Q keys included,
+and the check accepts P exactly when it gives f, also for P perturbed
+away from the decomposition."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_laurent as ref
 from toruschar import generators
 from toruschar.errors import InternalCheckError
 from toruschar.generators import (
@@ -109,22 +110,39 @@ def test_orbit_check_accepts_exactly_the_expand_round_trips(family, data):
     assert from_orbits(want, group) == f
     q = perturbed(p, group, data)
     got = orbit_coefficients(q, group)
-    assert from_orbits(got, group) == expand(q, group)
-    assert (got == want) == (expand(q, group) == f)
+    back = ref.expand(q, group)
+    assert from_orbits(got, group) == back == expand(q, group)
+    assert (got == want) == (back == f)
     if q is p:
         assert got == want and decompose(f, group) == p
 
 
-def test_a_second_q_factor_is_refused():
-    group = GroupSpec("SOeven", 2, 1)
-    sym, _ = q_symbol(group, ((1,), (2,)))
-    tau = tau_symbol(group, (1,))
-    for key in ((sym, sym), (sym, sym, tau)):
-        with pytest.raises(InternalCheckError, match="a Q factor after another factor"):
-            orbit_coefficients(GeneratorPoly({key: 1}), group)
-    # one Q, first in its term, is fine
-    p = GeneratorPoly({(sym, tau): 1, (sym,): 2})
-    assert from_orbits(orbit_coefficients(p, group), group) == expand(p, group)
+@st.composite
+def q_products(draw):
+    """Even SO of rank 1-4 with N = 1-2, and a sum of Q * Q and
+    Q * Q * tau terms.  Q arguments come from a pool of one to three rows,
+    each taken as it is or negated, so they repeat and pair up as r, -r."""
+    group = GroupSpec("SOeven", draw(st.integers(1, 4)), draw(st.integers(1, 2)))
+    pool = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * group.factors).filter(any),
+                         min_size=1, max_size=3))
+    row = st.sampled_from(pool).flatmap(lambda r: st.sampled_from((r, tuple(-e for e in r))))
+    qs = st.lists(row, min_size=group.rank, max_size=group.rank).map(
+        lambda rows: GeneratorPoly.symbol(*q_symbol(group, rows)))
+    p = GeneratorPoly.zero()
+    for _ in range(draw(st.integers(1, 2))):
+        term = draw(qs) * draw(qs) * draw(coeffs)
+        if draw(st.booleans()):
+            term = term * GeneratorPoly.symbol(draw(tau_symbols(group)))
+        p = p + term
+    return group, p
+
+
+@settings(max_examples=40, deadline=None)
+@given(q_products())
+def test_q_times_q_matches_the_laurent_reference(case):
+    group, p = case
+    got = orbit_coefficients(p, group)
+    assert from_orbits(got, group) == expand(p, group) == ref.expand(p, group)
 
 
 def test_a_generator_relation_multiplies_out_to_nothing():
@@ -137,7 +155,7 @@ def test_a_generator_relation_multiplies_out_to_nothing():
     })
     assert len(p) == 4
     assert orbit_coefficients(p, group) == {}
-    assert expand(p, group) == LaurentPoly.zero(group)
+    assert expand(p, group) == ref.expand(p, group) == LaurentPoly.zero(group)
 
 
 def test_a_failed_check_still_names_the_round_trip(monkeypatch):
@@ -150,12 +168,15 @@ def test_a_failed_check_still_names_the_round_trip(monkeypatch):
 
 def test_full_level_decompose_builds_no_laurent_image(monkeypatch):
     def built(*args):
-        raise AssertionError("the check expanded a generator")
+        raise AssertionError("a generator image was built")
 
     group = GroupSpec("SOeven", 4, 2)
     f = orbit_sum(exponents([[1, 0], [0, 1], [1, 1], [2, -1]]), group)
-    monkeypatch.setattr(generators, "expand", built)
-    monkeypatch.setattr(generators, "symbol_image", built)
-    p = decompose(f, group)
+    monkeypatch.setattr(generators, "tau_image", built)
+    monkeypatch.setattr(generators, "_q_image_cached", built)
+    with monkeypatch.context() as m:
+        m.setattr(generators, "expand", built)
+        p = decompose(f, group)
+    got = expand(p, group)
     monkeypatch.undo()
-    assert expand(p, group) == f
+    assert got == f == ref.expand(p, group)
