@@ -16,8 +16,9 @@ Subcommands wrap the library with JSON file I/O:
 Exit codes: 0 success, 1 a verification suite missed its tolerance
 (`verify-bracket` then prints to stderr a command that reproduces its
 largest error), 2 invalid input, flags or a resource limit (such as a
-group above the Lie-dimension cap of `killing` and `cohomology`), 3 an
-internal self-check failed (a bug).  All randomness is seeded (default 0); equal
+group above the Lie-dimension cap of `killing`, `cohomology` and
+`verify-bracket`, or JSON nested too deeply to read), 3 an internal
+self-check failed (a bug).  All randomness is seeded (default 0); equal
 seeds and flags give byte-identical outputs.
 """
 
@@ -69,8 +70,8 @@ def _group_from(args, factors: int | None = None) -> GroupSpec:
 
 
 def _lie_group_from(args, factors: int | None = None) -> GroupSpec:
-    """``_group_from`` for the commands that build matrices of side
-    lie_dim: groups above LIE_DIM_CAP and Z^1 systems of more than
+    """``_group_from`` for the commands whose work grows with lie_dim:
+    groups above LIE_DIM_CAP and Z^1 systems of more than
     COCYCLE_ROWS_CAP rows are refused before any work."""
     group = _group_from(args, factors)
     if group.lie_dim > LIE_DIM_CAP:
@@ -84,9 +85,16 @@ def _lie_group_from(args, factors: int | None = None) -> GroupSpec:
     return group
 
 
+def _parse_json(text: str, where: str):
+    try:
+        return json.loads(text)
+    except RecursionError:  # nesting deeper than the decoder can follow
+        raise DomainError(f"{where}: JSON nested too deeply") from None
+
+
 def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return _parse_json(fh.read(), path)
 
 
 def _write_json(path: str | None, obj: dict) -> None:
@@ -106,7 +114,7 @@ def _parse_vec(text: str) -> tuple[int, ...]:
 
 
 def _parse_exps(text: str, group: GroupSpec):
-    m = exponents_from_json(json.loads(text), "--exps")
+    m = exponents_from_json(_parse_json(text, "--exps"), "--exps")
     LaurentPoly(group, {m: GaussRat(1)})  # validates dimensions/parity
     return m
 
@@ -212,7 +220,7 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_verify_bracket(args) -> int:
-    group = _group_from(args, factors=2)
+    group = _lie_group_from(args, factors=2)
     res = bracket_agreement(
         group,
         trials=args.trials,

@@ -12,19 +12,13 @@ For SL the ring is the quotient by the relations prod_i x_ij = 1; monomial
 keys are normalized by ``canonical_mod_relations`` at construction time, so
 polynomial equality is equality in the quotient ring.
 
-Keys are stored as these nested tuples everywhere.  Only inside a
-multiply (``LaurentPoly.__mul__``) are they packed into ints by a
-``Packing`` (Kronecker substitution): the n*N entries, read row by row,
-become the big-endian digits ``e + half`` of width w bits, where
-``half = 2**(w-1)`` exceeds the largest |e| any product can reach (there
-is no cap on w).  The packed key itself is ``sum_k e_k * 2**(w*(L-1-k))``
-(L = n*N), the digit form minus the constant ``bias = half * sum_k
-2**(w*(L-1-k))``, so the key of a monomial product is the sum of the keys
-and one multiply is one int addition per term pair.  Keys are unpacked
-once per result term.  For SL the raw sums are canonicalized only then,
-merging keys that meet through ``sparse.add_term``: shifting every row by
-one vector commutes with addition, so this equals canonicalizing each
-pair's sum.
+Keys are these nested tuples everywhere, inside a multiply too: the
+product adds the exponent matrices of each term pair row by row.  For SL
+the raw sums are canonicalized afterwards, once per result key, merging
+keys that meet through ``sparse.add_term``.  Shifting every row by one
+vector commutes with addition, so the terms are those of canonicalizing
+each pair's sum, but not always in the same order; ``decompose`` sees
+this order, as it presents each orbit by the first key it meets.
 
 ``from_json`` doubles int exponents directly (only floats and strings go
 through ``Fraction``, strings by way of ``scalars.read_rational``), checks
@@ -35,7 +29,7 @@ without a second pass.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from typing import Iterable, Mapping
 
 from . import sparse
@@ -133,78 +127,14 @@ def zero_exponents(group: GroupSpec) -> ExponentMatrix:
     return tuple((0,) * group.factors for _ in range(group.rank))
 
 
-def max_abs_exponent(terms) -> int:
-    """The largest |e| over every entry of every key of ``terms``; 0 when
-    there are none."""
-    return max((abs(e) for m in terms for row in m for e in row), default=0)
-
-
-class Packing:
-    """Packs the exponent matrices of one group into ints, and back, for
-    products whose entries all stay at most ``bound`` in absolute value
-    (see the module docstring for the layout).  Packed keys multiply by
-    int addition (``sparse.mul(a, b, operator.add)``) and the zero matrix
-    packs to 0."""
-
-    __slots__ = ("group", "width", "half", "mask", "shifts", "bias")
-
-    def __init__(self, group: GroupSpec, bound: int):
-        self.group = group
-        self.width = bound.bit_length() + 1
-        self.half = 1 << (self.width - 1)
-        self.mask = (1 << self.width) - 1
-        size = group.rank * group.factors
-        self.shifts = tuple(self.width * k for k in reversed(range(size)))
-        self.bias = sum(self.half << s for s in self.shifts)
-
-    def pack_terms(self, terms: Mapping[ExponentMatrix, GaussRat]) -> dict[int, GaussRat]:
-        width = self.width
-        out = {}
-        for m, c in terms.items():
-            key = 0
-            for row in m:
-                for e in row:
-                    key = (key << width) + e
-            out[key] = c
-        return out
-
-    def unpack_terms(self, packed: Mapping[int, GaussRat]) -> dict[ExponentMatrix, GaussRat]:
-        """Stored-form terms (SL keys canonicalized, equal keys merged)."""
-        group, bias, mask, half, shifts = self.group, self.bias, self.mask, self.half, self.shifts
-        n_cols = group.factors
-        sl = group.family == "SL"
-        out: dict[ExponentMatrix, GaussRat] = {}
-        for key, c in packed.items():
-            u = key + bias
-            digits = [((u >> s) & mask) - half for s in shifts]
-            m = tuple(zip(*[iter(digits)] * n_cols))  # consecutive digits as rows
-            if sl:
-                sparse.add_term(out, canonical_mod_relations(m, group), c)
-            else:
-                out[m] = c
-        return out
+def _add_exponents(m1: ExponentMatrix, m2: ExponentMatrix) -> ExponentMatrix:
+    """The exponents of the product of two monomials (not canonicalized)."""
+    return tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(m1, m2))
 
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials
 # ---------------------------------------------------------------------------
-
-def sum_terms(terms, point):
-    """Sum of ``coeff * point.monomial_value(m)`` over ``(m, coeff)`` pairs,
-    in the order given, starting from the first term; ``point.zero_value()``
-    when there are none.  Coefficients must be GaussRat; this is the
-    evaluation loop of exact points (float points sum the memoised
-    monomial values of ``LaurentPoly._point_values``).
-    """
-    total = None
-    value = point.monomial_value
-    for m, c in terms:
-        term = c * value(m)
-        total = term if total is None else total + term
-    if total is None:
-        return point.zero_value()
-    return total
-
 
 class LaurentPoly(sparse.SparsePoly):
     """Sparse exact Laurent polynomial over GaussRat coefficients.
@@ -289,15 +219,16 @@ class LaurentPoly(sparse.SparsePoly):
     __rmul__ = __mul__
 
     def _product(self, other: "LaurentPoly") -> dict:
-        """The packed multiply: keys packed into ints by one ``Packing``
-        wide enough for the product, so a key product is an int sum."""
-        packing = Packing(
-            self.group, max_abs_exponent(self.terms) + max_abs_exponent(other.terms)
-        )
-        product = sparse.mul(
-            packing.pack_terms(self.terms), packing.pack_terms(other.terms), add
-        )
-        return packing.unpack_terms(product)
+        """The product on nested-tuple keys; SL keys are canonicalized once
+        per result key, not per pair (see the module docstring)."""
+        terms = sparse.mul(self.terms, other.terms, _add_exponents)
+        group = self.group
+        if group.family != "SL":
+            return terms
+        out: dict[ExponentMatrix, GaussRat] = {}
+        for m, c in terms.items():
+            sparse.add_term(out, canonical_mod_relations(m, group), c)
+        return out
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
@@ -414,20 +345,23 @@ class LaurentPoly(sparse.SparsePoly):
         """Substitution homomorphism at a torus point of the same group.
 
         ``point`` is a ``TorusPoint``; the result type follows it (complex
-        in float mode, GaussRat in exact mode).  Exact points sum the
-        sorted exact terms; float points sum the complex coefficients of
-        the float table times the monomial values memoised at the point,
-        which ``log_gradient_values`` shares.
+        in float mode, GaussRat in exact mode).  The terms are summed in
+        sorted order from the first one: at exact points each exact term
+        times its monomial value; at float points the complex coefficients
+        of the float table times the monomial values memoised at the
+        point, which ``log_gradient_values`` shares.
         """
         self._require_point_group(point)
         if point.exact:
-            return sum_terms(self.sorted_terms(), point)
-        values = self._point_values(point)  # builds the table on first use
+            value = point.monomial_value
+            terms = (c * value(m) for m, c in self.sorted_terms())
+        else:
+            values = self._point_values(point)  # builds the table on first use
+            terms = map(mul, self._float_table[1], values)
         total = None
-        for c, v in zip(self._float_table[1], values):
-            term = c * v
+        for term in terms:
             total = term if total is None else total + term
-        return 0j if total is None else total
+        return point.zero_value() if total is None else total
 
     # -- structure queries -------------------------------------------------
 

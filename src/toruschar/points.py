@@ -74,6 +74,8 @@ class TorusPoint:
             raise DomainError("torus point has a zero coordinate")
         if sqrts is not None:
             sqrts, _ = _scalars(sqrts, exact)
+            if len(sqrts) != N or any(len(row) != n for row in sqrts):
+                raise StructureError(f"expected {N} square-root vectors of length {n}")
             if exact:
                 ok = all(
                     s * s == x

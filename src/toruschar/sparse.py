@@ -7,9 +7,10 @@ same for all of them: no zero coefficient is ever stored, and every key is
 already in its owner's canonical form.  These functions are the one
 implementation of add, negate, scale and multiply on that form.  They
 treat keys as opaque: ``mul`` takes a ``combine`` function that returns the
-canonical key of the product of two keys.  They use only ``+``, ``*``,
-unary ``-`` and truth of the coefficients, so the same functions also run
-on plain int coefficients, as ``scale`` does on the int orbit maps of
+key of the product of two keys (``LaurentPoly`` canonicalizes its SL
+keys afterwards).  They use only ``+``, ``*``, unary ``-`` and truth of
+the coefficients, so the same functions also run on plain int
+coefficients, as ``scale`` does on the int orbit maps of
 ``generators.orbit_coefficients``.  ``mul`` inlines the ``add_term``
 step, so each term pair costs one dict lookup and no extra Python call.
 
@@ -66,8 +67,8 @@ def scale(a: dict, factor) -> dict:
 
 
 def mul(a: dict, b: dict, combine) -> dict:
-    """The product of two polynomials; ``combine(k1, k2)`` is the canonical
-    key of the product of the monomials ``k1`` and ``k2``."""
+    """The product of two polynomials; ``combine(k1, k2)`` is the key of
+    the product of the monomials ``k1`` and ``k2``."""
     out = {}
     get = out.get
     for k1, c1 in a.items():

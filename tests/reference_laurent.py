@@ -1,11 +1,11 @@
 """Reference Laurent multiply and ``expand`` on nested-tuple keys.
 
-These are the bodies ``toruschar.laurent`` and ``toruschar.generators``
-used before monomials were packed into ints: the product adds exponent
-matrices entry by entry for every term pair (canonicalizing each SL sum
-on the spot), and ``expand`` substitutes each generator's Laurent image
-(``symbol_image``) and multiplies every term out on its own.
-``expand_shared`` is the packed, prefix-shared Laurent multiply-out that
+``mul`` is the per-pair product: it adds exponent matrices entry by entry
+for every term pair and canonicalizes each SL sum on the spot (the
+library canonicalizes once per result key, so its terms are the same but
+their order may differ).  ``expand`` substitutes each generator's Laurent
+image (``symbol_image``) and multiplies every term out on its own.
+``expand_shared`` is the prefix-shared Laurent multiply-out that
 ``generators.expand`` ran before it moved to the Weyl orbit-sum basis,
 with ``GaussRat`` coefficients on every term pair.  Both ``expand``
 bodies build the Laurent image of every generator, so they are the oracle
@@ -14,12 +14,10 @@ build none.  All three multiply through ``reference_sparse.mul``, the
 per-pair ``add_term`` body.
 """
 
-from operator import add
-
 import reference_sparse
 from toruschar import sparse
 from toruschar.generators import q_image, tau_image
-from toruschar.laurent import LaurentPoly, Packing, canonical_mod_relations, max_abs_exponent
+from toruschar.laurent import LaurentPoly, canonical_mod_relations, zero_exponents
 from toruschar.scalars import ONE
 
 
@@ -70,14 +68,12 @@ def expand(gp, group):
 
 
 def expand_shared(gp, group):
-    """Packed images, prefix products shared between adjacent sorted terms,
-    and ``GaussRat`` coefficients throughout."""
+    """Prefix products shared between adjacent sorted terms, ``GaussRat``
+    coefficients throughout, and SL keys canonicalized once at the end."""
     syms = dict.fromkeys(sym for key in gp.terms for sym in key)
     images = {sym: symbol_image(group, sym).terms for sym in syms}
-    spans = {sym: max_abs_exponent(terms) for sym, terms in images.items()}
-    packing = Packing(group, max((sum(map(spans.get, key)) for key in gp.terms), default=0))
-    packed = {sym: packing.pack_terms(terms) for sym, terms in images.items()}
-    chain = [{0: ONE}]  # chain[d]: product of the first d symbols of ``prev``
+    one = zero_exponents(group)
+    chain = [{one: ONE}]  # chain[d]: product of the first d symbols of ``prev``
     prev = ()
     total = {}
     for key, coeff in gp.sorted_terms():
@@ -87,8 +83,8 @@ def expand_shared(gp, group):
             shared += 1
         del chain[shared + 1:]
         for sym in head[shared:]:
-            chain.append(reference_sparse.mul(chain[-1], packed[sym], add))
+            chain.append(reference_sparse.mul(chain[-1], images[sym], add_exponents))
         prev = head
-        last = sparse.scale(packed[key[-1]], coeff) if key else {0: coeff}
-        reference_sparse.mul(chain[-1], last, add, total)
-    return LaurentPoly._trusted(group, packing.unpack_terms(total))
+        last = sparse.scale(images[key[-1]], coeff) if key else {one: coeff}
+        reference_sparse.mul(chain[-1], last, add_exponents, total)
+    return LaurentPoly(group, total)

@@ -579,6 +579,9 @@ def test_internal_check_error_exit_3(monkeypatch, capsys):
         ["cohomology", "--family", "so-even", "--rank", "100000", "--mode", "float"],
         ["killing", "--family", "sp", "--rank", "14"],  # dimension 406
         ["cohomology", "--family", "gl", "--rank", "21"],  # dimension 441
+        ["verify-bracket", "--family", "sl", "--rank", "21"],  # dimension 440
+        ["verify-bracket", "--family", "sl", "--rank", "100", "--trials", "1"],
+        ["verify-bracket", "--family", "gl", "--rank", "100", "--extrapolated"],
     ],
 )
 def test_lie_commands_refuse_groups_above_cap(capsys, argv):
@@ -621,6 +624,33 @@ def test_cohomology_accepts_group_at_cap(capsys):
     argv = ["cohomology", "--family", "gl", "--rank", "20", "--factors", "2", "--seed", "1"]
     assert run(argv) == 0
     assert capsys.readouterr().out.strip() == "Z1 = 420, B1 = 380, H1 = 40"
+
+
+def test_verify_bracket_accepts_group_at_cap(capsys):
+    # SL(20) has dimension 399, the largest SL rank under the cap.
+    assert run(["verify-bracket", "--family", "sl", "--rank", "20", "--trials", "1"]) == 0
+    assert capsys.readouterr().out.startswith("SL(rank=20, N=2): 325 checks over 325 pairs")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--in"],
+        ["expand", "--family", "gl", "--rank", "1", "--in"],
+        ["level", "--in"],
+        ["cohomology", "--family", "gl", "--rank", "1", "--in"],
+        ["orbit-sum", "--family", "gl", "--rank", "1", "--exps"],
+        ["level", "--family", "gl", "--rank", "1", "--exps"],
+    ],
+)
+def test_deeply_nested_json_exits_2(tmp_path, capsys, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    value, where = (str(deep),) * 2 if argv[-1] == "--in" else (deep.read_text(), "--exps")
+    assert run(argv + [value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {where}: JSON nested too deeply\n"
 
 
 def test_expand_large_q_exits_2_fast(tmp_path, capsys):

@@ -227,6 +227,21 @@ def test_eval_half_weights_exact_without_branch_rejected():
         LaurentPoly(g, {((1,), (1,)): ONE}).evaluate(pt)
 
 
+@pytest.mark.parametrize(
+    "coords, sqrts",
+    [
+        ([[4, 9]], [[2]]),  # a short row
+        ([[4, 9]], [[2, 3, 5]]),  # a long row
+        ([[4, 9]], []),  # no rows
+        ([[4, 9]], [[2, 3], [2, 3]]),  # an extra row
+        ([[4.0, 9.0]], [[2.0]]),  # float points too
+    ],
+)
+def test_point_refuses_sqrts_of_another_shape(coords, sqrts):
+    with pytest.raises(StructureError, match="square-root vectors"):
+        TorusPoint(GroupSpec("SOeven", 2, 1), coords, sqrts=sqrts)
+
+
 def test_eval_half_weights_float_principal_branch():
     g = GroupSpec("SOeven", 2, 1)
     pt = TorusPoint(g, [[4.0 + 0j, 9.0 + 0j]])

@@ -1,12 +1,11 @@
-"""The packed Laurent multiply against the nested-tuple body in
-``reference_laurent``, and ``expand``, which multiplies out in the Weyl
-orbit-sum basis, against both Laurent multiply-outs there: the per-term
-``expand`` and the packed, prefix-shared ``expand_shared``.  All by exact
-equality.
+"""The Laurent multiply against the per-pair body in ``reference_laurent``,
+and ``expand``, which multiplies out in the Weyl orbit-sum basis, against
+both Laurent multiply-outs there: the per-term ``expand`` and the
+prefix-shared ``expand_shared``.  All by exact equality; one SL product
+also pins the library's term order, which ``decompose`` sees.
 
 Exponent entries include values around 2**7, 2**15, 2**31, 2**63 and
-2**64, so the digit width of the packing changes from case to case,
-with no cap.
+2**64, so exponent sums cross every machine-word width, with no cap.
 """
 
 from fractions import Fraction
@@ -184,3 +183,22 @@ def test_empty_operands_and_width_edges():
             t = GeneratorPoly.symbol(tau_symbol(group, (e, 1)))
             image = tau_image(group, (e, 1))
             assert expand(t * t, group) == ref.mul(image, image)
+
+
+def test_sl_product_term_order_is_pinned():
+    # Canonicalizing each pair's sum (ref.mul) gives the same terms in
+    # another order.  The library canonicalizes the raw product once per
+    # key, and ``decompose`` presents each orbit by the first key it meets,
+    # so this order reaches its output.
+    group = GroupSpec("SL", 2, 1)
+    a = LaurentPoly(group, {((0,), (2,)): 1, ((0,), (8,)): 2, ((0,), (0,)): -1})
+    b = LaurentPoly(group, {((0,), (4,)): 1, ((4,), (0,)): -1, ((0,), (2,)): 1})
+    want = [
+        (((0,), (6,)), GaussRat(1)), (((2,), (0,)), GaussRat(-1)),
+        (((0,), (12,)), GaussRat(2)), (((0,), (4,)), GaussRat(-2)),
+        (((0,), (10,)), GaussRat(2)), (((4,), (0,)), GaussRat(1)),
+        (((0,), (2,)), GaussRat(-1)),
+    ]
+    assert list((a * b).terms.items()) == want
+    per_pair = ref.mul(a, b)
+    assert per_pair == a * b and list(per_pair.terms.items()) != want
