@@ -22,9 +22,10 @@ basis of the invariants: Bourbaki, Lie Groups and Lie Algebras, VI.3):
 each tau factor is one ``_times_tau`` call with G = W and each Q factor
 one ``_times_q`` call.  ``decompose`` checks its result exactly in that
 basis, as peeling f has already written it as a sum of c_m * S(m), and
-``expand`` writes each S(m) out as one ``orbit_sum``.  Neither builds the
-Laurent image of a generator; ``tau_image`` and ``q_image`` serve the
-evaluation paths (``poisson``, ``verify``).
+``expand`` writes each S(m) out as one ``orbit_sum``.  The Laurent image
+of a generator, ``tau_image`` or ``q_image``, is ``expand`` of its one
+symbol, so ``_times_tau`` and ``_times_q`` are the only definitions of
+the generators.
 
 A note on the Q image: the alternating sum
 
@@ -59,7 +60,6 @@ from .weyl import (
     orbit_rep,
     orbit_sum,
     pattern_order,
-    pattern_sum,
 )
 
 TauSymbol = tuple[str, tuple[int, ...]]
@@ -77,7 +77,7 @@ def _normalize_vector(alpha: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
         if e > 0:
             return alpha, 1
         if e < 0:
-            return tuple(-x for x in alpha), -1
+            return tuple([-x for x in alpha]), -1
     return alpha, 1
 
 
@@ -220,58 +220,8 @@ class GeneratorPoly(sparse.SparsePoly):
 
 
 # ---------------------------------------------------------------------------
-# generator images
+# multiplying out
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def tau_image(group: GroupSpec, alpha: tuple[int, ...]) -> LaurentPoly:
-    """Laurent image of the trace generator tau(alpha).
-
-    GL/SL: sum_i x_i^alpha.  Sp and even SO: sum_i (x_i^alpha +
-    x_i^-alpha).  Odd SO additionally picks up the constant 1 from the
-    fixed eigenvalue.  alpha = 0 yields the matrix size.
-    """
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != group.factors:
-        raise DomainError(f"alpha must have {group.factors} entries")
-    n, N = group.rank, group.factors
-    doubled = tuple(2 * a for a in alpha)
-    neg = tuple(-e for e in doubled)
-    zero_row = (0,) * N
-    terms: dict[ExponentMatrix, GaussRat] = {}
-    for i in range(n):
-        rows = [zero_row] * n
-        rows[i] = doubled
-        sparse.add_term(terms, tuple(rows), ONE)
-        if group.symmetric_traces:
-            rows[i] = neg
-            sparse.add_term(terms, tuple(rows), ONE)
-    poly = LaurentPoly(group, terms)  # canonicalizes the SL keys
-    if group.family == "SOodd":
-        poly = poly + LaurentPoly.constant(group, 1)
-    return poly
-
-
-@lru_cache(maxsize=None)
-def _q_image_cached(group: GroupSpec, alphas: tuple[tuple[int, ...], ...]) -> LaurentPoly:
-    m = tuple(tuple(2 * a for a in alpha) for alpha in alphas)
-    signed_sum = orbit_sum(m, group).scaled(2) - pattern_sum(m, group)
-    return signed_sum.scaled(I ** group.rank)
-
-
-def q_image(group: GroupSpec, alphas) -> LaurentPoly:
-    """Laurent image of Q(alpha_1..alpha_n) on the even SO torus:
-    i^n * sum over permutations s of prod_i (x_{s(i)}^{a_i} - x_{s(i)}^{-a_i}).
-    That is i^n times the sum of w . m over the signed group, m with rows
-    2*alpha_i and w weighted by (-1)^(flips of w): the Weyl group minus the
-    odd elements, i^n * (2 * orbit_sum(m) - pattern_sum(m)).  It costs the
-    orbit size and is bounded by WEYL_CAP.
-    """
-    sym, sign = q_symbol(group, alphas)
-    if sym is None:
-        return LaurentPoly.zero(group)
-    return _q_image_cached(group, sym[1]).scaled(sign)
-
 
 def _presentation(key: tuple) -> ExponentMatrix:
     """A monomial in the orbit with key ``(rows, parity)`` (``weyl.orbit_rep``):
@@ -293,6 +243,29 @@ def expand(p: GeneratorPoly, group: GroupSpec) -> LaurentPoly:
     for key, c in orbit_coefficients(p, group).items():
         terms.update(sparse.scale(orbit_sum(_presentation(key), group).terms, c))
     return LaurentPoly._trusted(group, terms)
+
+
+@lru_cache(maxsize=None)
+def tau_image(group: GroupSpec, alpha: tuple[int, ...]) -> LaurentPoly:
+    """Laurent image of the trace generator tau(alpha): ``expand`` of its
+    symbol.
+
+    GL/SL: sum_i x_i^alpha.  Sp and even SO: sum_i (x_i^alpha +
+    x_i^-alpha).  Odd SO additionally picks up the constant 1 from the
+    fixed eigenvalue.  alpha = 0 yields the matrix size.
+    """
+    return expand(GeneratorPoly.symbol(tau_symbol(group, alpha)), group)
+
+
+def q_image(group: GroupSpec, alphas) -> LaurentPoly:
+    """Laurent image of Q(alpha_1..alpha_n) on the even SO torus:
+    i^n * sum over permutations s of prod_i (x_{s(i)}^{a_i} - x_{s(i)}^{-a_i}),
+    ``expand`` of its symbol times the sign from ``q_symbol`` (zero when an
+    argument vanishes).  It costs the orbit size and is bounded by
+    WEYL_CAP.
+    """
+    sym, sign = q_symbol(group, alphas)
+    return expand(GeneratorPoly.symbol(sym, sign) if sym else GeneratorPoly.zero(), group)
 
 
 def _times_tau(terms: dict, alpha: tuple[int, ...], group: GroupSpec, factor: int, out: dict) -> None:

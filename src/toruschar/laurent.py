@@ -82,9 +82,13 @@ def exponents_from_json(rows, path: str) -> ExponentMatrix:
 
 
 def check_exponents(m: ExponentMatrix, group: GroupSpec) -> None:
-    if len(m) != group.rank or any(len(row) != group.factors for row in m):
+    rank, factors = group.rank, group.factors
+    if len(m) != rank or any(len(row) != factors for row in m):
+        got = f"row count {len(m)}" if len(m) != rank else next(
+            f"row {i} of length {len(row)}" for i, row in enumerate(m) if len(row) != factors
+        )
         raise StructureError(
-            f"exponent matrix shape {len(m)}x? does not match {group}"
+            f"exponent matrix shape does not match {group}: expected {rank}x{factors}, got {got}"
         )
     if not group.allows_half_weights:
         for row in m:

@@ -23,7 +23,7 @@ from typing import Mapping
 
 from . import sparse
 from .errors import DomainError, ResourceLimitError, StructureError
-from .generators import tau_image
+from .generators import _normalize_vector, tau_image
 from .groups import GroupSpec
 from .jsonio import json_check, json_coeff, json_field, json_ints
 from .scalars import GaussRat, ONE, read_rational, to_fraction
@@ -39,11 +39,8 @@ CUTOFF_CAP = 8
 def _norm_symbol(group: GroupSpec, a) -> LatticeVec:
     if len(a) != 2:
         raise DomainError(f"a trace symbol takes 2 entries, got {len(a)}")
-    p, q = int(a[0]), int(a[1])
-    if group.symmetric_traces:
-        if p < 0 or (p == 0 and q < 0):
-            return (-p, -q)
-    return (p, q)
+    a = (int(a[0]), int(a[1]))
+    return _normalize_vector(a)[0] if group.symmetric_traces else a
 
 
 class TauPoly(sparse.SparsePoly):

@@ -276,10 +276,10 @@ def orbit_sum(m: ExponentMatrix, group: GroupSpec, cap: int = WEYL_CAP) -> Laure
 
 
 def pattern_sum(m: ExponentMatrix, group: GroupSpec, cap: int = WEYL_CAP) -> LaurentPoly:
-    """Sum of w . m over the ambient pattern group used by the level
-    reduction: the symmetric group for GL/SL and the full signed group for
-    the other families (including even SO, whose Weyl sums at level < n
-    are half of these)."""
+    """Sum of w . m over the pattern group of the level reduction: the
+    symmetric group for GL/SL, the full signed group otherwise (even SO's
+    Weyl sums at level < n are half of these).  No library code calls it;
+    the reduction counts pattern sums by orbit in ``generators._times_tau``."""
     return _orbit_sum(m, group, pattern_order(group), False, cap)
 
 

@@ -4,7 +4,10 @@
 for every term pair and canonicalizes each SL sum on the spot (the
 library canonicalizes once per result key, so its terms are the same but
 their order may differ).  ``expand`` substitutes each generator's Laurent
-image (``symbol_image``) and multiplies every term out on its own.
+image (``symbol_image``) and multiplies every term out on its own.  The
+images are built here, independently of ``generators.expand``: tau(alpha)
+row by row (``tau_image``) and Q by the signed-group walk of
+``reference_weyl.q_image``.
 ``expand_shared`` is the prefix-shared Laurent multiply-out that
 ``generators.expand`` ran before it moved to the Weyl orbit-sum basis,
 with ``GaussRat`` coefficients on every term pair.  Both ``expand``
@@ -14,9 +17,11 @@ build none.  All three multiply through ``reference_sparse.mul``, the
 per-pair ``add_term`` body.
 """
 
+from functools import lru_cache
+
 import reference_sparse
+import reference_weyl
 from toruschar import sparse
-from toruschar.generators import q_image, tau_image
 from toruschar.laurent import LaurentPoly, canonical_mod_relations, zero_exponents
 from toruschar.scalars import ONE
 
@@ -48,12 +53,35 @@ def power(p, k):
     return out
 
 
+def tau_image(group, alpha):
+    """Laurent image of tau(alpha), one row at a time: the sum over rows i
+    of x_i^alpha, and of x_i^-alpha too where traces are symmetric (Sp,
+    SO), plus the constant 1 of odd SO."""
+    n, N = group.rank, group.factors
+    doubled = tuple(2 * a for a in alpha)
+    neg = tuple(-e for e in doubled)
+    zero_row = (0,) * N
+    terms = {}
+    for i in range(n):
+        rows = [zero_row] * n
+        rows[i] = doubled
+        sparse.add_term(terms, tuple(rows), ONE)
+        if group.symmetric_traces:
+            rows[i] = neg
+            sparse.add_term(terms, tuple(rows), ONE)
+    poly = LaurentPoly(group, terms)  # canonicalizes the SL keys
+    if group.family == "SOodd":
+        poly = poly + LaurentPoly.constant(group, 1)
+    return poly
+
+
+@lru_cache(maxsize=None)
 def symbol_image(group, sym):
     """The Laurent image of one generator symbol."""
     kind, payload = sym
     if kind == "tau":
         return tau_image(group, payload)
-    return q_image(group, payload)
+    return reference_weyl.q_image(group, payload)
 
 
 def expand(gp, group):

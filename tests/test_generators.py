@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import reference_laurent as ref
 from toruschar.errors import (
     DomainError,
     InternalCheckError,
@@ -261,9 +262,9 @@ def test_expand_examples():
     t = tau_symbol(g, (1, 0))
     s = tau_symbol(g, (0, 1))
     p = GeneratorPoly.symbol(t)
-    assert expand(p, g) == tau_image(g, (1, 0))
+    assert expand(p, g) == ref.tau_image(g, (1, 0))
     p2 = GeneratorPoly({(t, s): ONE})
-    assert expand(p2, g) == tau_image(g, (1, 0)) * tau_image(g, (0, 1))
+    assert expand(p2, g) == ref.tau_image(g, (1, 0)) * ref.tau_image(g, (0, 1))
     assert expand(GeneratorPoly.zero(), g) == LaurentPoly.zero(g)
 
 
@@ -340,7 +341,7 @@ def test_generator_poly_constructor_coerces_and_sorts():
     t1, t2 = tau_symbol(sp2, (1,)), tau_symbol(sp2, (2,))
     p = GeneratorPoly({(t1,): 2})
     assert p.terms == {(t1,): GaussRat(2)}
-    assert expand(p, sp2) == tau_image(sp2, (1,)).scaled(2)
+    assert expand(p, sp2) == ref.tau_image(sp2, (1,)).scaled(2)
     assert GeneratorPoly({(t2, t1): 1}) == GeneratorPoly({(t1, t2): 1})
     assert GeneratorPoly({(t2, t1): 1}).terms == {(t1, t2): ONE}
     assert not GeneratorPoly({(t2, t1): 1, (t1, t2): -1})

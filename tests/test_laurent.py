@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,22 @@ def test_mul_sl_relation():
 def test_group_mismatch():
     with pytest.raises(StructureError):
         x(GL21, 1) + x(SL21, 1)
+
+
+@pytest.mark.parametrize("m, got", [
+    (((0, 0), (0,)), "got row 1 of length 1"),
+    (((0, 0, 0), (0, 0)), "got row 0 of length 3"),
+    (((0, 0),), "got row count 1"),
+    (((0, 0), (0, 0), (0, 0)), "got row count 3"),
+])
+def test_shape_error_names_the_shape(m, got):
+    group = GroupSpec("GL", 2, 2)
+    want = re.escape(f"exponent matrix shape does not match {group}: expected 2x2, {got}")
+    with pytest.raises(StructureError, match=want):
+        LaurentPoly(group, {m: 1})
+    doc = {"group": group.to_json(), "terms": [{"coeff": "1", "exps": [list(r) for r in m]}]}
+    with pytest.raises(StructureError, match=want):
+        LaurentPoly.from_json(doc)
 
 
 def test_eval_examples():

@@ -1,13 +1,15 @@
 """The Laurent multiply against the per-pair body in ``reference_laurent``,
 and ``expand``, which multiplies out in the Weyl orbit-sum basis, against
 both Laurent multiply-outs there: the per-term ``expand`` and the
-prefix-shared ``expand_shared``.  All by exact equality; one SL product
-also pins the library's term order, which ``decompose`` sees.
+prefix-shared ``expand_shared``, and ``tau_image`` against the row-by-row
+image there.  All by exact equality; one SL product also pins the
+library's term order, which ``decompose`` sees.
 
 Exponent entries include values around 2**7, 2**15, 2**31, 2**63 and
 2**64, so exponent sums cross every machine-word width, with no cap.
 """
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -181,8 +183,22 @@ def test_empty_operands_and_width_edges():
             b = LaurentPoly.monomial(group, exponents([[e, 3], [-e, 0]]), ONE)
             assert a * b == ref.mul(a, b)
             t = GeneratorPoly.symbol(tau_symbol(group, (e, 1)))
-            image = tau_image(group, (e, 1))
+            image = ref.tau_image(group, (e, 1))
             assert expand(t * t, group) == ref.mul(image, image)
+
+
+def test_tau_image_matches_row_by_row_reference():
+    # ``tau_image`` is ``expand`` of one symbol; the reference adds up the
+    # rows one by one.  Float evaluation sums in sorted order, so equal
+    # sorted terms keep every float value bit-identical.
+    grid = range(-2, 3)
+    for family in FAMILIES:
+        for rank in range(1, 5):
+            for n in (1, 2):
+                group = GroupSpec(family, rank, n)
+                for alpha in itertools.product(grid, repeat=n):
+                    got, want = tau_image(group, alpha), ref.tau_image(group, alpha)
+                    assert got == want and got.sorted_terms() == want.sorted_terms()
 
 
 def test_sl_product_term_order_is_pinned():

@@ -173,7 +173,7 @@ def test_full_level_decompose_builds_no_laurent_image(monkeypatch):
     group = GroupSpec("SOeven", 4, 2)
     f = orbit_sum(exponents([[1, 0], [0, 1], [1, 1], [2, -1]]), group)
     monkeypatch.setattr(generators, "tau_image", built)
-    monkeypatch.setattr(generators, "_q_image_cached", built)
+    monkeypatch.setattr(generators, "q_image", built)
     with monkeypatch.context() as m:
         m.setattr(generators, "expand", built)
         p = decompose(f, group)
