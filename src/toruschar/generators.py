@@ -16,6 +16,17 @@ orbit and builds no orbit.  A reduction step is one such call with G the
 pattern group: beta is the count of m's orbit and the other orbits, all
 of lower level, are A.  Level 1 is the same step with P(0) = |P|.
 
+The reduction runs on int coefficients: R(m), the generator polynomial
+equal to P(m), is stored as ``{symbol tuple: int}``, and only
+``_reduce_orbit`` makes GaussRats of it (with the 1/2 and the Q term of
+even SO).  The quotient by beta is exact.  P(m) is |P_0(m)| times the
+augmented monomial function of m, P_0(m) the part of P acting on the
+empty rows of m, and augmented monomials have integer coordinates in the
+power sums, which tau(alpha) are (Moebius inversion: Macdonald, I.2 and
+I.6).  So R(m) is |P_0(m)| times an integer polynomial, and beta =
+|P_0(m_sub)| / |P_0(m)|.  A remainder would be a bug and raises
+InternalCheckError.
+
 A generator polynomial is multiplied out by one walk over its sorted
 terms, ``orbit_coefficients``, in the basis of Weyl orbit sums S(m) (a
 basis of the invariants: Bourbaki, Lie Groups and Lie Algebras, VI.3):
@@ -55,6 +66,8 @@ from .jsonio import json_check, json_coeff, json_field, json_ints
 from .laurent import ExponentMatrix, LaurentPoly, canonical_mod_relations, zero_exponents
 from .scalars import GaussRat, I, ONE, ZERO, _reduced
 from .weyl import (
+    WEYL_CAP,
+    _images,
     invariance_violation,
     level_of_monomial,
     orbit_rep,
@@ -337,7 +350,7 @@ def _times_q(terms: dict, alphas: tuple, group: GroupSpec, factor: int, out: dic
     order = group.weyl_order
     get = out.get
     for key, c in terms.items():
-        images = orbit_sum(_presentation(key), group).terms
+        images = _images(_presentation(key), group, True, WEYL_CAP)
         c *= factor * (order // len(images))
         for x in images:
             for shift, sign in shifts:
@@ -436,23 +449,33 @@ def decompose(f: LaurentPoly, group: GroupSpec) -> GeneratorPoly:
     return result
 
 
+_HALF = GaussRat(Fraction(1, 2))
+_I_POWERS = (ONE, I, -ONE, -I)  # i^k for k mod 4
+
+
+@lru_cache(maxsize=16)
+def _pattern_group(group: GroupSpec) -> GroupSpec:
+    """The group whose orbit sums the level reduction counts: Sp for even
+    SO (the full signed group), ``group`` otherwise."""
+    return GroupSpec("Sp", group.rank, group.factors) if group.family == "SOeven" else group
+
+
 def _reduce_orbit(m: ExponentMatrix, group: GroupSpec) -> GeneratorPoly:
     """GeneratorPoly equal to orbit_sum(m, group)."""
     level = level_of_monomial(m, group)
+    ints = _reduce_pattern_monomial(m, group, bound=level + 1)
     if group.family != "SOeven":
-        return _reduce_pattern_monomial(m, group, bound=level + 1)
+        return GeneratorPoly._wrap({k: _reduced(v, 0, 1) for k, v in ints.items()})
     # Even SO: the Weyl sum is half the full signed sum plus half the
     # antisymmetrized part, which is Q up to the factor i^n (and vanishes
     # unless every row is nonzero).
-    half = GaussRat(Fraction(1, 2))
-    out = _reduce_pattern_monomial(m, group, bound=level + 1).scaled(half)
+    out = {k: _reduced(v, 0, 2) for k, v in ints.items()}
     if level == group.rank:
         alphas = tuple(_true_row(row) for row in m)
         sym, sign = q_symbol(group, alphas)
         if sym is not None:
-            coeff = half * sign / (I ** group.rank)
-            out = out + GeneratorPoly.symbol(sym, coeff)
-    return out
+            sparse.add_term(out, (sym,), _HALF * sign * _I_POWERS[-group.rank % 4])
+    return GeneratorPoly._wrap(out)
 
 
 _REDUCE_CACHE: dict = {}
@@ -462,8 +485,8 @@ def _memo_key(m: ExponentMatrix, group: GroupSpec):
     return (group, orbit_rep(m, group)[0])
 
 
-def _reduce_pattern_monomial(m: ExponentMatrix, group: GroupSpec, bound: int) -> GeneratorPoly:
-    """GeneratorPoly equal to pattern_sum(m, group).
+def _reduce_pattern_monomial(m: ExponentMatrix, group: GroupSpec, bound: int) -> dict:
+    """``{symbol tuple: int}`` equal to pattern_sum(m, group).
 
     With m_sub the key m less its largest row alpha, one ``_times_tau``
     call over the pattern group P gives tau(alpha) * P(m_sub) by orbit:
@@ -471,16 +494,18 @@ def _reduce_pattern_monomial(m: ExponentMatrix, group: GroupSpec, bound: int) ->
     is one of them, the constant 1 of tau).  Then P(m) = (tau(alpha) *
     R(m_sub) - sum of count * R(rows) over A) / beta, R this function
     applied to each orbit's ``rows``.  A missing beta or an orbit of A at
-    level(m) or above raises InternalCheckError.
+    level(m) or above raises InternalCheckError, and so does a quotient
+    by beta that is not exact (the module docstring says why it is).
 
     ``bound`` is a strict upper bound on the level still allowed; every
-    recursive call decreases it, which is asserted.
+    recursive call decreases it, which is asserted.  The result is cached
+    and shared: callers must not change it.
     """
     level = level_of_monomial(m, group)
     if level >= bound:
         raise InternalCheckError("level reduction failed to descend")
     if level == 0:
-        return GeneratorPoly.constant(pattern_order(group))
+        return {(): pattern_order(group)}
     key = _memo_key(m, group)
     cached = _REDUCE_CACHE.get(key)
     if cached is not None:
@@ -492,7 +517,7 @@ def _reduce_pattern_monomial(m: ExponentMatrix, group: GroupSpec, bound: int) ->
     m_sub = m[:pos] + ((0,) * group.factors,) + m[pos + 1:]
     if level_of_monomial(m_sub, group) != level - 1:
         raise InternalCheckError("peeled monomial level did not drop by one")
-    pattern = GroupSpec("Sp", group.rank, group.factors) if group.family == "SOeven" else group
+    pattern = _pattern_group(group)
     alpha = _true_row(alpha_row)
     counts: dict = {}
     _times_tau({orbit_rep(m_sub, pattern): 1}, alpha, pattern, 1, counts)
@@ -500,12 +525,22 @@ def _reduce_pattern_monomial(m: ExponentMatrix, group: GroupSpec, bound: int) ->
     if not beta or any(level_of_monomial(rows, group) >= level for rows, _ in counts):
         raise InternalCheckError("reduction constant mismatch")
 
-    gen_one = GeneratorPoly.symbol(tau_symbol(group, alpha))
-    out = (gen_one * _reduce_pattern_monomial(m_sub, group, bound=level)).terms
+    # tau(alpha) * R(m_sub): one more symbol in each key, so keys stay distinct.
+    sym = tau_symbol(group, alpha)
+    below = _reduce_pattern_monomial(m_sub, group, bound=level)
+    out = {tuple(sorted(k + (sym,))): v for k, v in below.items()}
+    get = out.get
     for (rows, _), count in counts.items():
-        for k, v in _reduce_pattern_monomial(rows, group, bound=level).terms.items():
-            sparse.add_term(out, k, v * -count)
-    result = _REDUCE_CACHE[key] = GeneratorPoly._wrap(out).scaled(GaussRat(Fraction(1, beta)))
+        for k, v in _reduce_pattern_monomial(rows, group, bound=level).items():
+            out[k] = get(k, 0) - count * v
+    result = {}
+    for k, v in out.items():
+        if v:
+            q, r = divmod(v, beta)
+            if r:
+                raise InternalCheckError("reduction left a fraction")
+            result[k] = q
+    _REDUCE_CACHE[key] = result
     return result
 
 
@@ -514,21 +549,24 @@ def _peel(f: LaurentPoly, group: GroupSpec) -> tuple[GeneratorPoly, list]:
     reductions of their monomials with the same multiples.  Returns the
     sum and the split ``[(m, c_m)]``, f = sum of c_m * orbit_sum(m).
 
-    An orbit sum gives all monomials of an orbit one coefficient, so each
-    step removes the orbit of any key m left, which must be there in full
-    with m's coefficient, else an InternalCheckError is raised before any
-    reduction.  Orbits are disjoint, so their order is free, and emptying
-    ``f`` proves it invariant.
+    An orbit sum gives all monomials of an orbit one coefficient, its
+    stabiliser order |W|/|orbit|, so each step pops the images of any key
+    m left (``weyl._images``; stored keys are canonical), which must be
+    there in full with m's coefficient, else an InternalCheckError is
+    raised before any reduction.  Orbits are disjoint, so their order is
+    free, and emptying ``f`` proves it invariant.
     """
     work = dict(f.terms)
+    order, even = group.weyl_order, group.family == "SOeven"
+    pop = work.pop
     parts = []
     while work:
         m, c = next(iter(work.items()))
-        psum = orbit_sum(m, group).terms
-        for k in psum:
-            if work.pop(k, None) != c:
+        images = _images(m, group, even, WEYL_CAP)
+        for k in images:
+            if pop(k, None) != c:
                 raise InternalCheckError("orbit peeling left terms it could not cancel")
-        parts.append((m, c / psum[m]))
+        parts.append((m, c / (order // len(images))))
     result: dict = {}
     for m, coeff in parts:
         for k, v in _reduce_orbit(m, group).terms.items():

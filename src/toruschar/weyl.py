@@ -18,6 +18,12 @@ signed orbit when some row is zero (flipping that row fixes the
 monomial).  With no zero row no odd element fixes the monomial, and the
 orbit is half of the full one: the sign patterns whose number of flips has
 the parity of the input's (an input with rows r, -r has one flip).
+``_images`` lists an orbit by the arrangements of the orbit key's rows,
+in lexicographic order, and for each by ``itertools.product`` over the
+choices of its rows: (row, -row) for a nonzero row of a signed family,
+the row alone otherwise.  For even SO with no zero row the product runs
+over the first n - 1 rows, and the last row is negated exactly when the
+number of flips before it differs in parity from the input's.
 Each orbit monomial carries the coefficient |G|/|orbit|, its stabiliser
 order, so the result is the sum of w . m over every element w of G.
 ``orbit_rep`` names an orbit by these same data: the sorted rows up to
@@ -30,6 +36,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import add
 from typing import Iterator, Optional
 
 from .errors import DomainError, ResourceLimitError
@@ -177,7 +184,7 @@ def _images(
     """The distinct images of the presentation ``m`` (not canonicalised)
     under row permutations and, if ``group`` is signed, sign changes of
     rows, which are restricted to even numbers of flips when
-    ``even_flips``.
+    ``even_flips``.  The order is that of the module docstring.
 
     The orbit size is checked against ``cap`` before anything is built.
     """
@@ -194,18 +201,24 @@ def _images(
         size >>= 1
     if size > cap:
         raise ResourceLimitError(f"orbit of {size} monomials exceeds cap {cap}")
-    negated = {row: tuple(-e for e in row) for row in base}
-    out = []
+    # Each row's choices, in the order (row, -row); a zero row, or any row
+    # of an unsigned family, has one.
+    choices = {
+        row: (row, tuple(-e for e in row)) if nonzero and any(row) else (row,)
+        for row in base
+    }
+    out: list = []
+    if parity is None:
+        for arr in _arrangements(base):
+            out.extend(itertools.product(*map(choices.__getitem__, arr)))
+        return out
+    # Even flips, no zero row: the last row's sign is fixed by the parity
+    # of the flips before it.  Over the prefixes in product order those
+    # parities are the bit parities of 0, 1, ..., 2^(n-1) - 1.
+    bits = [k.bit_count() & 1 for k in range(1 << (len(m) - 1))]
+    tails = {row: [(pair[b ^ parity],) for b in bits] for row, pair in choices.items()}
     for arr in _arrangements(base):
-        where = [i for i, row in enumerate(arr) if any(row)]
-        for flips in itertools.product((False, True), repeat=nonzero):
-            if parity is not None and sum(flips) % 2 != parity:
-                continue
-            rows = list(arr)
-            for i, flip in zip(where, flips):
-                if flip:
-                    rows[i] = negated[rows[i]]
-            out.append(tuple(rows))
+        out.extend(map(add, itertools.product(*map(choices.__getitem__, arr[:-1])), tails[arr[-1]]))
     return out
 
 

@@ -12,11 +12,12 @@ reduction that ``generators._reduce_pattern_monomial`` replaced by counts
 on one presentation of m_sub: the step product enumerated over the whole
 pattern group (``reference_weyl.step_product``), its top checked against
 ``pattern_sum(m)`` and its lower-level remainder peeled by pattern sums.
-It recurses into itself and fills ``generators._REDUCE_CACHE``, so a test
-can patch it over the reduction and run the reference at every level.
+It computes in ``GaussRat`` and hands over, returns and caches the
+kernel's form, ``{symbol tuple: int}``, asserting that every coefficient
+is a real integer.  It recurses into itself and fills
+``generators._REDUCE_CACHE``, so a test can patch it over the reduction
+and run the reference at every level.
 """
-
-from functools import partial
 
 import reference_weyl
 from toruschar import generators, sparse
@@ -54,7 +55,7 @@ def reduce_pattern_monomial(m, group, bound):
     if level >= bound:
         raise InternalCheckError("level reduction failed to descend")
     if level == 0:
-        return GeneratorPoly.constant(pattern_order(group))
+        return as_ints(GeneratorPoly.constant(pattern_order(group)))
     key = generators._memo_key(m, group)
     cached = generators._REDUCE_CACHE.get(key)
     if cached is not None:
@@ -75,12 +76,24 @@ def reduce_pattern_monomial(m, group, bound):
     gen_one = GeneratorPoly.symbol(tau_symbol(group, generators._true_row(alpha_row)))
     if group.family == "SOodd":
         gen_one = gen_one + GeneratorPoly.constant(GaussRat(-1))
-    out = gen_one * reduce_pattern_monomial(m_sub, group, bound=level)
+    out = gen_one * as_poly(reduce_pattern_monomial(m_sub, group, bound=level))
     if lower:
         out = out - peel(lower, group, pattern_sum,
-                         partial(reduce_pattern_monomial, bound=level))
-    result = generators._REDUCE_CACHE[key] = out.scaled(ONE / beta)
+                         lambda k, g: as_poly(reduce_pattern_monomial(k, g, bound=level)))
+    result = generators._REDUCE_CACHE[key] = as_ints(out.scaled(ONE / beta))
     return result
+
+
+def as_ints(p):
+    """``p`` in the reduction kernel's form ``{symbol tuple: int}``; each
+    coefficient must be a real integer."""
+    for c in p.terms.values():
+        assert c.is_rational() and c.as_fraction().denominator == 1, f"{c} is not an integer"
+    return {k: int(c.as_fraction()) for k, c in p.terms.items()}
+
+
+def as_poly(ints):
+    return GeneratorPoly({k: GaussRat(v) for k, v in ints.items()})
 
 
 def peel(f, group, group_sum, reduce):

@@ -6,13 +6,24 @@ construction: the orbit and pattern sums, the product of one
 level-reduction step, and the Q image.  They are built from the public
 ``weyl_elements`` and ``act_monomial`` only; the signed pattern group is
 the Weyl group of Sp, the full signed group.
+
+``images`` is the loop ``weyl._images`` ran before it took
+``itertools.product`` over the choices of each row: one image per
+arrangement and sign-flip pattern, filtered by flip parity, with the
+arrangements from ``itertools.permutations``.  It is the oracle for the
+order as well as the set of the images.
 """
 
+import itertools
+import math
+from collections import Counter
+
+from toruschar.errors import ResourceLimitError
 from toruschar.groups import GroupSpec
 from toruschar.laurent import LaurentPoly, canonical_mod_relations
 from toruschar.scalars import GaussRat, I, ONE
 from toruschar.sparse import add_term
-from toruschar.weyl import act_monomial, weyl_elements
+from toruschar.weyl import act_monomial, orbit_rep, weyl_elements
 
 
 def pattern_elements(group):
@@ -68,3 +79,37 @@ def q_image(group, alphas):
         sign = -1 if w.sign_change_count() % 2 else 1
         add_term(terms, act_monomial(w, m), GaussRat(sign))
     return LaurentPoly(group, terms).scaled(I ** group.rank)
+
+
+def images(m, group, even_flips, cap):
+    """The distinct images of ``m`` under row permutations and, if
+    ``group`` is signed, sign changes of rows (an even number of them when
+    ``even_flips``), in the order of ``weyl._images``: arrangements of the
+    orbit key's rows in lexicographic order, then the flip patterns of the
+    nonzero rows in ``itertools.product`` order."""
+    if not any(map(any, m)):
+        return [m]
+    base, parity = orbit_rep(m, group)
+    nonzero = sum(1 for row in base if any(row)) if group.signed else 0
+    if not (even_flips and nonzero == len(m)):
+        parity = None
+    size = math.factorial(len(m)) << nonzero
+    for k in Counter(base).values():
+        size //= math.factorial(k)
+    if parity is not None:
+        size >>= 1
+    if size > cap:
+        raise ResourceLimitError(f"orbit of {size} monomials exceeds cap {cap}")
+    negated = {row: tuple(-e for e in row) for row in base}
+    out = []
+    for arr in sorted(set(itertools.permutations(base))):
+        where = [i for i, row in enumerate(arr) if any(row)]
+        for flips in itertools.product((False, True), repeat=nonzero):
+            if parity is not None and sum(flips) % 2 != parity:
+                continue
+            rows = list(arr)
+            for i, flip in zip(where, flips):
+                if flip:
+                    rows[i] = negated[rows[i]]
+            out.append(tuple(rows))
+    return out

@@ -20,7 +20,7 @@ from toruschar.generators import (
     tau_image,
     tau_symbol,
 )
-from toruschar.groups import GroupSpec
+from toruschar.groups import FAMILIES, GroupSpec
 from toruschar.laurent import LaurentPoly, exponents
 from toruschar.scalars import GaussRat, I, ONE
 from toruschar.verify import random_invariant
@@ -294,8 +294,42 @@ def test_reduction_builds_no_orbit(monkeypatch, family, rank, factors, rows):
     generators._REDUCE_CACHE.clear()
     with monkeypatch.context() as patch:
         patch.setattr(weyl, "_images", built)
+        patch.setattr(generators, "_images", built)
         reduced = generators._reduce_orbit(m, group)
     assert expand(reduced, group) == orbit_sum(m, group)
+
+
+def test_reduction_cache_holds_nonzero_ints():
+    generators._REDUCE_CACHE.clear()
+    try:
+        for family in FAMILIES:
+            group = GroupSpec(family, 3, 2)
+            (m,) = LaurentPoly.monomial(group, exponents([[2, 0], [4, -2], [2, 2]])).terms
+            assert expand(generators._reduce_orbit(m, group), group) == orbit_sum(m, group)
+        assert generators._REDUCE_CACHE
+        for ints in generators._REDUCE_CACHE.values():
+            assert all(type(v) is int and v for v in ints.values())
+    finally:
+        generators._REDUCE_CACHE.clear()
+
+
+@pytest.mark.parametrize("family", ["GL", "Sp", "SOodd", "SOeven"])
+def test_inexact_beta_quotient_is_an_internal_error(monkeypatch, family):
+    # On rank 1 the step for x^2 has beta = |P| = R(0), 1 for GL and 2
+    # otherwise, so the quotient is exact; doubled counts make it a half.
+    real = generators._times_tau
+
+    def doubled(terms, alpha, group, factor, out):
+        real(terms, alpha, group, factor, out)
+        for k in out:
+            out[k] *= 2
+
+    monkeypatch.setattr(generators, "_times_tau", doubled)
+    group = GroupSpec(family, 1, 1)
+    generators._REDUCE_CACHE.clear()
+    with pytest.raises(InternalCheckError, match="reduction left a fraction"):
+        generators._reduce_pattern_monomial(exponents([[2]]), group, bound=2)
+    assert not generators._REDUCE_CACHE
 
 
 def test_decompose_of_an_invariant_never_tries_the_generators(monkeypatch):

@@ -1,13 +1,14 @@
-"""The orbit-sized Weyl sums, the counted level-reduction step and the Q
-image against the enumerating references in ``reference_weyl``, and the
-level reduction against the orbit-sized body in ``reference_decompose``."""
+"""The orbit-sized Weyl sums, the orbit images, the counted
+level-reduction step and the Q image against the references in
+``reference_weyl``, and the level reduction against the orbit-sized body
+in ``reference_decompose``."""
 
 from hypothesis import assume, given, settings, strategies as st
 
 import reference_decompose
 import reference_laurent
 import reference_weyl as ref
-from toruschar import generators
+from toruschar import generators, weyl
 from toruschar.generators import expand, q_image
 from toruschar.groups import FAMILIES, GroupSpec
 from toruschar.laurent import LaurentPoly, exponents
@@ -21,12 +22,13 @@ from toruschar.weyl import (
 
 
 @st.composite
-def monomials(draw, integer_weights=False):
-    """A group of rank 1-4 with N = 1-2 and an exponent matrix whose rows
-    repeat, vanish, come in r, -r pairs, carry half weights (SOeven) and,
-    for SL, are shifted off the canonical presentation."""
+def monomials(draw, integer_weights=False, max_rank=4):
+    """A group of rank 1 to ``max_rank`` with N = 1-2 and an exponent
+    matrix whose rows repeat, vanish, come in r, -r pairs, carry half
+    weights (SOeven) and, for SL, are shifted off the canonical
+    presentation."""
     family = draw(st.sampled_from(FAMILIES))
-    group = GroupSpec(family, draw(st.integers(1, 4)), draw(st.integers(1, 2)))
+    group = GroupSpec(family, draw(st.integers(1, max_rank)), draw(st.integers(1, 2)))
     if family == "SOeven" and not integer_weights:
         entry = st.integers(-4, 4)  # stored doubled: odd means half weight
     else:
@@ -55,6 +57,15 @@ def test_orbit_sums_match_enumeration(case):
     group, m = case
     assert orbit_sum(m, group) == ref.orbit_sum(m, group)
     assert pattern_sum(m, group) == ref.pattern_sum(m, group)
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomials(max_rank=5), st.booleans())
+def test_images_match_the_flip_loop_in_order(case, even_flips):
+    group, raw = case
+    (m,) = LaurentPoly.monomial(group, raw).terms  # orbits are built on stored keys
+    cap = weyl.WEYL_CAP
+    assert weyl._images(m, group, even_flips, cap) == ref.images(m, group, even_flips, cap)
 
 
 def test_soeven_sign_pair_and_zero_row():
