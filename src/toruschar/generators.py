@@ -52,7 +52,7 @@ alpha arguments and flips sign when a single argument is negated.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -62,7 +62,7 @@ from typing import Mapping, Optional
 from . import sparse
 from .errors import DomainError, InternalCheckError, UnsupportedInputError
 from .groups import GroupSpec
-from .jsonio import json_check, json_coeff, json_field, json_ints
+from .jsonio import json_check, json_field, json_ints, json_term_coeff
 from .laurent import ExponentMatrix, LaurentPoly, canonical_mod_relations, zero_exponents
 from .scalars import GaussRat, I, ONE, ZERO, _reduced
 from .weyl import (
@@ -198,31 +198,35 @@ class GeneratorPoly(sparse.SparsePoly):
 
     @staticmethod
     def from_json(obj: dict, group: GroupSpec) -> "GeneratorPoly":
+        """Read ``{"terms": [{"coeff": text, "factors": [{"tau": alpha} or
+        {"q": [alpha, ...]}]}]}``; a bad value raises DomainError naming its
+        path, formatted only then.  Each distinct coefficient text and
+        factor is read once per call, through the local memos ``coeffs``
+        and ``symbols``."""
         json_check(obj, dict, "")
         terms: dict[tuple, GaussRat] = {}
+        coeffs: dict[str, GaussRat] = {}
+        symbols: dict = {}
         for k, entry in enumerate(json_field(obj, "terms", list, "", default=[])):
-            where = f"terms[{k}]"
-            json_check(entry, dict, where)
-            coeff = json_coeff(entry, where)
+            if type(entry) is not dict:
+                json_check(entry, dict, f"terms[{k}]")
+            coeff = json_term_coeff(entry, k, coeffs)
+            factors = entry.get("factors", [])
+            if type(factors) is not list:
+                factors = json_field(entry, "factors", list, f"terms[{k}]")
             syms: list[Symbol] = []
-            for j, factor in enumerate(json_field(entry, "factors", list, where, default=[])):
-                fwhere = f"{where}.factors[{j}]"
-                json_check(factor, dict, fwhere)
-                if "tau" in factor:
-                    kind, args = "tau", json_ints(factor["tau"], fwhere + ".tau")
-                elif "q" in factor:
-                    raw = json_field(factor, "q", list, fwhere)
-                    kind, args = "q", tuple(json_ints(v, f"{fwhere}.q[{i}]") for i, v in enumerate(raw))
-                else:
-                    raise DomainError(f"{fwhere}: unknown generator factor {factor}")
+            for j, factor in enumerate(factors):
+                if type(factor) is not dict:
+                    json_check(factor, dict, f"terms[{k}].factors[{j}]")
+                kind = "tau" if "tau" in factor else "q" if "q" in factor else None
+                if kind is None:
+                    raise DomainError(f"terms[{k}].factors[{j}]: unknown generator factor {factor}")
                 try:
-                    if kind == "tau":
-                        syms.append(tau_symbol(group, args))
-                        continue
-                    sym, s = q_symbol(group, args)  # s == 0 when an alpha vanishes
+                    sym, sign = _factor_symbol(group, kind, factor[kind], symbols)
                 except DomainError as exc:
-                    raise DomainError(f"{fwhere}.{kind}: {exc}") from None
-                coeff = coeff * s
+                    raise DomainError(f"terms[{k}].factors[{j}].{exc}") from None
+                if kind == "q":
+                    coeff = coeff * sign  # 0 when an alpha vanishes
                 if sym is not None:
                     syms.append(sym)
             sparse.add_term(terms, tuple(sorted(syms)), coeff)
@@ -230,6 +234,24 @@ class GeneratorPoly(sparse.SparsePoly):
 
     def __repr__(self) -> str:
         return f"GeneratorPoly({self})"
+
+
+def _factor_symbol(group: GroupSpec, kind: str, value, symbols: dict) -> tuple:
+    """``(symbol or None, sign)`` of the JSON factor ``{kind: value}``, kept
+    in ``symbols``; a DomainError names the path below the factor
+    (``tau[1]: ...``)."""
+    if kind == "tau":
+        args = json_ints(value, "tau")
+    else:
+        args = tuple(json_ints(v, f"q[{i}]") for i, v in enumerate(json_check(value, list, "q")))
+    hit = symbols.get((kind, args))
+    if hit is None:
+        try:
+            hit = (tau_symbol(group, args), ONE) if kind == "tau" else q_symbol(group, args)
+        except DomainError as exc:
+            raise DomainError(f"{kind}: {exc}") from None
+        symbols[kind, args] = hit
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +270,15 @@ def expand(p: GeneratorPoly, group: GroupSpec) -> LaurentPoly:
 
     ``orbit_coefficients`` writes p as a sum of c * S(m) over Weyl orbit
     keys, and each S(m) is one ``orbit_sum``: the orbit's monomials, each
-    with its stabiliser order, here times c.  Orbits are disjoint, so no
-    monomial gets two contributions.  An orbit above WEYL_CAP monomials
+    with its stabiliser order, here all given c times that order, one
+    product per orbit.  Orbits are disjoint, so no monomial gets two
+    contributions.  An orbit above WEYL_CAP monomials
     raises ResourceLimitError before it is built.
     """
     terms: dict = {}
     for key, c in orbit_coefficients(p, group).items():
-        terms.update(sparse.scale(orbit_sum(_presentation(key), group).terms, c))
+        orbit = orbit_sum(_presentation(key), group).terms
+        terms.update(dict.fromkeys(orbit, c * next(iter(orbit.values()))))
     return LaurentPoly._trusted(group, terms)
 
 
@@ -297,6 +321,7 @@ def _times_tau(terms: dict, alpha: tuple[int, ...], group: GroupSpec, factor: in
     is 0 whenever a row is zero (zero rows sort first).
     """
     row = tuple(2 * a for a in alpha)
+    zero = (0,) * len(row)
     shifts = (row, tuple(-e for e in row)) if group.signed else (row,)
     signed, sl = group.signed, group.family == "SL"
     even, odd = group.family == "SOeven", group.family == "SOodd"
@@ -319,18 +344,13 @@ def _times_tau(terms: dict, alpha: tuple[int, ...], group: GroupSpec, factor: in
             for s in shifts:
                 y = tuple(map(add, r, s))
                 flip = 0
-                if signed:
-                    for e in y:
-                        if e:
-                            if e < 0:
-                                y, flip = tuple([-e for e in y]), 1
-                            break
-                new = list(rest)
-                insort(new, y)
-                new = tuple(new)
+                if signed and y < zero:  # its first nonzero entry is negative
+                    y, flip = tuple([-e for e in y]), 1
+                i = bisect_right(rest, y)
+                new = rest[:i] + (y,) + rest[i:]
                 if sl:
                     new = canonical_mod_relations(new, group)
-                new_key = (new, parity ^ flip if any(new[0]) else 0) if even else (new, 0)
+                new_key = (new, parity ^ flip if new[0] != zero else 0) if even else (new, 0)
                 out[new_key] = get(new_key, 0) + cm
 
 
@@ -372,9 +392,11 @@ def orbit_coefficients(p: GeneratorPoly, group: GroupSpec) -> dict:
     of the previous term is kept (their unit powers add mod 4) and only
     the factors past the shared prefix are applied.  With L the lcm of the
     term denominators, each term coefficient times its i^k becomes the
-    Gaussian integer A + Bi = L * coeff * i^k; the last factor, times A and
-    times B, goes straight into two int dicts of the whole sum, re and im.
-    Each result key gets one GaussRat (re + im*i) / (L * |W|).
+    Gaussian integer A + Bi = L * coeff * i^k, and the last factor is one
+    step into two int dicts of the whole sum, re and im: times A into re
+    (or B into im) when the other part is 0, else times 1 into a scratch
+    dict that is added A times into re and B times into im.  Each result
+    key gets one GaussRat (re + im*i) / (L * |W|).
     """
     order = group.weyl_order
     seed = {orbit_rep(zero_exponents(group), group): 1}
@@ -398,13 +420,22 @@ def orbit_coefficients(p: GeneratorPoly, group: GroupSpec) -> dict:
         prefix_unit, prefix = chain[-1]
         scale = denom // coeff._d
         a, b = coeff._a * scale, coeff._b * scale
-        for _ in range((prefix_unit + (units[key[-1][0]] if key else 0)) % 4):
+        if not key:  # the constant term, first in sorted order
+            re.update(sparse.scale(seed, a))
+            im.update(sparse.scale(seed, b))
+            continue
+        kind, payload = key[-1]
+        for _ in range((prefix_unit + units[kind]) % 4):
             a, b = -b, a
-        for part, out in ((a, re), (b, im)):
-            if not key:  # the constant term, first in sorted order
-                out.update(sparse.scale(seed, part))
-            elif part:
-                steps[key[-1][0]](prefix, key[-1][1], group, part, out)
+        if a and b:
+            last: dict = {}
+            steps[kind](prefix, payload, group, 1, last)
+            get_re, get_im = re.get, im.get
+            for k, c in last.items():
+                re[k] = get_re(k, 0) + a * c
+                im[k] = get_im(k, 0) + b * c
+        elif a or b:
+            steps[kind](prefix, payload, group, a or b, re if a else im)
     denom *= order
     return {k: v for k in re | im if (v := _reduced(re.get(k, 0), im.get(k, 0), denom))}
 

@@ -3,7 +3,10 @@
 Every ``from_json`` reads its fields through these helpers, so a missing
 key or a value of the wrong type raises ``DomainError`` naming the path
 to it (``terms[0].coeff: missing``) instead of a bare ``KeyError`` or
-``TypeError`` from deep inside the library.
+``TypeError`` from deep inside the library.  The Laurent and generator
+readers, which read documents of many thousand terms, test the exact
+JSON types inline (``type(x) is list``) and call a helper, with the path
+formatted, only when that test fails: it raises, or accepts a subclass.
 """
 
 from __future__ import annotations
@@ -41,7 +44,10 @@ def json_field(obj: dict, key: str, kind: type, path: str, default=_MISSING):
 def json_ints(value, path: str) -> tuple[int, ...]:
     """A JSON list of integers as a tuple."""
     json_check(value, list, path)
-    return tuple(json_check(x, int, f"{path}[{i}]") for i, x in enumerate(value))
+    for x in value:
+        if type(x) is not int:  # bool, or not an int: check each with its path
+            return tuple(json_check(x, int, f"{path}[{i}]") for i, x in enumerate(value))
+    return tuple(value)
 
 
 def json_coeff(entry: dict, path: str) -> GaussRat:
@@ -51,3 +57,14 @@ def json_coeff(entry: dict, path: str) -> GaussRat:
         return GaussRat.parse(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"{_at(path, 'coeff')}: {exc}") from None
+
+
+def json_term_coeff(entry: dict, k: int, coeffs: dict) -> GaussRat:
+    """``json_coeff(entry, "terms[k]")`` through ``coeffs``, the caller's
+    map from coefficient text to value for one document, so each distinct
+    text is parsed once; the path is formatted only on a miss."""
+    text = entry.get("coeff")
+    coeff = coeffs.get(text) if type(text) is str else None
+    if coeff is None:
+        coeff = coeffs[text] = json_coeff(entry, f"terms[{k}]")
+    return coeff

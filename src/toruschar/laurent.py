@@ -22,8 +22,8 @@ this order, as it presents each orbit by the first key it meets.
 
 ``from_json`` doubles int exponents directly (only floats and strings go
 through ``Fraction``, strings by way of ``scalars.read_rational``), checks
-and canonicalizes each key once while reading, and wraps the merged terms
-without a second pass.
+and canonicalizes each key once while reading, parses each distinct
+coefficient text once, and wraps the merged terms without a second pass.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Iterable, Mapping
 from . import sparse
 from .errors import DomainError, StructureError
 from .groups import GroupSpec
-from .jsonio import json_check, json_coeff, json_field
+from .jsonio import json_check, json_field, json_term_coeff
 from .scalars import GaussRat, ONE, ZERO, read_rational
 
 ExponentMatrix = tuple[tuple[int, ...], ...]
@@ -60,11 +60,14 @@ def exponents_from_json(rows, path: str) -> ExponentMatrix:
     """A doubled-integer exponent matrix from JSON rows of integer or
     half-integer exponents (``0.5``, ``"1/2"``).  Ints are doubled
     directly; floats go through ``Fraction`` and strings through
-    ``read_rational``; booleans are refused."""
+    ``read_rational``; booleans are refused.  The path of a row or entry
+    (``path[i][j]``) is formatted only to raise."""
     doubled = []
     for i, row in enumerate(json_check(rows, list, path)):
+        if type(row) is not list:
+            json_check(row, list, f"{path}[{i}]")
         out = []
-        for j, e in enumerate(json_check(row, list, f"{path}[{i}]")):
+        for j, e in enumerate(row):
             if type(e) is int:
                 out.append(2 * e)
                 continue
@@ -388,17 +391,29 @@ class LaurentPoly(sparse.SparsePoly):
 
     @staticmethod
     def from_json(obj: dict) -> "LaurentPoly":
+        """Read ``{"group": ..., "terms": [{"coeff": text, "exps": rows}]}``;
+        a bad value raises DomainError naming its path, formatted only
+        then, and terms that cancel are checked too.  Each distinct
+        coefficient text (an orbit's monomials share one) is parsed once
+        per call, through the local memo ``coeffs``."""
         json_check(obj, dict, "")
         if "group" not in obj:
             raise DomainError("group: missing")
         group = GroupSpec.from_json(obj["group"])
         terms: dict[ExponentMatrix, GaussRat] = {}
+        coeffs: dict[str, GaussRat] = {}
         for k, entry in enumerate(json_field(obj, "terms", list, "", default=[])):
-            where = f"terms[{k}]"
-            json_check(entry, dict, where)
-            m = exponents_from_json(json_field(entry, "exps", list, where), where + ".exps")
-            check_exponents(m, group)  # also for terms that cancel
-            sparse.add_term(terms, canonical_mod_relations(m, group), json_coeff(entry, where))
+            if type(entry) is not dict:
+                json_check(entry, dict, f"terms[{k}]")
+            rows = entry.get("exps")
+            if type(rows) is not list:
+                rows = json_field(entry, "exps", list, f"terms[{k}]")
+            try:
+                m = exponents_from_json(rows, "exps")
+            except DomainError as exc:
+                raise DomainError(f"terms[{k}].{exc}") from None
+            check_exponents(m, group)
+            sparse.add_term(terms, canonical_mod_relations(m, group), json_term_coeff(entry, k, coeffs))
         return LaurentPoly._trusted(group, terms)
 
     def __repr__(self) -> str:

@@ -17,12 +17,19 @@ kernel's form, ``{symbol tuple: int}``, asserting that every coefficient
 is a real integer.  It recurses into itself and fills
 ``generators._REDUCE_CACHE``, so a test can patch it over the reduction
 and run the reference at every level.
+
+``times_tau`` is the earlier body of ``generators._times_tau``, kept as
+the oracle for its sign test and key insertion.
 """
+
+from bisect import insort
+from operator import add
 
 import reference_weyl
 from toruschar import generators, sparse
 from toruschar.errors import DomainError, InternalCheckError, UnsupportedInputError
 from toruschar.generators import GeneratorPoly, expand, tau_symbol
+from toruschar.laurent import canonical_mod_relations
 from toruschar.scalars import GaussRat, ONE
 from toruschar.weyl import (
     invariance_violation,
@@ -112,3 +119,46 @@ def peel(f, group, group_sum, reduce):
     if work:
         raise InternalCheckError("orbit peeling left terms it could not cancel")
     return GeneratorPoly(result)
+
+
+def times_tau(terms, alpha, group, factor, out):
+    """The body ``generators._times_tau`` had before it tested the sign
+    against the zero row and inserted by ``bisect_right`` and slicing:
+    a sign scan per shifted row, then ``list``, ``insort`` and ``tuple``
+    per new key, and ``any`` for the even-SO zero-row test."""
+    row = tuple(2 * a for a in alpha)
+    shifts = (row, tuple(-e for e in row)) if group.signed else (row,)
+    signed, sl = group.signed, group.family == "SL"
+    even, odd = group.family == "SOeven", group.family == "SOodd"
+    get = out.get
+    for key, c in terms.items():
+        c *= factor
+        if odd:
+            out[key] = get(key, 0) + c
+        rows, parity = key
+        n = len(rows)
+        k = 0
+        while k < n:
+            r = rows[k]
+            mu = 1
+            while k + mu < n and rows[k + mu] == r:
+                mu += 1
+            rest = rows[:k] + rows[k + 1:]
+            k += mu
+            cm = c * mu
+            for s in shifts:
+                y = tuple(map(add, r, s))
+                flip = 0
+                if signed:
+                    for e in y:
+                        if e:
+                            if e < 0:
+                                y, flip = tuple([-e for e in y]), 1
+                            break
+                new = list(rest)
+                insort(new, y)
+                new = tuple(new)
+                if sl:
+                    new = canonical_mod_relations(new, group)
+                new_key = (new, parity ^ flip if any(new[0]) else 0) if even else (new, 0)
+                out[new_key] = get(new_key, 0) + cm

@@ -2,7 +2,8 @@
 ``reference_decompose``, which checks every Weyl generator first, peels
 in (level, key) order and reduces each orbit with the orbit-sized step:
 equal results on invariant inputs, the same exception class and message
-(witness included) on perturbed ones."""
+(witness included) on perturbed ones.  ``_times_tau`` against the earlier
+body there: the same dict in the same insertion order."""
 
 from fractions import Fraction
 from unittest import mock
@@ -13,9 +14,9 @@ import reference_decompose as ref
 from toruschar import generators
 from toruschar.errors import DomainError
 from toruschar.groups import FAMILIES, GroupSpec
-from toruschar.laurent import LaurentPoly, exponents
+from toruschar.laurent import LaurentPoly, canonical_mod_relations, exponents
 from toruschar.scalars import GaussRat
-from toruschar.weyl import is_invariant, orbit_sum
+from toruschar.weyl import is_invariant, orbit_rep, orbit_sum
 
 coeffs = st.builds(
     lambda a, b, d: GaussRat(Fraction(a, d), Fraction(b, d)),
@@ -94,3 +95,31 @@ def test_perturbed_inputs_fail_like_reference(case, data):
     if not g.has_half_weights() and not is_invariant(g, group):
         assert fast[0] is DomainError
         assert fast[1].startswith("input is not W-invariant; moved by perm")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_times_tau_matches_reference_in_order(data):
+    # One tau step against the earlier body: the same dict in the same
+    # insertion order, added into an ``out`` that already holds some keys.
+    # Rows come from a small pool with the zero row in it, so keys repeat
+    # rows and have zero rows; random signs give both even-SO parities.
+    family = data.draw(st.sampled_from(FAMILIES))
+    group = GroupSpec(family, data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3)))
+    row = st.tuples(*[st.integers(-2, 2)] * group.factors)
+    pool = [(0,) * group.factors] + data.draw(st.lists(row, min_size=1, max_size=3))
+    terms = {}
+    for _ in range(data.draw(st.integers(1, 4))):
+        m = []
+        for _ in range(group.rank):
+            sign = data.draw(st.sampled_from((2, -2)))
+            m.append(tuple(sign * e for e in data.draw(st.sampled_from(pool))))
+        key = orbit_rep(canonical_mod_relations(tuple(m), group), group)
+        terms[key] = data.draw(st.integers(-3, 3).filter(bool))
+    alpha = data.draw(row)
+    factor = data.draw(st.sampled_from((1, -1, 2, 7, -(2 ** 65))))
+    seed = {k: 5 for k in list(terms)[:data.draw(st.integers(0, len(terms)))]}
+    got, want = dict(seed), dict(seed)
+    generators._times_tau(terms, alpha, group, factor, got)
+    ref.times_tau(terms, alpha, group, factor, want)
+    assert list(got.items()) == list(want.items())

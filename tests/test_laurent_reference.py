@@ -12,9 +12,11 @@ Exponent entries include values around 2**7, 2**15, 2**31, 2**63 and
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_laurent as ref
+from toruschar import generators
 from toruschar.generators import GeneratorPoly, expand, q_symbol, tau_image, tau_symbol
 from toruschar.groups import FAMILIES, GroupSpec
 from toruschar.laurent import LaurentPoly, exponents
@@ -168,6 +170,37 @@ def test_expand_rank3_q_with_large_denominators():
     assert out == ref.expand_shared(p, group) == ref.expand(p, group)
     assert {c._d for c in out.terms.values()} == {6, 7, 11, big}
     assert any(c._b for c in out.terms.values()) and any(c._a for c in out.terms.values())
+
+
+@pytest.mark.parametrize("coeff", [
+    GaussRat(3), GaussRat(0, -2), GaussRat(Fraction(3, 2), Fraction(-5, 7)), GaussRat(-1, 1),
+], ids=["real", "imaginary", "mixed", "mixed-unit"])
+@pytest.mark.parametrize("family, rank, alphas", [
+    ("Sp", 2, ["t(1,0)", "t(1,1)"]),
+    ("SL", 3, ["t(1,0)", "t(0,2)", "t(1,-1)"]),
+    ("SOeven", 1, ["q(1,2)"]),  # Q's unit i swaps the parts in the last step
+    ("SOeven", 3, ["q(1,0;0,1;1,1)", "t(0,1)"]),  # and -i in the prefix
+    ("SOeven", 2, ["q(1,0;2,1)", "t(1,1)"]),
+])
+def test_each_term_makes_one_last_step(monkeypatch, coeff, family, rank, alphas):
+    # A term A + Bi with both parts nonzero (after the unit of its Q
+    # factors) runs its last step once, for both parts: one step per
+    # factor in all, whatever the coefficient.
+    group = GroupSpec(family, rank, 2)
+    key = []
+    for text in alphas:
+        args = [tuple(map(int, v.split(","))) for v in text[2:-1].split(";")]
+        key.append(tau_symbol(group, args[0]) if text[0] == "t" else q_symbol(group, args)[0])
+    p = GeneratorPoly({tuple(key): coeff})
+    steps = []
+    for name in ("_times_tau", "_times_q"):
+        def counted(*args, real=getattr(generators, name)):
+            steps.append(args[1])
+            real(*args)
+        monkeypatch.setattr(generators, name, counted)
+    got = expand(p, group)
+    assert len(steps) == len(key)
+    assert got == ref.expand(p, group) == ref.expand_shared(p, group)
 
 
 def test_empty_operands_and_width_edges():
