@@ -62,7 +62,7 @@ from typing import Mapping, Optional
 from . import sparse
 from .errors import DomainError, InternalCheckError, UnsupportedInputError
 from .groups import GroupSpec
-from .jsonio import json_check, json_field, json_ints, json_term_coeff
+from .jsonio import json_check, json_coeff, json_field, json_ints
 from .laurent import ExponentMatrix, LaurentPoly, canonical_mod_relations, zero_exponents
 from .scalars import GaussRat, I, ONE, ZERO, _reduced
 from .weyl import (
@@ -200,17 +200,13 @@ class GeneratorPoly(sparse.SparsePoly):
     def from_json(obj: dict, group: GroupSpec) -> "GeneratorPoly":
         """Read ``{"terms": [{"coeff": text, "factors": [{"tau": alpha} or
         {"q": [alpha, ...]}]}]}``; a bad value raises DomainError naming its
-        path, formatted only then.  Each distinct coefficient text and
-        factor is read once per call, through the local memos ``coeffs``
-        and ``symbols``."""
+        path, which past the coefficient is formatted only to raise."""
         json_check(obj, dict, "")
         terms: dict[tuple, GaussRat] = {}
-        coeffs: dict[str, GaussRat] = {}
-        symbols: dict = {}
         for k, entry in enumerate(json_field(obj, "terms", list, "", default=[])):
             if type(entry) is not dict:
                 json_check(entry, dict, f"terms[{k}]")
-            coeff = json_term_coeff(entry, k, coeffs)
+            coeff = json_coeff(entry, f"terms[{k}]")
             factors = entry.get("factors", [])
             if type(factors) is not list:
                 factors = json_field(entry, "factors", list, f"terms[{k}]")
@@ -222,7 +218,7 @@ class GeneratorPoly(sparse.SparsePoly):
                 if kind is None:
                     raise DomainError(f"terms[{k}].factors[{j}]: unknown generator factor {factor}")
                 try:
-                    sym, sign = _factor_symbol(group, kind, factor[kind], symbols)
+                    sym, sign = _factor_symbol(group, kind, factor[kind])
                 except DomainError as exc:
                     raise DomainError(f"terms[{k}].factors[{j}].{exc}") from None
                 if kind == "q":
@@ -236,22 +232,17 @@ class GeneratorPoly(sparse.SparsePoly):
         return f"GeneratorPoly({self})"
 
 
-def _factor_symbol(group: GroupSpec, kind: str, value, symbols: dict) -> tuple:
-    """``(symbol or None, sign)`` of the JSON factor ``{kind: value}``, kept
-    in ``symbols``; a DomainError names the path below the factor
-    (``tau[1]: ...``)."""
+def _factor_symbol(group: GroupSpec, kind: str, value) -> tuple:
+    """``(symbol or None, sign)`` of the JSON factor ``{kind: value}``; a
+    DomainError names the path below the factor (``tau[1]: ...``)."""
     if kind == "tau":
         args = json_ints(value, "tau")
     else:
         args = tuple(json_ints(v, f"q[{i}]") for i, v in enumerate(json_check(value, list, "q")))
-    hit = symbols.get((kind, args))
-    if hit is None:
-        try:
-            hit = (tau_symbol(group, args), ONE) if kind == "tau" else q_symbol(group, args)
-        except DomainError as exc:
-            raise DomainError(f"{kind}: {exc}") from None
-        symbols[kind, args] = hit
-    return hit
+    try:
+        return (tau_symbol(group, args), ONE) if kind == "tau" else q_symbol(group, args)
+    except DomainError as exc:
+        raise DomainError(f"{kind}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

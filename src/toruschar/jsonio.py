@@ -5,8 +5,9 @@ key or a value of the wrong type raises ``DomainError`` naming the path
 to it (``terms[0].coeff: missing``) instead of a bare ``KeyError`` or
 ``TypeError`` from deep inside the library.  The Laurent and generator
 readers, which read documents of many thousand terms, test the exact
-JSON types inline (``type(x) is list``) and call a helper, with the path
-formatted, only when that test fails: it raises, or accepts a subclass.
+JSON types of their containers and exponents inline (``type(x) is
+list``) and call a helper, with the path formatted, only when that test
+fails: it raises, or accepts a subclass.
 """
 
 from __future__ import annotations
