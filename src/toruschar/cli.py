@@ -30,16 +30,10 @@ import random
 import shlex
 import sys
 
-from .errors import (
-    DomainError,
-    InternalCheckError,
-    ResourceLimitError,
-    StructureError,
-    UnsupportedInputError,
-)
+from .errors import DomainError, InternalCheckError, ResourceLimitError
 from .generators import GeneratorPoly, decompose, expand
 from .groups import GroupSpec
-from .jsonio import json_check
+from .jsonio import json_check, parse_scalar
 from .laurent import LaurentPoly, exponents_from_json
 from .lie import LIE_DIM_CAP, cohomology_dims, killing_ratio, random_torus_point, torus_matrix
 from .linalg import to_numpy
@@ -207,7 +201,7 @@ def _cmd_expand(args) -> int:
 
 def _cmd_bracket(args) -> int:
     group = _group_from(args, factors=2)
-    c = read_rational(args.c)
+    c = parse_scalar(read_rational, args.c)
     a, b = _parse_vec(args.a), _parse_vec(args.b)
     for flag, vec in (("--a", a), ("--b", b)):
         if len(vec) != 2:
@@ -227,7 +221,7 @@ def _cmd_verify_bracket(args) -> int:
         seed=args.seed,
         window=args.window,
         tol=args.tol,
-        c=read_rational(args.c),
+        c=parse_scalar(read_rational, args.c),
         extrapolated_gl=args.extrapolated,
     )
     print(
@@ -251,7 +245,7 @@ def _cmd_verify_bracket(args) -> int:
 def _cmd_verify_jacobi(args) -> int:
     group = _group_from(args, factors=2)
     res = jacobi_suite(group, trials=args.trials, seed=args.seed,
-                       tol=args.tol, c=read_rational(args.c))
+                       tol=args.tol, c=parse_scalar(read_rational, args.c))
     print(
         f"{res['group']}: {res['trials']} triples, defect mode: {res['mode']}, "
         f"max numeric defect {res['max_defect']:.3e}"
@@ -311,7 +305,7 @@ def _cmd_killing(args) -> int:
 
 def _cmd_structure_constants(args) -> int:
     group = _group_from(args, factors=2)
-    table = structure_constants(group, read_rational(args.c), args.cutoff,
+    table = structure_constants(group, parse_scalar(read_rational, args.c), args.cutoff,
                                 extrapolated_gl=args.extrapolated)
     _write_json(args.outfile, table)
     return 0
@@ -357,10 +351,8 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (DomainError, StructureError, UnsupportedInputError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError, ZeroDivisionError) as exc:
+    except (ResourceLimitError, OSError, ValueError, ZeroDivisionError) as exc:
+        # bad input: DomainError, StructureError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalCheckError as exc:

@@ -14,7 +14,9 @@ the orbit (Macdonald, Symmetric Functions, I.2), plus S_G(x) for the
 constant 1 of odd SO.  ``_times_tau`` adds up these n * |shifts| sums by
 orbit and builds no orbit.  A reduction step is one such call with G the
 pattern group: beta is the count of m's orbit and the other orbits, all
-of lower level, are A.  Level 1 is the same step with P(0) = |P|.
+of lower level, are A.  Level 1 is the same step with P(0) = |P|.  The
+orbit keys it returns are canonical, so the reduction canonicalises its
+input once and recurses on them, each key's level found once.
 
 The reduction runs on int coefficients: R(m), the generator polynomial
 equal to P(m), is stored as ``{symbol tuple: int}``, and only
@@ -33,10 +35,10 @@ basis of the invariants: Bourbaki, Lie Groups and Lie Algebras, VI.3):
 each tau factor is one ``_times_tau`` call with G = W and each Q factor
 one ``_times_q`` call.  ``decompose`` checks its result exactly in that
 basis, as peeling f has already written it as a sum of c_m * S(m), and
-``expand`` writes each S(m) out as one ``orbit_sum``.  The Laurent image
-of a generator, ``tau_image`` or ``q_image``, is ``expand`` of its one
-symbol, so ``_times_tau`` and ``_times_q`` are the only definitions of
-the generators.
+``expand`` writes each S(m) out as its orbit (``weyl._images``).  The
+Laurent image of a generator, ``tau_image`` or ``q_image``, is
+``expand`` of its one symbol, so ``_times_tau`` and ``_times_q`` are
+the only definitions of the generators.
 
 A note on the Q image: the alternating sum
 
@@ -71,7 +73,6 @@ from .weyl import (
     invariance_violation,
     level_of_monomial,
     orbit_rep,
-    orbit_sum,
     pattern_order,
 )
 
@@ -260,16 +261,18 @@ def expand(p: GeneratorPoly, group: GroupSpec) -> LaurentPoly:
     """Substitute generator images and multiply out, exactly.
 
     ``orbit_coefficients`` writes p as a sum of c * S(m) over Weyl orbit
-    keys, and each S(m) is one ``orbit_sum``: the orbit's monomials, each
-    with its stabiliser order, here all given c times that order, one
-    product per orbit.  Orbits are disjoint, so no monomial gets two
-    contributions.  An orbit above WEYL_CAP monomials
+    keys, and S(m) is the orbit of the key's presentation (``_images``,
+    as ``orbit_sum`` builds it, without validating a key that is already
+    canonical), each monomial with the int stabiliser order |W|/|orbit|:
+    all get c times it, one product per orbit.  Orbits are disjoint, so
+    no monomial gets two contributions.  An orbit above WEYL_CAP monomials
     raises ResourceLimitError before it is built.
     """
     terms: dict = {}
+    order, even = group.weyl_order, group.family == "SOeven"
     for key, c in orbit_coefficients(p, group).items():
-        orbit = orbit_sum(_presentation(key), group).terms
-        terms.update(dict.fromkeys(orbit, c * next(iter(orbit.values()))))
+        images = _images(_presentation(key), group, even, WEYL_CAP)
+        terms.update(dict.fromkeys(images, c * (order // len(images))))
     return LaurentPoly._trusted(group, terms)
 
 
@@ -296,11 +299,23 @@ def q_image(group: GroupSpec, alphas) -> LaurentPoly:
     return expand(GeneratorPoly.symbol(sym, sign) if sym else GeneratorPoly.zero(), group)
 
 
+@lru_cache(maxsize=128)
+def _step_constants(alpha: tuple[int, ...], family: str) -> tuple:
+    """``_times_tau``'s constants for tau(alpha) in ``family``: the zero
+    row, the shifts (alpha as a stored row, and its negative in the signed
+    families) and the flags signed, SL, even SO and odd SO."""
+    row = tuple(2 * a for a in alpha)
+    signed = family not in ("GL", "SL")
+    shifts = (row, tuple(-e for e in row)) if signed else (row,)
+    return (0,) * len(row), shifts, signed, family == "SL", family == "SOeven", family == "SOodd"
+
+
 def _times_tau(terms: dict, alpha: tuple[int, ...], group: GroupSpec, factor: int, out: dict) -> None:
     """Add ``factor * tau(alpha) * sum c * S(x)`` over ``terms = {orbit key
     of x: c}`` into ``out``, in orbit keys (``weyl.orbit_rep``), S the
     orbit sum over the Weyl group of ``group``.  The level reduction passes
     the pattern group (Sp for even SO), so S is then the pattern sum.
+    Most calls carry a key or two, so the constants are cached.
 
     The shifts {s*alpha e_k} form a W-stable set, so tau(alpha) * S(x) is
     the sum of S(x + s*alpha e_k) over rows k and shifts s, plus S(x) for
@@ -309,13 +324,10 @@ def _times_tau(terms: dict, alpha: tuple[int, ...], group: GroupSpec, factor: in
     (signed families), and the rows are re-sorted; for SL the result is
     canonicalised, which keeps the order.  For even SO, normalising
     r + s flips the parity exactly when it negates the row, and the parity
-    is 0 whenever a row is zero (zero rows sort first).
+    is 0 whenever a row is zero (zero rows sort first).  So every key put
+    in ``out`` is an orbit key in canonical form.
     """
-    row = tuple(2 * a for a in alpha)
-    zero = (0,) * len(row)
-    shifts = (row, tuple(-e for e in row)) if group.signed else (row,)
-    signed, sl = group.signed, group.family == "SL"
-    even, odd = group.family == "SOeven", group.family == "SOodd"
+    zero, shifts, signed, sl, even, odd = _step_constants(alpha, group.family)
     get = out.get
     for key, c in terms.items():
         c *= factor
@@ -508,52 +520,69 @@ def _memo_key(m: ExponentMatrix, group: GroupSpec):
 
 
 def _reduce_pattern_monomial(m: ExponentMatrix, group: GroupSpec, bound: int) -> dict:
-    """``{symbol tuple: int}`` equal to pattern_sum(m, group).
-
-    With m_sub the key m less its largest row alpha, one ``_times_tau``
-    call over the pattern group P gives tau(alpha) * P(m_sub) by orbit:
-    beta times m's orbit, and A, orbits of lower level (for odd SO, P(m_sub)
-    is one of them, the constant 1 of tau).  Then P(m) = (tau(alpha) *
-    R(m_sub) - sum of count * R(rows) over A) / beta, R this function
-    applied to each orbit's ``rows``.  A missing beta or an orbit of A at
-    level(m) or above raises InternalCheckError, and so does a quotient
-    by beta that is not exact (the module docstring says why it is).
-
-    ``bound`` is a strict upper bound on the level still allowed; every
-    recursive call decreases it, which is asserted.  The result is cached
-    and shared: callers must not change it.
+    """``{symbol tuple: int}`` equal to pattern_sum(m, group), for a stored
+    key m of level below ``bound`` (else InternalCheckError).  m is
+    canonicalised once, to the ``rows`` of its orbit key (``_memo_key``),
+    and ``_reduce_rows`` recurses on orbit keys from there.  The result is
+    cached and shared: callers must not change it.
     """
     level = level_of_monomial(m, group)
     if level >= bound:
         raise InternalCheckError("level reduction failed to descend")
+    rows = _memo_key(m, group)[1]
+    # m is an arrangement of ``rows`` unless it has a negated row
+    return _reduce_rows(rows, level, group, m if min(m) < rows[0] else rows)
+
+
+def _reduce_rows(rows: ExponentMatrix, level: int, group: GroupSpec, m: ExponentMatrix) -> dict:
+    """R(rows), the reduction of the orbit key ``rows`` at ``level``, in
+    the presentation m: ``rows`` itself, or a stored key with a negated
+    row, whose m_sub keeps its signs and so the order m peels its rows in.
+
+    With m_sub the key m less its largest nonzero row alpha, one
+    ``_times_tau`` call over the pattern group P gives tau(alpha) *
+    P(m_sub) by orbit: beta times m's orbit, and A, orbits of lower level
+    (for odd SO, P(m_sub) is one of them, the constant 1 of tau).  Then
+    P(m) = (tau(alpha) * R(m_sub) - sum of count * R(rows) over A) / beta,
+    each key of A reduced as it came, at the level its check found.  A
+    missing beta or an orbit of A at level(m) or above raises
+    InternalCheckError, and so does a quotient by beta that is not exact
+    (the module docstring says why it is), or an SL m_sub whose level did
+    not drop by one (elsewhere m_sub has one nonzero row less).
+    """
     if level == 0:
         return {(): pattern_order(group)}
-    key = _memo_key(m, group)
+    key = (group, rows)
     cached = _REDUCE_CACHE.get(key)
     if cached is not None:
         return cached
-
-    pos, alpha_row = max(
-        ((i, row) for i, row in enumerate(m) if any(row)), key=lambda t: t[1]
-    )
-    m_sub = m[:pos] + ((0,) * group.factors,) + m[pos + 1:]
-    if level_of_monomial(m_sub, group) != level - 1:
+    pattern, sl, zero = _pattern_group(group), group.family == "SL", (0,) * group.factors
+    if m is rows:  # sorted: alpha is last, or for GL and SL may precede the zero rows
+        j = len(rows) - 1 if rows[-1] != zero else rows.index(zero) - 1
+        rest = rows[:j] + rows[j + 1:]
+        i = bisect_right(rest, zero)
+        sub = m_sub = rest[:i] + (zero,) + rest[i:]
+    else:
+        j = max((i for i, row in enumerate(m) if row != zero), key=m.__getitem__)
+        m_sub = m[:j] + (zero,) + m[j + 1:]
+        sub = orbit_rep(m_sub, pattern)[0]
+    if sl and level_of_monomial(sub, group) != level - 1:
         raise InternalCheckError("peeled monomial level did not drop by one")
-    pattern = _pattern_group(group)
-    alpha = _true_row(alpha_row)
+    alpha = _true_row(m[j])
     counts: dict = {}
-    _times_tau({orbit_rep(m_sub, pattern): 1}, alpha, pattern, 1, counts)
-    beta = counts.pop((key[1], 0), 0)  # never 0: m_sub has an empty row
-    if not beta or any(level_of_monomial(rows, group) >= level for rows, _ in counts):
+    _times_tau({(sub, 0): 1}, alpha, pattern, 1, counts)
+    beta = counts.pop((rows, 0), 0)  # never 0: m_sub has an empty row
+    # Outside SL the level is the number of nonzero rows.
+    levels = [level_of_monomial(k, group) if sl else len(k) - k.count(zero) for k, _ in counts]
+    if not beta or max(levels, default=0) >= level:
         raise InternalCheckError("reduction constant mismatch")
 
     # tau(alpha) * R(m_sub): one more symbol in each key, so keys stay distinct.
-    sym = tau_symbol(group, alpha)
-    below = _reduce_pattern_monomial(m_sub, group, bound=level)
-    out = {tuple(sorted(k + (sym,))): v for k, v in below.items()}
+    sym = ("tau", alpha) if m is rows else tau_symbol(group, alpha)
+    out = {tuple(sorted(k + (sym,))): v for k, v in _reduce_rows(sub, level - 1, group, m_sub).items()}
     get = out.get
-    for (rows, _), count in counts.items():
-        for k, v in _reduce_pattern_monomial(rows, group, bound=level).items():
+    for ((k_rows, _), count), lv in zip(counts.items(), levels):
+        for k, v in _reduce_rows(k_rows, lv, group, k_rows).items():
             out[k] = get(k, 0) - count * v
     result = {}
     for k, v in out.items():
@@ -586,7 +615,7 @@ def _peel(f: LaurentPoly, group: GroupSpec) -> tuple[GeneratorPoly, list]:
         m, c = next(iter(work.items()))
         images = _images(m, group, even, WEYL_CAP)
         for k in images:
-            if pop(k, None) != c:
+            if (v := pop(k, None)) is not c and v != c:  # an orbit mostly shares one c
                 raise InternalCheckError("orbit peeling left terms it could not cancel")
         parts.append((m, c / (order // len(images))))
     result: dict = {}

@@ -51,13 +51,21 @@ def json_ints(value, path: str) -> tuple[int, ...]:
     return tuple(value)
 
 
+def parse_scalar(parse, text: str, path: str = "", key: str = ""):
+    """``parse(text)``, the scalar text at ``key`` under ``path`` (no key:
+    a flag).  Text it refuses raises DomainError naming that place, the
+    path formatted only then.  Fraction's ZeroDivisionError names only its
+    repr (``Fraction(1, 0)``), so that one is told in words."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        why = f"zero denominator in {text!r}" if isinstance(exc, ZeroDivisionError) else exc
+        raise DomainError(f"{_at(path, key)}: {why}" if key else str(why)) from None
+
+
 def json_coeff(entry: dict, path: str) -> GaussRat:
     """The scalar string ``entry["coeff"]``, parsed."""
-    text = json_field(entry, "coeff", str, path)
-    try:
-        return GaussRat.parse(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"{_at(path, 'coeff')}: {exc}") from None
+    return parse_scalar(GaussRat.parse, json_field(entry, "coeff", str, path), path, "coeff")
 
 
 def json_term_coeff(entry: dict, k: int, coeffs: dict) -> GaussRat:

@@ -376,7 +376,7 @@ class LaurentPoly(sparse.SparsePoly):
         return self.terms.get(canonical_mod_relations(m, self.group), ZERO)
 
     def has_half_weights(self) -> bool:
-        return any(e & 1 for m in self.terms for row in m for e in row)
+        return any(e & 1 for row in set().union(*self.terms) for e in row)
 
     # -- serialization -----------------------------------------------------
 

@@ -25,7 +25,7 @@ from . import sparse
 from .errors import DomainError, ResourceLimitError, StructureError
 from .generators import _normalize_vector, tau_image
 from .groups import GroupSpec
-from .jsonio import json_check, json_coeff, json_field, json_ints
+from .jsonio import json_check, json_coeff, json_field, json_ints, parse_scalar
 from .scalars import GaussRat, ONE, read_rational, to_fraction
 
 LatticeVec = tuple[int, int]
@@ -149,11 +149,7 @@ class TauPoly(sparse.SparsePoly):
     def from_json(obj: dict) -> "TauPoly":
         json_check(obj, dict, "")
         group = GroupSpec.from_json(json_field(obj, "group", dict, ""))
-        c_text = json_field(obj, "c", str, "", default="1")
-        try:
-            c = read_rational(c_text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"c: {exc}") from None
+        c = parse_scalar(read_rational, json_field(obj, "c", str, "", default="1"), "", "c")
         terms: dict[tuple, GaussRat] = {}
         for k, entry in enumerate(json_field(obj, "terms", list, "", default=[])):
             where = f"terms[{k}]"

@@ -18,6 +18,12 @@ is a real integer.  It recurses into itself and fills
 ``generators._REDUCE_CACHE``, so a test can patch it over the reduction
 and run the reference at every level.
 
+``reduce_by_presentation`` is the body ``generators._reduce_pattern_monomial``
+had before it recursed on orbit keys: every call, on m_sub or on the rows
+of an orbit of A, derives the level, the orbit key and the tau symbol of
+the presentation it is given once more.  It recurses into itself and
+fills ``generators._REDUCE_CACHE`` under ``_memo_key``.
+
 ``times_tau`` is the earlier body of ``generators._times_tau``, kept as
 the oracle for its sign test and key insertion.
 """
@@ -35,6 +41,7 @@ from toruschar.weyl import (
     invariance_violation,
     level_of_monomial,
     level_of_poly,
+    orbit_rep,
     orbit_sum,
     pattern_order,
     pattern_sum,
@@ -88,6 +95,49 @@ def reduce_pattern_monomial(m, group, bound):
         out = out - peel(lower, group, pattern_sum,
                          lambda k, g: as_poly(reduce_pattern_monomial(k, g, bound=level)))
     result = generators._REDUCE_CACHE[key] = as_ints(out.scaled(ONE / beta))
+    return result
+
+
+def reduce_by_presentation(m, group, bound):
+    level = level_of_monomial(m, group)
+    if level >= bound:
+        raise InternalCheckError("level reduction failed to descend")
+    if level == 0:
+        return {(): pattern_order(group)}
+    key = generators._memo_key(m, group)
+    cached = generators._REDUCE_CACHE.get(key)
+    if cached is not None:
+        return cached
+
+    pos, alpha_row = max(
+        ((i, row) for i, row in enumerate(m) if any(row)), key=lambda t: t[1]
+    )
+    m_sub = m[:pos] + ((0,) * group.factors,) + m[pos + 1:]
+    if level_of_monomial(m_sub, group) != level - 1:
+        raise InternalCheckError("peeled monomial level did not drop by one")
+    pattern = generators._pattern_group(group)
+    alpha = generators._true_row(alpha_row)
+    counts = {}
+    generators._times_tau({orbit_rep(m_sub, pattern): 1}, alpha, pattern, 1, counts)
+    beta = counts.pop((key[1], 0), 0)
+    if not beta or any(level_of_monomial(rows, group) >= level for rows, _ in counts):
+        raise InternalCheckError("reduction constant mismatch")
+
+    sym = tau_symbol(group, alpha)
+    below = reduce_by_presentation(m_sub, group, bound=level)
+    out = {tuple(sorted(k + (sym,))): v for k, v in below.items()}
+    get = out.get
+    for (rows, _), count in counts.items():
+        for k, v in reduce_by_presentation(rows, group, bound=level).items():
+            out[k] = get(k, 0) - count * v
+    result = {}
+    for k, v in out.items():
+        if v:
+            q, r = divmod(v, beta)
+            if r:
+                raise InternalCheckError("reduction left a fraction")
+            result[k] = q
+    generators._REDUCE_CACHE[key] = result
     return result
 
 

@@ -31,6 +31,12 @@ def test_bracket_output(capsys):
     assert "(1/2)*tau(1,1)" in out and "(-1/2)*tau(1,-1)" in out
 
 
+def test_bracket_zero_denominator_exit_2(capsys):
+    argv = ["bracket", "--family", "sl", "--rank", "2", "--a", "1,0", "--b", "0,1", "--c", "1/0"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: zero denominator in '1/0'\n"
+
+
 def test_bracket_gl_needs_flag(capsys):
     assert run(["bracket", "--family", "gl", "--rank", "2", "--a", "1,0", "--b", "0,1"]) == 2
     err = capsys.readouterr().err
@@ -340,6 +346,12 @@ _GOOD_POLY = {
          "terms[0].coeff: exponent too large"),
         ({**_GOOD_POLY, "terms": [{"coeff": "1", "exps": [["1e1000000000"]]}]},
          "terms[0].exps[0][0]: not a number"),
+        ({**_GOOD_POLY, "terms": [{"coeff": "1/0", "exps": [[0]]}]},
+         "terms[0].coeff: zero denominator in '1/0'"),
+        ({**_GOOD_POLY, "terms": [{"coeff": "1/0i", "exps": [[0]]}]},
+         "terms[0].coeff: zero denominator in '1/0i'"),
+        ({**_GOOD_POLY, "terms": [{"coeff": "2/0+1/3i", "exps": [[0]]}]},
+         "terms[0].coeff: zero denominator in '2/0+1/3i'"),
     ],
 )
 def test_decompose_malformed_json_exit_2(tmp_path, capsys, doc, where):
@@ -369,6 +381,8 @@ def test_decompose_malformed_json_exit_2(tmp_path, capsys, doc, where):
          "terms[0].factors[1]: unknown generator factor"),
         ({"terms": [{"coeff": "1", "factors": [{"q": [[0, 0], [1, 0]]}, {"tau": [1, 2, 3]}]}]},
          "terms[0].factors[1].tau: alpha must have 2 entries"),
+        ({"terms": [{"coeff": "1/0", "factors": [{"tau": [1, 0]}]}]},
+         "terms[0].coeff: zero denominator in '1/0'"),
     ],
 )
 def test_expand_malformed_json_exit_2(tmp_path, capsys, doc, where):

@@ -3,7 +3,9 @@
 in (level, key) order and reduces each orbit with the orbit-sized step:
 equal results on invariant inputs, the same exception class and message
 (witness included) on perturbed ones.  ``_times_tau`` against the earlier
-body there: the same dict in the same insertion order."""
+body there: the same dict in the same insertion order.  The reduction on
+orbit keys against the earlier one on presentations: the same result and
+the same reduction cache, in the same insertion order."""
 
 from fractions import Fraction
 from unittest import mock
@@ -123,3 +125,46 @@ def test_times_tau_matches_reference_in_order(data):
     generators._times_tau(terms, alpha, group, factor, got)
     ref.times_tau(terms, alpha, group, factor, want)
     assert list(got.items()) == list(want.items())
+
+
+def reduction(reduce, m, group):
+    """The result of ``reduce(m, group, bound=rank + 1)``, or the class and
+    message of its exception, and the reduction cache it leaves, each value
+    with its items in insertion order, from a cleared cache."""
+    generators._REDUCE_CACHE.clear()
+    try:
+        result = reduce(m, group, bound=group.rank + 1)
+    except Exception as exc:  # compared, not swallowed
+        result = type(exc), str(exc)
+    cache = [(k, list(v.items())) for k, v in generators._REDUCE_CACHE.items()]
+    generators._REDUCE_CACHE.clear()
+    return result, cache
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_keyed_reduction_matches_reference(data):
+    # The reduction on orbit keys against the earlier body, which re-derives
+    # every key from its presentation: the same result and the same cache,
+    # entry by entry in insertion order.  Stored keys mix rows with their
+    # negatives (negated rows of signed keys, both even-SO parities), zero
+    # and repeated rows, GL rows whose nonzero entries are all negative (the
+    # zero row is then not the smallest) and SL keys shifted by a row;
+    # odd entries of even SO are half weights, which both refuse.
+    family = data.draw(st.sampled_from(FAMILIES))
+    group = GroupSpec(family, data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3)))
+    row = st.tuples(*[st.integers(-2, 2)] * group.factors)
+    negative = st.tuples(*[st.integers(-2, 0)] * group.factors)
+    pool = [(0,) * group.factors] + data.draw(
+        st.lists(negative if family == "GL" and data.draw(st.booleans()) else row, min_size=1, max_size=3))
+    scale = data.draw(st.sampled_from((2, 1))) if family == "SOeven" else 2
+    m = []
+    for _ in range(group.rank):
+        sign = scale * data.draw(st.sampled_from((1, -1) if group.signed else (1,)))
+        m.append(tuple(sign * e for e in data.draw(st.sampled_from(pool))))
+    if family == "SL":
+        shift = data.draw(row)
+        m = [tuple(e + 2 * c for e, c in zip(r, shift)) for r in m]
+    m = canonical_mod_relations(tuple(m), group)
+    fast = reduction(generators._reduce_pattern_monomial, m, group)
+    assert fast == reduction(ref.reduce_by_presentation, m, group)

@@ -332,6 +332,62 @@ def test_inexact_beta_quotient_is_an_internal_error(monkeypatch, family):
     assert not generators._REDUCE_CACHE
 
 
+def _steps_then(monkeypatch, change):
+    """Patch ``_times_tau`` to run and then apply ``change`` to its ``out``."""
+    real = generators._times_tau
+
+    def changed(terms, alpha, group, factor, out):
+        real(terms, alpha, group, factor, out)
+        change(out)
+
+    monkeypatch.setattr(generators, "_times_tau", changed)
+
+
+def test_reduction_guards_raise(monkeypatch):
+    # Each guard of the level reduction, at the top of a level-2 Sp key.
+    group = GroupSpec("Sp", 2, 1)
+    m = exponents([[1], [2]])
+    reduce = generators._reduce_pattern_monomial
+    generators._REDUCE_CACHE.clear()
+    with pytest.raises(InternalCheckError, match="failed to descend"):
+        reduce(m, group, bound=2)
+    with monkeypatch.context() as patch:  # no beta: m's orbit is missing
+        _steps_then(patch, lambda out: out.pop((m, 0), None))
+        with pytest.raises(InternalCheckError, match="reduction constant mismatch"):
+            reduce(m, group, bound=3)
+    with monkeypatch.context() as patch:  # an orbit of A at the level of m
+        _steps_then(patch, lambda out: out.setdefault((exponents([[3], [5]]), 0), 1))
+        with pytest.raises(InternalCheckError, match="reduction constant mismatch"):
+            reduce(m, group, bound=3)
+    with pytest.raises(UnsupportedInputError, match="half-integer weight"):
+        reduce(((2,), (3,)), GroupSpec("SOeven", 2, 1), bound=3)
+    # An SL key that is not canonical: zeroing its largest row leaves level 1.
+    with pytest.raises(InternalCheckError, match="did not drop by one"):
+        reduce(exponents([[1], [2]]), GroupSpec("SL", 2, 1), bound=3)
+    assert not generators._REDUCE_CACHE
+
+
+def test_step_constants_cache_is_bounded():
+    info = generators._step_constants.cache_info()
+    assert info.maxsize is not None
+    group = GroupSpec("GL", 1, 1)
+    for a in range(info.maxsize + 10):
+        generators._times_tau({(exponents([[0]]), 0): 1}, (a,), group, 1, {})
+    info = generators._step_constants.cache_info()
+    assert info.currsize <= info.maxsize
+
+
+def test_step_constants_tell_odd_so_from_sp():
+    # Equal alphas, different steps: odd SO's tau has the constant 1.
+    sp, so = GroupSpec("Sp", 2, 2), GroupSpec("SOodd", 2, 2)
+    assert generators._step_constants((1, -1), "Sp") != generators._step_constants((1, -1), "SOodd")
+    x = (exponents([[0, 0], [1, 2]]), 0)
+    got_sp, got_so = {}, {}
+    generators._times_tau({x: 3}, (1, -1), sp, 1, got_sp)
+    generators._times_tau({x: 3}, (1, -1), so, 1, got_so)
+    assert got_so.pop(x) == 3 and got_so == got_sp
+
+
 def test_decompose_of_an_invariant_never_tries_the_generators(monkeypatch):
     def tried(f, group):
         raise AssertionError("invariance_violation called on the success path")

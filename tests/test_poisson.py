@@ -240,6 +240,9 @@ _GOOD_TAU = {
         ({**_GOOD_TAU, "group": {"family": "Sp", "rank": 1}}, "group.factors: missing"),
         ([_GOOD_TAU], "top level: expected an object"),
         ({**_GOOD_TAU, "c": "1e1000000000"}, "c: exponent too large"),
+        ({**_GOOD_TAU, "c": "3/0"}, "c: zero denominator in '3/0'"),
+        ({**_GOOD_TAU, "terms": [{"coeff": "1/0i", "factors": []}]},
+         "terms[0].coeff: zero denominator in '1/0i'"),
     ],
 )
 def test_taupoly_from_json_malformed(doc, where):
