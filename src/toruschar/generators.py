@@ -16,7 +16,9 @@ orbit and builds no orbit.  A reduction step is one such call with G the
 pattern group: beta is the count of m's orbit and the other orbits, all
 of lower level, are A.  Level 1 is the same step with P(0) = |P|.  The
 orbit keys it returns are canonical, so the reduction canonicalises its
-input once and recurses on them, each key's level found once.
+input once and works on orbit keys alone from there, each key's level
+found once.  P(m) is symmetric in the rows of m and in their signs, so
+the order and signs a presentation gives its rows cannot change R(m).
 
 The reduction runs on int coefficients: R(m), the generator polynomial
 equal to P(m), is stored as ``{symbol tuple: int}``, and only
@@ -35,10 +37,10 @@ basis of the invariants: Bourbaki, Lie Groups and Lie Algebras, VI.3):
 each tau factor is one ``_times_tau`` call with G = W and each Q factor
 one ``_times_q`` call.  ``decompose`` checks its result exactly in that
 basis, as peeling f has already written it as a sum of c_m * S(m), and
-``expand`` writes each S(m) out as its orbit (``weyl._images``).  The
-Laurent image of a generator, ``tau_image`` or ``q_image``, is
-``expand`` of its one symbol, so ``_times_tau`` and ``_times_q`` are
-the only definitions of the generators.
+``expand`` writes each S(m) out as the orbit of its key (``weyl._images``).
+The Laurent image of a generator, ``tau_image`` or ``q_image``, is
+``expand`` of its one symbol, so ``_times_tau`` and ``_times_q`` are the
+only definitions of the generators.
 
 A note on the Q image: the alternating sum
 
@@ -250,20 +252,13 @@ def _factor_symbol(group: GroupSpec, kind: str, value) -> tuple:
 # multiplying out
 # ---------------------------------------------------------------------------
 
-def _presentation(key: tuple) -> ExponentMatrix:
-    """A monomial in the orbit with key ``(rows, parity)`` (``weyl.orbit_rep``):
-    ``rows``, the first negated when the parity is 1."""
-    rows, parity = key
-    return ((tuple(-e for e in rows[0]),) + rows[1:]) if parity else rows
-
-
 def expand(p: GeneratorPoly, group: GroupSpec) -> LaurentPoly:
     """Substitute generator images and multiply out, exactly.
 
     ``orbit_coefficients`` writes p as a sum of c * S(m) over Weyl orbit
-    keys, and S(m) is the orbit of the key's presentation (``_images``,
-    as ``orbit_sum`` builds it, without validating a key that is already
-    canonical), each monomial with the int stabiliser order |W|/|orbit|:
+    keys, and S(m) is the orbit of the key (``_images``, as ``orbit_sum``
+    builds it, without validating a key that is already canonical), each
+    monomial with the int stabiliser order |W|/|orbit|:
     all get c times it, one product per orbit.  Orbits are disjoint, so
     no monomial gets two contributions.  An orbit above WEYL_CAP monomials
     raises ResourceLimitError before it is built.
@@ -271,7 +266,7 @@ def expand(p: GeneratorPoly, group: GroupSpec) -> LaurentPoly:
     terms: dict = {}
     order, even = group.weyl_order, group.family == "SOeven"
     for key, c in orbit_coefficients(p, group).items():
-        images = _images(_presentation(key), group, even, WEYL_CAP)
+        images = _images(key, group, even, WEYL_CAP)
         terms.update(dict.fromkeys(images, c * (order // len(images))))
     return LaurentPoly._trusted(group, terms)
 
@@ -373,7 +368,7 @@ def _times_q(terms: dict, alphas: tuple, group: GroupSpec, factor: int, out: dic
     order = group.weyl_order
     get = out.get
     for key, c in terms.items():
-        images = _images(_presentation(key), group, True, WEYL_CAP)
+        images = _images(key, group, True, WEYL_CAP)
         c *= factor * (order // len(images))
         for x in images:
             for shift, sign in shifts:
@@ -383,9 +378,9 @@ def _times_q(terms: dict, alphas: tuple, group: GroupSpec, factor: int, out: dic
 
 def orbit_coefficients(p: GeneratorPoly, group: GroupSpec) -> dict:
     """``{orbit key: coefficient}`` with ``expand(p, group)`` equal to the
-    sum of coefficient * S(m) over them, S(m) = orbit_sum(m, group), the
-    keys those of ``weyl.orbit_rep`` and m their ``_presentation``; no
-    coefficient is zero.  No Laurent image is built.
+    sum of coefficient * S(m) over them, S(m) = orbit_sum(m, group) for
+    any m of the orbit with that ``weyl.orbit_rep`` key; no coefficient is
+    zero.  No Laurent image is built.
 
     An int map ``{orbit key of x: c}`` stands for the sum of c * S(x) / |W|,
     so the seed {key of 0: 1} is the constant 1.  Each tau factor is one
@@ -478,7 +473,7 @@ def decompose(f: LaurentPoly, group: GroupSpec) -> GeneratorPoly:
         if witness is None:
             raise
         raise DomainError(f"input is not W-invariant; moved by {witness.describe()}") from None
-    if orbit_coefficients(result, group) != {orbit_rep(m, group): c for m, c in parts}:
+    if orbit_coefficients(result, group) != parts:
         raise InternalCheckError("decomposition failed its expand round trip")
     return result
 
@@ -523,21 +518,18 @@ def _reduce_pattern_monomial(m: ExponentMatrix, group: GroupSpec, bound: int) ->
     """``{symbol tuple: int}`` equal to pattern_sum(m, group), for a stored
     key m of level below ``bound`` (else InternalCheckError).  m is
     canonicalised once, to the ``rows`` of its orbit key (``_memo_key``),
-    and ``_reduce_rows`` recurses on orbit keys from there.  The result is
-    cached and shared: callers must not change it.
+    and ``_reduce_rows`` works on orbit keys alone from there.  The result
+    is cached and shared: callers must not change it.
     """
     level = level_of_monomial(m, group)
     if level >= bound:
         raise InternalCheckError("level reduction failed to descend")
-    rows = _memo_key(m, group)[1]
-    # m is an arrangement of ``rows`` unless it has a negated row
-    return _reduce_rows(rows, level, group, m if min(m) < rows[0] else rows)
+    return _reduce_rows(_memo_key(m, group)[1], level, group)
 
 
-def _reduce_rows(rows: ExponentMatrix, level: int, group: GroupSpec, m: ExponentMatrix) -> dict:
-    """R(rows), the reduction of the orbit key ``rows`` at ``level``, in
-    the presentation m: ``rows`` itself, or a stored key with a negated
-    row, whose m_sub keeps its signs and so the order m peels its rows in.
+def _reduce_rows(rows: ExponentMatrix, level: int, group: GroupSpec) -> dict:
+    """R(m), the reduction of m, the orbit key ``rows`` under the pattern
+    group, at ``level``.
 
     With m_sub the key m less its largest nonzero row alpha, one
     ``_times_tau`` call over the pattern group P gives tau(alpha) *
@@ -557,18 +549,14 @@ def _reduce_rows(rows: ExponentMatrix, level: int, group: GroupSpec, m: Exponent
     if cached is not None:
         return cached
     pattern, sl, zero = _pattern_group(group), group.family == "SL", (0,) * group.factors
-    if m is rows:  # sorted: alpha is last, or for GL and SL may precede the zero rows
-        j = len(rows) - 1 if rows[-1] != zero else rows.index(zero) - 1
-        rest = rows[:j] + rows[j + 1:]
-        i = bisect_right(rest, zero)
-        sub = m_sub = rest[:i] + (zero,) + rest[i:]
-    else:
-        j = max((i for i, row in enumerate(m) if row != zero), key=m.__getitem__)
-        m_sub = m[:j] + (zero,) + m[j + 1:]
-        sub = orbit_rep(m_sub, pattern)[0]
+    # rows are sorted: alpha is last, or for GL and SL may precede the zero rows
+    j = len(rows) - 1 if rows[-1] != zero else rows.index(zero) - 1
+    rest = rows[:j] + rows[j + 1:]
+    i = bisect_right(rest, zero)
+    sub = rest[:i] + (zero,) + rest[i:]
     if sl and level_of_monomial(sub, group) != level - 1:
         raise InternalCheckError("peeled monomial level did not drop by one")
-    alpha = _true_row(m[j])
+    alpha = _true_row(rows[j])
     counts: dict = {}
     _times_tau({(sub, 0): 1}, alpha, pattern, 1, counts)
     beta = counts.pop((rows, 0), 0)  # never 0: m_sub has an empty row
@@ -578,11 +566,11 @@ def _reduce_rows(rows: ExponentMatrix, level: int, group: GroupSpec, m: Exponent
         raise InternalCheckError("reduction constant mismatch")
 
     # tau(alpha) * R(m_sub): one more symbol in each key, so keys stay distinct.
-    sym = ("tau", alpha) if m is rows else tau_symbol(group, alpha)
-    out = {tuple(sorted(k + (sym,))): v for k, v in _reduce_rows(sub, level - 1, group, m_sub).items()}
+    sym = ("tau", alpha)  # alpha is sign-normalised in the signed families
+    out = {tuple(sorted(k + (sym,))): v for k, v in _reduce_rows(sub, level - 1, group).items()}
     get = out.get
     for ((k_rows, _), count), lv in zip(counts.items(), levels):
-        for k, v in _reduce_rows(k_rows, lv, group, k_rows).items():
+        for k, v in _reduce_rows(k_rows, lv, group).items():
             out[k] = get(k, 0) - count * v
     result = {}
     for k, v in out.items():
@@ -595,14 +583,15 @@ def _reduce_rows(rows: ExponentMatrix, level: int, group: GroupSpec, m: Exponent
     return result
 
 
-def _peel(f: LaurentPoly, group: GroupSpec) -> tuple[GeneratorPoly, list]:
+def _peel(f: LaurentPoly, group: GroupSpec) -> tuple[GeneratorPoly, dict]:
     """Split ``f`` into multiples of Weyl orbit sums and add up the
     reductions of their monomials with the same multiples.  Returns the
-    sum and the split ``[(m, c_m)]``, f = sum of c_m * orbit_sum(m).
+    sum and the split ``{orbit key of m: c_m}``, f = sum of c_m *
+    orbit_sum(m).
 
     An orbit sum gives all monomials of an orbit one coefficient, its
-    stabiliser order |W|/|orbit|, so each step pops the images of any key
-    m left (``weyl._images``; stored keys are canonical), which must be
+    stabiliser order |W|/|orbit|, so each step pops the images of the
+    orbit key of any stored key m left (``weyl._images``), which must be
     there in full with m's coefficient, else an InternalCheckError is
     raised before any reduction.  Orbits are disjoint, so their order is
     free, and emptying ``f`` proves it invariant.
@@ -610,16 +599,18 @@ def _peel(f: LaurentPoly, group: GroupSpec) -> tuple[GeneratorPoly, list]:
     work = dict(f.terms)
     order, even = group.weyl_order, group.family == "SOeven"
     pop = work.pop
-    parts = []
+    monomials, parts = [], {}
     while work:
         m, c = next(iter(work.items()))
-        images = _images(m, group, even, WEYL_CAP)
+        key = orbit_rep(m, group)
+        images = _images(key, group, even, WEYL_CAP)
         for k in images:
             if (v := pop(k, None)) is not c and v != c:  # an orbit mostly shares one c
                 raise InternalCheckError("orbit peeling left terms it could not cancel")
-        parts.append((m, c / (order // len(images))))
+        monomials.append(m)
+        parts[key] = c / (order // len(images))
     result: dict = {}
-    for m, coeff in parts:
+    for m, coeff in zip(monomials, parts.values()):
         for k, v in _reduce_orbit(m, group).terms.items():
             sparse.add_term(result, k, v * coeff)
     return GeneratorPoly._wrap(result), parts

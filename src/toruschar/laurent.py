@@ -60,8 +60,9 @@ def exponents_from_json(rows, path: str) -> ExponentMatrix:
     """A doubled-integer exponent matrix from JSON rows of integer or
     half-integer exponents (``0.5``, ``"1/2"``).  Ints are doubled
     directly; floats go through ``Fraction`` and strings through
-    ``read_rational``; booleans are refused.  The path of a row or entry
-    (``path[i][j]``) is formatted only to raise."""
+    ``read_rational``; booleans are refused, and a zero denominator is
+    named as one.  The path of a row or entry (``path[i][j]``) is
+    formatted only to raise."""
     doubled = []
     for i, row in enumerate(json_check(rows, list, path)):
         if type(row) is not list:
@@ -77,6 +78,8 @@ def exponents_from_json(rows, path: str) -> ExponentMatrix:
                 d = 2 * (read_rational(e) if isinstance(e, str) else Fraction(e))
             except (TypeError, ValueError, OverflowError):
                 raise DomainError(f"{path}[{i}][{j}]: not a number: {e!r}") from None
+            except ZeroDivisionError:  # its message is Fraction's repr, Fraction(1, 0)
+                raise DomainError(f"{path}[{i}][{j}]: zero denominator in {e!r}") from None
             if d.denominator != 1:
                 raise DomainError(f"{path}[{i}][{j}]: exponent {e} is not a half-integer")
             out.append(int(d))

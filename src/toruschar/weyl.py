@@ -18,8 +18,9 @@ signed orbit when some row is zero (flipping that row fixes the
 monomial).  With no zero row no odd element fixes the monomial, and the
 orbit is half of the full one: the sign patterns whose number of flips has
 the parity of the input's (an input with rows r, -r has one flip).
-``_images`` lists an orbit by the arrangements of the orbit key's rows,
-in lexicographic order, and for each by ``itertools.product`` over the
+``_images`` takes an orbit by its key (``orbit_rep``), never by a
+monomial, and lists it by the arrangements of the key's rows, in
+lexicographic order, and for each by ``itertools.product`` over the
 choices of its rows: (row, -row) for a nonzero row of a signed family,
 the row alone otherwise.  For even SO with no zero row the product runs
 over the first n - 1 rows, and the last row is negated exactly when the
@@ -179,22 +180,23 @@ def act(w: SignedPerm, f: LaurentPoly) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 
 def _images(
-    m: ExponentMatrix, group: GroupSpec, even_flips: bool, cap: int
+    key: tuple[ExponentMatrix, int], group: GroupSpec, even_flips: bool, cap: int
 ) -> list[ExponentMatrix]:
-    """The distinct images of the presentation ``m`` (not canonicalised)
-    under row permutations and, if ``group`` is signed, sign changes of
-    rows, which are restricted to even numbers of flips when
-    ``even_flips``.  The order is that of the module docstring.
+    """The distinct images, under row permutations and, if ``group`` is
+    signed, sign changes of rows (even numbers of flips when
+    ``even_flips``), of the orbit with key ``(rows, parity)`` from
+    ``orbit_rep``, in the order of the module docstring.
 
     The orbit size is checked against ``cap`` before anything is built.
     """
-    if not any(map(any, m)):  # the zero matrix is its own orbit
-        return [m]
-    base, parity = orbit_rep(m, group)
+    base, parity = key
+    n = len(base)
+    if not any(map(any, base)):  # the zero matrix is its own orbit
+        return [base]
     nonzero = sum(1 for row in base if any(row)) if group.signed else 0
-    if not (even_flips and nonzero == len(m)):
+    if not (even_flips and nonzero == n):
         parity = None
-    size = math.factorial(len(m)) << nonzero
+    size = math.factorial(n) << nonzero
     for k in Counter(base).values():
         size //= math.factorial(k)
     if parity is not None:
@@ -215,7 +217,7 @@ def _images(
     # Even flips, no zero row: the last row's sign is fixed by the parity
     # of the flips before it.  Over the prefixes in product order those
     # parities are the bit parities of 0, 1, ..., 2^(n-1) - 1.
-    bits = [k.bit_count() & 1 for k in range(1 << (len(m) - 1))]
+    bits = [k.bit_count() & 1 for k in range(1 << (n - 1))]
     tails = {row: [(pair[b ^ parity],) for b in bits] for row, pair in choices.items()}
     for arr in _arrangements(base):
         out.extend(map(add, itertools.product(*map(choices.__getitem__, arr[:-1])), tails[arr[-1]]))
@@ -274,7 +276,7 @@ def _orbit_sum(
     """Sum of w . m over a group of ``order`` elements, built as the orbit
     with the stabiliser order |G|/|orbit| on every monomial."""
     (key,) = LaurentPoly(group, {m: ONE}).terms  # validates + canonicalizes the key
-    images = _images(key, group, even_flips, cap)
+    images = _images(orbit_rep(key, group), group, even_flips, cap)
     coeff = GaussRat(order // len(images))
     # Permuting the rows of a canonical SL key leaves it canonical: the
     # shift that canonicalises a key depends only on its multiset of rows.

@@ -21,8 +21,9 @@ and run the reference at every level.
 ``reduce_by_presentation`` is the body ``generators._reduce_pattern_monomial``
 had before it recursed on orbit keys: every call, on m_sub or on the rows
 of an orbit of A, derives the level, the orbit key and the tau symbol of
-the presentation it is given once more.  It recurses into itself and
-fills ``generators._REDUCE_CACHE`` under ``_memo_key``.
+the presentation it is given once more, and peels the rows in the order
+and with the signs that presentation gives them.  It recurses into itself
+and fills ``generators._REDUCE_CACHE`` under ``_memo_key``.
 
 ``times_tau`` is the earlier body of ``generators._times_tau``, kept as
 the oracle for its sign test and key insertion.

@@ -34,6 +34,8 @@ def exponents_from_json(rows, path):
                 d = 2 * (read_rational(e) if isinstance(e, str) else Fraction(e))
             except (TypeError, ValueError, OverflowError):
                 raise DomainError(f"{path}[{i}][{j}]: not a number: {e!r}") from None
+            except ZeroDivisionError:  # its message is Fraction's repr, Fraction(1, 0)
+                raise DomainError(f"{path}[{i}][{j}]: zero denominator in {e!r}") from None
             if d.denominator != 1:
                 raise DomainError(f"{path}[{i}][{j}]: exponent {e} is not a half-integer")
             out.append(int(d))

@@ -11,7 +11,8 @@ the Weyl group of Sp, the full signed group.
 ``itertools.product`` over the choices of each row: one image per
 arrangement and sign-flip pattern, filtered by flip parity, with the
 arrangements from ``itertools.permutations``.  It is the oracle for the
-order as well as the set of the images.
+order as well as the set of the images.  It takes a monomial and finds
+its orbit key itself; ``weyl._images`` takes the key.
 """
 
 import itertools

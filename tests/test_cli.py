@@ -352,6 +352,8 @@ _GOOD_POLY = {
          "terms[0].coeff: zero denominator in '1/0i'"),
         ({**_GOOD_POLY, "terms": [{"coeff": "2/0+1/3i", "exps": [[0]]}]},
          "terms[0].coeff: zero denominator in '2/0+1/3i'"),
+        ({**_GOOD_POLY, "terms": [{"coeff": "1", "exps": [["1/0"]]}]},
+         "terms[0].exps[0][0]: zero denominator in '1/0'"),
     ],
 )
 def test_decompose_malformed_json_exit_2(tmp_path, capsys, doc, where):
@@ -453,6 +455,11 @@ def test_malformed_exps_flag_exit_2(capsys, exps):
     assert run(["orbit-sum", "--family", "gl", "--rank", "2", "--exps", exps]) == 2
     assert time.perf_counter() - start < 2.0
     assert "--exps" in capsys.readouterr().err
+
+
+def test_zero_denominator_in_exps_flag_exit_2(capsys):
+    assert run(["orbit-sum", "--family", "gl", "--rank", "1", "--exps", '[["1/0"]]']) == 2
+    assert capsys.readouterr().err == "error: --exps[0][0]: zero denominator in '1/0'\n"
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ in (level, key) order and reduces each orbit with the orbit-sized step:
 equal results on invariant inputs, the same exception class and message
 (witness included) on perturbed ones.  ``_times_tau`` against the earlier
 body there: the same dict in the same insertion order.  The reduction on
-orbit keys against the earlier one on presentations: the same result and
-the same reduction cache, in the same insertion order."""
+orbit keys against the earlier one on presentations: the same result, and
+the earlier one's result for every key the keyed one caches.  Each gives
+one result over all the presentations of a pattern orbit."""
 
 from fractions import Fraction
 from unittest import mock
@@ -129,14 +130,14 @@ def test_times_tau_matches_reference_in_order(data):
 
 def reduction(reduce, m, group):
     """The result of ``reduce(m, group, bound=rank + 1)``, or the class and
-    message of its exception, and the reduction cache it leaves, each value
-    with its items in insertion order, from a cleared cache."""
+    message of its exception, from a cleared cache, and the reduction cache
+    it leaves."""
     generators._REDUCE_CACHE.clear()
     try:
         result = reduce(m, group, bound=group.rank + 1)
     except Exception as exc:  # compared, not swallowed
         result = type(exc), str(exc)
-    cache = [(k, list(v.items())) for k, v in generators._REDUCE_CACHE.items()]
+    cache = dict(generators._REDUCE_CACHE)
     generators._REDUCE_CACHE.clear()
     return result, cache
 
@@ -145,8 +146,9 @@ def reduction(reduce, m, group):
 @given(st.data())
 def test_keyed_reduction_matches_reference(data):
     # The reduction on orbit keys against the earlier body, which re-derives
-    # every key from its presentation: the same result and the same cache,
-    # entry by entry in insertion order.  Stored keys mix rows with their
+    # every key from its presentation: the same result, and every entry the
+    # keyed reduction caches is the earlier body's result on that key.  The
+    # two need not cache the same keys.  Stored keys mix rows with their
     # negatives (negated rows of signed keys, both even-SO parities), zero
     # and repeated rows, GL rows whose nonzero entries are all negative (the
     # zero row is then not the smallest) and SL keys shifted by a row;
@@ -166,5 +168,33 @@ def test_keyed_reduction_matches_reference(data):
         shift = data.draw(row)
         m = [tuple(e + 2 * c for e, c in zip(r, shift)) for r in m]
     m = canonical_mod_relations(tuple(m), group)
-    fast = reduction(generators._reduce_pattern_monomial, m, group)
-    assert fast == reduction(ref.reduce_by_presentation, m, group)
+    fast, cache = reduction(generators._reduce_pattern_monomial, m, group)
+    assert fast == reduction(ref.reduce_by_presentation, m, group)[0]
+    for (g, rows), ints in cache.items():
+        assert ints == reduction(ref.reduce_by_presentation, rows, g)[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_reduction_does_not_depend_on_the_presentation(data):
+    # P(m) is symmetric in the rows of m and in their signs (Macdonald, I.2
+    # and I.6), so its reduction is one generator polynomial for the whole
+    # pattern orbit: the reduction on presentations gives one result over
+    # random row orders and sign patterns, and so does the keyed one, which
+    # reduces the orbit key alone.  Rows come from a pool with the zero row
+    # in it, so they repeat and some are zero.
+    family = data.draw(st.sampled_from(FAMILIES))
+    group = GroupSpec(family, data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3)))
+    row = st.tuples(*[st.integers(-2, 2)] * group.factors)
+    pool = [(0,) * group.factors] + data.draw(st.lists(row, min_size=1, max_size=3))
+    rows = [tuple(2 * e for e in data.draw(st.sampled_from(pool))) for _ in range(group.rank)]
+    base = canonical_mod_relations(tuple(rows), group)
+    presentations = []
+    for _ in range(data.draw(st.integers(2, 4))):
+        m = data.draw(st.permutations(base))
+        if group.signed:
+            m = [tuple(-e for e in r) if data.draw(st.booleans()) else r for r in m]
+        presentations.append(tuple(m))
+    for reduce in (ref.reduce_by_presentation, generators._reduce_pattern_monomial):
+        results = [reduction(reduce, m, group)[0] for m in presentations]
+        assert all(r == results[0] for r in results)

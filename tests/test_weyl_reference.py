@@ -65,7 +65,7 @@ def test_images_match_the_flip_loop_in_order(case, even_flips):
     group, raw = case
     (m,) = LaurentPoly.monomial(group, raw).terms  # orbits are built on stored keys
     cap = weyl.WEYL_CAP
-    assert weyl._images(m, group, even_flips, cap) == ref.images(m, group, even_flips, cap)
+    assert weyl._images(orbit_rep(m, group), group, even_flips, cap) == ref.images(m, group, even_flips, cap)
 
 
 def test_soeven_sign_pair_and_zero_row():
