@@ -15,15 +15,17 @@ constant 1 of odd SO.  ``_times_tau`` adds up these n * |shifts| sums by
 orbit and builds no orbit.  A reduction step is one such call with G the
 pattern group: beta is the count of m's orbit and the other orbits, all
 of lower level, are A.  Level 1 is the same step with P(0) = |P|.  The
-orbit keys it returns are canonical, so the reduction canonicalises its
-input once and works on orbit keys alone from there, each key's level
-found once.  P(m) is symmetric in the rows of m and in their signs, so
-the order and signs a presentation gives its rows cannot change R(m).
+orbit keys it returns are canonical, and the reduction is entered at the
+orbit keys the peel found (``weyl.orbit_rep``), so it works on orbit keys
+alone, each key's level found once.  P(m) is symmetric in the rows of m
+and in their signs, so the order and signs a presentation gives its rows
+cannot change R(m).
 
 The reduction runs on int coefficients: R(m), the generator polynomial
 equal to P(m), is stored as ``{symbol tuple: int}``, and only
 ``_reduce_orbit`` makes GaussRats of it (with the 1/2 and the Q term of
-even SO).  The quotient by beta is exact.  P(m) is |P_0(m)| times the
+even SO, whose symbol is the key's halved rows and whose sign is its
+parity).  The quotient by beta is exact.  P(m) is |P_0(m)| times the
 augmented monomial function of m, P_0(m) the part of P acting on the
 empty rows of m, and augmented monomials have integer coordinates in the
 power sums, which tau(alpha) are (Moebius inversion: Macdonald, I.2 and
@@ -60,7 +62,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import add
+from operator import add, index
 from typing import Mapping, Optional
 
 from . import sparse
@@ -98,7 +100,7 @@ def _normalize_vector(alpha: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
 
 
 def tau_symbol(group: GroupSpec, alpha) -> TauSymbol:
-    alpha = tuple(int(a) for a in alpha)
+    alpha = tuple(index(a) for a in alpha)
     if len(alpha) != group.factors:
         raise DomainError(f"alpha must have {group.factors} entries")
     if group.symmetric_traces:
@@ -111,11 +113,12 @@ def q_symbol(group: GroupSpec, alphas) -> tuple[Optional[QSymbol], GaussRat]:
 
     Returns (None, 0) when any argument vanishes.  Arguments are sorted
     (the image is symmetric in them) and sign-normalized per vector, each
-    flip contributing a factor -1.
+    flip contributing a factor -1.  Entries must be integers
+    (``operator.index``): a float or a Fraction raises TypeError.
     """
     if group.family != "SOeven":
         raise DomainError("Q generators exist only for even SO")
-    alphas = tuple(tuple(int(a) for a in alpha) for alpha in alphas)
+    alphas = tuple(tuple(index(a) for a in alpha) for alpha in alphas)
     if len(alphas) != group.rank:
         raise DomainError(f"Q takes exactly {group.rank} vectors")
     if any(len(a) != group.factors for a in alphas):
@@ -489,21 +492,25 @@ def _pattern_group(group: GroupSpec) -> GroupSpec:
     return GroupSpec("Sp", group.rank, group.factors) if group.family == "SOeven" else group
 
 
-def _reduce_orbit(m: ExponentMatrix, group: GroupSpec) -> GeneratorPoly:
-    """GeneratorPoly equal to orbit_sum(m, group)."""
-    level = level_of_monomial(m, group)
-    ints = _reduce_pattern_monomial(m, group, bound=level + 1)
+def _reduce_orbit(key: tuple[ExponentMatrix, int], group: GroupSpec) -> GeneratorPoly:
+    """GeneratorPoly equal to the Weyl orbit sum of the orbit key ``key =
+    (rows, parity)`` (``weyl.orbit_rep``): ``_reduce_rows`` at the level
+    of ``rows``, found once here, with the Q term of even SO."""
+    rows, parity = key
+    level = level_of_monomial(rows, group)
+    ints = _reduce_rows(rows, level, group)
     if group.family != "SOeven":
         return GeneratorPoly._wrap({k: _reduced(v, 0, 1) for k, v in ints.items()})
     # Even SO: the Weyl sum is half the full signed sum plus half the
     # antisymmetrized part, which is Q up to the factor i^n (and vanishes
-    # unless every row is nonzero).
+    # unless every row is nonzero).  At full level the key's rows, sorted
+    # and sign-normalised, halve to the canonical Q symbol (halving keeps
+    # their order), and (-1)^parity is the sign ``q_symbol`` gives m.
     out = {k: _reduced(v, 0, 2) for k, v in ints.items()}
     if level == group.rank:
-        alphas = tuple(_true_row(row) for row in m)
-        sym, sign = q_symbol(group, alphas)
-        if sym is not None:
-            sparse.add_term(out, (sym,), _HALF * sign * _I_POWERS[-group.rank % 4])
+        sym = ("q", tuple(_true_row(row) for row in rows))
+        c = _HALF * _I_POWERS[-group.rank % 4]
+        sparse.add_term(out, (sym,), -c if parity else c)
     return GeneratorPoly._wrap(out)
 
 
@@ -514,22 +521,10 @@ def _memo_key(m: ExponentMatrix, group: GroupSpec):
     return (group, orbit_rep(m, group)[0])
 
 
-def _reduce_pattern_monomial(m: ExponentMatrix, group: GroupSpec, bound: int) -> dict:
-    """``{symbol tuple: int}`` equal to pattern_sum(m, group), for a stored
-    key m of level below ``bound`` (else InternalCheckError).  m is
-    canonicalised once, to the ``rows`` of its orbit key (``_memo_key``),
-    and ``_reduce_rows`` works on orbit keys alone from there.  The result
-    is cached and shared: callers must not change it.
-    """
-    level = level_of_monomial(m, group)
-    if level >= bound:
-        raise InternalCheckError("level reduction failed to descend")
-    return _reduce_rows(_memo_key(m, group)[1], level, group)
-
-
 def _reduce_rows(rows: ExponentMatrix, level: int, group: GroupSpec) -> dict:
     """R(m), the reduction of m, the orbit key ``rows`` under the pattern
-    group, at ``level``.
+    group, at ``level``: ``{symbol tuple: int}`` equal to pattern_sum(m).
+    The result is cached and shared: callers must not change it.
 
     With m_sub the key m less its largest nonzero row alpha, one
     ``_times_tau`` call over the pattern group P gives tau(alpha) *
@@ -585,9 +580,9 @@ def _reduce_rows(rows: ExponentMatrix, level: int, group: GroupSpec) -> dict:
 
 def _peel(f: LaurentPoly, group: GroupSpec) -> tuple[GeneratorPoly, dict]:
     """Split ``f`` into multiples of Weyl orbit sums and add up the
-    reductions of their monomials with the same multiples.  Returns the
-    sum and the split ``{orbit key of m: c_m}``, f = sum of c_m *
-    orbit_sum(m).
+    reductions of their orbit keys (``_reduce_orbit``) with the same
+    multiples.  Returns the sum and the split ``{orbit key of m: c_m}``,
+    f = sum of c_m * orbit_sum(m).
 
     An orbit sum gives all monomials of an orbit one coefficient, its
     stabiliser order |W|/|orbit|, so each step pops the images of the
@@ -599,7 +594,7 @@ def _peel(f: LaurentPoly, group: GroupSpec) -> tuple[GeneratorPoly, dict]:
     work = dict(f.terms)
     order, even = group.weyl_order, group.family == "SOeven"
     pop = work.pop
-    monomials, parts = [], {}
+    parts = {}
     while work:
         m, c = next(iter(work.items()))
         key = orbit_rep(m, group)
@@ -607,10 +602,9 @@ def _peel(f: LaurentPoly, group: GroupSpec) -> tuple[GeneratorPoly, dict]:
         for k in images:
             if (v := pop(k, None)) is not c and v != c:  # an orbit mostly shares one c
                 raise InternalCheckError("orbit peeling left terms it could not cancel")
-        monomials.append(m)
         parts[key] = c / (order // len(images))
     result: dict = {}
-    for m, coeff in zip(monomials, parts.values()):
-        for k, v in _reduce_orbit(m, group).terms.items():
+    for key, coeff in parts.items():
+        for k, v in _reduce_orbit(key, group).terms.items():
             sparse.add_term(result, k, v * coeff)
     return GeneratorPoly._wrap(result), parts

@@ -29,7 +29,7 @@ coefficient text once, and wraps the merged terms without a second pass.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, mul
+from operator import add, index, mul
 from typing import Iterable, Mapping
 
 from . import sparse
@@ -49,11 +49,12 @@ def exponents(rows: Iterable[Iterable[int]], halves: bool = False) -> ExponentMa
     """Build a doubled-integer exponent matrix from true integer exponents.
 
     With ``halves=True`` the input entries are interpreted as already
-    doubled (so odd values encode half-integers).
+    doubled (so odd values encode half-integers).  Entries must be
+    integers (``operator.index``): a float or a Fraction raises TypeError.
     """
     if halves:
-        return tuple(tuple(int(e) for e in row) for row in rows)
-    return tuple(tuple(2 * int(e) for e in row) for row in rows)
+        return tuple(tuple(index(e) for e in row) for row in rows)
+    return tuple(tuple(2 * index(e) for e in row) for row in rows)
 
 
 def exponents_from_json(rows, path: str) -> ExponentMatrix:

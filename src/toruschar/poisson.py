@@ -19,6 +19,7 @@ flag, validated only by agreement with the numeric oracle.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 from typing import Mapping
 
 from . import sparse
@@ -39,7 +40,7 @@ CUTOFF_CAP = 8
 def _norm_symbol(group: GroupSpec, a) -> LatticeVec:
     if len(a) != 2:
         raise DomainError(f"a trace symbol takes 2 entries, got {len(a)}")
-    a = (int(a[0]), int(a[1]))
+    a = (index(a[0]), index(a[1]))
     return _normalize_vector(a)[0] if group.symmetric_traces else a
 
 
@@ -178,14 +179,15 @@ def bracket_symbols(
     c: Fraction = Fraction(1),
     extrapolated_gl: bool = False,
 ) -> TauPoly:
-    """Poisson bracket of two trace symbols."""
+    """Poisson bracket of two trace symbols, each a pair of integers
+    (``operator.index``: a float or a Fraction raises TypeError)."""
     c = to_fraction(c)
     if c == 0:
         raise DomainError("c must be nonzero")
     if len(a) != 2 or len(b) != 2:
         raise DomainError(f"a trace symbol takes 2 entries, got {len(a)} and {len(b)}")
-    p, q = int(a[0]), int(a[1])
-    r, s = int(b[0]), int(b[1])
+    p, q = index(a[0]), index(a[1])
+    r, s = index(b[0]), index(b[1])
     det = p * s - q * r
     out = TauPoly.zero(group, c)
     if det == 0:

@@ -7,37 +7,46 @@ order, subtracting each orbit sum from one working dict with
 ``add_term``.  It is kept as the oracle for the two-phase peel, whose
 results and error messages must be the same.
 
+``reduce_orbit`` is the body ``generators._reduce_orbit`` had when it
+took a presentation m rather than an orbit key: the level of m, the Q
+symbol and its sign from ``q_symbol`` on m's halved rows, and the pattern
+sum from ``reduce_pattern_monomial`` (or from ``reduce_by_presentation``,
+which counts instead of enumerating the pattern group, so it stays quick
+at rank 5).  ``decompose`` peels with the orbit-sized default, so the
+reference reduces every orbit at every level by itself.
+
 ``reduce_pattern_monomial`` is the orbit-sized body of the level
-reduction that ``generators._reduce_pattern_monomial`` replaced by counts
-on one presentation of m_sub: the step product enumerated over the whole
-pattern group (``reference_weyl.step_product``), its top checked against
+reduction that the library replaced by counts on one presentation of
+m_sub: the step product enumerated over the whole pattern group
+(``reference_weyl.step_product``), its top checked against
 ``pattern_sum(m)`` and its lower-level remainder peeled by pattern sums.
 It computes in ``GaussRat`` and hands over, returns and caches the
 kernel's form, ``{symbol tuple: int}``, asserting that every coefficient
-is a real integer.  It recurses into itself and fills
-``generators._REDUCE_CACHE``, so a test can patch it over the reduction
-and run the reference at every level.
+is a real integer.  It recurses into itself, with ``bound`` the level
+each call must stay below, and fills ``generators._REDUCE_CACHE``.
 
-``reduce_by_presentation`` is the body ``generators._reduce_pattern_monomial``
-had before it recursed on orbit keys: every call, on m_sub or on the rows
-of an orbit of A, derives the level, the orbit key and the tau symbol of
-the presentation it is given once more, and peels the rows in the order
-and with the signs that presentation gives them.  It recurses into itself
-and fills ``generators._REDUCE_CACHE`` under ``_memo_key``.
+``reduce_by_presentation`` is the body the library's pattern-sum
+reduction had before it recursed on orbit keys: every call, on m_sub or
+on the rows of an orbit of A, derives the level, the orbit key and the
+tau symbol of the presentation it is given once more, and peels the rows
+in the order and with the signs that presentation gives them.  It
+recurses into itself and fills ``generators._REDUCE_CACHE`` under
+``_memo_key``.
 
 ``times_tau`` is the earlier body of ``generators._times_tau``, kept as
 the oracle for its sign test and key insertion.
 """
 
 from bisect import insort
+from fractions import Fraction
 from operator import add
 
 import reference_weyl
 from toruschar import generators, sparse
 from toruschar.errors import DomainError, InternalCheckError, UnsupportedInputError
-from toruschar.generators import GeneratorPoly, expand, tau_symbol
+from toruschar.generators import GeneratorPoly, expand, q_symbol, tau_symbol
 from toruschar.laurent import canonical_mod_relations
-from toruschar.scalars import GaussRat, ONE
+from toruschar.scalars import GaussRat, I, ONE
 from toruschar.weyl import (
     invariance_violation,
     level_of_monomial,
@@ -59,7 +68,7 @@ def decompose(f, group):
     witness = invariance_violation(f, group)
     if witness is not None:
         raise DomainError(f"input is not W-invariant; moved by {witness.describe()}")
-    result = peel(f, group, orbit_sum, generators._reduce_orbit)
+    result = peel(f, group, orbit_sum, reduce_orbit)
     if expand(result, group) != f:
         raise InternalCheckError("decomposition failed its expand round trip")
     return result
@@ -97,6 +106,23 @@ def reduce_pattern_monomial(m, group, bound):
                          lambda k, g: as_poly(reduce_pattern_monomial(k, g, bound=level)))
     result = generators._REDUCE_CACHE[key] = as_ints(out.scaled(ONE / beta))
     return result
+
+
+def reduce_orbit(m, group, reduce_pattern=reduce_pattern_monomial):
+    """GeneratorPoly equal to orbit_sum(m, group), for a stored key m."""
+    level = level_of_monomial(m, group)
+    out = as_poly(reduce_pattern(m, group, bound=level + 1))
+    if group.family != "SOeven":
+        return out
+    # The Weyl sum is half the pattern sum plus half the antisymmetrized
+    # part, which is i^-n * Q and vanishes unless every row is nonzero.
+    half = GaussRat(Fraction(1, 2))
+    out = out.scaled(half)
+    if level == group.rank:
+        sym, sign = q_symbol(group, [generators._true_row(row) for row in m])
+        if sym is not None:
+            out = out + GeneratorPoly.symbol(sym, half * sign * I ** (-group.rank % 4))
+    return out
 
 
 def reduce_by_presentation(m, group, bound):

@@ -1,6 +1,7 @@
 """``decompose``, whose peel proves invariance, against the reference in
 ``reference_decompose``, which checks every Weyl generator first, peels
-in (level, key) order and reduces each orbit with the orbit-sized step:
+in (level, key) order and reduces each orbit from its presentation with
+the orbit-sized step:
 equal results on invariant inputs, the same exception class and message
 (witness included) on perturbed ones.  ``_times_tau`` against the earlier
 body there: the same dict in the same insertion order.  The reduction on
@@ -9,7 +10,6 @@ the earlier one's result for every key the keyed one caches.  Each gives
 one result over all the presentations of a pattern orbit."""
 
 from fractions import Fraction
-from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +19,7 @@ from toruschar.errors import DomainError
 from toruschar.groups import FAMILIES, GroupSpec
 from toruschar.laurent import LaurentPoly, canonical_mod_relations, exponents
 from toruschar.scalars import GaussRat
-from toruschar.weyl import is_invariant, orbit_rep, orbit_sum
+from toruschar.weyl import is_invariant, level_of_monomial, orbit_rep, orbit_sum
 
 coeffs = st.builds(
     lambda a, b, d: GaussRat(Fraction(a, d), Fraction(b, d)),
@@ -62,8 +62,7 @@ def outcome(decompose, f, group):
 
 
 def reference(f, group):
-    with mock.patch.object(generators, "_reduce_pattern_monomial", ref.reduce_pattern_monomial):
-        return outcome(ref.decompose, f, group)
+    return outcome(ref.decompose, f, group)
 
 
 @settings(max_examples=150, deadline=None)
@@ -128,13 +127,22 @@ def test_times_tau_matches_reference_in_order(data):
     assert list(got.items()) == list(want.items())
 
 
+def keyed(m, group):
+    """The library's reduction of m's pattern orbit, entered at its orbit
+    key at the level of m."""
+    return generators._reduce_rows(orbit_rep(m, group)[0], level_of_monomial(m, group), group)
+
+
+def by_presentation(m, group):
+    return ref.reduce_by_presentation(m, group, bound=group.rank + 1)
+
+
 def reduction(reduce, m, group):
-    """The result of ``reduce(m, group, bound=rank + 1)``, or the class and
-    message of its exception, from a cleared cache, and the reduction cache
-    it leaves."""
+    """The result of ``reduce(m, group)``, or the class and message of its
+    exception, from a cleared cache, and the reduction cache it leaves."""
     generators._REDUCE_CACHE.clear()
     try:
-        result = reduce(m, group, bound=group.rank + 1)
+        result = reduce(m, group)
     except Exception as exc:  # compared, not swallowed
         result = type(exc), str(exc)
     cache = dict(generators._REDUCE_CACHE)
@@ -168,10 +176,10 @@ def test_keyed_reduction_matches_reference(data):
         shift = data.draw(row)
         m = [tuple(e + 2 * c for e, c in zip(r, shift)) for r in m]
     m = canonical_mod_relations(tuple(m), group)
-    fast, cache = reduction(generators._reduce_pattern_monomial, m, group)
-    assert fast == reduction(ref.reduce_by_presentation, m, group)[0]
+    fast, cache = reduction(keyed, m, group)
+    assert fast == reduction(by_presentation, m, group)[0]
     for (g, rows), ints in cache.items():
-        assert ints == reduction(ref.reduce_by_presentation, rows, g)[0]
+        assert ints == reduction(by_presentation, rows, g)[0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -195,6 +203,39 @@ def test_reduction_does_not_depend_on_the_presentation(data):
         if group.signed:
             m = [tuple(-e for e in r) if data.draw(st.booleans()) else r for r in m]
         presentations.append(tuple(m))
-    for reduce in (ref.reduce_by_presentation, generators._reduce_pattern_monomial):
+    for reduce in (by_presentation, keyed):
         results = [reduction(reduce, m, group)[0] for m in presentations]
         assert all(r == results[0] for r in results)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_orbit_reduction_from_the_key_matches_the_presentation(data):
+    # ``_reduce_orbit`` takes the level, the Q symbol and its sign from the
+    # orbit key; the reference takes them from a presentation m, through
+    # ``q_symbol``, and reduces the pattern sum of m by presentations (the
+    # orbit-sized step takes 20 s on one rank-5 Sp key).  Half the even-SO
+    # keys have no zero row (full level, so a Q term) and rows negated at
+    # random, so both parities occur; rows repeat and SL keys are shifted.
+    family = data.draw(st.sampled_from(FAMILIES))
+    group = GroupSpec(family, data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3)))
+    row = st.tuples(*[st.integers(-2, 2)] * group.factors)
+    if family == "SOeven" and data.draw(st.booleans()):
+        pool = data.draw(st.lists(row.filter(any), min_size=1, max_size=3))
+    else:
+        pool = [(0,) * group.factors] + data.draw(st.lists(row, min_size=1, max_size=3))
+    m = []
+    for _ in range(group.rank):
+        sign = 2 * data.draw(st.sampled_from((1, -1) if group.signed else (1,)))
+        m.append(tuple(sign * e for e in data.draw(st.sampled_from(pool))))
+    if family == "SL":
+        shift = data.draw(row)
+        m = [tuple(e + 2 * c for e, c in zip(r, shift)) for r in m]
+    m = canonical_mod_relations(tuple(m), group)
+    generators._REDUCE_CACHE.clear()
+    try:
+        fast = generators._reduce_orbit(orbit_rep(m, group), group)
+        generators._REDUCE_CACHE.clear()
+        assert fast == ref.reduce_orbit(m, group, ref.reduce_by_presentation)
+    finally:
+        generators._REDUCE_CACHE.clear()

@@ -1,6 +1,8 @@
 import json
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import reference_laurent as ref
@@ -24,7 +26,7 @@ from toruschar.groups import FAMILIES, GroupSpec
 from toruschar.laurent import LaurentPoly, exponents
 from toruschar.scalars import GaussRat, I, ONE
 from toruschar.verify import random_invariant
-from toruschar.weyl import is_invariant, orbit_sum
+from toruschar.weyl import is_invariant, level_of_monomial, orbit_rep, orbit_sum
 
 SL22 = GroupSpec("SL", 2, 2)
 SO3 = GroupSpec("SOodd", 1, 1)
@@ -124,6 +126,21 @@ def test_q_symbol_canonicalization():
     assert sym3 == sym and sign3 == -ONE
     sym4, sign4 = q_symbol(SO4, ((0, 0), (0, 1)))
     assert sym4 is None and not sign4
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), 0.6, 2.0])
+def test_tau_symbol_refuses_entries_that_are_not_integers(bad):
+    with pytest.raises(TypeError):
+        tau_symbol(GroupSpec("GL", 1, 2), (1, bad))
+    assert tau_symbol(SO4, (np.int64(-1), True)) == ("tau", (1, -1))
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), 0.4, 1.9])
+def test_q_symbol_refuses_entries_that_are_not_integers(bad):
+    # Truncated, 0.4 would read as 0 and Q(1.9; 0.4) as the zero (None, 0).
+    with pytest.raises(TypeError):
+        q_symbol(GroupSpec("SOeven", 2, 1), ((1,), (bad,)))
+    assert q_symbol(SO4, ((np.int64(-1), 0), (0, True))) == (("q", ((0, 1), (1, 0))), -ONE)
 
 
 def test_q_image_wrong_family_or_count():
@@ -295,7 +312,7 @@ def test_reduction_builds_no_orbit(monkeypatch, family, rank, factors, rows):
     with monkeypatch.context() as patch:
         patch.setattr(weyl, "_images", built)
         patch.setattr(generators, "_images", built)
-        reduced = generators._reduce_orbit(m, group)
+        reduced = generators._reduce_orbit(orbit_rep(m, group), group)
     assert expand(reduced, group) == orbit_sum(m, group)
 
 
@@ -305,7 +322,7 @@ def test_reduction_cache_holds_nonzero_ints():
         for family in FAMILIES:
             group = GroupSpec(family, 3, 2)
             (m,) = LaurentPoly.monomial(group, exponents([[2, 0], [4, -2], [2, 2]])).terms
-            assert expand(generators._reduce_orbit(m, group), group) == orbit_sum(m, group)
+            assert expand(generators._reduce_orbit(orbit_rep(m, group), group), group) == orbit_sum(m, group)
         assert generators._REDUCE_CACHE
         for ints in generators._REDUCE_CACHE.values():
             assert all(type(v) is int and v for v in ints.values())
@@ -328,7 +345,7 @@ def test_inexact_beta_quotient_is_an_internal_error(monkeypatch, family):
     group = GroupSpec(family, 1, 1)
     generators._REDUCE_CACHE.clear()
     with pytest.raises(InternalCheckError, match="reduction left a fraction"):
-        generators._reduce_pattern_monomial(exponents([[2]]), group, bound=2)
+        generators._reduce_rows(orbit_rep(exponents([[2]]), group)[0], 1, group)
     assert not generators._REDUCE_CACHE
 
 
@@ -347,23 +364,24 @@ def test_reduction_guards_raise(monkeypatch):
     # Each guard of the level reduction, at the top of a level-2 Sp key.
     group = GroupSpec("Sp", 2, 1)
     m = exponents([[1], [2]])
-    reduce = generators._reduce_pattern_monomial
+
+    def reduce(m, group):
+        return generators._reduce_rows(orbit_rep(m, group)[0], level_of_monomial(m, group), group)
+
     generators._REDUCE_CACHE.clear()
-    with pytest.raises(InternalCheckError, match="failed to descend"):
-        reduce(m, group, bound=2)
     with monkeypatch.context() as patch:  # no beta: m's orbit is missing
         _steps_then(patch, lambda out: out.pop((m, 0), None))
         with pytest.raises(InternalCheckError, match="reduction constant mismatch"):
-            reduce(m, group, bound=3)
+            reduce(m, group)
     with monkeypatch.context() as patch:  # an orbit of A at the level of m
         _steps_then(patch, lambda out: out.setdefault((exponents([[3], [5]]), 0), 1))
         with pytest.raises(InternalCheckError, match="reduction constant mismatch"):
-            reduce(m, group, bound=3)
+            reduce(m, group)
     with pytest.raises(UnsupportedInputError, match="half-integer weight"):
-        reduce(((2,), (3,)), GroupSpec("SOeven", 2, 1), bound=3)
+        reduce(((2,), (3,)), GroupSpec("SOeven", 2, 1))
     # An SL key that is not canonical: zeroing its largest row leaves level 1.
     with pytest.raises(InternalCheckError, match="did not drop by one"):
-        reduce(exponents([[1], [2]]), GroupSpec("SL", 2, 1), bound=3)
+        reduce(exponents([[1], [2]]), GroupSpec("SL", 2, 1))
     assert not generators._REDUCE_CACHE
 
 
@@ -399,7 +417,7 @@ def test_decompose_of_an_invariant_never_tries_the_generators(monkeypatch):
 
 
 def test_non_invariant_input_fails_before_any_reduction(monkeypatch):
-    def reduced(m, group):
+    def reduced(key, group):
         raise AssertionError("reduction started on a non-invariant input")
 
     monkeypatch.setattr(generators, "_reduce_orbit", reduced)

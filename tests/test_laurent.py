@@ -3,6 +3,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -274,6 +275,20 @@ def test_orbit_sum_of_half_weight_monomial_is_invariant():
     f = orbit_sum(m, g)
     assert is_invariant(f, g)
     assert level_of_monomial(m, g) == 2
+
+
+@pytest.mark.parametrize(
+    "rows, halves", [([[Fraction(3, 2)]], False), ([[0.5]], True), ([[1.5], [0]], False), ([[2.0]], False)]
+)
+def test_exponents_refuse_entries_that_are_not_integers(rows, halves):
+    # Truncated, each would read as another exponent.
+    with pytest.raises(TypeError):
+        exponents(rows, halves=halves)
+
+
+def test_exponents_take_integer_types():
+    assert exponents([[np.int64(2), True, -1]]) == ((4, 2, -2),)
+    assert exponents([[np.int32(3)]], halves=True) == ((3,),)
 
 
 def test_json_half_integer_exponents():

@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from toruschar.errors import DomainError, StructureError
@@ -81,6 +82,22 @@ def test_trace_symbols_take_two_entries(a, b):
         if len(vec) != 2:
             with pytest.raises(DomainError, match="a trace symbol takes 2 entries"):
                 TauPoly.symbol(SL2, ONE_C, vec)
+
+
+@pytest.mark.parametrize("bad", [Fraction(3, 5), 0.6, 1.0])
+def test_tau_poly_keys_refuse_entries_that_are_not_integers(bad):
+    # Truncated, the key (0.6, 1) would read as tau(0,1).
+    with pytest.raises(TypeError):
+        TauPoly(SL2, ONE_C, {((bad, 1),): ONE})
+    assert TauPoly(SP1, ONE_C, {((np.int64(-1), True),): ONE}) == TauPoly.symbol(SP1, ONE_C, (1, -1))
+
+
+@pytest.mark.parametrize("bad", [Fraction(3, 5), 0.6, 1.0])
+def test_bracket_symbols_refuse_entries_that_are_not_integers(bad):
+    for a, b in (((bad, 1), (1, 0)), ((1, 0), (0, bad))):
+        with pytest.raises(TypeError):
+            bracket_symbols(a, b, SL2, ONE_C)
+    assert bracket_symbols((np.int64(1), 0), (False, True), SL2, ONE_C) == bracket_symbols((1, 0), (0, 1), SL2, ONE_C)
 
 
 def test_antisymmetry_bilinearity_leibniz():

@@ -111,7 +111,7 @@ def counted(counts, group):
 @given(monomials(integer_weights=True))
 def test_lower_terms_match_enumeration(case):
     """One reduction step: m_sub is m less its largest row alpha, as in
-    ``_reduce_pattern_monomial``.  The orbits one level above m_sub are the
+    ``_reduce_rows``.  The orbits one level above m_sub are the
     enumerated top, m's orbit alone; the rest are the enumerated lower part
     (with P(m_sub) once more for the constant 1 of odd SO)."""
     group, raw = case
@@ -147,11 +147,12 @@ def test_reduction_matches_orbit_sum_and_reference(case):
     (m,) = LaurentPoly.monomial(group, raw).terms  # decompose peels canonical keys
     generators._REDUCE_CACHE.clear()
     try:
-        assert expand(generators._reduce_orbit(m, group), group) == orbit_sum(m, group)
-        bound = level_of_monomial(m, group) + 1
-        fast = generators._reduce_pattern_monomial(m, group, bound)
+        key = orbit_rep(m, group)
+        assert expand(generators._reduce_orbit(key, group), group) == orbit_sum(m, group)
+        level = level_of_monomial(m, group)
+        fast = generators._reduce_rows(key[0], level, group)
         generators._REDUCE_CACHE.clear()
-        assert reference_decompose.reduce_pattern_monomial(m, group, bound) == fast
+        assert reference_decompose.reduce_pattern_monomial(m, group, level + 1) == fast
     finally:
         generators._REDUCE_CACHE.clear()
 
