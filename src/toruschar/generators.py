@@ -5,44 +5,37 @@ functions tau(alpha) (all families) together with, for even SO, the
 Pfaffian-flavoured generators Q(alpha_1..alpha_n).  This module computes
 their Laurent images and, in the other direction, rewrites any Weyl-
 invariant integer-weight Laurent polynomial as a polynomial in the
-generator symbols.  The rewriting proceeds by strictly decreasing level:
-a level-l pattern sum P(m) is recovered from tau(alpha) * P(m_sub) =
-beta * P(m) + A, with m_sub one level down.  Both sides are orbit sums
-over a group G that fixes tau(alpha), so tau(alpha) * S_G(x) is the sum
-of S_G(x + s*alpha e_k) over rows k and shifts s, x one presentation of
-the orbit (Macdonald, Symmetric Functions, I.2), plus S_G(x) for the
-constant 1 of odd SO.  ``_times_tau`` adds up these n * |shifts| sums by
-orbit and builds no orbit.  A reduction step is one such call with G the
-pattern group: beta is the count of m's orbit and the other orbits, all
-of lower level, are A.  Level 1 is the same step with P(0) = |P|.  The
-orbit keys it returns are canonical, and the reduction is entered at the
-orbit keys the peel found (``weyl.orbit_rep``), so it works on orbit keys
-alone, each key's level found once.  P(m) is symmetric in the rows of m
-and in their signs, so the order and signs a presentation gives its rows
-cannot change R(m).
+generator symbols.  The peel splits it into Weyl orbit sums S(m), and
+``_reduce_orbit`` writes S(m) as the pattern sum P(m), the sum of w.m over
+the pattern group (the symmetric group for GL and SL, the full signed
+group otherwise), halved and with a Q term for even SO.
 
-The reduction runs on int coefficients: R(m), the generator polynomial
-equal to P(m), is stored as ``{symbol tuple: int}``, and only
-``_reduce_orbit`` makes GaussRats of it (with the 1/2 and the Q term of
-even SO, whose symbol is the key's halved rows and whose sign is its
-parity).  The quotient by beta is exact.  P(m) is |P_0(m)| times the
-augmented monomial function of m, P_0(m) the part of P acting on the
-empty rows of m, and augmented monomials have integer coordinates in the
-power sums, which tau(alpha) are (Moebius inversion: Macdonald, I.2 and
-I.6).  So R(m) is |P_0(m)| times an integer polynomial, and beta =
-|P_0(m_sub)| / |P_0(m)|.  A remainder would be a bug and raises
-InternalCheckError.
+P(m) has a closed form R(m).  With r_1..r_l the nonzero rows of m, P(m)
+is |P_0| = (n-l)! (times 2^(n-l) when signed) times the sum of
+prod_j x_{w(j)}^(e_j r_j) over the injective maps w of the rows to the n
+coordinates and, when signed, the signs e_j.  Moebius inversion on the
+lattice of set partitions writes that in power sums (Macdonald, Symmetric
+Functions, I.6; Doubilet, Stud. Appl. Math. 51, 1972):
+
+    R(m) = |P_0| * sum over partitions pi of the rows of mu(pi) * prod T(B),
+
+mu(pi) = prod_B (-1)^(|B|-1) (|B|-1)! and T(B) the sum of tau'(sum of
+e_j r_j) over the signs e_j of B's rows that keep one row positive (all +
+for GL and SL); tau' is tau less odd SO's constant 1, and tau'(0) = 2n (n
+for GL and SL).  The level recursion used before, tau(alpha) * P(m_sub) =
+beta * P(m) + A with m_sub one level down, is this sum unrolled.  R(m)
+has int coefficients; ``_reduce_orbit`` makes GaussRats of them.
 
 A generator polynomial is multiplied out by one walk over its sorted
 terms, ``orbit_coefficients``, in the basis of Weyl orbit sums S(m) (a
 basis of the invariants: Bourbaki, Lie Groups and Lie Algebras, VI.3):
-each tau factor is one ``_times_tau`` call with G = W and each Q factor
-one ``_times_q`` call.  ``decompose`` checks its result exactly in that
-basis, as peeling f has already written it as a sum of c_m * S(m), and
-``expand`` writes each S(m) out as the orbit of its key (``weyl._images``).
-The Laurent image of a generator, ``tau_image`` or ``q_image``, is
-``expand`` of its one symbol, so ``_times_tau`` and ``_times_q`` are the
-only definitions of the generators.
+each tau factor is one ``_times_tau`` call and each Q factor one
+``_times_q`` call.  ``decompose`` checks its result in that basis, with
+code the reduction does not share, and ``expand`` writes each S(m) out as
+the orbit of its key (``weyl._images``).  The Laurent image of a
+generator, ``tau_image`` or ``q_image``, is ``expand`` of its one symbol,
+so ``_times_tau`` and ``_times_q`` are the only definitions of the
+generators.
 
 A note on the Q image: the alternating sum
 
@@ -61,8 +54,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from operator import add, index
+from itertools import groupby, product
+from math import comb, factorial, lcm, prod
+from operator import add, index, le, sub
 from typing import Mapping, Optional
 
 from . import sparse
@@ -75,9 +69,7 @@ from .weyl import (
     WEYL_CAP,
     _images,
     invariance_violation,
-    level_of_monomial,
     orbit_rep,
-    pattern_order,
 )
 
 TauSymbol = tuple[str, tuple[int, ...]]
@@ -311,8 +303,8 @@ def _step_constants(alpha: tuple[int, ...], family: str) -> tuple:
 def _times_tau(terms: dict, alpha: tuple[int, ...], group: GroupSpec, factor: int, out: dict) -> None:
     """Add ``factor * tau(alpha) * sum c * S(x)`` over ``terms = {orbit key
     of x: c}`` into ``out``, in orbit keys (``weyl.orbit_rep``), S the
-    orbit sum over the Weyl group of ``group``.  The level reduction passes
-    the pattern group (Sp for even SO), so S is then the pattern sum.
+    Weyl orbit sum of ``group``: its one caller is ``orbit_coefficients``,
+    and the level reduction, in closed form, has no pattern-group step.
     Most calls carry a key or two, so the constants are cached.
 
     The shifts {s*alpha e_k} form a W-stable set, so tau(alpha) * S(x) is
@@ -485,20 +477,11 @@ _HALF = GaussRat(Fraction(1, 2))
 _I_POWERS = (ONE, I, -ONE, -I)  # i^k for k mod 4
 
 
-@lru_cache(maxsize=16)
-def _pattern_group(group: GroupSpec) -> GroupSpec:
-    """The group whose orbit sums the level reduction counts: Sp for even
-    SO (the full signed group), ``group`` otherwise."""
-    return GroupSpec("Sp", group.rank, group.factors) if group.family == "SOeven" else group
-
-
 def _reduce_orbit(key: tuple[ExponentMatrix, int], group: GroupSpec) -> GeneratorPoly:
     """GeneratorPoly equal to the Weyl orbit sum of the orbit key ``key =
-    (rows, parity)`` (``weyl.orbit_rep``): ``_reduce_rows`` at the level
-    of ``rows``, found once here, with the Q term of even SO."""
+    (rows, parity)`` (``weyl.orbit_rep``): R(rows), with even SO's Q term."""
     rows, parity = key
-    level = level_of_monomial(rows, group)
-    ints = _reduce_rows(rows, level, group)
+    ints = _reduce_pattern(rows, group)
     if group.family != "SOeven":
         return GeneratorPoly._wrap({k: _reduced(v, 0, 1) for k, v in ints.items()})
     # Even SO: the Weyl sum is half the full signed sum plus half the
@@ -507,75 +490,81 @@ def _reduce_orbit(key: tuple[ExponentMatrix, int], group: GroupSpec) -> Generato
     # and sign-normalised, halve to the canonical Q symbol (halving keeps
     # their order), and (-1)^parity is the sign ``q_symbol`` gives m.
     out = {k: _reduced(v, 0, 2) for k, v in ints.items()}
-    if level == group.rank:
+    if any(rows[0]):  # no zero row, which would sort first: full level
         sym = ("q", tuple(_true_row(row) for row in rows))
         c = _HALF * _I_POWERS[-group.rank % 4]
         sparse.add_term(out, (sym,), -c if parity else c)
     return GeneratorPoly._wrap(out)
 
 
-_REDUCE_CACHE: dict = {}
-
-
-def _memo_key(m: ExponentMatrix, group: GroupSpec):
-    return (group, orbit_rep(m, group)[0])
-
-
-def _reduce_rows(rows: ExponentMatrix, level: int, group: GroupSpec) -> dict:
-    """R(m), the reduction of m, the orbit key ``rows`` under the pattern
-    group, at ``level``: ``{symbol tuple: int}`` equal to pattern_sum(m).
-    The result is cached and shared: callers must not change it.
-
-    With m_sub the key m less its largest nonzero row alpha, one
-    ``_times_tau`` call over the pattern group P gives tau(alpha) *
-    P(m_sub) by orbit: beta times m's orbit, and A, orbits of lower level
-    (for odd SO, P(m_sub) is one of them, the constant 1 of tau).  Then
-    P(m) = (tau(alpha) * R(m_sub) - sum of count * R(rows) over A) / beta,
-    each key of A reduced as it came, at the level its check found.  A
-    missing beta or an orbit of A at level(m) or above raises
-    InternalCheckError, and so does a quotient by beta that is not exact
-    (the module docstring says why it is), or an SL m_sub whose level did
-    not drop by one (elsewhere m_sub has one nonzero row less).
-    """
-    if level == 0:
-        return {(): pattern_order(group)}
-    key = (group, rows)
-    cached = _REDUCE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    pattern, sl, zero = _pattern_group(group), group.family == "SL", (0,) * group.factors
-    # rows are sorted: alpha is last, or for GL and SL may precede the zero rows
-    j = len(rows) - 1 if rows[-1] != zero else rows.index(zero) - 1
-    rest = rows[:j] + rows[j + 1:]
-    i = bisect_right(rest, zero)
-    sub = rest[:i] + (zero,) + rest[i:]
-    if sl and level_of_monomial(sub, group) != level - 1:
-        raise InternalCheckError("peeled monomial level did not drop by one")
-    alpha = _true_row(rows[j])
-    counts: dict = {}
-    _times_tau({(sub, 0): 1}, alpha, pattern, 1, counts)
-    beta = counts.pop((rows, 0), 0)  # never 0: m_sub has an empty row
-    # Outside SL the level is the number of nonzero rows.
-    levels = [level_of_monomial(k, group) if sl else len(k) - k.count(zero) for k, _ in counts]
-    if not beta or max(levels, default=0) >= level:
-        raise InternalCheckError("reduction constant mismatch")
-
-    # tau(alpha) * R(m_sub): one more symbol in each key, so keys stay distinct.
-    sym = ("tau", alpha)  # alpha is sign-normalised in the signed families
-    out = {tuple(sorted(k + (sym,))): v for k, v in _reduce_rows(sub, level - 1, group).items()}
-    get = out.get
-    for ((k_rows, _), count), lv in zip(counts.items(), levels):
-        for k, v in _reduce_rows(k_rows, lv, group).items():
-            out[k] = get(k, 0) - count * v
-    result = {}
-    for k, v in out.items():
-        if v:
-            q, r = divmod(v, beta)
-            if r:
-                raise InternalCheckError("reduction left a fraction")
-            result[k] = q
-    _REDUCE_CACHE[key] = result
-    return result
+def _reduce_pattern(rows: ExponentMatrix, group: GroupSpec) -> dict:
+    """R(m), ``{symbol tuple: int}`` equal to pattern_sum(m) for the orbit
+    key ``rows``, in the closed form of the module docstring.  The nonzero
+    rows are a multiset, distinct rows t_i with counts c_i, so a block is a
+    count vector b <= c.  F(c), the sum over partitions, is split by the
+    block holding one row of the first type p left: the C(c_p - 1, b_p - 1)
+    * prod_{i > p} C(c_i, b_i) blocks b with b_p >= 1 each add mu(b) * T(b)
+    * F(c - b), F(0) = |P_0|, so a key costs a polynomial in prod (c_i + 1)."""
+    n, zero = group.rank, (0,) * group.factors
+    signed, odd = group.signed, group.family == "SOodd"
+    runs = [(row, len(list(same))) for row, same in groupby(rows) if row != zero]
+    types, counts = [_true_row(row) for row, _ in runs], [c for _, c in runs]
+    free, k = n - sum(counts), len(counts)
+    # The count vectors b <= c in product order: b = vecs[i] for i the sum
+    # of b_j * place[j], so c - b has the index of c less that of b.
+    vecs = list(product(*(range(c + 1) for c in counts)))
+    place = [prod(c + 1 for c in counts[j + 1:]) for j in range(k)]
+    sums: list = [None] * len(vecs)  # {v: ways}, v a signed sum of b's rows
+    blocks: list = [[] for _ in range(k)]  # by first type: (b's index, b, mu, T(b))
+    for i in range(1, len(vecs)):
+        b = vecs[i]
+        j = k - 1
+        while not b[j]:
+            j -= 1
+        t, prev = types[j], i - place[j]
+        # One row of b's first type stays positive; each other row is
+        # added with either sign (signed families) or positive.
+        sums[i] = got = {} if prev else {t: 1}
+        for v, w in sums[prev].items() if prev else ():
+            for u in (tuple(map(add, v, t)), tuple(map(sub, v, t)))[:1 + signed]:
+                got[u] = got.get(u, 0) + w
+        out, const = {}, 0  # T(b): tau'(v) = tau(v) less odd SO's 1, tau'(0) = n, 2n signed
+        for v, w in got.items():
+            if signed and v < zero:  # its first nonzero entry is negative
+                v = tuple([-e for e in v])
+            if v == zero:
+                const += (2 * n if signed else n) * w
+            else:
+                sym = (("tau", v),)
+                out[sym] = out.get(sym, 0) + w
+                const -= w * odd
+        size, p = sum(b), 0
+        while not b[p]:
+            p += 1
+        mu = factorial(size - 1) * (-1) ** (size - 1)  # mu(b), as in mu(pi)
+        blocks[p].append((i, b, mu, list(out.items()) + ([((), const)] if const else [])))
+    states: list = [{(): factorial(free) << (free if signed else 0)}] + [None] * (len(vecs) - 1)
+    # From c, whose first type is 0, every state with fewer rows of type 0 is reached.
+    for s in [*range(1, counts[0] * place[0]), len(vecs) - 1] if k else ():
+        c, p = vecs[s], 0
+        while not c[p]:
+            p += 1
+        out = {}
+        get = out.get
+        for i, b, mu, terms in blocks[p]:
+            if i > s or not all(map(le, b, c)):
+                continue
+            w = mu * comb(c[p] - 1, b[p] - 1) * prod(map(comb, c[p + 1:], b[p + 1:]))
+            rest = states[s - i]
+            for sym, tc in terms:
+                wc = w * tc
+                for key, v in rest.items():
+                    if sym:
+                        j = bisect_right(key, sym[0])
+                        key = key[:j] + sym + key[j:]
+                    out[key] = get(key, 0) + wc * v
+        states[s] = {key: v for key, v in out.items() if v}
+    return states[-1]
 
 
 def _peel(f: LaurentPoly, group: GroupSpec) -> tuple[GeneratorPoly, dict]:

@@ -64,7 +64,13 @@ def exponents_from_json(rows, path: str) -> ExponentMatrix:
     ``read_rational``; booleans are refused, and a zero denominator is
     named as one.  The path of a row or entry (``path[i][j]``) is
     formatted only to raise."""
-    doubled = []
+    return _read_exponents(rows, path)[0]
+
+
+def _read_exponents(rows, path: str) -> tuple[ExponentMatrix, bool]:
+    """``exponents_from_json(rows, path)`` and whether all entries were ints
+    (doubled, so even: only a float or string entry can be a half weight)."""
+    doubled, ints = [], True
     for i, row in enumerate(json_check(rows, list, path)):
         if type(row) is not list:
             json_check(row, list, f"{path}[{i}]")
@@ -73,6 +79,7 @@ def exponents_from_json(rows, path: str) -> ExponentMatrix:
             if type(e) is int:
                 out.append(2 * e)
                 continue
+            ints = False
             try:
                 if isinstance(e, bool):  # Fraction would read True as 1
                     raise TypeError
@@ -85,10 +92,10 @@ def exponents_from_json(rows, path: str) -> ExponentMatrix:
                 raise DomainError(f"{path}[{i}][{j}]: exponent {e} is not a half-integer")
             out.append(int(d))
         doubled.append(tuple(out))
-    return tuple(doubled)
+    return tuple(doubled), ints
 
 
-def check_exponents(m: ExponentMatrix, group: GroupSpec) -> None:
+def _check_shape(m: ExponentMatrix, group: GroupSpec) -> None:
     rank, factors = group.rank, group.factors
     if len(m) != rank or any(len(row) != factors for row in m):
         got = f"row count {len(m)}" if len(m) != rank else next(
@@ -97,6 +104,10 @@ def check_exponents(m: ExponentMatrix, group: GroupSpec) -> None:
         raise StructureError(
             f"exponent matrix shape does not match {group}: expected {rank}x{factors}, got {got}"
         )
+
+
+def check_exponents(m: ExponentMatrix, group: GroupSpec) -> None:
+    _check_shape(m, group)
     if not group.allows_half_weights:
         for row in m:
             for e in row:
@@ -413,10 +424,10 @@ class LaurentPoly(sparse.SparsePoly):
             if type(rows) is not list:
                 rows = json_field(entry, "exps", list, f"terms[{k}]")
             try:
-                m = exponents_from_json(rows, "exps")
+                m, ints = _read_exponents(rows, "exps")
             except DomainError as exc:
                 raise DomainError(f"terms[{k}].{exc}") from None
-            check_exponents(m, group)
+            (_check_shape if ints else check_exponents)(m, group)
             sparse.add_term(terms, canonical_mod_relations(m, group), json_term_coeff(entry, k, coeffs))
         return LaurentPoly._trusted(group, terms)
 

@@ -294,7 +294,7 @@ def pattern_sum(m: ExponentMatrix, group: GroupSpec, cap: int = WEYL_CAP) -> Lau
     """Sum of w . m over the pattern group of the level reduction: the
     symmetric group for GL/SL, the full signed group otherwise (even SO's
     Weyl sums at level < n are half of these).  No library code calls it;
-    the reduction counts pattern sums by orbit in ``generators._times_tau``."""
+    ``generators._reduce_pattern`` writes it in closed form."""
     return _orbit_sum(m, group, pattern_order(group), False, cap)
 
 

@@ -12,8 +12,9 @@ took a presentation m rather than an orbit key: the level of m, the Q
 symbol and its sign from ``q_symbol`` on m's halved rows, and the pattern
 sum from ``reduce_pattern_monomial`` (or from ``reduce_by_presentation``,
 which counts instead of enumerating the pattern group, so it stays quick
-at rank 5).  ``decompose`` peels with the orbit-sized default, so the
-reference reduces every orbit at every level by itself.
+at rank 5).  ``decompose`` peels with the orbit-sized default unless
+told otherwise, so the reference reduces every orbit at every level by
+itself.
 
 ``reduce_pattern_monomial`` is the orbit-sized body of the level
 reduction that the library replaced by counts on one presentation of
@@ -23,21 +24,32 @@ m_sub: the step product enumerated over the whole pattern group
 It computes in ``GaussRat`` and hands over, returns and caches the
 kernel's form, ``{symbol tuple: int}``, asserting that every coefficient
 is a real integer.  It recurses into itself, with ``bound`` the level
-each call must stay below, and fills ``generators._REDUCE_CACHE``.
+each call must stay below.
 
-``reduce_by_presentation`` is the body the library's pattern-sum
-reduction had before it recursed on orbit keys: every call, on m_sub or
-on the rows of an orbit of A, derives the level, the orbit key and the
-tau symbol of the presentation it is given once more, and peels the rows
-in the order and with the signs that presentation gives them.  It
-recurses into itself and fills ``generators._REDUCE_CACHE`` under
-``_memo_key``.
+``reduce_rows`` is the recursion the library ran before the closed form,
+on orbit keys: m_sub is the key less its largest nonzero row alpha, one
+``generators._times_tau`` call over the pattern group gives tau(alpha) *
+P(m_sub) by orbit, beta times m's orbit and the lower orbits A, and
+P(m) = (tau(alpha) * R(m_sub) - sum of count * R(rows) over A) / beta.
+Its guards raise InternalCheckError on a missing beta, an orbit of A at
+the level of m or above, a quotient by beta that is not exact and an SL
+m_sub whose level did not drop by one.  The closed form is this
+recursion unrolled.
+
+``reduce_by_presentation`` is the body the keyed recursion had before it
+recursed on orbit keys: every call, on m_sub or on the rows of an orbit
+of A, derives the level, the orbit key and the tau symbol of the
+presentation it is given once more, and peels the rows in the order and
+with the signs that presentation gives them.
+
+The three recursions share ``CACHE``, keyed by ``(group, rows of the
+orbit key)``; a test clears it to have every level computed again.
 
 ``times_tau`` is the earlier body of ``generators._times_tau``, kept as
 the oracle for its sign test and key insertion.
 """
 
-from bisect import insort
+from bisect import bisect_right, insort
 from fractions import Fraction
 from operator import add
 
@@ -45,6 +57,7 @@ import reference_weyl
 from toruschar import generators, sparse
 from toruschar.errors import DomainError, InternalCheckError, UnsupportedInputError
 from toruschar.generators import GeneratorPoly, expand, q_symbol, tau_symbol
+from toruschar.groups import GroupSpec
 from toruschar.laurent import canonical_mod_relations
 from toruschar.scalars import GaussRat, I, ONE
 from toruschar.weyl import (
@@ -58,7 +71,10 @@ from toruschar.weyl import (
 )
 
 
-def decompose(f, group):
+def decompose(f, group, reduce_pattern=None):
+    """``reduce_pattern`` reduces each pattern orbit; the default is the
+    orbit-sized ``reduce_pattern_monomial``."""
+    reduce_pattern = reduce_pattern or reduce_pattern_monomial
     if f.group != group:
         raise DomainError("polynomial belongs to a different group")
     if f.has_half_weights():
@@ -68,10 +84,23 @@ def decompose(f, group):
     witness = invariance_violation(f, group)
     if witness is not None:
         raise DomainError(f"input is not W-invariant; moved by {witness.describe()}")
-    result = peel(f, group, orbit_sum, reduce_orbit)
+    result = peel(f, group, orbit_sum, lambda m, g: reduce_orbit(m, g, reduce_pattern))
     if expand(result, group) != f:
         raise InternalCheckError("decomposition failed its expand round trip")
     return result
+
+
+CACHE: dict = {}
+
+
+def memo_key(m, group):
+    return (group, orbit_rep(m, group)[0])
+
+
+def pattern_group(group):
+    """The group whose orbit sums the level reduction counts: Sp for even
+    SO (the full signed group), ``group`` otherwise."""
+    return GroupSpec("Sp", group.rank, group.factors) if group.family == "SOeven" else group
 
 
 def reduce_pattern_monomial(m, group, bound):
@@ -80,8 +109,8 @@ def reduce_pattern_monomial(m, group, bound):
         raise InternalCheckError("level reduction failed to descend")
     if level == 0:
         return as_ints(GeneratorPoly.constant(pattern_order(group)))
-    key = generators._memo_key(m, group)
-    cached = generators._REDUCE_CACHE.get(key)
+    key = memo_key(m, group)
+    cached = CACHE.get(key)
     if cached is not None:
         return cached
     pos, alpha_row = max(
@@ -104,7 +133,7 @@ def reduce_pattern_monomial(m, group, bound):
     if lower:
         out = out - peel(lower, group, pattern_sum,
                          lambda k, g: as_poly(reduce_pattern_monomial(k, g, bound=level)))
-    result = generators._REDUCE_CACHE[key] = as_ints(out.scaled(ONE / beta))
+    result = CACHE[key] = as_ints(out.scaled(ONE / beta))
     return result
 
 
@@ -131,8 +160,8 @@ def reduce_by_presentation(m, group, bound):
         raise InternalCheckError("level reduction failed to descend")
     if level == 0:
         return {(): pattern_order(group)}
-    key = generators._memo_key(m, group)
-    cached = generators._REDUCE_CACHE.get(key)
+    key = memo_key(m, group)
+    cached = CACHE.get(key)
     if cached is not None:
         return cached
 
@@ -142,7 +171,7 @@ def reduce_by_presentation(m, group, bound):
     m_sub = m[:pos] + ((0,) * group.factors,) + m[pos + 1:]
     if level_of_monomial(m_sub, group) != level - 1:
         raise InternalCheckError("peeled monomial level did not drop by one")
-    pattern = generators._pattern_group(group)
+    pattern = pattern_group(group)
     alpha = generators._true_row(alpha_row)
     counts = {}
     generators._times_tau({orbit_rep(m_sub, pattern): 1}, alpha, pattern, 1, counts)
@@ -164,7 +193,51 @@ def reduce_by_presentation(m, group, bound):
             if r:
                 raise InternalCheckError("reduction left a fraction")
             result[k] = q
-    generators._REDUCE_CACHE[key] = result
+    CACHE[key] = result
+    return result
+
+
+def reduce_rows(rows, level, group):
+    """R(m) for the orbit key ``rows`` under the pattern group, at
+    ``level``: the keyed recursion, with its guards."""
+    if level == 0:
+        return {(): pattern_order(group)}
+    key = (group, rows)
+    cached = CACHE.get(key)
+    if cached is not None:
+        return cached
+    pattern, sl, zero = pattern_group(group), group.family == "SL", (0,) * group.factors
+    # rows are sorted: alpha is last, or for GL and SL may precede the zero rows
+    j = len(rows) - 1 if rows[-1] != zero else rows.index(zero) - 1
+    rest = rows[:j] + rows[j + 1:]
+    i = bisect_right(rest, zero)
+    sub = rest[:i] + (zero,) + rest[i:]
+    if sl and level_of_monomial(sub, group) != level - 1:
+        raise InternalCheckError("peeled monomial level did not drop by one")
+    alpha = generators._true_row(rows[j])
+    counts = {}
+    generators._times_tau({(sub, 0): 1}, alpha, pattern, 1, counts)
+    beta = counts.pop((rows, 0), 0)  # never 0: m_sub has an empty row
+    # Outside SL the level is the number of nonzero rows.
+    levels = [level_of_monomial(k, group) if sl else len(k) - k.count(zero) for k, _ in counts]
+    if not beta or max(levels, default=0) >= level:
+        raise InternalCheckError("reduction constant mismatch")
+
+    # tau(alpha) * R(m_sub): one more symbol in each key, so keys stay distinct.
+    sym = ("tau", alpha)  # alpha is sign-normalised in the signed families
+    out = {tuple(sorted(k + (sym,))): v for k, v in reduce_rows(sub, level - 1, group).items()}
+    get = out.get
+    for ((k_rows, _), count), lv in zip(counts.items(), levels):
+        for k, v in reduce_rows(k_rows, lv, group).items():
+            out[k] = get(k, 0) - count * v
+    result = {}
+    for k, v in out.items():
+        if v:
+            q, r = divmod(v, beta)
+            if r:
+                raise InternalCheckError("reduction left a fraction")
+            result[k] = q
+    CACHE[key] = result
     return result
 
 

@@ -1,13 +1,14 @@
 """``decompose``, whose peel proves invariance, against the reference in
 ``reference_decompose``, which checks every Weyl generator first, peels
 in (level, key) order and reduces each orbit from its presentation with
-the orbit-sized step:
+the orbit-sized step (by presentations from rank 4 on):
 equal results on invariant inputs, the same exception class and message
 (witness included) on perturbed ones.  ``_times_tau`` against the earlier
-body there: the same dict in the same insertion order.  The reduction on
-orbit keys against the earlier one on presentations: the same result, and
-the earlier one's result for every key the keyed one caches.  Each gives
-one result over all the presentations of a pattern orbit."""
+body there: the same dict in the same insertion order.  The closed-form
+reduction against the recursions it replaced, on orbit keys and on
+presentations: the same result on the drawn key and on every key the
+recursion cached on the way there.  Each gives one result over all the
+presentations of a pattern orbit."""
 
 from fractions import Fraction
 
@@ -51,18 +52,22 @@ def invariants(draw):
 
 def outcome(decompose, f, group):
     """The result, or the class and message of the exception raised, with
-    the reduction cache cleared first so every level is computed again."""
-    generators._REDUCE_CACHE.clear()
+    the reference's cache cleared first so every level is computed again."""
+    ref.CACHE.clear()
     try:
         return decompose(f, group)
     except Exception as exc:  # compared, not swallowed
         return type(exc), str(exc)
     finally:
-        generators._REDUCE_CACHE.clear()
+        ref.CACHE.clear()
 
 
 def reference(f, group):
-    return outcome(ref.decompose, f, group)
+    """The reference ``decompose``: orbit-sized reductions up to rank 3,
+    which cost up to 0.8 s per rank-4 key and 20 s per rank-5 one, then
+    reductions by presentation."""
+    reduce = ref.reduce_pattern_monomial if group.rank <= 3 else ref.reduce_by_presentation
+    return outcome(lambda f, group: ref.decompose(f, group, reduce), f, group)
 
 
 @settings(max_examples=150, deadline=None)
@@ -128,9 +133,9 @@ def test_times_tau_matches_reference_in_order(data):
 
 
 def keyed(m, group):
-    """The library's reduction of m's pattern orbit, entered at its orbit
-    key at the level of m."""
-    return generators._reduce_rows(orbit_rep(m, group)[0], level_of_monomial(m, group), group)
+    """The library's reduction of m's pattern orbit, in closed form from
+    its orbit key."""
+    return generators._reduce_pattern(orbit_rep(m, group)[0], group)
 
 
 def by_presentation(m, group):
@@ -139,28 +144,28 @@ def by_presentation(m, group):
 
 def reduction(reduce, m, group):
     """The result of ``reduce(m, group)``, or the class and message of its
-    exception, from a cleared cache, and the reduction cache it leaves."""
-    generators._REDUCE_CACHE.clear()
+    exception, from a cleared cache, and the reference cache it leaves."""
+    ref.CACHE.clear()
     try:
         result = reduce(m, group)
     except Exception as exc:  # compared, not swallowed
         result = type(exc), str(exc)
-    cache = dict(generators._REDUCE_CACHE)
-    generators._REDUCE_CACHE.clear()
+    cache = dict(ref.CACHE)
+    ref.CACHE.clear()
     return result, cache
 
 
 @settings(max_examples=250, deadline=None)
 @given(st.data())
 def test_keyed_reduction_matches_reference(data):
-    # The reduction on orbit keys against the earlier body, which re-derives
-    # every key from its presentation: the same result, and every entry the
-    # keyed reduction caches is the earlier body's result on that key.  The
-    # two need not cache the same keys.  Stored keys mix rows with their
-    # negatives (negated rows of signed keys, both even-SO parities), zero
-    # and repeated rows, GL rows whose nonzero entries are all negative (the
-    # zero row is then not the smallest) and SL keys shifted by a row;
-    # odd entries of even SO are half weights, which both refuse.
+    # The closed form on orbit keys against the recursion by presentations,
+    # which re-derives every key from its presentation: the same result,
+    # and the closed form's result on every key that recursion caches on
+    # the way.  Stored keys mix rows with their negatives (negated rows of
+    # signed keys, both even-SO parities), zero and repeated rows, GL rows
+    # whose nonzero entries are all negative (the zero row is then not the
+    # smallest) and SL keys shifted by a row; odd entries of even SO are
+    # half weights, which both refuse.
     family = data.draw(st.sampled_from(FAMILIES))
     group = GroupSpec(family, data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3)))
     row = st.tuples(*[st.integers(-2, 2)] * group.factors)
@@ -176,10 +181,49 @@ def test_keyed_reduction_matches_reference(data):
         shift = data.draw(row)
         m = [tuple(e + 2 * c for e, c in zip(r, shift)) for r in m]
     m = canonical_mod_relations(tuple(m), group)
-    fast, cache = reduction(keyed, m, group)
-    assert fast == reduction(by_presentation, m, group)[0]
+    want, cache = reduction(by_presentation, m, group)
+    assert reduction(keyed, m, group)[0] == want
     for (g, rows), ints in cache.items():
-        assert ints == reduction(by_presentation, rows, g)[0]
+        assert generators._reduce_pattern(rows, g) == ints
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_closed_form_matches_the_recursion(data):
+    # The closed form against the keyed recursion it replaced: the same
+    # result on the drawn key and on every key the recursion cached on the
+    # way there (each m_sub and each orbit of A), and up to rank 3 the
+    # orbit-sized reduction's result, with the Q term of even SO from the
+    # orbit-sized ``reduce_orbit``.  Rows come from a pool of up to three,
+    # with the zero row in it (half the even-SO draws have none, so both
+    # parities occur), are negated at random and SL keys are shifted.
+    family = data.draw(st.sampled_from(FAMILIES))
+    group = GroupSpec(family, data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3)))
+    row = st.tuples(*[st.integers(-2, 2)] * group.factors)
+    pool = data.draw(st.lists(row, min_size=1, max_size=3))
+    if not (family == "SOeven" and data.draw(st.booleans())):
+        pool.append((0,) * group.factors)
+    m = []
+    for _ in range(group.rank):
+        sign = 2 * data.draw(st.sampled_from((1, -1) if group.signed else (1,)))
+        m.append(tuple(sign * e for e in data.draw(st.sampled_from(pool))))
+    if family == "SL":
+        shift = data.draw(row)
+        m = [tuple(e + 2 * c for e, c in zip(r, shift)) for r in m]
+    m = canonical_mod_relations(tuple(m), group)
+    key = orbit_rep(m, group)
+    level = level_of_monomial(m, group)
+    want, cache = reduction(lambda m, group: ref.reduce_rows(key[0], level, group), m, group)
+    assert generators._reduce_pattern(key[0], group) == want
+    for (g, rows), ints in cache.items():
+        assert generators._reduce_pattern(rows, g) == ints
+    if group.rank <= 3:
+        assert reduction(lambda m, group: ref.reduce_pattern_monomial(m, group, level + 1), m, group)[0] == want
+        ref.CACHE.clear()
+        try:
+            assert generators._reduce_orbit(key, group) == ref.reduce_orbit(m, group)
+        finally:
+            ref.CACHE.clear()
 
 
 @settings(max_examples=150, deadline=None)
@@ -232,10 +276,9 @@ def test_orbit_reduction_from_the_key_matches_the_presentation(data):
         shift = data.draw(row)
         m = [tuple(e + 2 * c for e, c in zip(r, shift)) for r in m]
     m = canonical_mod_relations(tuple(m), group)
-    generators._REDUCE_CACHE.clear()
+    fast = generators._reduce_orbit(orbit_rep(m, group), group)
+    ref.CACHE.clear()
     try:
-        fast = generators._reduce_orbit(orbit_rep(m, group), group)
-        generators._REDUCE_CACHE.clear()
         assert fast == ref.reduce_orbit(m, group, ref.reduce_by_presentation)
     finally:
-        generators._REDUCE_CACHE.clear()
+        ref.CACHE.clear()

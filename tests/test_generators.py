@@ -1,10 +1,13 @@
+import gc
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import reference_decompose
 import reference_laurent as ref
 from toruschar.errors import (
     DomainError,
@@ -308,7 +311,6 @@ def test_reduction_builds_no_orbit(monkeypatch, family, rank, factors, rows):
 
     group = GroupSpec(family, rank, factors)
     (m,) = LaurentPoly.monomial(group, exponents(rows)).terms
-    generators._REDUCE_CACHE.clear()
     with monkeypatch.context() as patch:
         patch.setattr(weyl, "_images", built)
         patch.setattr(generators, "_images", built)
@@ -316,23 +318,20 @@ def test_reduction_builds_no_orbit(monkeypatch, family, rank, factors, rows):
     assert expand(reduced, group) == orbit_sum(m, group)
 
 
-def test_reduction_cache_holds_nonzero_ints():
-    generators._REDUCE_CACHE.clear()
-    try:
-        for family in FAMILIES:
-            group = GroupSpec(family, 3, 2)
-            (m,) = LaurentPoly.monomial(group, exponents([[2, 0], [4, -2], [2, 2]])).terms
-            assert expand(generators._reduce_orbit(orbit_rep(m, group), group), group) == orbit_sum(m, group)
-        assert generators._REDUCE_CACHE
-        for ints in generators._REDUCE_CACHE.values():
-            assert all(type(v) is int and v for v in ints.values())
-    finally:
-        generators._REDUCE_CACHE.clear()
+def test_reduction_returns_nonzero_ints():
+    for family in FAMILIES:
+        group = GroupSpec(family, 3, 2)
+        (m,) = LaurentPoly.monomial(group, exponents([[2, 0], [4, -2], [2, 2]])).terms
+        key = orbit_rep(m, group)
+        assert expand(generators._reduce_orbit(key, group), group) == orbit_sum(m, group)
+        ints = generators._reduce_pattern(key[0], group)
+        assert ints and all(type(v) is int and v for v in ints.values())
 
 
 @pytest.mark.parametrize("family", ["GL", "Sp", "SOodd", "SOeven"])
 def test_inexact_beta_quotient_is_an_internal_error(monkeypatch, family):
-    # On rank 1 the step for x^2 has beta = |P| = R(0), 1 for GL and 2
+    # The recursion the closed form replaced (``reference_decompose``): on
+    # rank 1 the step for x^2 has beta = |P| = R(0), 1 for GL and 2
     # otherwise, so the quotient is exact; doubled counts make it a half.
     real = generators._times_tau
 
@@ -343,10 +342,10 @@ def test_inexact_beta_quotient_is_an_internal_error(monkeypatch, family):
 
     monkeypatch.setattr(generators, "_times_tau", doubled)
     group = GroupSpec(family, 1, 1)
-    generators._REDUCE_CACHE.clear()
+    reference_decompose.CACHE.clear()
     with pytest.raises(InternalCheckError, match="reduction left a fraction"):
-        generators._reduce_rows(orbit_rep(exponents([[2]]), group)[0], 1, group)
-    assert not generators._REDUCE_CACHE
+        reference_decompose.reduce_rows(orbit_rep(exponents([[2]]), group)[0], 1, group)
+    assert not reference_decompose.CACHE
 
 
 def _steps_then(monkeypatch, change):
@@ -361,14 +360,15 @@ def _steps_then(monkeypatch, change):
 
 
 def test_reduction_guards_raise(monkeypatch):
-    # Each guard of the level reduction, at the top of a level-2 Sp key.
+    # Each guard of the recursion the closed form replaced
+    # (``reference_decompose.reduce_rows``), at the top of a level-2 Sp key.
     group = GroupSpec("Sp", 2, 1)
     m = exponents([[1], [2]])
 
     def reduce(m, group):
-        return generators._reduce_rows(orbit_rep(m, group)[0], level_of_monomial(m, group), group)
+        return reference_decompose.reduce_rows(orbit_rep(m, group)[0], level_of_monomial(m, group), group)
 
-    generators._REDUCE_CACHE.clear()
+    reference_decompose.CACHE.clear()
     with monkeypatch.context() as patch:  # no beta: m's orbit is missing
         _steps_then(patch, lambda out: out.pop((m, 0), None))
         with pytest.raises(InternalCheckError, match="reduction constant mismatch"):
@@ -382,7 +382,47 @@ def test_reduction_guards_raise(monkeypatch):
     # An SL key that is not canonical: zeroing its largest row leaves level 1.
     with pytest.raises(InternalCheckError, match="did not drop by one"):
         reduce(exponents([[1], [2]]), GroupSpec("SL", 2, 1))
-    assert not generators._REDUCE_CACHE
+    assert not reference_decompose.CACHE
+
+
+def test_decompose_retains_no_state():
+    # 300 decompose calls on distinct orbit sums (the five families at rank
+    # 4, N = 2, exponents in [-8, 8]) leave under 0.5 MB allocated once
+    # their inputs and results are dropped: the reduction keeps nothing
+    # between calls, and the caches that remain are small or bounded.
+    rng = random.Random(30)
+    groups = [GroupSpec(family, 4, 2) for family in FAMILIES]
+    cases: dict = {}
+    while len(cases) < 300:
+        group = groups[len(cases) % len(groups)]
+        rows = [[rng.randint(-8, 8) for _ in range(2)] for _ in range(4)]
+        (m,) = LaurentPoly.monomial(group, exponents(rows)).terms
+        cases.setdefault((group, orbit_rep(m, group)), m)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for (group, _), m in cases.items():
+            f = orbit_sum(m, group)
+            assert decompose(f, group)
+        del f
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 500_000, f"{retained} bytes retained"
+
+
+@pytest.mark.parametrize(
+    "family, rows",
+    [("GL", [[1]] * 20), ("Sp", [[1]] * 5 + [[2]] * 5)],
+)
+def test_repeated_rows_decompose_and_round_trip(family, rows):
+    # Equal rows share the states of the closed form, so rank 10 and 20
+    # reduce in a few hundredths of a second.
+    group = GroupSpec(family, len(rows), 1)
+    f = orbit_sum(exponents(rows), group)
+    assert expand(decompose(f, group), group) == f
 
 
 def test_step_constants_cache_is_bounded():

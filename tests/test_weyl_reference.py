@@ -110,10 +110,10 @@ def counted(counts, group):
 @settings(max_examples=150, deadline=None)
 @given(monomials(integer_weights=True))
 def test_lower_terms_match_enumeration(case):
-    """One reduction step: m_sub is m less its largest row alpha, as in
-    ``_reduce_rows``.  The orbits one level above m_sub are the
-    enumerated top, m's orbit alone; the rest are the enumerated lower part
-    (with P(m_sub) once more for the constant 1 of odd SO)."""
+    """One step of the recursion ``reference_decompose.reduce_rows``: m_sub
+    is m less its largest row alpha.  The orbits one level above m_sub are
+    the enumerated top, m's orbit alone; the rest are the enumerated lower
+    part (with P(m_sub) once more for the constant 1 of odd SO)."""
     group, raw = case
     (m,) = LaurentPoly.monomial(group, raw).terms
     level = level_of_monomial(m, group)
@@ -145,16 +145,15 @@ def test_step_product_splits_the_packed_product(case, data):
 def test_reduction_matches_orbit_sum_and_reference(case):
     group, raw = case
     (m,) = LaurentPoly.monomial(group, raw).terms  # decompose peels canonical keys
-    generators._REDUCE_CACHE.clear()
+    key = orbit_rep(m, group)
+    assert expand(generators._reduce_orbit(key, group), group) == orbit_sum(m, group)
+    fast = generators._reduce_pattern(key[0], group)
+    reference_decompose.CACHE.clear()
     try:
-        key = orbit_rep(m, group)
-        assert expand(generators._reduce_orbit(key, group), group) == orbit_sum(m, group)
         level = level_of_monomial(m, group)
-        fast = generators._reduce_rows(key[0], level, group)
-        generators._REDUCE_CACHE.clear()
         assert reference_decompose.reduce_pattern_monomial(m, group, level + 1) == fast
     finally:
-        generators._REDUCE_CACHE.clear()
+        reference_decompose.CACHE.clear()
 
 
 @st.composite
