@@ -253,16 +253,17 @@ def expand(p: GeneratorPoly, group: GroupSpec) -> LaurentPoly:
     ``orbit_coefficients`` writes p as a sum of c * S(m) over Weyl orbit
     keys, and S(m) is the orbit of the key (``_images``, as ``orbit_sum``
     builds it, without validating a key that is already canonical), each
-    monomial with the int stabiliser order |W|/|orbit|:
-    all get c times it, one product per orbit.  Orbits are disjoint, so
-    no monomial gets two contributions.  An orbit above WEYL_CAP monomials
+    monomial with the int stabiliser order |W|/|orbit|: ``_images`` gives
+    the size first, then streams the orbit, and all its monomials get c
+    times |W|/size, one product per orbit.  Orbits are disjoint, so no
+    monomial gets two contributions.  An orbit above WEYL_CAP monomials
     raises ResourceLimitError before it is built.
     """
     terms: dict = {}
     order, even = group.weyl_order, group.family == "SOeven"
     for key, c in orbit_coefficients(p, group).items():
-        images = _images(key, group, even, WEYL_CAP)
-        terms.update(dict.fromkeys(images, c * (order // len(images))))
+        size, images = _images(key, group, even, WEYL_CAP)
+        terms.update(dict.fromkeys(images, c * (order // size)))
     return LaurentPoly._trusted(group, terms)
 
 
@@ -293,11 +294,17 @@ def q_image(group: GroupSpec, alphas) -> LaurentPoly:
 def _step_constants(alpha: tuple[int, ...], family: str) -> tuple:
     """``_times_tau``'s constants for tau(alpha) in ``family``: the zero
     row, the shifts (alpha as a stored row, and its negative in the signed
-    families) and the flags signed, SL, even SO and odd SO."""
+    families), the flags signed, SL, even SO and odd SO, and the shift of a
+    zero row in the signed families: alpha's row sign-normalised, and 1 if
+    normalising it negated it, else 0."""
     row = tuple(2 * a for a in alpha)
     signed = family not in ("GL", "SL")
     shifts = (row, tuple(-e for e in row)) if signed else (row,)
-    return (0,) * len(row), shifts, signed, family == "SL", family == "SOeven", family == "SOodd"
+    lifted, sign = _normalize_vector(row)
+    return (
+        (0,) * len(row), shifts, signed, family == "SL", family == "SOeven", family == "SOodd",
+        lifted, int(sign < 0),
+    )
 
 
 def _times_tau(terms: dict, alpha: tuple[int, ...], group: GroupSpec, factor: int, out: dict) -> None:
@@ -315,9 +322,12 @@ def _times_tau(terms: dict, alpha: tuple[int, ...], group: GroupSpec, factor: in
     canonicalised, which keeps the order.  For even SO, normalising
     r + s flips the parity exactly when it negates the row, and the parity
     is 0 whenever a row is zero (zero rows sort first).  So every key put
-    in ``out`` is an orbit key in canonical form.
+    in ``out`` is an orbit key in canonical form.  In the signed families
+    both shifts of a zero row give one row, alpha's sign-normalised, so the
+    block of zero rows is stepped once, with weight 2 * mu; only for even
+    SO, when it was the last zero row, the two shifts give both parities.
     """
-    zero, shifts, signed, sl, even, odd = _step_constants(alpha, group.family)
+    zero, shifts, signed, sl, even, odd, lifted, lifted_flip = _step_constants(alpha, group.family)
     get = out.get
     for key, c in terms.items():
         c *= factor
@@ -326,6 +336,17 @@ def _times_tau(terms: dict, alpha: tuple[int, ...], group: GroupSpec, factor: in
         rows, parity = key
         n = len(rows)
         k = 0
+        if signed and rows[0] == zero:  # the zero rows, first; the parity is 0
+            k = rows.count(zero)
+            rest = rows[1:]
+            i = bisect_right(rest, lifted)
+            new = rest[:i] + (lifted,) + rest[i:]
+            if even and new[0] != zero:  # the last zero row: the shifts differ in parity
+                for new_key in ((new, lifted_flip), (new, lifted_flip ^ 1)):
+                    out[new_key] = get(new_key, 0) + c
+            else:
+                new_key = (new, 0)
+                out[new_key] = get(new_key, 0) + 2 * c * k
         while k < n:
             r = rows[k]
             mu = 1
@@ -363,8 +384,8 @@ def _times_q(terms: dict, alphas: tuple, group: GroupSpec, factor: int, out: dic
     order = group.weyl_order
     get = out.get
     for key, c in terms.items():
-        images = _images(key, group, True, WEYL_CAP)
-        c *= factor * (order // len(images))
+        size, images = _images(key, group, True, WEYL_CAP)
+        c *= factor * (order // size)
         for x in images:
             for shift, sign in shifts:
                 k = orbit_rep(tuple(tuple(map(add, r, s)) for r, s in zip(x, shift)), group)
@@ -575,10 +596,11 @@ def _peel(f: LaurentPoly, group: GroupSpec) -> tuple[GeneratorPoly, dict]:
 
     An orbit sum gives all monomials of an orbit one coefficient, its
     stabiliser order |W|/|orbit|, so each step pops the images of the
-    orbit key of any stored key m left (``weyl._images``), which must be
-    there in full with m's coefficient, else an InternalCheckError is
-    raised before any reduction.  Orbits are disjoint, so their order is
-    free, and emptying ``f`` proves it invariant.
+    orbit key of any stored key m left, as ``weyl._images`` streams them
+    after giving their number; each must be there with m's coefficient,
+    else an InternalCheckError is raised before any reduction.  Orbits are
+    disjoint, so their order is free, and emptying ``f`` proves it
+    invariant.
     """
     work = dict(f.terms)
     order, even = group.weyl_order, group.family == "SOeven"
@@ -587,11 +609,11 @@ def _peel(f: LaurentPoly, group: GroupSpec) -> tuple[GeneratorPoly, dict]:
     while work:
         m, c = next(iter(work.items()))
         key = orbit_rep(m, group)
-        images = _images(key, group, even, WEYL_CAP)
+        size, images = _images(key, group, even, WEYL_CAP)
         for k in images:
             if (v := pop(k, None)) is not c and v != c:  # an orbit mostly shares one c
                 raise InternalCheckError("orbit peeling left terms it could not cancel")
-        parts[key] = c / (order // len(images))
+        parts[key] = c / (order // size)
     result: dict = {}
     for key, coeff in parts.items():
         for k, v in _reduce_orbit(key, group).terms.items():

@@ -19,12 +19,15 @@ monomial).  With no zero row no odd element fixes the monomial, and the
 orbit is half of the full one: the sign patterns whose number of flips has
 the parity of the input's (an input with rows r, -r has one flip).
 ``_images`` takes an orbit by its key (``orbit_rep``), never by a
-monomial, and lists it by the arrangements of the key's rows, in
-lexicographic order, and for each by ``itertools.product`` over the
-choices of its rows: (row, -row) for a nonzero row of a signed family,
-the row alone otherwise.  For even SO with no zero row the product runs
-over the first n - 1 rows, and the last row is negated exactly when the
-number of flips before it differs in parity from the input's.
+monomial.  It returns the orbit size first, checked against the cap, and
+then streams the orbit, never held as a list: the arrangements of the
+key's rows, in lexicographic order, and for each, in a signed family,
+``itertools.product`` over the choices of its rows: (row, -row) for a
+nonzero row, the row alone for a zero row.  In an unsigned family, or
+with no nonzero row, the arrangements are the orbit.  For even SO with
+no zero row the product runs over the first n - 1 rows, and the last row
+is negated exactly when the number of flips before it differs in parity
+from the input's.
 Each orbit monomial carries the coefficient |G|/|orbit|, its stabiliser
 order, so the result is the sum of w . m over every element w of G.
 ``orbit_rep`` names an orbit by these same data: the sorted rows up to
@@ -37,6 +40,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from operator import add
 from typing import Iterator, Optional
 
@@ -181,18 +185,17 @@ def act(w: SignedPerm, f: LaurentPoly) -> LaurentPoly:
 
 def _images(
     key: tuple[ExponentMatrix, int], group: GroupSpec, even_flips: bool, cap: int
-) -> list[ExponentMatrix]:
-    """The distinct images, under row permutations and, if ``group`` is
-    signed, sign changes of rows (even numbers of flips when
-    ``even_flips``), of the orbit with key ``(rows, parity)`` from
-    ``orbit_rep``, in the order of the module docstring.
+) -> tuple[int, Iterator[ExponentMatrix]]:
+    """``(size, images)``: the number of distinct images, under row
+    permutations and, if ``group`` is signed, sign changes of rows (even
+    numbers of flips when ``even_flips``), of the orbit with key ``(rows,
+    parity)`` from ``orbit_rep``, and an iterator over them in the order of
+    the module docstring.
 
-    The orbit size is checked against ``cap`` before anything is built.
+    The size is checked against ``cap`` before any iterator exists.
     """
     base, parity = key
     n = len(base)
-    if not any(map(any, base)):  # the zero matrix is its own orbit
-        return [base]
     nonzero = sum(1 for row in base if any(row)) if group.signed else 0
     if not (even_flips and nonzero == n):
         parity = None
@@ -203,31 +206,38 @@ def _images(
         size >>= 1
     if size > cap:
         raise ResourceLimitError(f"orbit of {size} monomials exceeds cap {cap}")
-    # Each row's choices, in the order (row, -row); a zero row, or any row
-    # of an unsigned family, has one.
-    choices = {
-        row: (row, tuple(-e for e in row)) if nonzero and any(row) else (row,)
-        for row in base
-    }
-    out: list = []
+    if not nonzero:  # each row has one choice: the arrangements are the images
+        return size, _arrangements(base)
+    # Each row's choices, in the order (row, -row); a zero row has one.
+    choices = {row: (row, tuple(-e for e in row)) if any(row) else (row,) for row in base}
+    get = choices.__getitem__
     if parity is None:
-        for arr in _arrangements(base):
-            out.extend(itertools.product(*map(choices.__getitem__, arr)))
-        return out
+        return size, itertools.chain.from_iterable(
+            itertools.starmap(itertools.product, map(partial(map, get), _arrangements(base)))
+        )
     # Even flips, no zero row: the last row's sign is fixed by the parity
     # of the flips before it.  Over the prefixes in product order those
     # parities are the bit parities of 0, 1, ..., 2^(n-1) - 1.
     bits = [k.bit_count() & 1 for k in range(1 << (n - 1))]
     tails = {row: [(pair[b ^ parity],) for b in bits] for row, pair in choices.items()}
-    for arr in _arrangements(base):
-        out.extend(map(add, itertools.product(*map(choices.__getitem__, arr[:-1])), tails[arr[-1]]))
-    return out
+    return size, itertools.chain.from_iterable(
+        map(add, itertools.product(*map(get, arr[:-1])), tails[arr[-1]])
+        for arr in _arrangements(base)
+    )
 
 
 def _arrangements(rows: list) -> Iterator[ExponentMatrix]:
-    """The distinct orderings of ``rows``, each once, in lexicographic
-    order (the next-permutation step on a sorted list)."""
+    """An iterator over the distinct orderings of ``rows``, each once, in
+    lexicographic order: ``itertools.permutations`` of the sorted rows
+    when they are pairwise distinct, else the next-permutation step."""
     a = sorted(rows)
+    if len(set(a)) == len(a):
+        return itertools.permutations(a)
+    return _next_permutations(a)
+
+
+def _next_permutations(a: list) -> Iterator[ExponentMatrix]:
+    """The orderings of the sorted list ``a``, which it steps in place."""
     n = len(a)
     while True:
         yield tuple(a)
@@ -274,10 +284,11 @@ def _orbit_sum(
     m: ExponentMatrix, group: GroupSpec, order: int, even_flips: bool, cap: int
 ) -> LaurentPoly:
     """Sum of w . m over a group of ``order`` elements, built as the orbit
-    with the stabiliser order |G|/|orbit| on every monomial."""
+    with the stabiliser order |G|/|orbit| on every monomial: the size from
+    ``_images`` gives the coefficient, and its stream fills the dict."""
     (key,) = LaurentPoly(group, {m: ONE}).terms  # validates + canonicalizes the key
-    images = _images(orbit_rep(key, group), group, even_flips, cap)
-    coeff = GaussRat(order // len(images))
+    size, images = _images(orbit_rep(key, group), group, even_flips, cap)
+    coeff = GaussRat(order // size)
     # Permuting the rows of a canonical SL key leaves it canonical: the
     # shift that canonicalises a key depends only on its multiset of rows.
     return LaurentPoly._trusted(group, dict.fromkeys(images, coeff))

@@ -12,6 +12,7 @@ presentations of a pattern orbit."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_decompose as ref
@@ -130,6 +131,39 @@ def test_times_tau_matches_reference_in_order(data):
     generators._times_tau(terms, alpha, group, factor, got)
     ref.times_tau(terms, alpha, group, factor, want)
     assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize(
+    "family, keys, alpha",
+    [
+        ("SOeven", [[[0]]], (0,)),  # tau(0) on SOeven(1)
+        ("SOeven", [[[0], [0]]], (0,)),
+        ("SOeven", [[[0], [1]]], (0,)),
+        ("SOeven", [[[0], [1], [2]]], (1,)),  # one zero row: both parities
+        ("SOeven", [[[0], [0], [1]]], (1,)),  # two zero rows: one step
+        ("SOeven", [[[0, 0], [1, 0]]], (-1, 2)),  # alpha's first entry negative
+        ("SOeven", [[[0, 0], [0, 0], [1, 0]]], (0, -1)),
+        # A key after one whose nonzero rows were stepped.
+        ("SOeven", [[[0], [0], [1]], [[0], [1], [1]]], (-1,)),
+        ("Sp", [[[0], [1], [2]]], (1,)),
+        ("Sp", [[[0, 0], [0, 0], [1, 1]]], (-1, 1)),
+        ("SOodd", [[[0], [1]]], (1,)),  # the constant term comes first
+        ("SOodd", [[[0], [0], [2]], [[0], [1], [2]]], (-2,)),
+    ],
+)
+def test_times_tau_steps_a_zero_row_block_as_the_reference(family, keys, alpha):
+    # The block of zero rows is stepped once: the same dict in the same
+    # insertion order as the reference, which shifts it by +alpha and
+    # -alpha, into an empty ``out`` and into one holding each key already.
+    group = GroupSpec(family, len(keys[0]), len(alpha))
+    terms = {orbit_rep(exponents(rows), group): 3 - k for k, rows in enumerate(keys)}
+    want = {}
+    ref.times_tau(terms, alpha, group, -2, want)
+    for seed in ({}, {k: 5 for k in reversed(want)}):
+        got, expected = dict(seed), dict(seed)
+        generators._times_tau(terms, alpha, group, -2, got)
+        ref.times_tau(terms, alpha, group, -2, expected)
+        assert list(got.items()) == list(expected.items())
 
 
 def keyed(m, group):

@@ -484,6 +484,36 @@ def test_non_invariant_input_beyond_the_orbit_cap_hits_the_cap():
         decompose(f, g)
 
 
+def test_images_refuses_an_orbit_over_the_cap_at_the_call(monkeypatch):
+    # The size is checked before any iterator exists: no arrangement of
+    # the rows is asked for.
+    def arranged(rows):
+        raise AssertionError("an orbit over the cap was built")
+
+    monkeypatch.setattr(weyl, "_arrangements", arranged)
+    g = GroupSpec("Sp", 9, 1)
+    key = orbit_rep(exponents([[k] for k in range(1, 10)]), g)
+    with pytest.raises(ResourceLimitError, match="orbit of 185794560 monomials exceeds cap"):
+        weyl._images(key, g, False, weyl.WEYL_CAP)
+
+
+def test_expand_refuses_an_orbit_over_the_cap_before_building_it(monkeypatch):
+    # tau(1) + tau(1) tau(2) tau(3) on Sp(3): of its orbits only the top
+    # one, rows (1), (2), (3) with 48 monomials, is over a cap of 47.
+    # Orbits under the cap are built; the top one is refused unbuilt.
+    g = GroupSpec("Sp", 3, 1)
+    t1, t2, t3 = (tau_symbol(g, (a,)) for a in (1, 2, 3))
+    p = GeneratorPoly({(t1,): 1, (t1, t2, t3): 1})
+    built = []
+    real = weyl._arrangements
+    monkeypatch.setattr(weyl, "_arrangements", lambda rows: built.append(rows) or real(rows))
+    monkeypatch.setattr(generators, "WEYL_CAP", 47)
+    with pytest.raises(ResourceLimitError, match="orbit of 48 monomials exceeds cap 47"):
+        expand(p, g)
+    top = orbit_rep(exponents([[1], [2], [3]]), g)[0]
+    assert built and top not in built
+
+
 def test_generator_poly_constructor_coerces_and_sorts():
     sp2 = GroupSpec("Sp", 2, 1)
     t1, t2 = tau_symbol(sp2, (1,)), tau_symbol(sp2, (2,))

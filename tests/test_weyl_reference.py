@@ -1,7 +1,10 @@
 """The orbit-sized Weyl sums, the orbit images, the counted
 level-reduction step and the Q image against the references in
-``reference_weyl``, and the level reduction against the orbit-sized body
-in ``reference_decompose``."""
+``reference_weyl``, the arrangements against the sorted distinct
+permutations, and the level reduction against the orbit-sized body in
+``reference_decompose`` (the body by presentation from rank 4 on)."""
+
+import itertools
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -65,7 +68,22 @@ def test_images_match_the_flip_loop_in_order(case, even_flips):
     group, raw = case
     (m,) = LaurentPoly.monomial(group, raw).terms  # orbits are built on stored keys
     cap = weyl.WEYL_CAP
-    assert weyl._images(orbit_rep(m, group), group, even_flips, cap) == ref.images(m, group, even_flips, cap)
+    size, images = weyl._images(orbit_rep(m, group), group, even_flips, cap)
+    images = list(images)
+    assert size == len(images)
+    assert images == ref.images(m, group, even_flips, cap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_arrangements_are_the_sorted_distinct_permutations(data):
+    # Rows from a small pool with the zero row in it: all distinct (the
+    # ``itertools.permutations`` path), equal rows and several zero rows.
+    factors = data.draw(st.integers(1, 2))
+    row = st.tuples(*[st.integers(-2, 2)] * factors)
+    pool = [(0,) * factors] + data.draw(st.lists(row, min_size=1, max_size=6))
+    rows = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    assert list(weyl._arrangements(rows)) == sorted(set(itertools.permutations(rows)))
 
 
 def test_soeven_sign_pair_and_zero_row():
@@ -148,10 +166,15 @@ def test_reduction_matches_orbit_sum_and_reference(case):
     key = orbit_rep(m, group)
     assert expand(generators._reduce_orbit(key, group), group) == orbit_sum(m, group)
     fast = generators._reduce_pattern(key[0], group)
+    # The orbit-sized body costs up to 0.8 s per rank-4 key: count by
+    # presentation from rank 4 on, as the reference ``decompose`` does.
+    reduce = reference_decompose.reduce_by_presentation
+    if group.rank <= 3:
+        reduce = reference_decompose.reduce_pattern_monomial
     reference_decompose.CACHE.clear()
     try:
         level = level_of_monomial(m, group)
-        assert reference_decompose.reduce_pattern_monomial(m, group, level + 1) == fast
+        assert reduce(m, group, level + 1) == fast
     finally:
         reference_decompose.CACHE.clear()
 
