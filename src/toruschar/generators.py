@@ -26,16 +26,19 @@ for GL and SL).  The level recursion used before, tau(alpha) * P(m_sub) =
 beta * P(m) + A with m_sub one level down, is this sum unrolled.  R(m)
 has int coefficients; ``_reduce_orbit`` makes GaussRats of them.
 
-A generator polynomial is multiplied out by one walk over its sorted
-terms, ``orbit_coefficients``, in the basis of Weyl orbit sums S(m) (a
-basis of the invariants: Bourbaki, Lie Groups and Lie Algebras, VI.3):
-each tau factor is one ``_times_tau`` call and each Q factor one
-``_times_q`` call.  ``decompose`` checks its result in that basis, with
-code the reduction does not share, and ``expand`` writes each S(m) out as
-the orbit of its key (``weyl._images``).  The Laurent image of a
-generator, ``tau_image`` or ``q_image``, is ``expand`` of its one symbol,
-so ``_times_tau`` and ``_times_q`` are the only definitions of the
-generators.
+A generator polynomial is multiplied out in Horner form over the prefix
+trie of its terms, ``orbit_coefficients``, in the basis of Weyl orbit
+sums S(m) (a basis of the invariants: Bourbaki, Lie Groups and Lie
+Algebras, VI.3): each trie node is one ``_times_tau`` or ``_times_q``
+call, by its last symbol.  The coefficients, Gaussian integers over one
+common denominator, are packed as A + B * 2^K into one int (Kronecker
+substitution; Harvey, J. Symb. Comput. 44, 2009), so the real and
+imaginary parts take the same steps.  ``decompose`` checks its result in
+that basis, with code the reduction does not share, and ``expand``
+writes each S(m) out as the orbit of its key (``weyl._images``).  The
+Laurent image of a generator, ``tau_image`` or ``q_image``, is
+``expand`` of its one symbol, so ``_times_tau`` and ``_times_q`` are the
+only definitions of the generators.
 
 A note on the Q image: the alternating sum
 
@@ -54,7 +57,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, product
+from itertools import groupby, product, repeat
 from math import comb, factorial, lcm, prod
 from operator import add, index, le, sub
 from typing import Mapping, Optional
@@ -254,16 +257,16 @@ def expand(p: GeneratorPoly, group: GroupSpec) -> LaurentPoly:
     keys, and S(m) is the orbit of the key (``_images``, as ``orbit_sum``
     builds it, without validating a key that is already canonical), each
     monomial with the int stabiliser order |W|/|orbit|: ``_images`` gives
-    the size first, then streams the orbit, and all its monomials get c
-    times |W|/size, one product per orbit.  Orbits are disjoint, so no
-    monomial gets two contributions.  An orbit above WEYL_CAP monomials
-    raises ResourceLimitError before it is built.
+    the size first, then streams the orbit straight into the result, and
+    all its monomials get c times |W|/size, one product per orbit.  Orbits
+    are disjoint, so no monomial gets two contributions.  An orbit above
+    WEYL_CAP monomials raises ResourceLimitError before it is built.
     """
     terms: dict = {}
     order, even = group.weyl_order, group.family == "SOeven"
     for key, c in orbit_coefficients(p, group).items():
         size, images = _images(key, group, even, WEYL_CAP)
-        terms.update(dict.fromkeys(images, c * (order // size)))
+        terms.update(zip(images, repeat(c * (order // size))))
     return LaurentPoly._trusted(group, terms)
 
 
@@ -399,59 +402,68 @@ def orbit_coefficients(p: GeneratorPoly, group: GroupSpec) -> dict:
     zero.  No Laurent image is built.
 
     An int map ``{orbit key of x: c}`` stands for the sum of c * S(x) / |W|,
-    so the seed {key of 0: 1} is the constant 1.  Each tau factor is one
-    ``_times_tau`` step and each Q one ``_times_q`` step, Q's unit i^n
-    kept apart as a power of i.  Terms are walked in sorted order, so terms
-    sharing a prefix of symbols are adjacent: the chain of prefix products
-    of the previous term is kept (their unit powers add mod 4) and only
-    the factors past the shared prefix are applied.  With L the lcm of the
-    term denominators, each term coefficient times its i^k becomes the
-    Gaussian integer A + Bi = L * coeff * i^k, and the last factor is one
-    step into two int dicts of the whole sum, re and im: times A into re
-    (or B into im) when the other part is 0, else times 1 into a scratch
-    dict that is added A times into re and B times into im.  Each result
-    key gets one GaussRat (re + im*i) / (L * |W|).
+    so the seed {key of 0: 1} is the constant 1.  p is multiplied out in
+    Horner form over the prefix trie of its keys: a node's map is its own
+    coefficient times the seed plus, for each child, one ``_times_tau`` or
+    ``_times_q`` step of the child's map by the child's symbol, and a leaf
+    child is one step from the seed with its coefficient as the factor.
+    So each node is stepped once, the walk keeps an explicit stack, and no
+    term order is needed.  With L the lcm of the term denominators, a
+    term's coefficient is the Gaussian integer A + Bi = L * coeff * i^k,
+    i^k the product of the units i^n of its Q factors (``_times_q`` steps
+    by i^-n * Q), packed into one int A + B * 2^K.  The steps are Z-linear,
+    so every map holds its real and imaginary maps packed alike, and K
+    leaves room for any real part: a step grows the sum of |c| over a map
+    at most by w = 2n + 1 (tau: n rows, two shifts, odd SO's S(x)) or
+    2|W| (Q), so |A| of any key is at most the sum over the terms of
+    (|A| + |B|) times the product of w over the factors, and K is one bit
+    past it.  Each result key is unpacked once and gets one GaussRat
+    (A + Bi) / (L * |W|).
     """
-    order = group.weyl_order
-    seed = {orbit_rep(zero_exponents(group), group): 1}
-    units = {"tau": 0, "q": group.rank}
+    order, rank = group.weyl_order, group.rank
+    seed_key = orbit_rep(zero_exponents(group), group)
+    seed = {seed_key: 1}
     steps = {"tau": _times_tau, "q": _times_q}
+    widths = {"tau": 2 * rank + 1, "q": 2 * order}
     denom = lcm(*(c._d for c in p.terms.values()))
-    chain = [(0, seed)]  # chain[d]: (unit power, ints) of the first d symbols of ``prev``
-    prev: tuple = ()
-    re, im = {}, {}
-    for key, coeff in p.sorted_terms():
-        head = key[:-1]
-        shared = 0
-        while shared < min(len(head), len(prev)) and head[shared] == prev[shared]:
-            shared += 1
-        del chain[shared + 1:]
-        for kind, payload in head[shared:]:
-            terms: dict = {}
-            steps[kind](chain[-1][1], payload, group, 1, terms)
-            chain.append(((chain[-1][0] + units[kind]) % 4, {k: c for k, c in terms.items() if c}))
-        prev = head
-        prefix_unit, prefix = chain[-1]
+    root: list = [0, {}]  # a trie node: [packed coefficient, {symbol: child}]
+    ends, bound = [], 0
+    for key, coeff in p.terms.items():
+        node, units, width = root, 0, 1
+        for sym in key:
+            node = node[1].get(sym) or node[1].setdefault(sym, [0, {}])
+            width *= widths[sym[0]]
+            if sym[0] == "q":
+                units += rank
         scale = denom // coeff._d
         a, b = coeff._a * scale, coeff._b * scale
-        if not key:  # the constant term, first in sorted order
-            re.update(sparse.scale(seed, a))
-            im.update(sparse.scale(seed, b))
-            continue
-        kind, payload = key[-1]
-        for _ in range((prefix_unit + units[kind]) % 4):
+        for _ in range(units % 4):
             a, b = -b, a
-        if a and b:
-            last: dict = {}
-            steps[kind](prefix, payload, group, 1, last)
-            get_re, get_im = re.get, im.get
-            for k, c in last.items():
-                re[k] = get_re(k, 0) + a * c
-                im[k] = get_im(k, 0) + b * c
-        elif a or b:
-            steps[kind](prefix, payload, group, a or b, re if a else im)
-    denom *= order
-    return {k: v for k in re | im if (v := _reduced(re.get(k, 0), im.get(k, 0), denom))}
+        bound += (abs(a) + abs(b)) * width
+        ends.append((node, a, b))
+    shift = bound.bit_length() + 1
+    for node, a, b in ends:
+        node[0] = a + (b << shift)
+    top = {seed_key: root[0]} if root[0] else {}
+    stack = [(None, iter(root[1].items()), top)]  # (symbol, children left, map)
+    while stack:
+        sym, children, acc = stack[-1]
+        for child, (value, grand) in children:
+            if grand:
+                stack.append((child, iter(grand.items()), {seed_key: value} if value else {}))
+                break
+            steps[child[0]](seed, child[1], group, value, acc)
+        else:
+            stack.pop()
+            if stack:
+                steps[sym[0]]({k: c for k, c in acc.items() if c}, sym[1], group, 1, stack[-1][2])
+    half, denom = 1 << (shift - 1), denom * order
+    out = {}
+    for key, v in top.items():
+        if v:  # A + Bi = 0 exactly when the packed int is 0
+            b = (v + half) >> shift
+            out[key] = _reduced(v - (b << shift), b, denom)
+    return out
 
 
 # ---------------------------------------------------------------------------

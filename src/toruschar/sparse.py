@@ -10,9 +10,8 @@ treat keys as opaque: ``mul`` takes a ``combine`` function that returns the
 key of the product of two keys (``LaurentPoly`` canonicalizes its SL
 keys afterwards).  They use only ``+``, ``*``, unary ``-`` and truth of
 the coefficients, so the same functions also run on plain int
-coefficients, as ``scale`` does on the int orbit maps of
-``generators.orbit_coefficients``.  ``mul`` inlines the ``add_term``
-step, so each term pair costs one dict lookup and no extra Python call.
+coefficients.  ``mul`` inlines the ``add_term`` step, so each term pair
+costs one dict lookup and no extra Python call.
 
 ``SparsePoly`` is the shell all three polynomial classes share: the ring
 operations, equality, ``len``, ``sorted_terms`` and ``str``.  The float

@@ -47,10 +47,17 @@ orbit key)``; a test clears it to have every level computed again.
 
 ``times_tau`` is the earlier body of ``generators._times_tau``, kept as
 the oracle for its sign test and key insertion.
+
+``orbit_coefficients`` is the earlier body of
+``generators.orbit_coefficients``, kept as the oracle for its trie walk:
+the terms in sorted order, the chain of prefix products of the previous
+term (each with its unit power of i), and two int accumulators for the
+real and imaginary parts, into which each term makes its last step.
 """
 
 from bisect import bisect_right, insort
 from fractions import Fraction
+from math import lcm
 from operator import add
 
 import reference_weyl
@@ -58,8 +65,8 @@ from toruschar import generators, sparse
 from toruschar.errors import DomainError, InternalCheckError, UnsupportedInputError
 from toruschar.generators import GeneratorPoly, expand, q_symbol, tau_symbol
 from toruschar.groups import GroupSpec
-from toruschar.laurent import canonical_mod_relations
-from toruschar.scalars import GaussRat, I, ONE
+from toruschar.laurent import canonical_mod_relations, zero_exponents
+from toruschar.scalars import GaussRat, I, ONE, _reduced
 from toruschar.weyl import (
     invariance_violation,
     level_of_monomial,
@@ -312,3 +319,48 @@ def times_tau(terms, alpha, group, factor, out):
                     new = canonical_mod_relations(new, group)
                 new_key = (new, parity ^ flip if any(new[0]) else 0) if even else (new, 0)
                 out[new_key] = get(new_key, 0) + cm
+
+
+def orbit_coefficients(p, group):
+    """``{orbit key: coefficient}`` of ``p`` in the Weyl orbit sums, by the
+    prefix chain over the sorted terms (see the module docstring)."""
+    order = group.weyl_order
+    seed = {orbit_rep(zero_exponents(group), group): 1}
+    units = {"tau": 0, "q": group.rank}
+    steps = {"tau": generators._times_tau, "q": generators._times_q}
+    denom = lcm(*(c._d for c in p.terms.values()))
+    chain = [(0, seed)]  # chain[d]: (unit power, ints) of the first d symbols of ``prev``
+    prev = ()
+    re, im = {}, {}
+    for key, coeff in p.sorted_terms():
+        head = key[:-1]
+        shared = 0
+        while shared < min(len(head), len(prev)) and head[shared] == prev[shared]:
+            shared += 1
+        del chain[shared + 1:]
+        for kind, payload in head[shared:]:
+            terms = {}
+            steps[kind](chain[-1][1], payload, group, 1, terms)
+            chain.append(((chain[-1][0] + units[kind]) % 4, {k: c for k, c in terms.items() if c}))
+        prev = head
+        prefix_unit, prefix = chain[-1]
+        scale = denom // coeff._d
+        a, b = coeff._a * scale, coeff._b * scale
+        if not key:  # the constant term, first in sorted order
+            re.update(sparse.scale(seed, a))
+            im.update(sparse.scale(seed, b))
+            continue
+        kind, payload = key[-1]
+        for _ in range((prefix_unit + units[kind]) % 4):
+            a, b = -b, a
+        if a and b:
+            last = {}
+            steps[kind](prefix, payload, group, 1, last)
+            get_re, get_im = re.get, im.get
+            for k, c in last.items():
+                re[k] = get_re(k, 0) + a * c
+                im[k] = get_im(k, 0) + b * c
+        elif a or b:
+            steps[kind](prefix, payload, group, a or b, re if a else im)
+    denom *= order
+    return {k: v for k in re | im if (v := _reduced(re.get(k, 0), im.get(k, 0), denom))}

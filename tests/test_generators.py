@@ -413,6 +413,24 @@ def test_decompose_retains_no_state():
     assert retained < 500_000, f"{retained} bytes retained"
 
 
+def test_expand_streams_each_orbit_into_the_result():
+    # One 3840-monomial orbit of Sp(5): streaming it into the result
+    # peaks at the result itself (ratio 1.00); building the orbit as a
+    # dict first and copying it peaked at 1.46 times the result.
+    group = GroupSpec("Sp", 5, 1)
+    f = orbit_sum(exponents([[k] for k in range(1, 6)]), group)
+    p = decompose(f, group)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = expand(p, group)
+        kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 3840
+    assert peak < 1.2 * kept, f"peak {peak} bytes for a {kept}-byte result"
+
+
 @pytest.mark.parametrize(
     "family, rows",
     [("GL", [[1]] * 20), ("Sp", [[1]] * 5 + [[2]] * 5)],

@@ -184,8 +184,9 @@ def test_expand_rank3_q_with_large_denominators():
 ])
 def test_each_term_makes_one_last_step(monkeypatch, coeff, family, rank, alphas):
     # A term A + Bi with both parts nonzero (after the unit of its Q
-    # factors) runs its last step once, for both parts: one step per
-    # factor in all, whatever the coefficient.
+    # factors) is packed into one int, so its last step, from the seed
+    # with the packed int as the factor, runs once for both parts: one
+    # step per factor in all, whatever the coefficient.
     group = GroupSpec(family, rank, 2)
     key = []
     for text in alphas:
