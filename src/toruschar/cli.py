@@ -30,7 +30,7 @@ import random
 import shlex
 import sys
 
-from .errors import DomainError, InternalCheckError, ResourceLimitError
+from .errors import DomainError, InternalCheckError, NoGLFormulaError, ResourceLimitError
 from .generators import GeneratorPoly, decompose, expand
 from .groups import GroupSpec
 from .jsonio import json_check, parse_scalar
@@ -351,6 +351,12 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except NoGLFormulaError:
+        # The library's message names its keyword; name what this command takes.
+        hint = ("pass --extrapolated for the oracle-validated extrapolation"
+                if "extrapolated" in args else f"{args.command} takes no GL group")
+        print(f"error: no GL bracket formula; {hint}", file=sys.stderr)
+        return 2
     except (ResourceLimitError, OSError, ValueError, ZeroDivisionError) as exc:
         # bad input: DomainError, StructureError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)

@@ -313,12 +313,11 @@ class LaurentPoly(sparse.SparsePoly):
 
     def _point_values(self, point) -> tuple:
         """The value of each sorted monomial at a float point, memoised in
-        ``point.memo`` under ``("vals", id(self))`` (the entry holds the
-        polynomial, so its id is not reused while the point lives).  Each
-        is ``point.monomial_value(m)`` bit for bit: 1 + 0j times the
+        ``point.values[id(self)]`` (the entry holds the polynomial, so its
+        id is not reused while the point lives).  Each is
+        ``point.monomial_value(m)`` bit for bit: 1 + 0j times the
         coordinate powers in row-major order."""
-        memo = point.memo
-        hit = memo.get(("vals", id(self)))
+        hit = point.values.get(id(self))
         if hit is not None:
             return hit[1]
         table = self._float_table or self._build_float_table()
@@ -333,7 +332,7 @@ class LaurentPoly(sparse.SparsePoly):
                 v = v * power
             values.append(v)
         values = tuple(values)
-        memo[("vals", id(self))] = (self, values)
+        point.values[id(self)] = (self, values)
         return values
 
     def log_gradient_values(self, point) -> tuple:

@@ -85,7 +85,9 @@ def _freeze(rows: list[list[GaussRat]]) -> Mat:
     return tuple(tuple(r) for r in rows)
 
 
-@lru_cache(maxsize=None)
+# The cohomology and variation sweeps of the exact_algebra benchmark touch
+# 25 groups, the killing table 11.
+@lru_cache(maxsize=64)
 def _basis_forms(group: GroupSpec) -> tuple[tuple[Mat, ...], tuple[tuple, ...], tuple]:
     """The Lie-algebra basis, built once per group: as dense matrices, as
     the ((row, col), value) pairs of each element's nonzero entries, and
@@ -250,7 +252,8 @@ def _sparse_bracket(a: dict, b: dict) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
+# The killing table holds 11 groups.
+@lru_cache(maxsize=32)
 def killing_ratio(group: GroupSpec) -> Fraction:
     """Ratio kappa / trace-form, computed from the adjoint representation
     and verified entrywise to be a single scalar."""
@@ -500,7 +503,8 @@ def cartan_tangent(group: GroupSpec, u: Sequence) -> Mat:
     return _freeze(rows)
 
 
-@lru_cache(maxsize=None)
+# A command uses one (group, c); the oracle benchmark 7.
+@lru_cache(maxsize=64)
 def cartan_metric(group: GroupSpec, c: Fraction = Fraction(1)) -> CartanMetric:
     """Derive the diagonal multiplier by evaluating the trace form on the
     explicit Cartan tangent matrices (never assumed)."""
@@ -537,16 +541,15 @@ def omega_prime(group: GroupSpec, c: Fraction, pair1, pair2):
 
 
 def _gradient_entry(f: LaurentPoly, point: TorusPoint) -> tuple:
-    """``(f, gradients, projected gradients)``, memoised in ``point.memo``
-    under ``("grad", id(f))``; the entry holds ``f`` itself, so ``id(f)``
+    """``(f, gradients, projected gradients)``, memoised in
+    ``point.grads[id(f)]``; the entry holds ``f`` itself, so ``id(f)``
     cannot be reused while it lives.  The projected vectors are the
     gradients themselves except for SL."""
-    key = ("grad", id(f))
-    hit = point.memo.get(key)
+    hit = point.grads.get(id(f))
     if hit is None:
         grads = f.log_gradient_values(point)
         projected = tuple(cartan_projection(f.group, g) for g in grads)
-        hit = point.memo[key] = (f, grads, projected)
+        hit = point.grads[id(f)] = (f, grads, projected)
     return hit
 
 
@@ -559,7 +562,7 @@ def log_gradients(f: LaurentPoly, point: TorusPoint) -> tuple:
     ``f.evaluate`` memoises at the point too, so each monomial is
     computed once per polynomial and point (see
     ``LaurentPoly.log_gradient_values``).  The vectors are memoised per
-    (polynomial, point) in ``point.memo`` and live as long as the point,
+    (polynomial, point) in ``point.grads`` and live as long as the point,
     so every symbol pair sharing ``f`` at one point reuses them.  Each
     entry equals ``f.partial(i, j).evaluate(point)`` bit for bit.
     """
@@ -595,10 +598,10 @@ def numeric_bracket(
     polynomial and each monomial value computed once per (polynomial,
     point), shared with ``evaluate``; the gradients and their projections
     once per (polynomial, point) by ``_gradient_entry`` (the projection
-    does not depend on c); and the Cartan metric for ``c`` once per
-    point.  The ``"metric"`` and ``"grad"`` entries of ``point.memo`` are
-    read inline, so a symbol pair costs three dict lookups and two dot
-    products.
+    does not depend on c); and the divisor for ``c`` once per point.
+    The ``point.scales`` and ``point.grads`` tables are read inline by
+    plain id, so a symbol pair costs three dict lookups, with no key
+    tuple built, and two dot products.
     """
     group = f.group
     if (h.group is not group and h.group != group) or (
@@ -607,16 +610,15 @@ def numeric_bracket(
         raise StructureError("mismatched groups")
     if group.factors != 2:
         raise DomainError("the symplectic oracle needs exactly two factors")
-    memo = point.memo
-    key = ("metric", id(c))
-    hit = memo.get(key)
+    hit = point.scales.get(id(c))
     if hit is None:
         metric = cartan_metric(group, c)
-        hit = memo[key] = (c, metric)  # holding c keeps id(c) unique
-    metric = hit[1]
-    pf1, pf2 = (memo.get(("grad", id(f))) or _gradient_entry(f, point))[2]
-    ph1, ph2 = (memo.get(("grad", id(h))) or _gradient_entry(h, point))[2]
-    scale = metric.c * metric.multiplier if point.exact else metric.scale
+        scale = metric.c * metric.multiplier if point.exact else metric.scale
+        hit = point.scales[id(c)] = (c, scale)  # holding c keeps id(c) unique
+    scale = hit[1]
+    grads = point.grads
+    pf1, pf2 = (grads.get(id(f)) or _gradient_entry(f, point))[2]
+    ph1, ph2 = (grads.get(id(h)) or _gradient_entry(h, point))[2]
     return sum(map(mul, pf1, ph2)) / scale - sum(map(mul, pf2, ph1)) / scale
 
 
@@ -697,18 +699,19 @@ def random_eigenvalues(group: GroupSpec, rng, exact: bool = True) -> list:
     past rank 10.  One-factor groups above rank 10 therefore draw from
     [-n, n].  Everywhere else the default range suffices and is kept, so
     those draws stay the same for a seed.
+
+    The values are drawn and the SL product taken as Fractions.  Exact
+    columns hold their GaussRat; float columns divide the reduced
+    numerator by the denominator, as ``complex(GaussRat(v))`` does.
     """
     n = group.rank
     hi = n if group.factors == 1 and n > 10 else 5
-    vals = [GaussRat(random_rational(rng, -hi, hi)) for _ in range(n)]
+    vals = [random_rational(rng, -hi, hi) for _ in range(n)]
     if group.family == "SL":
-        prod = ONE
-        for v in vals[:-1]:
-            prod = prod * v
-        vals[-1] = ONE / prod
+        vals[-1] = 1 / math.prod(vals[:-1], start=Fraction(1))
     if exact:
-        return vals
-    return [complex(v) for v in vals]
+        return [GaussRat(v) for v in vals]
+    return [complex(v.numerator / v.denominator, 0.0) for v in vals]
 
 
 def random_torus_point(

@@ -38,30 +38,30 @@ class TorusPoint:
     points refuse odd exponents.
 
     A point caches what is derived from it and lives exactly as long as
-    the point, so nothing outlives it and no cache is module-wide:
-    ``powers`` maps ``(i, j, doubled)`` to the coordinate power that
-    ``coordinate_power`` computed (``LaurentPoly`` reads it directly on
-    its float path), and ``memo`` is a small dict for
-    values that other modules derive at this point.  Its keys are tuples
-    whose first entry names the kind of value:
+    the point, so nothing outlives it and no cache is module-wide.  One
+    dict per kind of value, keyed by the plain key:
 
-    - ``("vals", id(f)) -> (f, values)``: the value of each sorted
-      monomial of the LaurentPoly ``f`` at a float point, which
-      ``f.evaluate`` and ``f.log_gradient_values`` both sum;
-    - ``("grad", id(f)) -> (f, gradients, projected gradients)``, stored
-      by ``lie.log_gradients``, where the projected vectors are the SL
+    - ``powers[(i, j, doubled)]``: the coordinate power that
+      ``coordinate_power`` computed (``LaurentPoly`` reads it directly on
+      its float path);
+    - ``values[id(f)] = (f, values)``: the value of each sorted monomial
+      of the LaurentPoly ``f`` at a float point, which ``f.evaluate`` and
+      ``f.log_gradient_values`` both sum;
+    - ``grads[id(f)] = (f, gradients, projected gradients)``, stored by
+      ``lie.log_gradients``, where the projected vectors are the SL
       traceless parts that ``lie.numeric_bracket`` pairs (the gradients
       themselves for the other families);
-    - ``("metric", id(c)) -> (c, metric)``, stored by
-      ``lie.numeric_bracket``;
-    - ``("tau", symbol) -> value``, stored by ``TauPoly.evaluate`` (the
-      point fixes the group).
+    - ``scales[id(c)] = (c, divisor)``, stored by ``lie.numeric_bracket``:
+      the divisor of its dot products for the trace-form multiple ``c``,
+      ``c * multiplier`` at an exact point and its float at a float point;
+    - ``taus[symbol] = value``, stored by ``TauPoly.evaluate`` (the point
+      fixes the group).
 
     The id-keyed entries keep their object alive, so the id cannot be
     reused while the point lives.
     """
 
-    __slots__ = ("group", "coords", "sqrts", "exact", "powers", "memo")
+    __slots__ = ("group", "coords", "sqrts", "exact", "powers", "values", "grads", "scales", "taus")
 
     def __init__(self, group: GroupSpec, coords, sqrts=None):
         self.group = group
@@ -94,7 +94,10 @@ class TorusPoint:
         self.sqrts = sqrts
         self.exact = exact
         self.powers: dict = {}
-        self.memo: dict = {}
+        self.values: dict = {}
+        self.grads: dict = {}
+        self.scales: dict = {}
+        self.taus: dict = {}
 
     @classmethod
     def from_sqrt(cls, group: GroupSpec, sqrts) -> "TorusPoint":

@@ -23,7 +23,7 @@ from operator import index
 from typing import Mapping
 
 from . import sparse
-from .errors import DomainError, ResourceLimitError, StructureError
+from .errors import DomainError, NoGLFormulaError, ResourceLimitError, StructureError
 from .generators import _normalize_vector, tau_image
 from .groups import GroupSpec
 from .jsonio import json_check, json_coeff, json_field, json_ints, parse_scalar
@@ -111,23 +111,22 @@ class TauPoly(sparse.SparsePoly):
         Float points use the sorted ``(key, complex)`` terms, built on the
         first float evaluation and kept as long as the polynomial; exact
         points use the sorted exact terms.  The value of each tau(a) is
-        memoised in ``point.memo`` under ``("tau", a)`` (the point fixes
-        the group) and lives as long as the point, so every polynomial
-        evaluated at one point shares it.
+        memoised in ``point.taus[a]`` (the point fixes the group) and
+        lives as long as the point, so every polynomial evaluated at one
+        point shares it.
         """
         group = self.group
         if point.group is not group and point.group != group:
             raise StructureError(f"group mismatch: {group} vs point of {point.group}")
         # The slot is read first, as a method call costs the oracle ~3%.
         terms = self.sorted_terms() if point.exact else (self._float_terms or self._float_sorted())
-        memo = point.memo
+        taus = point.taus
         total = None
         for key, term in terms:
             for a in key:
-                k = ("tau", a)
-                v = memo.get(k)
+                v = taus.get(a)
                 if v is None:
-                    v = memo[k] = tau_image(group, a).evaluate(point)
+                    v = taus[a] = tau_image(group, a).evaluate(point)
                 term = term * v
             total = term if total is None else total + term
         if total is None:
@@ -206,7 +205,7 @@ def bracket_symbols(
         )
     if group.family == "GL":
         if not extrapolated_gl:
-            raise DomainError(
+            raise NoGLFormulaError(
                 "no GL bracket formula; pass extrapolated_gl=True for the "
                 "oracle-validated extrapolation"
             )

@@ -1,13 +1,14 @@
 """Reference oracle path for differential tests.
 
 These are the library's former bodies of ``LaurentPoly.evaluate``,
-``lie.log_gradient``, ``CartanMetric.dual_pair``, ``lie.numeric_bracket``
-and ``TauPoly.evaluate``.  Every call re-derives the exact partials with
-``LaurentPoly.partial``, evaluates them afresh, rebuilds ``float(c *
-multiplier)`` and keeps its tau values in a dict that lives for one call.
-It is slow but obviously the formula, and ``test_oracle_reference.py``
-checks that the hoisted and memoised library path gives bit-identical
-results.  It is not part of the package.
+``lie.log_gradient``, ``CartanMetric.dual_pair``, ``lie.numeric_bracket``,
+``TauPoly.evaluate`` and ``lie.random_eigenvalues``.  Every call
+re-derives the exact partials with ``LaurentPoly.partial``, evaluates
+them afresh, rebuilds ``float(c * multiplier)`` and keeps its tau values
+in a dict that lives for one call; the sampler works on GaussRat values
+throughout.  It is slow but obviously the formula, and
+``test_oracle_reference.py`` checks that the hoisted and memoised library
+path gives bit-identical results.  It is not part of the package.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from toruschar.generators import tau_image
-from toruschar.lie import cartan_metric
-from toruschar.scalars import GaussRat, ZERO
+from toruschar.lie import cartan_metric, random_rational
+from toruschar.scalars import GaussRat, ONE, ZERO
 
 
 def evaluate(poly, point):
@@ -70,3 +71,19 @@ def tau_evaluate(p, point):
     if total is None:
         return point.zero_value()
     return total
+
+
+def random_eigenvalues(group, rng, exact: bool = True) -> list:
+    """The sampler through GaussRat: draws, SL product and float
+    conversion all on GaussRat values."""
+    n = group.rank
+    hi = n if group.factors == 1 and n > 10 else 5
+    vals = [GaussRat(random_rational(rng, -hi, hi)) for _ in range(n)]
+    if group.family == "SL":
+        prod = ONE
+        for v in vals[:-1]:
+            prod = prod * v
+        vals[-1] = ONE / prod
+    if exact:
+        return vals
+    return [complex(v) for v in vals]

@@ -38,9 +38,17 @@ def test_bracket_zero_denominator_exit_2(capsys):
 
 
 def test_bracket_gl_needs_flag(capsys):
-    assert run(["bracket", "--family", "gl", "--rank", "2", "--a", "1,0", "--b", "0,1"]) == 2
-    err = capsys.readouterr().err
-    assert "extrapolat" in err
+    # Each command's error names what that command takes.
+    flag = "error: no GL bracket formula; pass --extrapolated for the oracle-validated extrapolation\n"
+    for argv, want in (
+        (["bracket", "--a", "1,0", "--b", "0,1"], flag),
+        (["structure-constants"], flag),
+        (["verify-bracket", "--trials", "1"], flag),
+        (["verify-jacobi", "--trials", "1"],
+         "error: no GL bracket formula; verify-jacobi takes no GL group\n"),
+    ):
+        assert run(argv + ["--family", "gl", "--rank", "2"]) == 2, argv
+        assert capsys.readouterr().err == want, argv
 
 
 def test_invalid_flags_exit_2():

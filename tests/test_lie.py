@@ -10,6 +10,7 @@ from toruschar.generators import tau_image
 from toruschar.groups import GroupSpec
 from toruschar.laurent import LaurentPoly
 from toruschar.lie import (
+    _basis_forms,
     ad_operator,
     cartan_metric,
     cartan_tangent,
@@ -398,3 +399,21 @@ def test_indices_outside_the_group_are_refused(which, i, j):
     calls[which](3, 2)  # the last row and factor are in range
     with pytest.raises(DomainError):
         calls[which](i, j)
+
+
+@pytest.mark.parametrize(
+    "cache, key",
+    [
+        (tau_image, lambda k: (GroupSpec("GL", 1, 1), (k,))),
+        (cartan_metric, lambda k: (GroupSpec("Sp", 1, 2), Fraction(k + 1))),
+        (killing_ratio, lambda k: (GroupSpec("SL", 2, k + 1),)),
+        (_basis_forms, lambda k: (GroupSpec("GL", 1, k + 1),)),
+    ],
+    ids=["tau_image", "cartan_metric", "killing_ratio", "_basis_forms"],
+)
+def test_module_caches_are_bounded(cache, key):
+    bound = cache.cache_parameters()["maxsize"]
+    assert bound is not None
+    for k in range(bound + 5):
+        cache(*key(k))
+    assert cache.cache_info().currsize == bound

@@ -2,14 +2,16 @@
 ``reference_oracle``.
 
 ``LaurentPoly.log_gradient_values`` builds the exact partials once per
-polynomial and ``TorusPoint.memo`` keeps gradients, tau values and the
-Cartan metric once per point.  Neither may change a single bit: float results are
-compared by the hex form of their real and imaginary parts, exact results
-by equality.
+polynomial and the tables of ``TorusPoint`` keep monomial values,
+gradients, tau values and the bracket's divisor once per point.  Neither
+may change a single bit: float results are compared by the hex form of
+their real and imaginary parts, exact results by equality.  The sampler
+of random points is compared with its GaussRat body the same way.
 """
 
 import gc
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,14 @@ from toruschar.errors import StructureError
 from toruschar.groups import GroupSpec
 from toruschar.groups import FAMILIES
 from toruschar.laurent import LaurentPoly, exponents, zero_exponents
-from toruschar.lie import log_gradient, numeric_bracket, random_torus_point
+from toruschar.lie import (
+    cartan_metric,
+    log_gradient,
+    log_gradients,
+    numeric_bracket,
+    random_eigenvalues,
+    random_torus_point,
+)
 from toruschar.points import TorusPoint
 from toruschar.poisson import TauPoly, bracket_poly, bracket_symbols, symbol_window
 from toruschar.scalars import GaussRat
@@ -116,7 +125,7 @@ def test_memo_entries_never_cross_polynomials():
     # a new object that is dropped after use, so a memo keyed by anything
     # coarser than the object, or by a reused id, returns a stale vector
     # or stale monomial values.  The value comes before the gradients on
-    # even k and after them on odd k, so each fills the "vals" entry.
+    # even k and after them on odd k, so each fills the "values" entry.
     for k, a in enumerate(syms):
         f = images[a].scaled(k + 2)
         if k % 2 == 0:
@@ -127,7 +136,7 @@ def test_memo_entries_never_cross_polynomials():
             ], (a, j)
         if k % 2 == 1:
             assert _bits(f.evaluate(pt)) == _bits(ref.evaluate(f, _fresh(pt))), a
-        assert pt.memo[("vals", id(f))][0] is f
+        assert pt.values[id(f)][0] is f
         del f
         gc.collect()
     for a, b in zip(syms, syms[1:]):
@@ -139,6 +148,45 @@ def test_memo_entries_never_cross_polynomials():
     q = TauPoly(group, 1, {((1, 0),): 1, ((-1, 2), (2, -1)): -3})
     for poly in (p, q, p, q):
         assert _bits(poly.evaluate(pt)) == _bits(ref.tau_evaluate(poly, _fresh(pt)))
+
+
+def test_point_tables_die_with_the_point():
+    group = GroupSpec("SL", 3, 2)
+    pt = random_torus_point(group, random.Random(SEEDS[0]), exact=False)
+    # Fresh objects seen by this point only.  The metric for c is cached
+    # before the counts are taken, so only the point can hold c.
+    f = tau_image(group, (1, 1)) * tau_image(group, (2, -1))
+    h = tau_image(group, (0, 1)).scaled(3)
+    c = Fraction(2, 7)
+    cartan_metric(group, Fraction(2, 7))
+    before = [sys.getrefcount(x) for x in (f, h, c)]
+    f.evaluate(pt)
+    log_gradients(f, pt)
+    numeric_bracket(f, h, pt, c)
+    assert pt.values[id(f)][0] is f and pt.grads[id(h)][0] is h and pt.scales[id(c)][0] is c
+    assert [sys.getrefcount(x) for x in (f, h, c)] != before
+    del pt
+    gc.collect()
+    assert [sys.getrefcount(x) for x in (f, h, c)] == before
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_sampler_is_the_reference(family):
+    # One factor above rank 10 draws from [-n, n]; several columns per
+    # generator, and the generator state must end where the reference's
+    # does, so later draws of a suite do not shift.
+    for rank in range(1, 13):
+        for factors in (1, 2):
+            group = GroupSpec(family, rank, factors)
+            for exact in (True, False):
+                for seed in SEEDS:
+                    rng, ref_rng = random.Random(seed), random.Random(seed)
+                    for _ in range(3):
+                        got = random_eigenvalues(group, rng, exact)
+                        want = ref.random_eigenvalues(group, ref_rng, exact)
+                        assert [type(v) for v in got] == [type(v) for v in want]
+                        assert [_bits(v) for v in got] == [_bits(v) for v in want], group
+                    assert rng.getstate() == ref_rng.getstate()
 
 
 def test_metric_memo_follows_c():
