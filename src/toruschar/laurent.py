@@ -158,22 +158,25 @@ def _add_exponents(m1: ExponentMatrix, m2: ExponentMatrix) -> ExponentMatrix:
 # Laurent polynomials
 # ---------------------------------------------------------------------------
 
+_NO_TABLES = (None, None)  # a LaurentPoly's tables before use, indexed by point.exact
+
+
 class LaurentPoly(sparse.SparsePoly):
     """Sparse exact Laurent polynomial over GaussRat coefficients.
 
     Instances are treated as immutable; every operation returns a new
     polynomial.  Zero coefficients are never stored and SL keys are always
-    in canonical form.  Float evaluation keeps two tables for the life
-    of the instance, so they never go stale: per sorted term the nonzero
-    power keys ``(i, j, e)`` in row-major order and the complex
-    coefficient (built on first float use), and per log-partial ``(i,
-    j)`` the ``(term index, complex coefficient)`` pairs of its terms in
-    sorted order (built on the first float gradient).  At a float point
-    each polynomial then computes its monomial values once
-    (``_point_values``), and its value and every log-partial sum them.
+    in canonical form.  Evaluation keeps one table per point kind, exact
+    or float, for the life of the instance, so it never goes stale: per
+    sorted term the nonzero power keys ``(i, j, e)`` in row-major order
+    and the coefficient in the point's scalars, and per log-partial
+    ``(i, j)`` the ``(term index, coefficient)`` pairs of its terms in
+    sorted order (``_table``).  At any point each polynomial then
+    computes its monomial values once (``_point_values``), and its value
+    and every log-partial sum them with one body for both kinds.
     """
 
-    __slots__ = ("group", "_float_table", "_float_partials")
+    __slots__ = ("group", "_tables")
 
     def __init__(self, group: GroupSpec, terms: Mapping[ExponentMatrix, GaussRat] = ()):
         self.group = group
@@ -184,7 +187,7 @@ class LaurentPoly(sparse.SparsePoly):
                 coeff = GaussRat(coeff)
             sparse.add_term(clean, canonical_mod_relations(m, group), coeff)
         self.terms = clean
-        self._float_table = self._float_partials = None
+        self._tables = _NO_TABLES
 
     @classmethod
     def _trusted(cls, group: GroupSpec, terms: dict) -> "LaurentPoly":
@@ -192,7 +195,7 @@ class LaurentPoly(sparse.SparsePoly):
         the stored form (canonical keys, no zero coefficient)."""
         p = cls.__new__(cls)
         p.group, p.terms = group, terms
-        p._float_table = p._float_partials = None
+        p._tables = _NO_TABLES
         return p
 
     def _ring(self) -> tuple:
@@ -284,47 +287,47 @@ class LaurentPoly(sparse.SparsePoly):
                 out[m] = c * GaussRat(Fraction(e, 2))
         return LaurentPoly._trusted(self.group, out)
 
-    def _build_float_table(self) -> tuple:
-        """``(power keys, coefficients)`` per sorted term, kept in
-        ``_float_table``."""
-        keys, coeffs = [], []
-        for m, c in self.sorted_terms():
-            keys.append(tuple(
-                (i, j, e) for i, row in enumerate(m, 1) for j, e in enumerate(row, 1) if e
-            ))
-            coeffs.append(complex(c))
-        table = self._float_table = (tuple(keys), tuple(coeffs))
-        return table
-
-    def _build_float_partials(self) -> tuple:
-        """``[j-1][i-1]``: the ``(term index, coefficient)`` pairs of
-        ``partial(i, j)``, kept in ``_float_partials``.  Built on the
-        first float gradient only, as most polynomials evaluated at a
-        point never need one."""
+    def _table(self, exact: bool) -> tuple:
+        """Build ``(power keys, coefficients, partials)`` for exact
+        (``True``) or float points and keep it in ``_tables[exact]``.  Per
+        sorted term: its nonzero power keys ``(i, j, e)`` in row-major
+        order and its coefficient in the point's scalars (the GaussRat
+        itself, or its complex).  ``partials[j-1][i-1]`` holds the ``(term
+        index, c * e / 2)`` pairs of ``partial(i, j)``, with ``c * e / 2``
+        in the point's scalars too."""
         group = self.group
+        keys, coeffs = [], []
         partials = [[[] for _ in range(group.rank)] for _ in range(group.factors)]
         for k, (m, c) in enumerate(self.sorted_terms()):
+            key = []
             for i, row in enumerate(m):
                 for j, e in enumerate(row):
                     if e:  # c * e / 2 is the coefficient partial(i+1, j+1) has
-                        partials[j][i].append((k, complex(c * e / 2)))
-        table = self._float_partials = tuple(tuple(map(tuple, row)) for row in partials)
+                        key.append((i + 1, j + 1, e))
+                        d = c * e / 2
+                        partials[j][i].append((k, d if exact else complex(d)))
+            keys.append(tuple(key))
+            coeffs.append(c if exact else complex(c))
+        table = (tuple(keys), tuple(coeffs), tuple(tuple(map(tuple, row)) for row in partials))
+        self._tables = (self._tables[0], table) if exact else (table, self._tables[1])
         return table
 
     def _point_values(self, point) -> tuple:
-        """The value of each sorted monomial at a float point, memoised in
+        """The value of each sorted monomial at the point, memoised in
         ``point.values[id(self)]`` (the entry holds the polynomial, so its
-        id is not reused while the point lives).  Each is
-        ``point.monomial_value(m)`` bit for bit: 1 + 0j times the
-        coordinate powers in row-major order."""
+        id is not reused while the point lives): the point's one (``ONE``
+        or 1 + 0j) times the coordinate powers in row-major order.  Builds
+        the table of the point's kind on first use; the slot is read
+        first, so a polynomial already tabled costs no method call."""
         hit = point.values.get(id(self))
         if hit is not None:
             return hit[1]
-        table = self._float_table or self._build_float_table()
+        exact = point.exact
+        one = ONE if exact else 1 + 0j
         get = point.powers.get
         values = []
-        for keys in table[0]:
-            v = 1 + 0j
+        for keys in (self._tables[exact] or self._table(exact))[0]:
+            v = one
             for key in keys:
                 power = get(key)
                 if power is None:
@@ -338,27 +341,21 @@ class LaurentPoly(sparse.SparsePoly):
     def log_gradient_values(self, point) -> tuple:
         """Values of every logarithmic partial at a point of the same group:
         entry ``[j-1][i-1]`` equals ``self.partial(i, j).evaluate(point)``
-        bit for bit.  At a float point each partial sums its coefficients
-        times the memoised monomial values, in sorted term order from the
-        first term; exact points evaluate the partials themselves.
+        bit for bit.  Each partial sums its tabled coefficients times the
+        monomial values memoised at the point, in sorted term order from
+        the first term; no partial polynomial is built.
         """
         self._require_point_group(point)
-        if point.exact:
-            group = self.group
-            return tuple(
-                tuple(self.partial(i, j).evaluate(point) for i in range(1, group.rank + 1))
-                for j in range(1, group.factors + 1)
-            )
-        values = self._point_values(point)
+        values = self._point_values(point)  # builds the table on first use
         grads = []
-        for row in self._float_partials or self._build_float_partials():
+        for row in self._tables[point.exact][2]:
             vec = []
             for terms in row:
                 total = None
                 for k, c in terms:
                     term = c * values[k]
                     total = term if total is None else total + term
-                vec.append(0j if total is None else total)
+                vec.append(point.zero_value() if total is None else total)
             grads.append(tuple(vec))
         return tuple(grads)
 
@@ -366,21 +363,15 @@ class LaurentPoly(sparse.SparsePoly):
         """Substitution homomorphism at a torus point of the same group.
 
         ``point`` is a ``TorusPoint``; the result type follows it (complex
-        in float mode, GaussRat in exact mode).  The terms are summed in
-        sorted order from the first one: at exact points each exact term
-        times its monomial value; at float points the complex coefficients
-        of the float table times the monomial values memoised at the
-        point, which ``log_gradient_values`` shares.
+        in float mode, GaussRat in exact mode).  The tabled coefficients
+        of the point's kind times the monomial values memoised at the
+        point, which ``log_gradient_values`` shares, are summed in sorted
+        order from the first term.
         """
         self._require_point_group(point)
-        if point.exact:
-            value = point.monomial_value
-            terms = (c * value(m) for m, c in self.sorted_terms())
-        else:
-            values = self._point_values(point)  # builds the table on first use
-            terms = map(mul, self._float_table[1], values)
+        values = self._point_values(point)  # builds the table on first use
         total = None
-        for term in terms:
+        for term in map(mul, self._tables[point.exact][1], values):
             total = term if total is None else total + term
         return point.zero_value() if total is None else total
 

@@ -556,11 +556,12 @@ def _gradient_entry(f: LaurentPoly, point: TorusPoint) -> tuple:
 def log_gradients(f: LaurentPoly, point: TorusPoint) -> tuple:
     """All N vectors (x_ij d f / d x_ij)_i at the point, one per factor j.
 
-    At a float point the exact partials are hoisted out of the sample
-    loop: their coefficients are tabled once per polynomial and kept as
-    long as ``f``, and they sum the monomial values of ``f`` that
-    ``f.evaluate`` memoises at the point too, so each monomial is
-    computed once per polynomial and point (see
+    The partials are hoisted out of the sample loop at exact and float
+    points alike: their coefficients are tabled once per polynomial and
+    point kind and kept as long as ``f``, and they sum the monomial
+    values of ``f`` that ``f.evaluate`` memoises at the point too, so
+    each monomial is computed once per polynomial and point and no
+    partial polynomial is built (see
     ``LaurentPoly.log_gradient_values``).  The vectors are memoised per
     (polynomial, point) in ``point.grads`` and live as long as the point,
     so every symbol pair sharing ``f`` at one point reuses them.  Each
@@ -594,14 +595,15 @@ def numeric_bracket(
     The orientation is pinned once against the SL(2) bracket formula at
     the reference point (2, 3) and is part of the test suite.
 
-    At a float point the partials' coefficients are tabled once per
-    polynomial and each monomial value computed once per (polynomial,
-    point), shared with ``evaluate``; the gradients and their projections
-    once per (polynomial, point) by ``_gradient_entry`` (the projection
-    does not depend on c); and the divisor for ``c`` once per point.
-    The ``point.scales`` and ``point.grads`` tables are read inline by
-    plain id, so a symbol pair costs three dict lookups, with no key
-    tuple built, and two dot products.
+    At an exact or a float point alike, the partials' coefficients are
+    tabled once per polynomial and point kind and each monomial value
+    computed once per (polynomial, point), shared with ``evaluate``; the
+    gradients and their projections once per (polynomial, point) by
+    ``_gradient_entry`` (the projection does not depend on c); and the
+    divisor for ``c`` once per point.  The ``point.scales`` and
+    ``point.grads`` tables are read inline by plain id, so a symbol pair
+    costs three dict lookups, with no key tuple built, and two dot
+    products.
     """
     group = f.group
     if (h.group is not group and h.group != group) or (

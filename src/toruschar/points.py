@@ -14,8 +14,7 @@ from fractions import Fraction
 
 from .errors import DomainError, StructureError
 from .groups import GroupSpec
-from .laurent import ExponentMatrix
-from .scalars import GaussRat, ONE, ZERO
+from .scalars import GaussRat, ZERO
 
 
 def _scalars(rows, exact: bool | None = None) -> tuple[tuple, bool]:
@@ -42,11 +41,11 @@ class TorusPoint:
     dict per kind of value, keyed by the plain key:
 
     - ``powers[(i, j, doubled)]``: the coordinate power that
-      ``coordinate_power`` computed (``LaurentPoly`` reads it directly on
-      its float path);
+      ``coordinate_power`` computed (``LaurentPoly`` reads it directly);
     - ``values[id(f)] = (f, values)``: the value of each sorted monomial
-      of the LaurentPoly ``f`` at a float point, which ``f.evaluate`` and
-      ``f.log_gradient_values`` both sum;
+      of the LaurentPoly ``f`` at the point, exact or float, which
+      ``f.evaluate`` and ``f.log_gradient_values`` both sum with the
+      table of ``f`` for the point's kind;
     - ``grads[id(f)] = (f, gradients, projected gradients)``, stored by
       ``lie.log_gradients``, where the projected vectors are the SL
       traceless parts that ``lie.numeric_bracket`` pairs (the gradients
@@ -136,14 +135,6 @@ class TorusPoint:
             val = self._sqrt(jj, ii) ** doubled
         self.powers[key] = val
         return val
-
-    def monomial_value(self, m: ExponentMatrix):
-        total = ONE if self.exact else (1 + 0j)
-        for i, row in enumerate(m, start=1):
-            for j, e in enumerate(row, start=1):
-                if e:
-                    total = total * self.coordinate_power(i, j, e)
-        return total
 
     # -- structure -------------------------------------------------------
 

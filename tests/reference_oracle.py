@@ -1,14 +1,17 @@
 """Reference oracle path for differential tests.
 
-These are the library's former bodies of ``LaurentPoly.evaluate``,
-``lie.log_gradient``, ``CartanMetric.dual_pair``, ``lie.numeric_bracket``,
-``TauPoly.evaluate`` and ``lie.random_eigenvalues``.  Every call
-re-derives the exact partials with ``LaurentPoly.partial``, evaluates
-them afresh, rebuilds ``float(c * multiplier)`` and keeps its tau values
-in a dict that lives for one call; the sampler works on GaussRat values
-throughout.  It is slow but obviously the formula, and
-``test_oracle_reference.py`` checks that the hoisted and memoised library
-path gives bit-identical results.  It is not part of the package.
+These are the library's former bodies of ``TorusPoint.monomial_value``,
+``LaurentPoly.evaluate``, ``lie.log_gradient``, ``CartanMetric.dual_pair``,
+``lie.numeric_bracket``, ``TauPoly.evaluate`` and
+``lie.random_eigenvalues``.  Every call computes each monomial with its
+own ``monomial_value``, re-derives the exact partials with
+``LaurentPoly.partial``, evaluates them afresh, rebuilds ``float(c *
+multiplier)`` and keeps its tau values in a dict that lives for one call;
+the sampler works on GaussRat values throughout.  It is slow but
+obviously the formula, and ``test_oracle_reference.py`` checks that the
+library path, with one table per point kind (exact or float) in each
+``LaurentPoly`` and memoised values at each point, gives bit-identical
+results.  It is not part of the package.
 """
 
 from __future__ import annotations
@@ -20,10 +23,21 @@ from toruschar.lie import cartan_metric, random_rational
 from toruschar.scalars import GaussRat, ONE, ZERO
 
 
+def monomial_value(point, m):
+    """The monomial ``m`` at the point: the point's one times its
+    coordinate powers in row-major order."""
+    total = ONE if point.exact else (1 + 0j)
+    for i, row in enumerate(m, start=1):
+        for j, e in enumerate(row, start=1):
+            if e:
+                total = total * point.coordinate_power(i, j, e)
+    return total
+
+
 def evaluate(poly, point):
     total = None
     for m, c in sorted(poly.terms.items()):
-        v = point.monomial_value(m)
+        v = monomial_value(point, m)
         term = c * v if isinstance(v, GaussRat) else complex(c) * v
         total = term if total is None else total + term
     if total is None:

@@ -1,12 +1,16 @@
 """The hoisted bracket oracle against the per-call reference in
 ``reference_oracle``.
 
-``LaurentPoly.log_gradient_values`` builds the exact partials once per
-polynomial and the tables of ``TorusPoint`` keep monomial values,
-gradients, tau values and the bracket's divisor once per point.  Neither
-may change a single bit: float results are compared by the hex form of
-their real and imaginary parts, exact results by equality.  The sampler
-of random points is compared with its GaussRat body the same way.
+``LaurentPoly`` keeps one table per point kind, exact or float, with
+the coefficients of its terms and of its log-partials, and one body of
+``evaluate`` and of ``log_gradient_values`` sums it at both kinds; the
+tables of ``TorusPoint`` keep monomial values, gradients, tau values and
+the bracket's divisor once per point.  Neither may change a single bit:
+float results are compared by the hex form of their real and imaginary
+parts, exact results by equality.  The exact path builds no partial
+polynomial, and a polynomial met at exact and float points in turn reads
+the table of each point's kind.  The sampler of random points is
+compared with its GaussRat body the same way.
 """
 
 import gc
@@ -79,6 +83,25 @@ def test_exact_oracle_equals_the_reference(group):
     syms, pairs, images = _window(group)
     pt = random_torus_point(group, random.Random(SEEDS[0]), exact=True)
     _check_point(group, syms, pairs, images, pt, c=Fraction(3, 2))
+
+
+@pytest.mark.parametrize("group", BRACKET_GROUPS, ids=str)
+def test_exact_oracle_builds_no_partial(group, monkeypatch):
+    # The exact gradients and bracket sum the exact table, as the float
+    # ones sum the float table: with ``partial`` refused they still equal
+    # the reference, which is computed first.
+    syms, pairs, images = _window(group)
+    pt = random_torus_point(group, random.Random(SEEDS[2]), exact=True)
+    want_grads = [ref.log_gradient(images[a], pt, j) for a in syms for j in (1, 2)]
+    want = [ref.numeric_bracket(images[a], images[b], pt) for a, b in pairs]
+
+    def refuse(*args):
+        raise AssertionError("the exact oracle built a partial polynomial")
+
+    monkeypatch.setattr(LaurentPoly, "partial", refuse)
+    pt = _fresh(pt)
+    assert [log_gradient(images[a], pt, j) for a in syms for j in (1, 2)] == want_grads
+    assert [numeric_bracket(images[a], images[b], pt) for a, b in pairs] == want
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
@@ -219,6 +242,14 @@ def test_float_term_tables_never_reach_exact_points(group):
             got = poly.evaluate(pt)
             assert isinstance(got, GaussRat if pt.exact else complex)
             assert _bits(got) == _bits(want(poly, _fresh(pt)))
+    # The Laurent gradients, too, read the table of each point's kind.
+    for pt in (exact_pt, float_pt, exact_pt):
+        for j in (1, 2):
+            got = log_gradient(laurent, _fresh(pt), j)
+            assert all(isinstance(v, GaussRat if pt.exact else complex) for v in got)
+            assert [_bits(v) for v in got] == [
+                _bits(v) for v in ref.log_gradient(laurent, _fresh(pt), j)
+            ]
 
 
 def test_trusted_tau_polys_match_the_reference():
