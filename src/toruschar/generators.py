@@ -35,7 +35,7 @@ common denominator, are packed as A + B * 2^K into one int (Kronecker
 substitution; Harvey, J. Symb. Comput. 44, 2009), so the real and
 imaginary parts take the same steps.  ``decompose`` checks its result in
 that basis, with code the reduction does not share, and ``expand``
-writes each S(m) out as the orbit of its key (``weyl._images``).  The
+writes the sum of c * S(m) out with ``weyl._sum_orbits``.  The
 Laurent image of a generator, ``tau_image`` or ``q_image``, is
 ``expand`` of its one symbol, so ``_times_tau`` and ``_times_q`` are the
 only definitions of the generators.
@@ -57,7 +57,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, product, repeat
+from itertools import groupby, product
 from math import comb, factorial, lcm, prod
 from operator import add, index, le, sub
 from typing import Mapping, Optional
@@ -68,12 +68,7 @@ from .groups import GroupSpec
 from .jsonio import json_check, json_coeff, json_field, json_ints
 from .laurent import ExponentMatrix, LaurentPoly, canonical_mod_relations, zero_exponents
 from .scalars import GaussRat, I, ONE, ZERO, _reduced
-from .weyl import (
-    WEYL_CAP,
-    _images,
-    invariance_violation,
-    orbit_rep,
-)
+from .weyl import WEYL_CAP, _images, _sum_orbits, invariance_violation, orbit_rep
 
 TauSymbol = tuple[str, tuple[int, ...]]
 QSymbol = tuple[str, tuple[tuple[int, ...], ...]]
@@ -86,11 +81,8 @@ Symbol = TauSymbol | QSymbol
 
 def _normalize_vector(alpha: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Flip the vector so its first nonzero entry is positive."""
-    for e in alpha:
-        if e > 0:
-            return alpha, 1
-        if e < 0:
-            return tuple([-x for x in alpha]), -1
+    if alpha < (0,) * len(alpha):
+        return tuple([-x for x in alpha]), -1
     return alpha, 1
 
 
@@ -98,7 +90,7 @@ def tau_symbol(group: GroupSpec, alpha) -> TauSymbol:
     alpha = tuple(index(a) for a in alpha)
     if len(alpha) != group.factors:
         raise DomainError(f"alpha must have {group.factors} entries")
-    if group.symmetric_traces:
+    if group.signed:
         alpha, _ = _normalize_vector(alpha)
     return ("tau", alpha)
 
@@ -251,23 +243,12 @@ def _factor_symbol(group: GroupSpec, kind: str, value) -> tuple:
 # ---------------------------------------------------------------------------
 
 def expand(p: GeneratorPoly, group: GroupSpec) -> LaurentPoly:
-    """Substitute generator images and multiply out, exactly.
-
-    ``orbit_coefficients`` writes p as a sum of c * S(m) over Weyl orbit
-    keys, and S(m) is the orbit of the key (``_images``, as ``orbit_sum``
-    builds it, without validating a key that is already canonical), each
-    monomial with the int stabiliser order |W|/|orbit|: ``_images`` gives
-    the size first, then streams the orbit straight into the result, and
-    all its monomials get c times |W|/size, one product per orbit.  Orbits
-    are disjoint, so no monomial gets two contributions.  An orbit above
-    WEYL_CAP monomials raises ResourceLimitError before it is built.
+    """Substitute generator images and multiply out, exactly: the sum of
+    c * S(m) over ``orbit_coefficients``, written by ``weyl._sum_orbits``.
+    An orbit above WEYL_CAP monomials raises ResourceLimitError before it
+    is built.
     """
-    terms: dict = {}
-    order, even = group.weyl_order, group.family == "SOeven"
-    for key, c in orbit_coefficients(p, group).items():
-        size, images = _images(key, group, even, WEYL_CAP)
-        terms.update(zip(images, repeat(c * (order // size))))
-    return LaurentPoly._trusted(group, terms)
+    return _sum_orbits(orbit_coefficients(p, group), group, WEYL_CAP)
 
 
 # verify-bracket at its largest window (8) touches 1085 tau images on SL
@@ -386,11 +367,10 @@ def _times_q(terms: dict, alphas: tuple, group: GroupSpec, factor: int, out: dic
     """
     y = tuple(tuple(2 * a for a in alpha) for alpha in alphas)
     shifts = ((y, 1), ((tuple(-e for e in y[0]),) + y[1:], -1))
-    order = group.weyl_order
     get = out.get
     for key, c in terms.items():
-        size, images = _images(key, group, True, WEYL_CAP)
-        c *= factor * (order // size)
+        stab, images = _images(key, group, WEYL_CAP)
+        c *= factor * stab
         for x in images:
             for shift, sign in shifts:
                 k = orbit_rep(tuple(tuple(map(add, r, s)) for r, s in zip(x, shift)), group)
@@ -611,23 +591,22 @@ def _peel(f: LaurentPoly, group: GroupSpec) -> tuple[GeneratorPoly, dict]:
     An orbit sum gives all monomials of an orbit one coefficient, its
     stabiliser order |W|/|orbit|, so each step pops the images of the
     orbit key of any stored key m left, as ``weyl._images`` streams them
-    after giving their number; each must be there with m's coefficient,
+    after giving that order; each must be there with m's coefficient,
     else an InternalCheckError is raised before any reduction.  Orbits are
     disjoint, so their order is free, and emptying ``f`` proves it
     invariant.
     """
     work = dict(f.terms)
-    order, even = group.weyl_order, group.family == "SOeven"
     pop = work.pop
     parts = {}
     while work:
         m, c = next(iter(work.items()))
         key = orbit_rep(m, group)
-        size, images = _images(key, group, even, WEYL_CAP)
+        stab, images = _images(key, group, WEYL_CAP)
         for k in images:
             if (v := pop(k, None)) is not c and v != c:  # an orbit mostly shares one c
                 raise InternalCheckError("orbit peeling left terms it could not cancel")
-        parts[key] = c / (order // size)
+        parts[key] = c / stab
     result: dict = {}
     for key, coeff in parts.items():
         for k, v in _reduce_orbit(key, group).terms.items():

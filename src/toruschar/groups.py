@@ -85,12 +85,6 @@ class GroupSpec:
         return self.family not in ("GL", "SL")
 
     @property
-    def symmetric_traces(self) -> bool:
-        """Whether trace symbols satisfy tau(-a) = tau(a) (eigenvalues come
-        in inverse pairs)."""
-        return self.family in ("Sp", "SOodd", "SOeven")
-
-    @property
     def allows_half_weights(self) -> bool:
         return self.family == "SOeven"
 

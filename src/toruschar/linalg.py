@@ -92,7 +92,7 @@ def trace(a: Mat) -> GaussRat:
 def mat_inv(a: Mat) -> Mat:
     """Gauss-Jordan inverse; raises DomainError on singular input."""
     n = len(a)
-    work = [list(row) + list(identity(n)[i]) for i, row in enumerate(a)]
+    work = [list(row) + list(unit) for row, unit in zip(a, identity(n))]
     for col in range(n):
         pivot = next((r for r in range(col, n) if work[r][col]), None)
         if pivot is None:

@@ -27,6 +27,7 @@ from .errors import DomainError, NoGLFormulaError, ResourceLimitError, Structure
 from .generators import _normalize_vector, tau_image
 from .groups import GroupSpec
 from .jsonio import json_check, json_coeff, json_field, json_ints, parse_scalar
+from .laurent import _NO_TABLES
 from .scalars import GaussRat, ONE, read_rational, to_fraction
 
 LatticeVec = tuple[int, int]
@@ -41,15 +42,15 @@ def _norm_symbol(group: GroupSpec, a) -> LatticeVec:
     if len(a) != 2:
         raise DomainError(f"a trace symbol takes 2 entries, got {len(a)}")
     a = (index(a[0]), index(a[1]))
-    return _normalize_vector(a)[0] if group.symmetric_traces else a
+    return _normalize_vector(a)[0] if group.signed else a
 
 
 class TauPoly(sparse.SparsePoly):
     """Polynomial in trace symbols over GaussRat, tied to a group and a
     trace-form multiple c.  Instances are treated as immutable, so the
-    float terms that ``evaluate`` keeps never go stale."""
+    tables that ``evaluate`` keeps, one per point kind, never go stale."""
 
-    __slots__ = ("group", "c", "_float_terms")
+    __slots__ = ("group", "c", "_tables")
 
     def __init__(self, group: GroupSpec, c: Fraction, terms: Mapping[tuple, GaussRat] = ()):
         if group.factors != 2:
@@ -65,28 +66,26 @@ class TauPoly(sparse.SparsePoly):
                 coeff = GaussRat(coeff)
             sparse.add_term(clean, tuple(sorted(_norm_symbol(group, a) for a in key)), coeff)
         self.terms = clean
-        self._float_terms = None
+        self._tables = _NO_TABLES
 
     def _ring(self) -> tuple:
         return (self.group, self.c)
 
     def _wrap(self, terms: dict) -> "TauPoly":
         p = TauPoly.__new__(TauPoly)
-        p.group, p.c, p.terms, p._float_terms = self.group, self.c, terms, None
+        p.group, p.c, p.terms, p._tables = self.group, self.c, terms, _NO_TABLES
         return p
 
     def _factors(self, key: tuple) -> str:
         return "*".join(f"tau({a[0]},{a[1]})" for a in key)
 
-    def _float_sorted(self) -> tuple:
-        """The sorted ``(key, complex)`` terms, built on first use and kept
-        in ``_float_terms`` for the life of the instance."""
-        terms = self._float_terms
-        if terms is None:
-            terms = self._float_terms = tuple(
-                (key, complex(c)) for key, c in self.sorted_terms()
-            )
-        return terms
+    def _table(self, exact: bool) -> tuple:
+        """The sorted ``(key, coefficient)`` terms for exact (``True``) or
+        float points, the coefficient in the point's scalars (the GaussRat
+        itself, or its complex), kept in ``_tables[exact]``."""
+        table = tuple((key, c if exact else complex(c)) for key, c in self.sorted_terms())
+        self._tables = (self._tables[0], table) if exact else (table, self._tables[1])
+        return table
 
     # -- constructors ----------------------------------------------------
 
@@ -108,18 +107,19 @@ class TauPoly(sparse.SparsePoly):
         """Substitute tau(a) by the trace of the corresponding torus
         element at the point (via the Laurent image of the generator).
 
-        Float points use the sorted ``(key, complex)`` terms, built on the
-        first float evaluation and kept as long as the polynomial; exact
-        points use the sorted exact terms.  The value of each tau(a) is
-        memoised in ``point.taus[a]`` (the point fixes the group) and
-        lives as long as the point, so every polynomial evaluated at one
-        point shares it.
+        Each point kind reads its own table of sorted terms (``_table``),
+        built on the first evaluation of that kind and kept as long as the
+        polynomial.  The value of each tau(a) is memoised in
+        ``point.taus[a]`` (the point fixes the group) and lives as long as
+        the point, so every polynomial evaluated at one point shares it.
         """
         group = self.group
         if point.group is not group and point.group != group:
             raise StructureError(f"group mismatch: {group} vs point of {point.group}")
+        if not self.terms:  # its empty table would be built again on every call
+            return point.zero_value()
         # The slot is read first, as a method call costs the oracle ~3%.
-        terms = self.sorted_terms() if point.exact else (self._float_terms or self._float_sorted())
+        terms = self._tables[point.exact] or self._table(point.exact)
         taus = point.taus
         total = None
         for key, term in terms:
@@ -129,8 +129,6 @@ class TauPoly(sparse.SparsePoly):
                     v = taus[a] = tau_image(group, a).evaluate(point)
                 term = term * v
             total = term if total is None else total + term
-        if total is None:
-            return point.zero_value()
         return total
 
     # -- serialization --------------------------------------------------------

@@ -19,19 +19,21 @@ monomial).  With no zero row no odd element fixes the monomial, and the
 orbit is half of the full one: the sign patterns whose number of flips has
 the parity of the input's (an input with rows r, -r has one flip).
 ``_images`` takes an orbit by its key (``orbit_rep``), never by a
-monomial.  It returns the orbit size first, checked against the cap, and
-then streams the orbit, never held as a list: the arrangements of the
-key's rows, in lexicographic order, and for each, in a signed family,
-``itertools.product`` over the choices of its rows: (row, -row) for a
-nonzero row, the row alone for a zero row.  In an unsigned family, or
-with no nonzero row, the arrangements are the orbit.  For even SO with
-no zero row the product runs over the first n - 1 rows, and the last row
-is negated exactly when the number of flips before it differs in parity
-from the input's.
-Each orbit monomial carries the coefficient |G|/|orbit|, its stabiliser
-order, so the result is the sum of w . m over every element w of G.
-``orbit_rep`` names an orbit by these same data: the sorted rows up to
-sign, and for even SO with no zero row the parity of the flips.
+monomial, and reads the even-SO parity rule from the group.  It returns
+the stabiliser order |W|/|orbit| first, once the size has passed the
+cap, and then streams the orbit, never held as a list: the arrangements
+of the key's rows, in lexicographic order, and for each, in a signed
+family, ``itertools.product`` over the choices of its rows: (row, -row)
+for a nonzero row, the row alone for a zero row.  In an unsigned family,
+or with no nonzero row, the arrangements are the orbit.  For even SO
+with no zero row the product runs over the first n - 1 rows, and the
+last row is negated exactly when the number of flips before it differs
+in parity from the input's.  ``_sum_orbits`` is the one writer of orbit
+sums: each orbit monomial gets c times the stabiliser order, so S(m) is
+the sum of w . m over every w in W.  ``orbit_sum``, ``pattern_sum`` and
+``generators.expand`` all write through it.  ``orbit_rep`` names an orbit
+by these same data: the sorted rows up to sign, and for even SO with no
+zero row the parity of the flips.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ from typing import Iterator, Optional
 from .errors import DomainError, ResourceLimitError
 from .groups import GroupSpec
 from .laurent import ExponentMatrix, LaurentPoly
-from .scalars import GaussRat, ONE
+from .scalars import ONE
+from .sparse import add_term
 
 WEYL_CAP = 10 ** 6
 
@@ -134,12 +137,6 @@ def weyl_elements(group: GroupSpec, cap: int = WEYL_CAP) -> Iterator[SignedPerm]
         yield from _iter_signed(n, even_only=True)
 
 
-def pattern_order(group: GroupSpec) -> int:
-    if group.family == "SOeven":
-        return math.factorial(group.rank) << group.rank
-    return group.weyl_order
-
-
 def weyl_generators(group: GroupSpec) -> list[SignedPerm]:
     """A generating set: adjacent transpositions plus one sign generator
     (a single flip for Sp/SOodd, a flip pair for SOeven)."""
@@ -184,20 +181,18 @@ def act(w: SignedPerm, f: LaurentPoly) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 
 def _images(
-    key: tuple[ExponentMatrix, int], group: GroupSpec, even_flips: bool, cap: int
+    key: tuple[ExponentMatrix, int], group: GroupSpec, cap: int
 ) -> tuple[int, Iterator[ExponentMatrix]]:
-    """``(size, images)``: the number of distinct images, under row
-    permutations and, if ``group`` is signed, sign changes of rows (even
-    numbers of flips when ``even_flips``), of the orbit with key ``(rows,
-    parity)`` from ``orbit_rep``, and an iterator over them in the order of
-    the module docstring.
+    """``(stab, images)`` for the Weyl orbit with key ``(rows, parity)``
+    from ``orbit_rep``: the stabiliser order |W|/|orbit| and an iterator
+    over the orbit's monomials in the order of the module docstring.
 
-    The size is checked against ``cap`` before any iterator exists.
+    The orbit size is checked against ``cap`` before any iterator exists.
     """
     base, parity = key
     n = len(base)
     nonzero = sum(1 for row in base if any(row)) if group.signed else 0
-    if not (even_flips and nonzero == n):
+    if not (group.family == "SOeven" and nonzero == n):
         parity = None
     size = math.factorial(n) << nonzero
     for k in Counter(base).values():
@@ -206,13 +201,14 @@ def _images(
         size >>= 1
     if size > cap:
         raise ResourceLimitError(f"orbit of {size} monomials exceeds cap {cap}")
+    stab = group.weyl_order // size
     if not nonzero:  # each row has one choice: the arrangements are the images
-        return size, _arrangements(base)
+        return stab, _arrangements(base)
     # Each row's choices, in the order (row, -row); a zero row has one.
     choices = {row: (row, tuple(-e for e in row)) if any(row) else (row,) for row in base}
     get = choices.__getitem__
     if parity is None:
-        return size, itertools.chain.from_iterable(
+        return stab, itertools.chain.from_iterable(
             itertools.starmap(itertools.product, map(partial(map, get), _arrangements(base)))
         )
     # Even flips, no zero row: the last row's sign is fixed by the parity
@@ -220,7 +216,7 @@ def _images(
     # parities are the bit parities of 0, 1, ..., 2^(n-1) - 1.
     bits = [k.bit_count() & 1 for k in range(1 << (n - 1))]
     tails = {row: [(pair[b ^ parity],) for b in bits] for row, pair in choices.items()}
-    return size, itertools.chain.from_iterable(
+    return stab, itertools.chain.from_iterable(
         map(add, itertools.product(*map(get, arr[:-1])), tails[arr[-1]])
         for arr in _arrangements(base)
     )
@@ -257,56 +253,67 @@ def orbit_rep(m: ExponentMatrix, group: GroupSpec) -> tuple[ExponentMatrix, int]
     """The key ``(rows, parity)`` of the Weyl orbit of the stored key ``m``
     (SL keys canonical mod relations): two keys get one orbit key exactly
     when they lie in one orbit.  ``rows`` are the rows of ``m`` sorted,
-    each sign-normalised (first nonzero entry positive) in the signed
-    families; a zero row then sorts first.  ``parity`` is, for even SO
-    with no zero row, the number of rows that normalising negated, mod 2,
-    and 0 otherwise.  ``rows`` alone keys the orbit under the pattern
-    group (``pattern_sum``)."""
+    each negated in the signed families when it sorts below the zero row
+    (its first nonzero entry is negative); a zero row then sorts first.
+    ``parity`` is, for even SO with no zero row, the number of rows
+    negated, mod 2, and 0 otherwise."""
     if not group.signed:
         return tuple(sorted(m)), 0
+    zero = (0,) * group.factors
     rows = []
     flips = 0
     for row in m:
-        for e in row:
-            if e:
-                if e < 0:
-                    row = tuple([-e for e in row])
-                    flips += 1
-                break
+        if row < zero:
+            row = tuple([-e for e in row])
+            flips += 1
         rows.append(row)
     rows.sort()
-    if group.family == "SOeven" and any(rows[0]):
+    if group.family == "SOeven" and rows[0] != zero:
         return tuple(rows), flips & 1
     return tuple(rows), 0
 
 
-def _orbit_sum(
-    m: ExponentMatrix, group: GroupSpec, order: int, even_flips: bool, cap: int
-) -> LaurentPoly:
-    """Sum of w . m over a group of ``order`` elements, built as the orbit
-    with the stabiliser order |G|/|orbit| on every monomial: the size from
-    ``_images`` gives the coefficient, and its stream fills the dict."""
-    (key,) = LaurentPoly(group, {m: ONE}).terms  # validates + canonicalizes the key
-    size, images = _images(orbit_rep(key, group), group, even_flips, cap)
-    coeff = GaussRat(order // size)
-    # Permuting the rows of a canonical SL key leaves it canonical: the
-    # shift that canonicalises a key depends only on its multiset of rows.
-    return LaurentPoly._trusted(group, dict.fromkeys(images, coeff))
+def _sum_orbits(coeffs: dict, group: GroupSpec, cap: int) -> LaurentPoly:
+    """The sum of c * S(key) over ``coeffs = {orbit key: c}``, no c zero,
+    S the Weyl orbit sum: the sum of w . m over every w in W for any m of
+    the orbit.  It gives each orbit monomial one coefficient, the
+    stabiliser order |W|/|orbit|, so each orbit is streamed from
+    ``_images`` into one dict with c times that order, one product per
+    orbit.  Orbits are disjoint, so no monomial gets two contributions.
+    An orbit above ``cap`` monomials raises ResourceLimitError before it
+    is built.  The images are stored keys as they come: permuting the
+    rows of a canonical SL key leaves it canonical, as the shift that
+    canonicalises a key depends only on its multiset of rows."""
+    terms: dict = {}
+    for key, c in coeffs.items():
+        stab, images = _images(key, group, cap)
+        terms.update(zip(images, itertools.repeat(c * stab)))
+    return LaurentPoly._trusted(group, terms)
 
 
 def orbit_sum(m: ExponentMatrix, group: GroupSpec, cap: int = WEYL_CAP) -> LaurentPoly:
-    """Sum of w . m over every Weyl element, multiplicities included, so
-    the coefficient of each orbit monomial equals the stabilizer order.
-    Raises ResourceLimitError if the orbit has more than ``cap`` monomials."""
-    return _orbit_sum(m, group, group.weyl_order, group.family == "SOeven", cap)
+    """S(m), the sum of w . m over every Weyl element, multiplicities
+    included: ``_sum_orbits`` of m's orbit key with coefficient 1, so each
+    orbit monomial gets the stabiliser order.  Raises ResourceLimitError
+    if the orbit has more than ``cap`` monomials."""
+    (key,) = LaurentPoly(group, {m: ONE}).terms  # validates + canonicalizes the key
+    return _sum_orbits({orbit_rep(key, group): ONE}, group, cap)
 
 
 def pattern_sum(m: ExponentMatrix, group: GroupSpec, cap: int = WEYL_CAP) -> LaurentPoly:
     """Sum of w . m over the pattern group of the level reduction: the
-    symmetric group for GL/SL, the full signed group otherwise (even SO's
-    Weyl sums at level < n are half of these).  No library code calls it;
-    ``generators._reduce_pattern`` writes it in closed form."""
-    return _orbit_sum(m, group, pattern_order(group), False, cap)
+    symmetric group for GL/SL, the full signed group otherwise.  For all
+    but even SO that is W, and the sum is S(m).  Even SO's pattern group
+    is W together with W . d, d one sign change, so the sum is S(m) +
+    S(m'), m' the key with its first row negated: one key counted twice
+    when a row is zero.  ``cap`` bounds each W-orbit, not the pattern
+    orbit, which for even SO can be twice as large.  No library code
+    calls it; ``generators._reduce_pattern`` writes it in closed form."""
+    (key,) = LaurentPoly(group, {m: ONE}).terms
+    coeffs = {orbit_rep(key, group): ONE}
+    if group.family == "SOeven":
+        add_term(coeffs, orbit_rep((tuple(-e for e in key[0]),) + key[1:], group), ONE)
+    return _sum_orbits(coeffs, group, cap)
 
 
 def invariance_violation(f: LaurentPoly, group: GroupSpec) -> Optional[SignedPerm]:

@@ -73,7 +73,6 @@ from toruschar.weyl import (
     level_of_poly,
     orbit_rep,
     orbit_sum,
-    pattern_order,
     pattern_sum,
 )
 
@@ -115,7 +114,7 @@ def reduce_pattern_monomial(m, group, bound):
     if level >= bound:
         raise InternalCheckError("level reduction failed to descend")
     if level == 0:
-        return as_ints(GeneratorPoly.constant(pattern_order(group)))
+        return as_ints(GeneratorPoly.constant(reference_weyl.pattern_order(group)))
     key = memo_key(m, group)
     cached = CACHE.get(key)
     if cached is not None:
@@ -166,7 +165,7 @@ def reduce_by_presentation(m, group, bound):
     if level >= bound:
         raise InternalCheckError("level reduction failed to descend")
     if level == 0:
-        return {(): pattern_order(group)}
+        return {(): reference_weyl.pattern_order(group)}
     key = memo_key(m, group)
     cached = CACHE.get(key)
     if cached is not None:
@@ -208,7 +207,7 @@ def reduce_rows(rows, level, group):
     """R(m) for the orbit key ``rows`` under the pattern group, at
     ``level``: the keyed recursion, with its guards."""
     if level == 0:
-        return {(): pattern_order(group)}
+        return {(): reference_weyl.pattern_order(group)}
     key = (group, rows)
     cached = CACHE.get(key)
     if cached is not None:

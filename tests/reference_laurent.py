@@ -66,7 +66,7 @@ def tau_image(group, alpha):
         rows = [zero_row] * n
         rows[i] = doubled
         sparse.add_term(terms, tuple(rows), ONE)
-        if group.symmetric_traces:
+        if group.signed:
             rows[i] = neg
             sparse.add_term(terms, tuple(rows), ONE)
     poly = LaurentPoly(group, terms)  # canonicalizes the SL keys

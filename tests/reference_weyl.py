@@ -35,6 +35,13 @@ def pattern_elements(group):
     return weyl_elements(group)
 
 
+def pattern_order(group):
+    """The order of the pattern group."""
+    if group.family == "SOeven":
+        return math.factorial(group.rank) << group.rank
+    return group.weyl_order
+
+
 def images_sum(m, group, elements):
     """Sum of w . m over ``elements``, multiplicities included."""
     (key,) = LaurentPoly(group, {m: ONE}).terms

@@ -6,6 +6,7 @@ permutations, and the level reduction against the orbit-sized body in
 
 import itertools
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import reference_decompose
@@ -13,6 +14,7 @@ import reference_laurent
 import reference_weyl as ref
 from toruschar import generators, weyl
 from toruschar.generators import expand, q_image
+from toruschar.errors import ResourceLimitError
 from toruschar.groups import FAMILIES, GroupSpec
 from toruschar.laurent import LaurentPoly, exponents
 from toruschar.scalars import GaussRat
@@ -25,13 +27,15 @@ from toruschar.weyl import (
 
 
 @st.composite
-def monomials(draw, integer_weights=False, max_rank=4):
-    """A group of rank 1 to ``max_rank`` with N = 1-2 and an exponent
-    matrix whose rows repeat, vanish, come in r, -r pairs, carry half
-    weights (SOeven) and, for SL, are shifted off the canonical
-    presentation."""
-    family = draw(st.sampled_from(FAMILIES))
-    group = GroupSpec(family, draw(st.integers(1, max_rank)), draw(st.integers(1, 2)))
+def monomials(draw, integer_weights=False, max_rank=4, group=None):
+    """A group of rank 1 to ``max_rank`` with N = 1-2, unless ``group`` is
+    given, and an exponent matrix whose rows repeat, vanish, come in r, -r
+    pairs, carry half weights (SOeven) and, for SL, are shifted off the
+    canonical presentation."""
+    if group is None:
+        family = draw(st.sampled_from(FAMILIES))
+        group = GroupSpec(family, draw(st.integers(1, max_rank)), draw(st.integers(1, 2)))
+    family = group.family
     if family == "SOeven" and not integer_weights:
         entry = st.integers(-4, 4)  # stored doubled: odd means half weight
     else:
@@ -62,16 +66,37 @@ def test_orbit_sums_match_enumeration(case):
     assert pattern_sum(m, group) == ref.pattern_sum(m, group)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sum_orbits_matches_enumeration(data):
+    # A few orbits of one group, each with a nonzero Gaussian coefficient:
+    # SL keys off their canonical shift, even-SO keys of both parities and
+    # with zero rows come from ``monomials``.
+    group, raw = data.draw(monomials())
+    raws = [raw] + [m for _, m in data.draw(st.lists(monomials(group=group), max_size=3))]
+    parts = st.fractions(-3, 3, max_denominator=4)
+    coeffs, want = {}, LaurentPoly.zero(group)
+    for raw in raws:
+        (m,) = LaurentPoly.monomial(group, raw).terms
+        key = orbit_rep(m, group)
+        if key in coeffs:
+            continue
+        c = data.draw(st.tuples(parts, parts).map(lambda p: GaussRat(*p)).filter(bool))
+        coeffs[key] = c
+        want = want + ref.orbit_sum(m, group).scaled(c)
+    assert weyl._sum_orbits(coeffs, group, weyl.WEYL_CAP) == want
+
+
 @settings(max_examples=300, deadline=None)
-@given(monomials(max_rank=5), st.booleans())
-def test_images_match_the_flip_loop_in_order(case, even_flips):
+@given(monomials(max_rank=5))
+def test_images_match_the_flip_loop_in_order(case):
     group, raw = case
     (m,) = LaurentPoly.monomial(group, raw).terms  # orbits are built on stored keys
     cap = weyl.WEYL_CAP
-    size, images = weyl._images(orbit_rep(m, group), group, even_flips, cap)
+    stab, images = weyl._images(orbit_rep(m, group), group, cap)
     images = list(images)
-    assert size == len(images)
-    assert images == ref.images(m, group, even_flips, cap)
+    assert stab * len(images) == group.weyl_order
+    assert images == ref.images(m, group, group.family == "SOeven", cap)
 
 
 @settings(max_examples=300, deadline=None)
@@ -103,6 +128,23 @@ def test_soeven_sign_pair_and_zero_row():
         exponents([[0], [1]]), exponents([[0], [-1]]),
     }
     assert orb == ref.orbit_sum(with_zero, g)
+
+
+def test_pattern_sum_caps_each_weyl_orbit(monkeypatch):
+    # Rows (1), (-1), (2) on even SO(6): the pattern orbit has 24
+    # monomials, two W-orbits of 12.  A cap of 12 passes, 11 is refused
+    # before any arrangement of the rows is asked for.
+    g = GroupSpec("SOeven", 3, 1)
+    m = exponents([[1], [-1], [2]])
+    got = pattern_sum(m, g, cap=12)
+    assert len(got) == 24 and got == ref.pattern_sum(m, g)
+
+    def arranged(rows):
+        raise AssertionError("an orbit over the cap was built")
+
+    monkeypatch.setattr(weyl, "_arrangements", arranged)
+    with pytest.raises(ResourceLimitError, match="orbit of 12 monomials exceeds cap 11"):
+        pattern_sum(m, g, cap=11)
 
 
 def step(m_sub, alpha, group):
