@@ -1,8 +1,9 @@
 """Cross-checking suites tying the symbolic and numeric layers together.
 
 Each suite samples reproducibly from an explicit seed and returns a plain
-dict summarizing what was run and the worst deviation observed, so the
-command line and the test suite share one implementation.
+dict summarizing what was run and what failed (the worst deviation, for a
+float comparison), so the command line and the test suite share one
+implementation.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .errors import DomainError, InternalCheckError, ResourceLimitError
-from .generators import decompose, q_image, tau_image
+from .generators import GeneratorPoly, decompose, orbit_coefficients, q_image, tau_image, tau_symbol
 from .groups import GroupSpec
 from .laurent import LaurentPoly, exponents
 from .lie import (
@@ -23,14 +24,12 @@ from .lie import (
     lie_basis,
     numeric_bracket,
     random_group_element,
-    random_rational,
     random_torus_point,
     require_tol,
     torus_matrix,
     variation,
 )
 from .linalg import mat_eq, mat_mul, trace
-from .points import TorusPoint
 from .poisson import TauPoly, bracket_symbols, jacobi_defect, symbol_window
 from .scalars import GaussRat, ONE
 from .weyl import orbit_sum
@@ -209,15 +208,14 @@ def _worse(err: float, worst: float) -> bool:
     return err > worst or (math.isnan(err) and not math.isnan(worst))
 
 
-def _require_run(trials: int, tol: float) -> None:
+def _require_run(trials: int) -> None:
     """Refuse a suite run whose outcome would mean nothing: one that checks
-    nothing must not report success, nor one with an unusable tol, and one
-    above TRIALS_CAP is a ResourceLimitError."""
+    nothing must not report success, and one above TRIALS_CAP is a
+    ResourceLimitError."""
     if trials < 1:
         raise DomainError(f"trials must be at least 1, got {trials}")
     if trials > TRIALS_CAP:
         raise ResourceLimitError(f"{trials} trials exceed cap {TRIALS_CAP}")
-    require_tol(tol)
 
 
 def bracket_agreement(
@@ -238,7 +236,8 @@ def bracket_agreement(
     error is 0).  The points are drawn in trial order from ``seed``, so a
     run with the same arguments and ``worst_trial + 1`` trials reproduces
     ``max_rel_err``."""
-    _require_run(trials, tol)
+    _require_run(trials)
+    require_tol(tol)
     if window < 1:  # the window would hold at most tau(0, 0), whose brackets vanish
         raise DomainError(f"window must be at least 1, got {window}")
     rng = random.Random(seed)
@@ -303,67 +302,63 @@ def random_taupoly(group: GroupSpec, c: Fraction, rng, max_terms: int = 3,
     return TauPoly(group, c, terms)
 
 
+def _image(p: TauPoly) -> dict:
+    """p's image on X_G^0(Z^2) in the Weyl orbit-sum basis, each tau(a) read
+    as the trace generator of p's group; p vanishes there exactly when the
+    map is empty.  No Laurent polynomial is built."""
+    group = p.group
+    gen = GeneratorPoly({tuple(tau_symbol(group, a) for a in key): v for key, v in p.terms.items()})
+    return orbit_coefficients(gen, group)
+
+
 def jacobi_suite(
     group: GroupSpec,
     trials: int = 100,
     seed: int = 0,
     span: int = 3,
-    points_per_defect: int = 50,
-    tol: float = 1e-9,
     c: Fraction = Fraction(1),
 ) -> dict:
-    """Jacobi defect on random symbol triples.
-
-    Records whether every defect vanished identically in the free symbol
-    algebra or only numerically at sampled points (the distinction the
-    bracket's validity rests on)."""
-    _require_run(trials, tol)
+    """Jacobi defect on random symbol triples, decided exactly: ``mode`` is
+    ``identical`` when every defect is 0 in the free symbol algebra,
+    ``image`` when all have image 0 (``_image``), and ``nonzero`` at the
+    first that does not, where the run stops.  ``first_trial`` (0-based)
+    and ``first_triple`` locate it; the triples are the only draws from
+    ``seed``, so ``first_trial + 1`` trials end at the same triple."""
+    _require_run(trials)
     rng = random.Random(seed)
-    identical = True
-    worst = 0.0
-    for _ in range(trials):
-        a = (rng.randint(-span, span), rng.randint(-span, span))
-        b = (rng.randint(-span, span), rng.randint(-span, span))
-        c3 = (rng.randint(-span, span), rng.randint(-span, span))
-        defect = jacobi_defect(a, b, c3, group, c)
+    mode = "identical"
+    first_trial = first_triple = None
+    for trial in range(trials):
+        triple = tuple((rng.randint(-span, span), rng.randint(-span, span)) for _ in range(3))
+        defect = jacobi_defect(*triple, group, c)
         if not defect:
             continue
-        identical = False
-        for _ in range(points_per_defect):
-            pt = random_torus_point(group, rng, exact=False, generic=False)
-            val = abs(defect.evaluate(pt))
-            if _worse(val, worst):
-                worst = val
-    return {
-        "group": str(group),
-        "trials": trials,
-        "mode": "identical" if identical else "numeric",
-        "max_defect": worst,
-        "tol": tol,
-        "ok": identical or worst < tol,
-    }
+        if _image(defect):
+            mode, first_trial, first_triple = "nonzero", trial, triple
+            break
+        mode = "image"
+    return {"group": str(group), "trials": trials, "mode": mode, "first_trial": first_trial,
+            "first_triple": first_triple, "ok": mode != "nonzero"}
 
 
-def sl2_sp1_suite(trials: int = 100, seed: int = 0, tol: float = 1e-9, span: int = 3) -> dict:
-    """The SL(2) and Sp(1) bracket formulas agree under evaluation: the
-    trace identity tau_a tau_b = tau_{a+b} + tau_{a-b} in disguise."""
+def sl2_sp1_suite(trials: int = 100, seed: int = 0, span: int = 3) -> dict:
+    """The SL(2) and Sp(1) bracket formulas agree exactly: the SL(2) bracket
+    less the Sp(1) one read in SL(2) symbols (x -> x_1, 1/x -> x_2) has
+    image 0 (``_image``), the trace identity tau_a tau_b = tau_{a+b} +
+    tau_{a-b} in disguise.  ``failures`` counts the pairs where it is not."""
+    _require_run(trials)
     rng = random.Random(seed)
     sl2 = GroupSpec("SL", 2, 2)
     sp1 = GroupSpec("Sp", 1, 2)
-    worst = 0.0
+    failures = 0
     for _ in range(trials):
-        s = complex(GaussRat(random_rational(rng)))
-        t = complex(GaussRat(random_rational(rng)))
-        pt_sl = TorusPoint(sl2, [[s, 1 / s], [t, 1 / t]])
-        pt_sp = TorusPoint(sp1, [[s], [t]])
         a = (rng.randint(-span, span), rng.randint(-span, span))
         b = (rng.randint(-span, span), rng.randint(-span, span))
-        v1 = bracket_symbols(a, b, sl2).evaluate(pt_sl)
-        v2 = bracket_symbols(a, b, sp1).evaluate(pt_sp)
-        err = abs(v1 - v2) / (1 + abs(v2))
-        if _worse(err, worst):
-            worst = err
-    return {"trials": trials, "max_rel_err": worst, "tol": tol, "ok": worst < tol}
+        sl = bracket_symbols(a, b, sl2)
+        sp = TauPoly(sl2, sl.c, bracket_symbols(a, b, sp1).terms)
+        if _image(sl - sp):
+            failures += 1
+    return {"trials": trials, "failures": failures, "ok": failures == 0}
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL
 line with its runtime.  Tolerances are pinned here and nowhere else:
-exact equality for the algebraic criteria, 1e-9 relative error for the
-float oracle comparisons.  Budgets (wall-clock) are asserted as part of
+exact equality for the algebraic criteria (criterion 6 included), 1e-9
+relative error for the float oracle comparisons.  Budgets (wall-clock) are asserted as part of
 each criterion.
 
 Criterion 2 runs every family at torus ranks 1..3 except SL, which starts
@@ -122,7 +122,7 @@ def test_criterion_5_poisson_axioms():
         instances += 1
     modes = []
     for i, g in enumerate(JACOBI_GROUPS):
-        res = jacobi_suite(g, trials=100, seed=i, tol=1e-9)
+        res = jacobi_suite(g, trials=100, seed=i)
         ok = ok and res["ok"]
         modes.append(f"{g.family}:{res['mode']}")
     _report(
@@ -136,13 +136,13 @@ def test_criterion_5_poisson_axioms():
 
 def test_criterion_6_sl2_sp1_consistency():
     t0 = time.time()
-    res = sl2_sp1_suite(trials=100, seed=0, tol=1e-9)
+    res = sl2_sp1_suite(trials=100, seed=0)
     _report(
         "6 SL(2)/Sp(1) consistency",
         res["ok"],
         time.time() - t0,
         30.0,
-        f"max relative error {res['max_rel_err']:.2e}",
+        f"{res['trials']} symbol pairs compared exactly, {res['failures']} differ",
     )
 
 

@@ -282,18 +282,73 @@ def test_nan_bracket_error_fails_with_a_witness(monkeypatch, capsys):
     assert "--trials 1" in witness
 
 
-def test_nan_jacobi_defect_fails(monkeypatch):
+def test_nonzero_jacobi_image_fails_with_a_witness(monkeypatch, capsys):
     from toruschar import verify
-    from toruschar.points import TorusPoint
+    from toruschar.poisson import TauPoly, jacobi_defect
+
+    calls = []
+
+    def mutant(a, b, c3, group, c):
+        # tau(1, 0) has a nonzero image; it stands in from the third triple on.
+        calls.append(a)
+        if len(calls) < 3:
+            return jacobi_defect(a, b, c3, group, c)
+        return TauPoly.symbol(group, c, (1, 0))
+
+    monkeypatch.setattr(verify, "jacobi_defect", mutant)
+    res = verify.jacobi_suite(GroupSpec("SL", 2, 2), trials=5)
+    assert res["mode"] == "nonzero" and not res["ok"]
+    assert res["first_trial"] == 2 and res["first_triple"][0] == calls[2]
+    calls.clear()
+    assert run(["verify-jacobi", "--family", "sl", "--rank", "2", "--trials", "5"]) == 1
+    first = capsys.readouterr()
+    assert first.out.endswith("defect mode: nonzero at triple 3\n")
+    (witness,) = first.err.splitlines()
+    words = shlex.split(witness, comments=True)
+    assert words[:2] == ["toruschar", "verify-jacobi"]
+    assert words[words.index("--trials") + 1] == "3"
+    taus = ", ".join(f"tau{a}" for a in res["first_triple"])
+    assert witness.endswith(f"# first nonzero: {taus} at triple 3")
+    calls.clear()
+    assert run(words[1:]) == 1
+    assert capsys.readouterr().err.splitlines() == [witness]
+
+
+@pytest.mark.parametrize(
+    "group, terms",
+    [   # tau(1, 0)^2 = tau(2, 0) + 2 on SL(2), and tau(0, 0) = 3 on SL(3)
+        (GroupSpec("SL", 2, 2), {((1, 0), (1, 0)): 1, ((2, 0),): -1, (): -2}),
+        (GroupSpec("SL", 3, 2), {((0, 0),): 1, (): -3}),
+    ],
+    ids=str,
+)
+def test_jacobi_defect_zero_only_in_the_image_passes(monkeypatch, group, terms):
+    from toruschar import verify
     from toruschar.poisson import TauPoly
 
-    group = GroupSpec("Sp", 1, 2)
-    monkeypatch.setattr(verify, "jacobi_defect", lambda *args: TauPoly.symbol(group, 1, (1, 0)))
-    nan_point = TorusPoint(group, [[complex("nan")], [2]])
-    monkeypatch.setattr(verify, "random_torus_point", lambda *args, **kwargs: nan_point)
-    res = verify.jacobi_suite(group, trials=2)
-    assert res["mode"] == "numeric" and not res["ok"]
-    assert res["max_defect"] != res["max_defect"]
+    relation = TauPoly(group, 1, terms)
+    assert relation  # nonzero in the free symbol algebra
+    monkeypatch.setattr(verify, "jacobi_defect", lambda *args: relation)
+    res = verify.jacobi_suite(group, trials=3)
+    assert res["mode"] == "image" and res["ok"]
+
+
+def test_sl2_sp1_suite_fails_every_pair_of_a_doubled_sp1_form(monkeypatch):
+    from toruschar import verify
+    from toruschar.poisson import bracket_symbols
+
+    pairs = []
+
+    def doubled(a, b, group, c=1):
+        if group.family == "Sp":
+            pairs.append((a, b))
+            c = 2 * c
+        return bracket_symbols(a, b, group, c)
+
+    monkeypatch.setattr(verify, "bracket_symbols", doubled)
+    res = verify.sl2_sp1_suite(trials=300, seed=0, span=3)
+    moving = sum(a[0] * b[1] != a[1] * b[0] for a, b in pairs)  # det != 0
+    assert not res["ok"] and res["failures"] == moving == 266
 
 
 def test_verify_jacobi_small(capsys):
@@ -716,12 +771,6 @@ def test_suites_refuse_fewer_than_one_trial(capsys, argv):
     assert captured.err.startswith("error: trials must be at least 1")
 
 
-_SUITES = (
-    ["verify-bracket", "--family", "sp", "--rank", "1"],
-    ["verify-jacobi", "--family", "sl", "--rank", "2"],
-)
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -730,8 +779,8 @@ _SUITES = (
         for w in ("-1", "0")
     ]
     + [
-        (suite + ["--tol", tol], f"tol must be a positive finite number, got {shown}")
-        for suite in _SUITES
+        (["verify-bracket", "--family", "sp", "--rank", "1", "--tol", tol],
+         f"tol must be a positive finite number, got {shown}")
         for tol, shown in (("nan", "nan"), ("inf", "inf"), ("0", "0.0"), ("-1", "-1.0"))
     ],
 )
@@ -740,6 +789,16 @@ def test_suites_refuse_empty_windows_and_bad_tolerances(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_verify_jacobi_takes_no_tolerance(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify-jacobi", "--family", "sl", "--rank", "2", "--tol", "1e-9"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("usage: toruschar ")
+    assert err.endswith("\ntoruschar: error: unrecognized arguments: --tol 1e-9\n")
 
 
 @pytest.mark.parametrize(
@@ -788,7 +847,7 @@ def test_budgets_accept_values_at_the_caps():
     from toruschar.verify import BRACKET_GROUPS, PAIR_TRIALS_CAP, TRIALS_CAP, _require_run
 
     assert len(symbol_window(GroupSpec("SL", 3, 2), CUTOFF_CAP)) == (2 * CUTOFF_CAP + 1) ** 2
-    _require_run(TRIALS_CAP, 1e-9)
+    _require_run(TRIALS_CAP)
     for group in BRACKET_GROUPS:  # the default window 2 at the trials cap
         size = len(symbol_window(group, 2))
         assert TRIALS_CAP * size * (size + 1) // 2 <= PAIR_TRIALS_CAP

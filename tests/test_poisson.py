@@ -9,6 +9,7 @@ from toruschar.errors import DomainError, StructureError
 from toruschar.groups import GroupSpec
 from toruschar.lie import numeric_bracket, random_torus_point
 from toruschar.generators import tau_image
+from toruschar.laurent import LaurentPoly
 from toruschar.points import TorusPoint
 from toruschar.poisson import (
     TauPoly,
@@ -19,7 +20,8 @@ from toruschar.poisson import (
     symbol_window,
 )
 from toruschar.scalars import GaussRat, ONE
-from toruschar.verify import random_taupoly
+from toruschar.verify import _image, random_taupoly
+from toruschar.weyl import WEYL_CAP, _sum_orbits
 
 SL2 = GroupSpec("SL", 2, 2)
 SP1 = GroupSpec("Sp", 1, 2)
@@ -191,6 +193,28 @@ def test_jacobi_identically_zero():
 def test_jacobi_repeated_argument():
     a = (1, 2)
     assert not jacobi_defect(a, a, (0, 1), SL2, ONE_C)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [SL2, GroupSpec("SL", 3, 2), SP1, GroupSpec("Sp", 2, 2), GroupSpec("SOodd", 2, 2),
+     GroupSpec("SOeven", 2, 2), GroupSpec("SOeven", 3, 2)],
+    ids=str,
+)
+def test_image_matches_the_product_of_tau_images(group):
+    # The orbit-basis image written out equals the Laurent product of the
+    # tau images, multiplied without orbit_coefficients.
+    rng = random.Random(11)
+    for _ in range(8):
+        p = bracket_poly(random_taupoly(group, ONE_C, rng), random_taupoly(group, ONE_C, rng))
+        want = LaurentPoly.zero(group)
+        for key, coeff in p.terms.items():
+            term = LaurentPoly.constant(group, coeff)
+            for a in key:
+                term = term * tau_image(group, a)
+            want = want + term
+        assert _sum_orbits(_image(p), group, WEYL_CAP) == want
+    assert _image(TauPoly.symbol(group, ONE_C, (1, 0)))
 
 
 def test_structure_constants_table():
