@@ -169,14 +169,16 @@ class LaurentPoly(sparse.SparsePoly):
     in canonical form.  Evaluation keeps one table per point kind, exact
     or float, for the life of the instance, so it never goes stale: per
     sorted term the nonzero power keys ``(i, j, e)`` in row-major order
-    and the coefficient in the point's scalars, and per log-partial
-    ``(i, j)`` the ``(term index, coefficient)`` pairs of its terms in
-    sorted order (``_table``).  At any point each polynomial then
+    and the coefficient in the point's scalars (``_table``).  The first
+    ``log_gradient_values`` at a point kind adds, per log-partial
+    ``(i, j)``, the ``(term index, coefficient)`` pairs of its terms in
+    sorted order (``_partial_table``); a polynomial that is only
+    evaluated never builds them.  At any point each polynomial then
     computes its monomial values once (``_point_values``), and its value
     and every log-partial sum them with one body for both kinds.
     """
 
-    __slots__ = ("group", "_tables")
+    __slots__ = ("group", "_tables", "_partials")
 
     def __init__(self, group: GroupSpec, terms: Mapping[ExponentMatrix, GaussRat] = ()):
         self.group = group
@@ -187,7 +189,7 @@ class LaurentPoly(sparse.SparsePoly):
                 coeff = GaussRat(coeff)
             sparse.add_term(clean, canonical_mod_relations(m, group), coeff)
         self.terms = clean
-        self._tables = _NO_TABLES
+        self._tables = self._partials = _NO_TABLES
 
     @classmethod
     def _trusted(cls, group: GroupSpec, terms: dict) -> "LaurentPoly":
@@ -195,7 +197,7 @@ class LaurentPoly(sparse.SparsePoly):
         the stored form (canonical keys, no zero coefficient)."""
         p = cls.__new__(cls)
         p.group, p.terms = group, terms
-        p._tables = _NO_TABLES
+        p._tables = p._partials = _NO_TABLES
         return p
 
     def _ring(self) -> tuple:
@@ -288,28 +290,33 @@ class LaurentPoly(sparse.SparsePoly):
         return LaurentPoly._trusted(self.group, out)
 
     def _table(self, exact: bool) -> tuple:
-        """Build ``(power keys, coefficients, partials)`` for exact
-        (``True``) or float points and keep it in ``_tables[exact]``.  Per
-        sorted term: its nonzero power keys ``(i, j, e)`` in row-major
-        order and its coefficient in the point's scalars (the GaussRat
-        itself, or its complex).  ``partials[j-1][i-1]`` holds the ``(term
-        index, c * e / 2)`` pairs of ``partial(i, j)``, with ``c * e / 2``
-        in the point's scalars too."""
-        group = self.group
+        """Build ``(power keys, coefficients)`` for exact (``True``) or
+        float points and keep it in ``_tables[exact]``.  Per sorted term:
+        its nonzero power keys ``(i, j, e)`` in row-major order and its
+        coefficient in the point's scalars (the GaussRat itself, or its
+        complex)."""
         keys, coeffs = [], []
-        partials = [[[] for _ in range(group.rank)] for _ in range(group.factors)]
-        for k, (m, c) in enumerate(self.sorted_terms()):
-            key = []
-            for i, row in enumerate(m):
-                for j, e in enumerate(row):
-                    if e:  # c * e / 2 is the coefficient partial(i+1, j+1) has
-                        key.append((i + 1, j + 1, e))
-                        d = c * e / 2
-                        partials[j][i].append((k, d if exact else complex(d)))
-            keys.append(tuple(key))
+        for m, c in self.sorted_terms():
+            keys.append(tuple((i + 1, j + 1, e) for i, row in enumerate(m) for j, e in enumerate(row) if e))
             coeffs.append(c if exact else complex(c))
-        table = (tuple(keys), tuple(coeffs), tuple(tuple(map(tuple, row)) for row in partials))
+        table = (tuple(keys), tuple(coeffs))
         self._tables = (self._tables[0], table) if exact else (table, self._tables[1])
+        return table
+
+    def _partial_table(self, exact: bool) -> tuple:
+        """Build the log-partial table for exact (``True``) or float points
+        and keep it in ``_partials[exact]``: ``[j-1][i-1]`` holds the
+        ``(term index, c * e / 2)`` pairs of ``partial(i, j)`` in sorted
+        term order, with ``c * e / 2`` in the point's scalars."""
+        group = self.group
+        partials = [[[] for _ in range(group.rank)] for _ in range(group.factors)]
+        keys = (self._tables[exact] or self._table(exact))[0]
+        for k, (key, (_, c)) in enumerate(zip(keys, self.sorted_terms())):
+            for i, j, e in key:
+                d = c * e / 2
+                partials[j - 1][i - 1].append((k, d if exact else complex(d)))
+        table = tuple(tuple(map(tuple, row)) for row in partials)
+        self._partials = (self._partials[0], table) if exact else (table, self._partials[1])
         return table
 
     def _point_values(self, point) -> tuple:
@@ -347,8 +354,9 @@ class LaurentPoly(sparse.SparsePoly):
         """
         self._require_point_group(point)
         values = self._point_values(point)  # builds the table on first use
+        exact = point.exact
         grads = []
-        for row in self._tables[point.exact][2]:
+        for row in self._partials[exact] or self._partial_table(exact):
             vec = []
             for terms in row:
                 total = None

@@ -19,6 +19,7 @@ flag, validated only by agreement with the numeric oracle.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from operator import index
 from typing import Mapping
 
@@ -33,8 +34,10 @@ from .scalars import GaussRat, ONE, read_rational, to_fraction
 LatticeVec = tuple[int, int]
 
 # A window of |p|, |q| <= 8 holds up to 289 symbols; its structure-constant
-# table (about 42 000 brackets, 27 MB of JSON for SL(3)) takes about 2 s on
-# a 2-vCPU host, and the cost grows as the fourth power of the cutoff.
+# table (about 42 000 brackets, 27 MB of JSON for SL(3)) takes 0.85-0.97 s
+# to build and 2.7-3.3 s as the ``structure-constants`` command, JSON
+# writing included, on a 2-vCPU host; the cost grows as the fourth power
+# of the cutoff.
 CUTOFF_CAP = 8
 
 
@@ -71,10 +74,16 @@ class TauPoly(sparse.SparsePoly):
     def _ring(self) -> tuple:
         return (self.group, self.c)
 
-    def _wrap(self, terms: dict) -> "TauPoly":
-        p = TauPoly.__new__(TauPoly)
-        p.group, p.c, p.terms, p._tables = self.group, self.c, terms, _NO_TABLES
+    @classmethod
+    def _trusted(cls, group: GroupSpec, c: Fraction, terms: dict) -> "TauPoly":
+        """Wrap ``terms`` without checks or copy; they must already be in
+        the stored form (normalized sorted keys, no zero coefficient)."""
+        p = cls.__new__(cls)
+        p.group, p.c, p.terms, p._tables = group, c, terms, _NO_TABLES
         return p
+
+    def _wrap(self, terms: dict) -> "TauPoly":
+        return TauPoly._trusted(self.group, self.c, terms)
 
     def _factors(self, key: tuple) -> str:
         return "*".join(f"tau({a[0]},{a[1]})" for a in key)
@@ -169,6 +178,57 @@ class TauPoly(sparse.SparsePoly):
 # brackets
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _bracket_rule(group: GroupSpec, c: Fraction, extrapolated_gl: bool):
+    """The symbol bracket of one (group, c) as a function of two integer
+    pairs, with the family's constants built once as GaussRats.  It
+    returns the bracket's ``(key, coefficient)`` terms in stored form (a
+    det = 0 pair gives none): the a+b and a-b keys normalized on signed
+    groups, the SL pair key sorted.  Without ``extrapolated_gl`` a GL
+    pair raises NoGLFormulaError only when det != 0."""
+    if group.factors != 2:
+        raise StructureError("trace symbols need exactly two factors")
+    family = group.family
+    if family == "SL":
+        inv_c = GaussRat(1 / c)
+        unit_n = GaussRat(-1 / (group.rank * c))
+
+        def rule(a, b):
+            det = a[0] * b[1] - a[1] * b[0]
+            if not det:
+                return ()
+            pair = (a, b) if a <= b else (b, a)
+            return (((a[0] + b[0], a[1] + b[1]),), inv_c * det), (pair, unit_n * det)
+
+    elif family == "GL":
+        inv_c = GaussRat(1 / c)
+
+        def rule(a, b):
+            det = a[0] * b[1] - a[1] * b[0]
+            if not det:
+                return ()
+            if not extrapolated_gl:
+                raise NoGLFormulaError(
+                    "no GL bracket formula; pass extrapolated_gl=True for the "
+                    "oracle-validated extrapolation"
+                )
+            return (((a[0] + b[0], a[1] + b[1]),), inv_c * det),
+
+    else:
+        half_c = GaussRat(1 / (2 * c))
+
+        def rule(a, b):
+            det = a[0] * b[1] - a[1] * b[0]
+            if not det:
+                return ()
+            scale = half_c * det
+            plus = _normalize_vector((a[0] + b[0], a[1] + b[1]))[0]
+            minus = _normalize_vector((a[0] - b[0], a[1] - b[1]))[0]
+            return ((plus,), scale), ((minus,), -scale)
+
+    return rule
+
+
 def bracket_symbols(
     a,
     b,
@@ -177,49 +237,27 @@ def bracket_symbols(
     extrapolated_gl: bool = False,
 ) -> TauPoly:
     """Poisson bracket of two trace symbols, each a pair of integers
-    (``operator.index``: a float or a Fraction raises TypeError)."""
+    (``operator.index``: a float or a Fraction raises TypeError).  The
+    rule and its constants are built once per (group, c)."""
     c = to_fraction(c)
     if c == 0:
         raise DomainError("c must be nonzero")
     if len(a) != 2 or len(b) != 2:
         raise DomainError(f"a trace symbol takes 2 entries, got {len(a)} and {len(b)}")
-    p, q = index(a[0]), index(a[1])
-    r, s = index(b[0]), index(b[1])
-    det = p * s - q * r
-    out = TauPoly.zero(group, c)
-    if det == 0:
-        return out
-    plus = (p + r, q + s)
-    if group.family == "SL":
-        n = group.rank
-        scale = GaussRat(Fraction(det) / c)
-        return TauPoly(
-            group,
-            c,
-            {
-                (plus,): scale,
-                ((p, q), (r, s)): -scale * GaussRat(Fraction(1, n)),
-            },
-        )
-    if group.family == "GL":
-        if not extrapolated_gl:
-            raise NoGLFormulaError(
-                "no GL bracket formula; pass extrapolated_gl=True for the "
-                "oracle-validated extrapolation"
-            )
-        scale = GaussRat(Fraction(det) / c)
-        return TauPoly(group, c, {(plus,): scale})
-    minus = (p - r, q - s)
-    scale = GaussRat(Fraction(det) / (2 * c))
-    return TauPoly(group, c, {(plus,): scale, (minus,): -scale})
+    a = (index(a[0]), index(a[1]))
+    b = (index(b[0]), index(b[1]))
+    rule = _bracket_rule(group, c, extrapolated_gl)
+    return TauPoly._trusted(group, c, dict(rule(a, b)))
 
 
 def bracket_poly(
     f: TauPoly, h: TauPoly, extrapolated_gl: bool = False
 ) -> TauPoly:
-    """Bilinear, Leibniz extension of the symbol bracket."""
+    """Bilinear, Leibniz extension of the symbol bracket.  The rule and its
+    constants are built once per (group, c); each factor pair adds the
+    rule's terms straight into one accumulator."""
     f._require_same_ring(h)
-    group, c = f.group, f.c
+    rule = _bracket_rule(f.group, f.c, extrapolated_gl)
     terms: dict[tuple, GaussRat] = {}
     for k1, v1 in f.terms.items():
         for k2, v2 in h.terms.items():
@@ -228,9 +266,8 @@ def bracket_poly(
                 rest1 = k1[:i1] + k1[i1 + 1 :]
                 for i2 in range(len(k2)):
                     rest2 = k2[:i2] + k2[i2 + 1 :]
-                    br = bracket_symbols(k1[i1], k2[i2], group, c, extrapolated_gl)
                     extra = rest1 + rest2
-                    for key, v in br.terms.items():
+                    for key, v in rule(k1[i1], k2[i2]):
                         sparse.add_term(terms, sparse.merge_keys(key, extra), v * scale)
     return f._wrap(terms)
 

@@ -34,6 +34,7 @@ from toruschar.lie import (
 )
 from toruschar.linalg import identity, mat_eq, mat_from, mat_inv, mat_mul, to_numpy, trace
 from toruschar.points import TorusPoint
+from toruschar.poisson import _bracket_rule
 from toruschar.scalars import GaussRat, ONE
 
 
@@ -408,8 +409,9 @@ def test_indices_outside_the_group_are_refused(which, i, j):
         (cartan_metric, lambda k: (GroupSpec("Sp", 1, 2), Fraction(k + 1))),
         (killing_ratio, lambda k: (GroupSpec("SL", 2, k + 1),)),
         (_basis_forms, lambda k: (GroupSpec("GL", 1, k + 1),)),
+        (_bracket_rule, lambda k: (GroupSpec("SL", 2, 2), Fraction(k + 1), False)),
     ],
-    ids=["tau_image", "cartan_metric", "killing_ratio", "_basis_forms"],
+    ids=["tau_image", "cartan_metric", "killing_ratio", "_basis_forms", "_bracket_rule"],
 )
 def test_module_caches_are_bounded(cache, key):
     bound = cache.cache_parameters()["maxsize"]

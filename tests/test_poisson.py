@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from toruschar.errors import DomainError, StructureError
+from toruschar.errors import DomainError, NoGLFormulaError, StructureError
 from toruschar.groups import GroupSpec
 from toruschar.lie import numeric_bracket, random_torus_point
 from toruschar.generators import tau_image
@@ -53,6 +53,22 @@ def test_bracket_gl_gated():
         bracket_symbols((1, 0), (0, 1), gl, ONE_C)
     br = bracket_symbols((1, 0), (0, 1), gl, ONE_C, extrapolated_gl=True)
     assert br.terms == {((1, 1),): ONE}
+
+
+def test_gl_without_the_flag_brackets_only_det_zero_pairs():
+    # A det = 0 pair is 0 on GL too; only a det != 0 pair needs a formula.
+    gl = GroupSpec("GL", 2, 2)
+    zero = bracket_symbols((1, 0), (2, 0), gl, ONE_C)
+    assert zero == TauPoly.zero(gl, ONE_C)
+    with pytest.raises(NoGLFormulaError):
+        bracket_symbols((1, 0), (0, 1), gl, ONE_C)
+
+    def sym(a):
+        return TauPoly.symbol(gl, ONE_C, a)
+
+    assert bracket_poly(sym((1, 0)), sym((2, 0))) == TauPoly.zero(gl, ONE_C)
+    with pytest.raises(NoGLFormulaError):
+        bracket_poly(sym((1, 0)), sym((0, 1)))
 
 
 def test_gl_extrapolated_rule_matches_oracle():
