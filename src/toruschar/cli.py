@@ -236,8 +236,8 @@ def _cmd_verify_bracket(args) -> int:
     if args.extrapolated:
         argv.append("--extrapolated")
     a, b = res["worst_pair"]
-    print(f"{shlex.join(argv)}  # worst: {{tau{a}, tau{b}}} at trial {res['worst_trial'] + 1}",
-          file=sys.stderr)
+    print(f"{shlex.join(argv)}  # worst: {{tau{a}, tau{b}}} at trial {res['worst_trial'] + 1}, "
+          f"exact {res['worst_bracket']}, B {res['worst_size']:.3e}", file=sys.stderr)
     return 1
 
 

@@ -145,8 +145,17 @@ def canonical_mod_relations(m: ExponentMatrix, group: GroupSpec) -> ExponentMatr
     return tuple(tuple(e - ce for e, ce in zip(row, c)) for row in m)
 
 
+def stored_key(m: ExponentMatrix, group: GroupSpec) -> ExponentMatrix:
+    """The key under which a polynomial of ``group`` stores the monomial
+    ``m``: an unhashable ``m`` (rows given as lists) raises TypeError,
+    then ``check_exponents`` runs, and SL keys are canonicalised."""
+    hash(m)
+    check_exponents(m, group)
+    return canonical_mod_relations(m, group)
+
+
 def zero_exponents(group: GroupSpec) -> ExponentMatrix:
-    return tuple((0,) * group.factors for _ in range(group.rank))
+    return ((0,) * group.factors,) * group.rank
 
 
 def _add_exponents(m1: ExponentMatrix, m2: ExponentMatrix) -> ExponentMatrix:
@@ -184,10 +193,10 @@ class LaurentPoly(sparse.SparsePoly):
         self.group = group
         clean: dict[ExponentMatrix, GaussRat] = {}
         for m, coeff in dict(terms).items():
-            check_exponents(m, group)
+            key = stored_key(m, group)
             if not isinstance(coeff, GaussRat):
                 coeff = GaussRat(coeff)
-            sparse.add_term(clean, canonical_mod_relations(m, group), coeff)
+            sparse.add_term(clean, key, coeff)
         self.terms = clean
         self._tables = self._partials = _NO_TABLES
 

@@ -624,6 +624,21 @@ def numeric_bracket(
     return sum(map(mul, pf1, ph2)) / scale - sum(map(mul, pf2, ph1)) / scale
 
 
+def numeric_bracket_size(
+    f: LaurentPoly, h: LaurentPoly, point: TorusPoint, c: Fraction = Fraction(1)
+) -> float:
+    """B, the size of the terms that ``numeric_bracket(f, h, point, c)``
+    sums at a float point: the sum of ``|x_i * y_i|`` over both of its dot
+    products, divided by ``|scale|``.  A float dot product is off by at
+    most a small multiple of the unit roundoff times this sum (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 3.1), so a
+    bracket whose exact value is 0 may read as large as about 1e-16 * B."""
+    pf1, pf2 = _gradient_entry(f, point)[2]
+    ph1, ph2 = _gradient_entry(h, point)[2]
+    terms = itertools.chain(map(mul, pf1, ph2), map(mul, pf2, ph1))
+    return sum(map(abs, terms)) / abs(cartan_metric(f.group, c).scale)
+
+
 # ---------------------------------------------------------------------------
 # roots and random sampling
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .lie import (
     killing_ratio,
     lie_basis,
     numeric_bracket,
+    numeric_bracket_size,
     random_group_element,
     random_torus_point,
     require_tol,
@@ -235,7 +236,11 @@ def bracket_agreement(
     with the largest error, a NaN counting as largest (``None`` when every
     error is 0).  The points are drawn in trial order from ``seed``, so a
     run with the same arguments and ``worst_trial + 1`` trials reproduces
-    ``max_rel_err``."""
+    ``max_rel_err``.  At that check, ``worst_bracket`` is the exact
+    symbolic bracket (0 when det = 0) and ``worst_size`` is B of
+    ``lie.numeric_bracket_size``, the size of the float terms that cancel
+    (computed only when the run fails, ``None`` otherwise); an error near
+    1e-16 * B / (1 + |num|) is rounding, not a wrong formula."""
     _require_run(trials)
     require_tol(tol)
     if window < 1:  # the window would hold at most tau(0, 0), whose brackets vanish
@@ -252,7 +257,7 @@ def bracket_agreement(
         (a, b): bracket_symbols(a, b, group, c, extrapolated_gl) for a, b in pairs
     }
     worst = 0.0
-    worst_trial = worst_pair = None
+    worst_trial = worst_pair = worst_point = None
     checked = 0
     for trial in range(trials):
         pt = random_torus_point(group, rng, exact=False)
@@ -261,8 +266,13 @@ def bracket_agreement(
             sym = br.evaluate(pt)
             err = abs(sym - num) / (1 + abs(num))
             if _worse(err, worst):
-                worst, worst_trial, worst_pair = err, trial, (a, b)
+                worst, worst_trial, worst_pair, worst_point = err, trial, (a, b), pt
             checked += 1
+    ok = worst < tol
+    worst_size = None
+    if not ok:  # tol > 0, so some check was worse than 0 and set the pair
+        a, b = worst_pair
+        worst_size = numeric_bracket_size(images[a], images[b], worst_point, c)
     return {
         "group": str(group),
         "pairs": len(pairs),
@@ -271,8 +281,10 @@ def bracket_agreement(
         "max_rel_err": worst,
         "worst_trial": worst_trial,
         "worst_pair": worst_pair,
+        "worst_bracket": brackets[worst_pair] if worst_pair else None,
+        "worst_size": worst_size,
         "tol": tol,
-        "ok": worst < tol,
+        "ok": ok,
     }
 
 

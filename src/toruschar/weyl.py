@@ -19,18 +19,21 @@ monomial).  With no zero row no odd element fixes the monomial, and the
 orbit is half of the full one: the sign patterns whose number of flips has
 the parity of the input's (an input with rows r, -r has one flip).
 ``_images`` takes an orbit by its key (``orbit_rep``), never by a
-monomial, and reads the even-SO parity rule from the group.  It returns
-the stabiliser order |W|/|orbit| first, once the size has passed the
-cap, and then streams the orbit, never held as a list: the arrangements
-of the key's rows, in lexicographic order, and for each, in a signed
-family, ``itertools.product`` over the choices of its rows: (row, -row)
-for a nonzero row, the row alone for a zero row.  In an unsigned family,
-or with no nonzero row, the arrangements are the orbit.  For even SO
-with no zero row the product runs over the first n - 1 rows, and the
-last row is negated exactly when the number of flips before it differs
-in parity from the input's.  ``_sum_orbits`` is the one writer of orbit
-sums: each orbit monomial gets c times the stabiliser order, so S(m) is
-the sum of w . m over every w in W.  ``orbit_sum``, ``pattern_sum`` and
+monomial, and reads the even-SO parity rule from the group.  Its set-up
+reads the counts from the sorted key (``set``, ``tuple.count``) and builds
+each distinct row's sign choices once, so a small orbit costs about its
+size however large W is.  It returns the stabiliser order |W|/|orbit|
+first (|W| is ``GroupSpec.weyl_order``, computed on its first read), once
+the size has passed the cap, and then streams the orbit, never held as a
+list: the arrangements of the key's rows, in lexicographic order, and for
+each, in a signed family, ``itertools.product`` over the choices of its
+rows: (row, -row) for a nonzero row, the row alone for a zero row.  In an
+unsigned family, or with no nonzero row, the arrangements are the orbit.
+For even SO with no zero row the product runs over the first n - 1 rows,
+and the last row is negated exactly when the number of flips before it
+differs in parity from the input's.  ``_sum_orbits`` is the one writer of
+orbit sums: each orbit monomial gets c times the stabiliser order, so S(m)
+is the sum of w . m over every w in W.  ``orbit_sum``, ``pattern_sum`` and
 ``generators.expand`` all write through it.  ``orbit_rep`` names an orbit
 by these same data: the sorted rows up to sign, and for even SO with no
 zero row the parity of the flips.
@@ -40,7 +43,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from operator import add
@@ -48,7 +50,7 @@ from typing import Iterator, Optional
 
 from .errors import DomainError, ResourceLimitError
 from .groups import GroupSpec
-from .laurent import ExponentMatrix, LaurentPoly
+from .laurent import ExponentMatrix, LaurentPoly, stored_key
 from .scalars import ONE
 from .sparse import add_term
 
@@ -188,15 +190,18 @@ def _images(
     over the orbit's monomials in the order of the module docstring.
 
     The orbit size is checked against ``cap`` before any iterator exists.
+    The set-up reads the counts from the sorted key: ``set(base)`` for the
+    distinct rows, ``base.count`` for the multiplicities and the zero rows.
     """
     base, parity = key
     n = len(base)
-    nonzero = sum(1 for row in base if any(row)) if group.signed else 0
+    rows = set(base)
+    nonzero = n - base.count((0,) * group.factors) if group.signed else 0
     if not (group.family == "SOeven" and nonzero == n):
         parity = None
     size = math.factorial(n) << nonzero
-    for k in Counter(base).values():
-        size //= math.factorial(k)
+    if len(rows) < n:
+        size //= math.prod(map(math.factorial, map(base.count, rows)))
     if parity is not None:
         size >>= 1
     if size > cap:
@@ -205,7 +210,7 @@ def _images(
     if not nonzero:  # each row has one choice: the arrangements are the images
         return stab, _arrangements(base)
     # Each row's choices, in the order (row, -row); a zero row has one.
-    choices = {row: (row, tuple(-e for e in row)) if any(row) else (row,) for row in base}
+    choices = {row: (row, tuple([-e for e in row])) if any(row) else (row,) for row in rows}
     get = choices.__getitem__
     if parity is None:
         return stab, itertools.chain.from_iterable(
@@ -233,20 +238,23 @@ def _arrangements(rows: list) -> Iterator[ExponentMatrix]:
 
 
 def _next_permutations(a: list) -> Iterator[ExponentMatrix]:
-    """The orderings of the sorted list ``a``, which it steps in place."""
-    n = len(a)
+    """The orderings of the sorted list ``a``, which it steps in place:
+    the pivot a[i - 1] ahead of the longest non-increasing tail a[i:]
+    swaps with the last tail entry above it, and the tail is reversed."""
+    last = len(a) - 1
     while True:
         yield tuple(a)
-        i = n - 2
-        while i >= 0 and a[i] >= a[i + 1]:
+        i = last
+        while i and a[i - 1] >= a[i]:
             i -= 1
-        if i < 0:
+        if not i:
             return
-        j = n - 1
-        while a[j] <= a[i]:
+        pivot = a[i - 1]
+        j = last
+        while a[j] <= pivot:
             j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1:] = reversed(a[i + 1:])
+        a[i - 1], a[j] = a[j], pivot
+        a[i:] = a[:i - 1:-1]
 
 
 def orbit_rep(m: ExponentMatrix, group: GroupSpec) -> tuple[ExponentMatrix, int]:
@@ -294,10 +302,11 @@ def _sum_orbits(coeffs: dict, group: GroupSpec, cap: int) -> LaurentPoly:
 def orbit_sum(m: ExponentMatrix, group: GroupSpec, cap: int = WEYL_CAP) -> LaurentPoly:
     """S(m), the sum of w . m over every Weyl element, multiplicities
     included: ``_sum_orbits`` of m's orbit key with coefficient 1, so each
-    orbit monomial gets the stabiliser order.  Raises ResourceLimitError
-    if the orbit has more than ``cap`` monomials."""
-    (key,) = LaurentPoly(group, {m: ONE}).terms  # validates + canonicalizes the key
-    return _sum_orbits({orbit_rep(key, group): ONE}, group, cap)
+    orbit monomial gets the stabiliser order.  ``m`` is checked and
+    canonicalised by ``laurent.stored_key``, with no polynomial built for it.
+    Raises ResourceLimitError if the orbit has more than ``cap``
+    monomials."""
+    return _sum_orbits({orbit_rep(stored_key(m, group), group): ONE}, group, cap)
 
 
 def pattern_sum(m: ExponentMatrix, group: GroupSpec, cap: int = WEYL_CAP) -> LaurentPoly:
@@ -309,7 +318,7 @@ def pattern_sum(m: ExponentMatrix, group: GroupSpec, cap: int = WEYL_CAP) -> Lau
     when a row is zero.  ``cap`` bounds each W-orbit, not the pattern
     orbit, which for even SO can be twice as large.  No library code
     calls it; ``generators._reduce_pattern`` writes it in closed form."""
-    (key,) = LaurentPoly(group, {m: ONE}).terms
+    key = stored_key(m, group)
     coeffs = {orbit_rep(key, group): ONE}
     if group.family == "SOeven":
         add_term(coeffs, orbit_rep((tuple(-e for e in key[0]),) + key[1:], group), ONE)

@@ -266,6 +266,36 @@ def test_failed_verify_bracket_prints_a_witness(capsys):
     assert again.err.splitlines() == [witness]
 
 
+def test_bracket_witness_names_the_exact_bracket_and_the_term_size(capsys):
+    # The comment ends with the exact bracket at the worst pair and B, the
+    # size of the float terms there (``lie.numeric_bracket_size``).
+    from fractions import Fraction
+
+    from toruschar import verify
+    from toruschar.poisson import bracket_symbols
+
+    assert run(["verify-bracket", "--family", "sp", "--rank", "1", "--trials", "3",
+                "--seed", "7", "--tol", "1e-300"]) == 1
+    (witness,) = capsys.readouterr().err.splitlines()
+    group = GroupSpec("Sp", 1, 2)
+    res = verify.bracket_agreement(group, trials=3, seed=7, tol=1e-300)
+    a, b = res["worst_pair"]
+    exact = bracket_symbols(a, b, group, Fraction(1))
+    assert witness.endswith(f", exact {exact}, B {res['worst_size']:.3e}")
+    assert res["worst_bracket"] == exact and res["worst_size"] > 0
+
+
+def test_bracket_witness_reads_exact_0_when_det_is_0(monkeypatch, capsys):
+    # With every float bracket NaN the worst pair is the first symbol with
+    # itself, whose det is 0.
+    from toruschar import verify
+
+    monkeypatch.setattr(verify, "numeric_bracket", lambda *args: complex("nan"))
+    assert run(["verify-bracket", "--family", "sp", "--rank", "1", "--trials", "2"]) == 1
+    (witness,) = capsys.readouterr().err.splitlines()
+    assert re.search(r"at trial 1, exact 0, B \S+$", witness)
+
+
 def test_nan_bracket_error_fails_with_a_witness(monkeypatch, capsys):
     from toruschar import verify
 
@@ -666,6 +696,10 @@ def test_internal_check_error_exit_3(monkeypatch, capsys):
         ["verify-bracket", "--family", "sl", "--rank", "21"],  # dimension 440
         ["verify-bracket", "--family", "sl", "--rank", "100", "--trials", "1"],
         ["verify-bracket", "--family", "gl", "--rank", "100", "--extrapolated"],
+        # At rank 1e9 |W| has billions of digits: nothing may compute it first.
+        ["killing", "--family", "sl", "--rank", "1000000000"],
+        ["cohomology", "--family", "sp", "--rank", "1000000000", "--factors", "2"],
+        ["verify-bracket", "--family", "so-even", "--rank", "1000000000"],
     ],
 )
 def test_lie_commands_refuse_groups_above_cap(capsys, argv):
@@ -676,6 +710,20 @@ def test_lie_commands_refuse_groups_above_cap(capsys, argv):
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "above the cap" in lines[0]
+
+
+def test_a_json_group_of_huge_rank_is_read_without_its_weyl_order(tmp_path, capsys):
+    # The document's one term has one row where the group wants 1e9: the
+    # shape check refuses it at once, as |W| is not computed on reading.
+    doc = {"group": {"family": "Sp", "rank": 10**9, "factors": 1},
+           "terms": [{"coeff": "1", "exps": [[2]]}]}
+    src = tmp_path / "huge.json"
+    src.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert run(["decompose", "--in", str(src)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: exponent matrix shape does not match Sp(rank=1000000000, N=1)")
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from toruschar.lie import (
     _basis_forms,
     ad_operator,
     cartan_metric,
+    cartan_projection,
     cartan_tangent,
     cocycle_space_dims,
     cohomology_dims,
@@ -23,6 +24,7 @@ from toruschar.lie import (
     lie_basis,
     log_gradient,
     numeric_bracket,
+    numeric_bracket_size,
     omega_prime,
     positive_roots,
     random_conjugator,
@@ -419,3 +421,21 @@ def test_module_caches_are_bounded(cache, key):
     for k in range(bound + 5):
         cache(*key(k))
     assert cache.cache_info().currsize == bound
+
+
+def test_numeric_bracket_size_bounds_the_rounding_of_a_zero_bracket():
+    # {tau(7, -8), tau(-7, 8)} on SL(3) has det = 0, so its exact bracket
+    # is 0; at the first window-8 point of seed 0 the float oracle reads
+    # rounding noise from terms of size B.  A dot product of length 3 is
+    # off by at most about 3 * 2^-53 * B.
+    group = GroupSpec("SL", 3, 2)
+    f, h = tau_image(group, (7, -8)), tau_image(group, (-7, 8))
+    pt = random_torus_point(group, random.Random(0), exact=False)
+    num = numeric_bracket(f, h, pt)
+    size = numeric_bracket_size(f, h, pt)
+    assert num != 0 and abs(num) <= 1e-15 * size
+    scale = cartan_metric(group, Fraction(1)).scale
+    grads = [[cartan_projection(group, log_gradient(p, pt, j)) for j in (1, 2)] for p in (f, h)]
+    (f1, f2), (h1, h2) = grads
+    terms = [x * y for x, y in zip(f1, h2)] + [x * y for x, y in zip(f2, h1)]
+    assert size == pytest.approx(sum(map(abs, terms)) / abs(scale), rel=1e-12)

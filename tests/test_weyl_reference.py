@@ -16,8 +16,8 @@ from toruschar import generators, weyl
 from toruschar.generators import expand, q_image
 from toruschar.errors import ResourceLimitError
 from toruschar.groups import FAMILIES, GroupSpec
-from toruschar.laurent import LaurentPoly, exponents
-from toruschar.scalars import GaussRat
+from toruschar.laurent import LaurentPoly, canonical_mod_relations, check_exponents, exponents
+from toruschar.scalars import ONE, GaussRat
 from toruschar.weyl import (
     level_of_monomial,
     orbit_rep,
@@ -85,6 +85,68 @@ def test_sum_orbits_matches_enumeration(data):
         coeffs[key] = c
         want = want + ref.orbit_sum(m, group).scaled(c)
     assert weyl._sum_orbits(coeffs, group, weyl.WEYL_CAP) == want
+
+
+def _orbit_sum_by_the_key_rule(m, group):
+    """``orbit_sum`` as it read ``m`` before it took the key straight,
+    through ``LaurentPoly(group, {m: ONE})``, whose constructor then
+    hashed the key (``dict``), ran ``check_exponents`` and canonicalised
+    SL keys.  The rule is spelled out here, not taken from
+    ``laurent.stored_key``, which now holds it for both callers."""
+    (key,) = {m: ONE}
+    check_exponents(key, group)
+    key = canonical_mod_relations(key, group)
+    return weyl._sum_orbits({orbit_rep(key, group): ONE}, group, weyl.WEYL_CAP)
+
+
+def _orbit_sum_through_a_laurent_poly(m, group):
+    (key,) = LaurentPoly(group, {m: ONE}).terms
+    return weyl._sum_orbits({orbit_rep(key, group): ONE}, group, weyl.WEYL_CAP)
+
+
+def _outcome(fn, m, group):
+    """The terms ``fn(m, group)`` returns, in order, or the type and
+    message of what it raises."""
+    try:
+        return list(fn(m, group).terms.items())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_orbit_sum_accepts_and_refuses_as_through_a_laurent_poly(data):
+    # Stored keys, SL keys off their canonical shift and even-SO half
+    # weights come from ``monomials``; then an entry may become a bool, a
+    # float or an odd int (a half weight outside even SO), the shape may
+    # lose or gain a row or an entry, and rows may be given as lists
+    # (unhashable, which a bare ``check_exponents`` would accept).
+    group, m = data.draw(monomials())
+    rows = [list(row) for row in m]
+    odd = st.integers(-4, 4).map(lambda e: 2 * e + 1)
+    entry = st.one_of(st.booleans(), st.floats(-4, 4), odd)
+    for _ in range(data.draw(st.integers(0, 2))):
+        row = data.draw(st.sampled_from(rows))
+        if row:
+            row[data.draw(st.integers(0, len(row) - 1))] = data.draw(entry)
+    shape = data.draw(st.sampled_from(["same", "same", "row less", "row more", "entry less", "entry more"]))
+    if shape == "row less":
+        rows.pop()
+    elif shape == "row more":
+        rows.append([0] * group.factors)
+    elif shape == "entry less":
+        rows[-1].pop()
+    elif shape == "entry more":
+        rows[-1].append(0)
+    as_list = data.draw(st.sampled_from(["none", "none", "one row", "every row", "outer"]))
+    key = tuple(row if as_list == "every row" else tuple(row) for row in rows)
+    if as_list == "one row" and key:
+        key = key[:-1] + (rows[-1],)
+    elif as_list == "outer":
+        key = list(key)
+    want = _outcome(_orbit_sum_by_the_key_rule, key, group)
+    assert _outcome(orbit_sum, key, group) == want
+    assert _outcome(_orbit_sum_through_a_laurent_poly, key, group) == want
 
 
 @settings(max_examples=300, deadline=None)
