@@ -34,7 +34,7 @@ from .errors import DomainError, InternalCheckError, NoGLFormulaError, ResourceL
 from .generators import GeneratorPoly, decompose, expand
 from .groups import GroupSpec
 from .jsonio import json_check, parse_scalar
-from .laurent import LaurentPoly, exponents_from_json
+from .laurent import LaurentPoly, exponents_from_json, stored_key
 from .lie import LIE_DIM_CAP, cohomology_dims, killing_ratio, random_torus_point, torus_matrix
 from .linalg import to_numpy
 from .poisson import bracket_symbols, structure_constants
@@ -108,9 +108,7 @@ def _parse_vec(text: str) -> tuple[int, ...]:
 
 
 def _parse_exps(text: str, group: GroupSpec):
-    m = exponents_from_json(_parse_json(text, "--exps"), "--exps")
-    LaurentPoly(group, {m: GaussRat(1)})  # validates dimensions/parity
-    return m
+    return stored_key(exponents_from_json(_parse_json(text, "--exps"), "--exps"), group)
 
 
 def build_parser() -> argparse.ArgumentParser:

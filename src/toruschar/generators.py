@@ -404,8 +404,11 @@ def orbit_coefficients(p: GeneratorPoly, group: GroupSpec) -> dict:
     2|W| (Q), so |A| of any key is at most the sum over the terms of
     (|A| + |B|) times the product of w over the factors, and K is one bit
     past it.  Each result key is unpacked once and gets one GaussRat
-    (A + Bi) / (L * |W|).
+    (A + Bi) / (L * |W|).  The zero polynomial returns ``{}`` before |W|
+    or the rank-sized zero key is built.
     """
+    if not p.terms:
+        return {}
     order, rank = group.weyl_order, group.rank
     seed_key = (zero_exponents(group), 0)  # orbit_rep of the zero key
     seed = {seed_key: 1}

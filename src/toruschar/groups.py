@@ -70,29 +70,19 @@ class GroupSpec:
         """Dimension of the maximal torus (n - 1 for SL, n otherwise)."""
         return self.rank - 1 if self.family == "SL" else self.rank
 
-    # Not a field (no annotation): |W| is computed on the first read of
-    # ``weyl_order`` and kept here.
-    _weyl_order = None
-
     @property
     def weyl_order(self) -> int:
-        """|W|, computed on first read, never at construction: a group
-        parsed from input must reach the size caps before any factorial
-        is taken.  It is kept with ``object.__setattr__``, not
-        ``functools.cached_property``, which writes through ``__dict__``
-        and so on CPython 3.11 makes every later attribute read on the
-        group about three times slower."""
-        order = self._weyl_order
-        if order is None:
-            n = self.rank
-            if self.family in ("GL", "SL"):
-                order = math.factorial(n)
-            elif self.family in ("Sp", "SOodd"):
-                order = math.factorial(n) << n
-            else:  # SOeven
-                order = math.factorial(n) << (n - 1)
-            object.__setattr__(self, "_weyl_order", order)
-        return order
+        """|W|: n! for GL and SL, n! 2^n for Sp and odd SO, n! 2^(n-1)
+        for even SO.  No orbit reads it: ``weyl._images`` takes the
+        stabiliser order from the orbit key, prod(m_i!) over the
+        multiplicities of its distinct rows times 2^z for z zero rows
+        (2^(z-1) in even SO when z >= 1, no power of 2 in GL and SL)."""
+        n = self.rank
+        if self.family in ("GL", "SL"):
+            return math.factorial(n)
+        if self.family in ("Sp", "SOodd"):
+            return math.factorial(n) << n
+        return math.factorial(n) << (n - 1)  # SOeven
 
     @property
     def signed(self) -> bool:

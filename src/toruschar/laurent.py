@@ -107,14 +107,18 @@ def _check_shape(m: ExponentMatrix, group: GroupSpec) -> None:
 
 
 def check_exponents(m: ExponentMatrix, group: GroupSpec) -> None:
+    """Refuse a key of the wrong shape, an entry that is not an ``int``
+    (a bool or a float too), and an odd entry outside even SO."""
     _check_shape(m, group)
-    if not group.allows_half_weights:
-        for row in m:
-            for e in row:
-                if e & 1:
-                    raise DomainError(
-                        f"half-integer exponent not allowed for family {group.family}"
-                    )
+    odd = not group.allows_half_weights
+    for row in m:
+        for e in row:
+            if type(e) is not int:
+                raise DomainError(f"exponent entry {e!r} is not an int")
+            if odd and e & 1:
+                raise DomainError(
+                    f"half-integer exponent not allowed for family {group.family}"
+                )
 
 
 def true_exponents(m: ExponentMatrix) -> list[list]:

@@ -7,36 +7,34 @@ are negated where the sign is -1.  Membership: GL/SL take the plain
 symmetric group, Sp and odd SO the full signed group, even SO the subgroup
 with an even number of sign changes.
 
-Orbit sums are built at orbit size, without enumerating the group.  The
-orbit of a monomial under the symmetric group is the set of distinct
-arrangements of its rows.  Under the full signed group it is the set of
-distinct arrangements of the rows taken up to sign, times every sign
-pattern on the nonzero rows; these images are pairwise distinct, so the
-orbit size is n!/prod(m_i!) * 2^k, with m_i the multiplicities of the rows
-up to sign and k the number of nonzero rows.  Even SO keeps the full
-signed orbit when some row is zero (flipping that row fixes the
-monomial).  With no zero row no odd element fixes the monomial, and the
-orbit is half of the full one: the sign patterns whose number of flips has
-the parity of the input's (an input with rows r, -r has one flip).
-``_images`` takes an orbit by its key (``orbit_rep``), never by a
-monomial, and reads the even-SO parity rule from the group.  Its set-up
-reads the counts from the sorted key (``set``, ``tuple.count``) and builds
-each distinct row's sign choices once, so a small orbit costs about its
-size however large W is.  It returns the stabiliser order |W|/|orbit|
-first (|W| is ``GroupSpec.weyl_order``, computed on its first read), once
-the size has passed the cap, and then streams the orbit, never held as a
-list: the arrangements of the key's rows, in lexicographic order, and for
-each, in a signed family, ``itertools.product`` over the choices of its
-rows: (row, -row) for a nonzero row, the row alone for a zero row.  In an
-unsigned family, or with no nonzero row, the arrangements are the orbit.
-For even SO with no zero row the product runs over the first n - 1 rows,
-and the last row is negated exactly when the number of flips before it
-differs in parity from the input's.  ``_sum_orbits`` is the one writer of
-orbit sums: each orbit monomial gets c times the stabiliser order, so S(m)
-is the sum of w . m over every w in W.  ``orbit_sum``, ``pattern_sum`` and
-``generators.expand`` all write through it.  ``orbit_rep`` names an orbit
-by these same data: the sorted rows up to sign, and for even SO with no
-zero row the parity of the flips.
+Orbit sums are built at orbit size, without enumerating the group.  An
+orbit is named by its key (``orbit_rep``): the rows of any of its
+monomials sorted, each taken up to sign in a signed family, and for even
+SO with no zero row the parity of the number of rows negated.  On the key
+monomial the stabiliser is the permutations of equal rows times the flips
+of zero rows that W contains.  With m_i the multiplicities of the key's
+distinct rows, the zero row among them, and z the number of zero rows,
+its order is prod(m_i!), times 2^z in Sp and odd SO, times 2^(z-1) in
+even SO when z >= 1 (W keeps the flips of even count), and with no power
+of 2 in GL and SL.  The orbit has |W|/stab monomials: the distinct
+arrangements of the key's rows and, in a signed family, every sign
+pattern on the nonzero rows of each; in even SO with no zero row only
+the patterns whose number of flips has the parity of the key's (an input
+with rows r, -r has one flip).  ``_images`` reads these counts from the
+sorted key (``set``, ``tuple.count``), never |W|, so a small orbit costs
+about its size however large W is.  It returns the stabiliser order
+first, once the size has passed the cap, and then streams the orbit,
+never held as a list.  In place of each row it arranges the row's sign
+choices, (row, -row) for a nonzero row and the row alone for a zero row,
+which sort as the rows do; the arrangements come in lexicographic order,
+and ``itertools.product`` reads each into its images.  In an unsigned
+family, or with no nonzero row, the arrangements of the rows are the
+images.  In even SO with no zero row, of the 2^n sign patterns of each
+arrangement only those of the key's parity are kept
+(``itertools.compress``).  ``_sum_orbits`` is the one writer of orbit
+sums: each orbit monomial gets c times the stabiliser order, so S(m) is
+the sum of w . m over every w in W.  ``orbit_sum``, ``pattern_sum`` and
+``generators.expand`` all write through it.
 """
 
 from __future__ import annotations
@@ -44,8 +42,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
-from operator import add
 from typing import Iterator, Optional
 
 from .errors import DomainError, ResourceLimitError
@@ -186,45 +182,45 @@ def _images(
     key: tuple[ExponentMatrix, int], group: GroupSpec, cap: int
 ) -> tuple[int, Iterator[ExponentMatrix]]:
     """``(stab, images)`` for the Weyl orbit with key ``(rows, parity)``
-    from ``orbit_rep``: the stabiliser order |W|/|orbit| and an iterator
-    over the orbit's monomials in the order of the module docstring.
+    from ``orbit_rep``: the stabiliser order and an iterator over the
+    orbit's monomials in the order of the module docstring.
 
-    The orbit size is checked against ``cap`` before any iterator exists.
-    The set-up reads the counts from the sorted key: ``set(base)`` for the
-    distinct rows, ``base.count`` for the multiplicities and the zero rows.
+    Both numbers come from the counts of the sorted key, ``set(base)``
+    for the distinct rows and ``base.count`` for the multiplicities m_i
+    and the z zero rows: stab is prod(m_i!) times 2^z in Sp and odd SO,
+    2^(z-1) in even SO when z >= 1, and the orbit size is n!/prod(m_i!)
+    times 2^(n-z) in a signed family, halved in even SO when z = 0.  The
+    size is checked against ``cap`` before any iterator exists.
     """
     base, parity = key
     n = len(base)
     rows = set(base)
-    nonzero = n - base.count((0,) * group.factors) if group.signed else 0
-    if not (group.family == "SOeven" and nonzero == n):
-        parity = None
-    size = math.factorial(n) << nonzero
-    if len(rows) < n:
-        size //= math.prod(map(math.factorial, map(base.count, rows)))
-    if parity is not None:
-        size >>= 1
+    stab = 1 if len(rows) == n else math.prod(map(math.factorial, map(base.count, rows)))
+    size = math.factorial(n) // stab
+    zeros = n  # unsigned: every row has one choice, as a zero row does
+    if group.signed:
+        zeros = base.count((0,) * group.factors)
+        size <<= n - zeros
+        stab <<= zeros
+        if group.family == "SOeven":  # W: the even flips, half the signed group
+            if zeros:
+                stab >>= 1
+            else:
+                size >>= 1
     if size > cap:
         raise ResourceLimitError(f"orbit of {size} monomials exceeds cap {cap}")
-    stab = group.weyl_order // size
-    if not nonzero:  # each row has one choice: the arrangements are the images
+    if zeros == n:  # each row has one choice: the arrangements are the images
         return stab, _arrangements(base)
-    # Each row's choices, in the order (row, -row); a zero row has one.
-    choices = {row: (row, tuple([-e for e in row])) if any(row) else (row,) for row in rows}
-    get = choices.__getitem__
-    if parity is None:
-        return stab, itertools.chain.from_iterable(
-            itertools.starmap(itertools.product, map(partial(map, get), _arrangements(base)))
-        )
-    # Even flips, no zero row: the last row's sign is fixed by the parity
-    # of the flips before it.  Over the prefixes in product order those
-    # parities are the bit parities of 0, 1, ..., 2^(n-1) - 1.
-    bits = [k.bit_count() & 1 for k in range(1 << (n - 1))]
-    tails = {row: [(pair[b ^ parity],) for b in bits] for row, pair in choices.items()}
-    return stab, itertools.chain.from_iterable(
-        map(add, itertools.product(*map(get, arr[:-1])), tails[arr[-1]])
-        for arr in _arrangements(base)
+    choices = [(row, tuple([-e for e in row])) if any(row) else (row,) for row in base]
+    images = itertools.chain.from_iterable(
+        itertools.starmap(itertools.product, _arrangements(choices))
     )
+    if group.family == "SOeven" and not zeros:
+        # Sign pattern k of an arrangement, in product order, flips the
+        # rows at the set bits of k (the first row's is the top bit).
+        keep = [(k.bit_count() & 1) == parity for k in range(1 << n)]
+        images = itertools.compress(images, itertools.cycle(keep))
+    return stab, images
 
 
 def _arrangements(rows: list) -> Iterator[ExponentMatrix]:

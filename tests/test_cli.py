@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import re
+import resource
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -724,6 +728,30 @@ def test_a_json_group_of_huge_rank_is_read_without_its_weyl_order(tmp_path, caps
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: exponent matrix shape does not match Sp(rank=1000000000, N=1)")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["decompose"], ["expand", "--family", "sp", "--rank", "1000000000"]],
+    ids=["decompose", "expand"],
+)
+def test_the_empty_document_of_huge_rank_takes_no_weyl_order(tmp_path, argv):
+    # The zero polynomial has no orbit, so nothing of rank size is built.
+    # A child process under a time and an address-space limit fails fast
+    # where |W| or a rank-sized key would be computed.
+    src = tmp_path / "empty.json"
+    src.write_text(json.dumps({"group": {"family": "Sp", "rank": 10**9, "factors": 1}, "terms": []}))
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "toruschar", *argv, "--in", str(src)],
+        env=env, capture_output=True, text=True, timeout=10,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["terms"] == []
 
 
 @pytest.mark.parametrize(

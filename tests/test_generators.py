@@ -524,7 +524,14 @@ def test_expand_refuses_an_orbit_over_the_cap_before_building_it(monkeypatch):
     p = GeneratorPoly({(t1,): 1, (t1, t2, t3): 1})
     built = []
     real = weyl._arrangements
-    monkeypatch.setattr(weyl, "_arrangements", lambda rows: built.append(rows) or real(rows))
+
+    def arrangements(items):
+        # A signed orbit arranges each row's sign choices, (row, -row) or
+        # (row,), in place of the row: record the rows.
+        built.append(tuple(i[0] if isinstance(i[0], tuple) else i for i in items))
+        return real(items)
+
+    monkeypatch.setattr(weyl, "_arrangements", arrangements)
     monkeypatch.setattr(generators, "WEYL_CAP", 47)
     with pytest.raises(ResourceLimitError, match="orbit of 48 monomials exceeds cap 47"):
         expand(p, g)

@@ -17,6 +17,7 @@ from toruschar.laurent import (
 )
 from toruschar.points import TorusPoint
 from toruschar.scalars import GaussRat, ONE
+from toruschar.weyl import orbit_sum
 
 GL21 = GroupSpec("GL", 2, 1)
 SL21 = GroupSpec("SL", 2, 1)
@@ -289,6 +290,17 @@ def test_exponents_refuse_entries_that_are_not_integers(rows, halves):
 def test_exponents_take_integer_types():
     assert exponents([[np.int64(2), True, -1]]) == ((4, 2, -2),)
     assert exponents([[np.int32(3)]], halves=True) == ((3,),)
+
+
+@pytest.mark.parametrize("entry", [True, False, 2.5, 2.0, Fraction(2)], ids=repr)
+@pytest.mark.parametrize("family", ["GL", "SL", "Sp", "SOodd", "SOeven"])
+def test_stored_keys_refuse_entries_that_are_not_ints(family, entry):
+    # Even SO, which allows odd entries, refuses these too.
+    g = GroupSpec(family, 2, 1)
+    m = ((entry,), (2,))
+    for build in (lambda: LaurentPoly(g, {m: ONE}), lambda: LaurentPoly.monomial(g, m), lambda: orbit_sum(m, g)):
+        with pytest.raises(DomainError, match=re.escape(f"exponent entry {entry!r} is not an int")):
+            build()
 
 
 def test_json_half_integer_exponents():
