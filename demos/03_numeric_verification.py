@@ -75,4 +75,4 @@ print(f"  SL(3), 10 random float points x {res['pairs']} pairs:"
 print()
 print("== Q generators vs torus blocks ==")
 res = q_block_suite(trials=20, seed=0)
-print(f"  SO(4), 20 random points: max rel err {res['max_rel_err']:.2e}")
+print(f"  SO(4), 20 random exact points: {res['failures']} differ")

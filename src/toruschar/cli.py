@@ -175,8 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("level", help="level of a monomial or polynomial")
     _add_group_flags(p)
-    p.add_argument("--exps", help="exponent rows as JSON")
-    p.add_argument("--in", dest="infile", help="LaurentPoly JSON file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--exps", help="exponent rows as JSON")
+    source.add_argument("--in", dest="infile", help="LaurentPoly JSON file")
 
     return top
 

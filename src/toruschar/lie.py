@@ -69,6 +69,10 @@ HALF = GaussRat(Fraction(1, 2))
 # host, and cohomology of SL(20) with 10 factors about 1 s.
 LIE_DIM_CAP = 400
 
+# Draws of ``random_torus_point`` (generic) and ``random_conjugator``
+# before they give up with InternalCheckError.
+POINT_TRIES, CONJUGATOR_TRIES = 500, 100
+
 
 def _is_array(a) -> bool:
     """True for a numpy array.  Exact without importing numpy: no array
@@ -731,22 +735,20 @@ def random_eigenvalues(group: GroupSpec, rng, exact: bool = True) -> list:
     return [complex(v.numerator / v.denominator, 0.0) for v in vals]
 
 
-def random_torus_point(
-    group: GroupSpec, rng, exact: bool = True, generic: bool = True, max_tries: int = 500
-) -> TorusPoint:
-    """Random torus point; with generic=True, resampled until every root
-    is nontrivial on some factor."""
-    for _ in range(max_tries):
+def random_torus_point(group: GroupSpec, rng, exact: bool = True, generic: bool = True) -> TorusPoint:
+    """Random torus point; with generic=True, resampled (up to POINT_TRIES
+    draws) until every root is nontrivial on some factor."""
+    for _ in range(POINT_TRIES):
         cols = [random_eigenvalues(group, rng, exact) for _ in range(group.factors)]
         if not generic or is_generic_tuple(group, cols):
             return TorusPoint(group, cols)
     raise InternalCheckError("failed to sample a generic torus point")
 
 
-def random_conjugator(group: GroupSpec, rng, max_tries: int = 100) -> Mat:
+def random_conjugator(group: GroupSpec, rng) -> Mat:
     """Random exact element of the group, away from the torus: shear
     products for GL/SL, Cayley transforms of random algebra elements for
-    Sp/SO."""
+    Sp/SO (up to CONJUGATOR_TRIES draws)."""
     m = group.matrix_size
     if group.family in ("GL", "SL"):
         out = identity(m)
@@ -760,7 +762,7 @@ def random_conjugator(group: GroupSpec, rng, max_tries: int = 100) -> Mat:
             out = mat_mul(out, _freeze(shear))
         return out
     basis = lie_basis(group)
-    for _ in range(max_tries):
+    for _ in range(CONJUGATOR_TRIES):
         s = zeros(m)
         for _ in range(3):
             x = basis[rng.randrange(len(basis))]

@@ -1,9 +1,9 @@
 """Cross-checking suites tying the symbolic and numeric layers together.
 
 Each suite samples reproducibly from an explicit seed and returns a plain
-dict summarizing what was run and what failed (the worst deviation, for a
-float comparison), so the command line and the test suite share one
-implementation.
+dict summarizing what was run and what failed (the worst deviation, for
+the float bracket oracle), so the command line and the test suite share
+one implementation.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .lie import (
 )
 from .linalg import mat_eq, mat_mul, trace
 from .poisson import TauPoly, bracket_symbols, jacobi_defect, symbol_window
-from .scalars import GaussRat, ONE
+from .scalars import GaussRat, I, ONE, ZERO
 from .weyl import orbit_sum
 
 KILLING_CASES = (
@@ -55,6 +55,12 @@ TRIALS_CAP = 1000
 # most 325 000 (SL(3)); window 8 with 1000 trials would take about 100 s.
 PAIR_TRIALS_CAP = 400_000
 
+# Sampling ranges, named in the docstrings of the functions that draw them.
+SPAN, Q_SPAN = 3, 2  # lattice vector entries; Q arguments
+MAX_EXP, MAX_SUMMANDS = 3, 4  # random_invariant
+MAX_TERMS, MAX_DEGREE = 3, 2  # random_taupoly
+MAX_RANK, FACTOR_CHOICES = 3, (2, 3)  # cohomology and round-trip suites
+
 BRACKET_GROUPS = (
     GroupSpec("SL", 2, 2),
     GroupSpec("SL", 3, 2),
@@ -64,6 +70,11 @@ BRACKET_GROUPS = (
     GroupSpec("SOodd", 2, 2),
     GroupSpec("SOeven", 2, 2),
 )
+
+
+def _lattice_vector(rng, span: int) -> tuple[int, int]:
+    """A vector of Z^2 with entries drawn in [-span, span], first entry first."""
+    return rng.randint(-span, span), rng.randint(-span, span)
 
 
 def killing_table() -> dict:
@@ -91,21 +102,17 @@ def killing_table() -> dict:
 # cohomology dimensions
 # ---------------------------------------------------------------------------
 
-def cohomology_suite(
-    trials: int = 20,
-    seed: int = 0,
-    max_rank: int = 3,
-    factor_choices: tuple[int, ...] = (2, 3),
-) -> dict:
+def cohomology_suite(trials: int = 20, seed: int = 0) -> dict:
     """Exact Z^1/B^1/H^1 dimensions on random generic torus tuples versus
-    the counts N*r + d - r, d - r, N*r."""
+    the counts N*r + d - r, d - r, N*r, at torus ranks up to MAX_RANK and
+    N in FACTOR_CHOICES."""
     rng = random.Random(seed)
     rows = []
     ok = True
     for family in ("GL", "SL", "Sp", "SOodd", "SOeven"):
         min_rank = 2 if family == "SL" else 1
-        for rank in range(min_rank, max_rank + 1):
-            for n_factors in factor_choices:
+        for rank in range(min_rank, MAX_RANK + 1):
+            for n_factors in FACTOR_CHOICES:
                 group = GroupSpec(family, rank, n_factors)
                 d, r = group.lie_dim, group.lie_rank
                 expected = (n_factors * r + d - r, d - r, n_factors * r)
@@ -137,22 +144,22 @@ def cohomology_suite(
 # decomposition round trips
 # ---------------------------------------------------------------------------
 
-def random_invariant(group: GroupSpec, rng, max_exp: int = 3, max_summands: int = 4,
-                     force_full_level: bool = False) -> LaurentPoly:
-    """Random integer-weight W-invariant: a combination of orbit sums with
-    random Gaussian-rational coefficients."""
+def random_invariant(group: GroupSpec, rng, force_full_level: bool = False) -> LaurentPoly:
+    """Random integer-weight W-invariant: a combination of up to
+    MAX_SUMMANDS orbit sums, exponents in [-MAX_EXP, MAX_EXP], with random
+    Gaussian-rational coefficients."""
     n, N = group.rank, group.factors
     total = LaurentPoly.zero(group)
-    k = rng.randint(1, max_summands)
+    k = rng.randint(1, MAX_SUMMANDS)
     for idx in range(k):
         while True:
             rows = [
-                [rng.randint(-max_exp, max_exp) for _ in range(N)] for _ in range(n)
+                [rng.randint(-MAX_EXP, MAX_EXP) for _ in range(N)] for _ in range(n)
             ]
             if force_full_level and idx == 0:
                 for row in rows:
                     if not any(row):
-                        row[rng.randrange(N)] = rng.choice((-1, 1)) * rng.randint(1, max_exp)
+                        row[rng.randrange(N)] = rng.choice((-1, 1)) * rng.randint(1, MAX_EXP)
             if any(any(r) for r in rows) or rng.random() < 0.1:
                 break
         coeff = GaussRat(
@@ -165,8 +172,9 @@ def random_invariant(group: GroupSpec, rng, max_exp: int = 3, max_summands: int 
     return total
 
 
-def roundtrip_suite(trials: int = 200, seed: int = 0, max_rank: int = 3) -> dict:
-    """expand(decompose(f)) == f on random invariants, all five families."""
+def roundtrip_suite(trials: int = 200, seed: int = 0) -> dict:
+    """expand(decompose(f)) == f on random invariants, all five families,
+    torus ranks up to MAX_RANK."""
     rng = random.Random(seed)
     rows = []
     ok = True
@@ -175,7 +183,7 @@ def roundtrip_suite(trials: int = 200, seed: int = 0, max_rank: int = 3) -> dict
         q_top_cases = 0
         for t in range(trials):
             min_rank = 2 if family == "SL" else 1
-            rank = rng.randint(min_rank, max_rank)
+            rank = rng.randint(min_rank, MAX_RANK)
             n_factors = rng.randint(1, 2)
             group = GroupSpec(family, rank, n_factors)
             force = family == "SOeven" and t % 2 == 0
@@ -201,13 +209,6 @@ def roundtrip_suite(trials: int = 200, seed: int = 0, max_rank: int = 3) -> dict
 # ---------------------------------------------------------------------------
 # bracket oracle agreement
 # ---------------------------------------------------------------------------
-
-def _worse(err: float, worst: float) -> bool:
-    """Whether ``err`` becomes the worst error: it is larger, or it is the
-    first NaN, which compares false with every number and so must be the
-    worst to fail ``worst < tol``."""
-    return err > worst or (math.isnan(err) and not math.isnan(worst))
-
 
 def _require_run(trials: int) -> None:
     """Refuse a suite run whose outcome would mean nothing: one that checks
@@ -265,7 +266,9 @@ def bracket_agreement(
             num = numeric_bracket(images[a], images[b], pt, c)
             sym = br.evaluate(pt)
             err = abs(sym - num) / (1 + abs(num))
-            if _worse(err, worst):
+            # a NaN compares false with every number, so the first one
+            # becomes the worst, to fail ``worst < tol``
+            if err > worst or (math.isnan(err) and not math.isnan(worst)):
                 worst, worst_trial, worst_pair, worst_point = err, trial, (a, b), pt
             checked += 1
     ok = worst < tol
@@ -300,14 +303,13 @@ def bracket_agreement_all(trials: int = 100, seed: int = 0, tol: float = 1e-9) -
 # Poisson axioms
 # ---------------------------------------------------------------------------
 
-def random_taupoly(group: GroupSpec, c: Fraction, rng, max_terms: int = 3,
-                   max_degree: int = 2, span: int = 3) -> TauPoly:
+def random_taupoly(group: GroupSpec, c: Fraction, rng) -> TauPoly:
+    """Random symbol polynomial: up to MAX_TERMS terms, each a product of
+    at most MAX_DEGREE symbols with entries in [-SPAN, SPAN]."""
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        deg = rng.randint(0, max_degree)
-        key = tuple(
-            (rng.randint(-span, span), rng.randint(-span, span)) for _ in range(deg)
-        )
+    for _ in range(rng.randint(1, MAX_TERMS)):
+        deg = rng.randint(0, MAX_DEGREE)
+        key = tuple(_lattice_vector(rng, SPAN) for _ in range(deg))
         coeff = GaussRat(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
                          Fraction(rng.randint(-1, 1)))
         terms[key] = coeff if coeff else ONE
@@ -323,13 +325,7 @@ def _image(p: TauPoly) -> dict:
     return orbit_coefficients(gen, group)
 
 
-def jacobi_suite(
-    group: GroupSpec,
-    trials: int = 100,
-    seed: int = 0,
-    span: int = 3,
-    c: Fraction = Fraction(1),
-) -> dict:
+def jacobi_suite(group: GroupSpec, trials: int = 100, seed: int = 0, c: Fraction = Fraction(1)) -> dict:
     """Jacobi defect on random symbol triples, decided exactly: ``mode`` is
     ``identical`` when every defect is 0 in the free symbol algebra,
     ``image`` when all have image 0 (``_image``), and ``nonzero`` at the
@@ -341,7 +337,7 @@ def jacobi_suite(
     mode = "identical"
     first_trial = first_triple = None
     for trial in range(trials):
-        triple = tuple((rng.randint(-span, span), rng.randint(-span, span)) for _ in range(3))
+        triple = tuple(_lattice_vector(rng, SPAN) for _ in range(3))
         defect = jacobi_defect(*triple, group, c)
         if not defect:
             continue
@@ -353,7 +349,7 @@ def jacobi_suite(
             "first_triple": first_triple, "ok": mode != "nonzero"}
 
 
-def sl2_sp1_suite(trials: int = 100, seed: int = 0, span: int = 3) -> dict:
+def sl2_sp1_suite(trials: int = 100, seed: int = 0) -> dict:
     """The SL(2) and Sp(1) bracket formulas agree exactly: the SL(2) bracket
     less the Sp(1) one read in SL(2) symbols (x -> x_1, 1/x -> x_2) has
     image 0 (``_image``), the trace identity tau_a tau_b = tau_{a+b} +
@@ -364,8 +360,8 @@ def sl2_sp1_suite(trials: int = 100, seed: int = 0, span: int = 3) -> dict:
     sp1 = GroupSpec("Sp", 1, 2)
     failures = 0
     for _ in range(trials):
-        a = (rng.randint(-span, span), rng.randint(-span, span))
-        b = (rng.randint(-span, span), rng.randint(-span, span))
+        a = _lattice_vector(rng, SPAN)
+        b = _lattice_vector(rng, SPAN)
         sl = bracket_symbols(a, b, sl2)
         sp = TauPoly(sl2, sl.c, bracket_symbols(a, b, sp1).terms)
         if _image(sl - sp):
@@ -377,46 +373,38 @@ def sl2_sp1_suite(trials: int = 100, seed: int = 0, span: int = 3) -> dict:
 # Q generator versus torus block matrices
 # ---------------------------------------------------------------------------
 
-def q_block_suite(trials: int = 50, seed: int = 0, tol: float = 1e-9, span: int = 2) -> dict:
-    """q_image versus direct evaluation on torus block matrices.
+def q_block_suite(trials: int = 50, seed: int = 0) -> dict:
+    """q_image versus direct evaluation on torus block matrices, exactly.
 
-    For each argument vector alpha_k the actual SO(4) block matrix of the
-    torus element with parameters x_i^{alpha_k} is built; the differences
-    x - 1/x are read back off the matrix entries and combined by the
-    alternating product, independent of the polynomial expansion."""
+    For each argument vector alpha_k (entries in [-Q_SPAN, Q_SPAN]) the
+    exact SO(4) block matrix of the torus element with parameters
+    x_i^{alpha_k} is built; the differences x - 1/x are read back off the
+    matrix entries and combined by the alternating product, independent
+    of the polynomial expansion.  ``failures`` counts the points where
+    that differs from q_image."""
     rng = random.Random(seed)
     group = GroupSpec("SOeven", 2, 2)
     n = group.rank
-    worst = 0.0
+    failures = 0
     for _ in range(trials):
-        alphas = [
-            (rng.randint(-span, span), rng.randint(-span, span)) for _ in range(n)
-        ]
-        pt = random_torus_point(group, rng, exact=False, generic=False)
-        # eigenvalue parameters of rho(alpha_k): z_{k,i} = prod_j x_ij^{alpha_kj}
+        alphas = [_lattice_vector(rng, Q_SPAN) for _ in range(n)]
+        pt = random_torus_point(group, rng, exact=True, generic=False)
         diffs = []
         for alpha in alphas:
-            z = []
-            for i in range(1, n + 1):
-                acc = 1 + 0j
-                for j in range(1, group.factors + 1):
-                    acc *= pt.coordinate_power(i, j, 2 * alpha[j - 1])
-                z.append(acc)
+            # eigenvalue parameters of rho(alpha): z_i = prod_j x_ij^{alpha_j}
+            z = [math.prod((pt.coordinate_power(i, j, 2 * a) for j, a in enumerate(alpha, 1)), start=ONE)
+                 for i in range(1, n + 1)]
             mat = torus_matrix(group, z)
-            # block j has entry (2j, 2j+1) = i (z_j - z_j^{-1}) / 2
-            diffs.append([-2j * mat[2 * i, 2 * i + 1] for i in range(n)])
-        direct = 0j
-        for perm in itertools.permutations(range(n)):
-            prod = 1 + 0j
-            for i in range(n):
-                prod *= diffs[i][perm[i]]
-            direct += prod
-        direct *= 1j ** n
-        symbolic = q_image(group, alphas).evaluate(pt)
-        err = float(abs(direct - symbolic) / (1 + abs(direct)))
-        if _worse(err, worst):
-            worst = err
-    return {"trials": trials, "max_rel_err": worst, "tol": tol, "ok": bool(worst < tol)}
+            # block i has entry (2i, 2i+1) = i (z_i - 1/z_i) / 2
+            diffs.append([-2 * I * mat[2 * i][2 * i + 1] for i in range(n)])
+        direct = I ** n * sum(
+            (math.prod((d[s] for d, s in zip(diffs, perm)), start=ONE)
+             for perm in itertools.permutations(range(n))),
+            start=ZERO,
+        )
+        if q_image(group, alphas).evaluate(pt) != direct:
+            failures += 1
+    return {"trials": trials, "failures": failures, "ok": failures == 0}
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,25 @@ def test_level_cli_half_integer_exponents(capsys):
     assert capsys.readouterr().out.strip() == "2"
 
 
+def test_level_refuses_both_exps_and_in(tmp_path, capsys):
+    doc = tmp_path / "p.json"
+    g = GroupSpec("GL", 2, 1)
+    doc.write_text(json.dumps(orbit_sum(exponents([[1], [1]]), g).to_json()))
+    argv = ["level", "--family", "gl", "--rank", "2"]
+    assert run(argv + ["--in", str(doc)]) == 0
+    assert run(argv + ["--exps", "[[0],[0]]"]) == 0
+    assert capsys.readouterr().out.split() == ["2", "0"]
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--exps", "[[0],[0]]", "--in", str(doc)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("usage: toruschar level ")
+    assert captured.err.endswith("\ntoruschar level: error: argument --in: not allowed with argument --exps\n")
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: provide --exps or --in\n"
+
+
 def test_cohomology_cli(capsys):
     assert (
         run(
@@ -380,9 +399,40 @@ def test_sl2_sp1_suite_fails_every_pair_of_a_doubled_sp1_form(monkeypatch):
         return bracket_symbols(a, b, group, c)
 
     monkeypatch.setattr(verify, "bracket_symbols", doubled)
-    res = verify.sl2_sp1_suite(trials=300, seed=0, span=3)
+    res = verify.sl2_sp1_suite(trials=300, seed=0)
     moving = sum(a[0] * b[1] != a[1] * b[0] for a, b in pairs)  # det != 0
     assert not res["ok"] and res["failures"] == moving == 266
+
+
+def test_q_block_suite_fails_every_nonzero_point_of_a_negated_q_image(monkeypatch):
+    import itertools
+    import math
+
+    from toruschar import verify
+
+    q_image, random_torus_point = verify.q_image, verify.random_torus_point
+    alphas, points = [], []
+
+    def negated(group, args):
+        alphas.append(args)
+        return q_image(group, args).scaled(-1)
+
+    def recorded(*args, **kwargs):
+        points.append(random_torus_point(*args, **kwargs))
+        return points[-1]
+
+    monkeypatch.setattr(verify, "q_image", negated)
+    monkeypatch.setattr(verify, "random_torus_point", recorded)
+    res = verify.q_block_suite(trials=50, seed=0)
+
+    def alternating(args, pt):  # sum over s of prod_k (z - 1/z), z = z_{k,s(k)}
+        z = [[math.prod(pt.coords[j][i] ** a for j, a in enumerate(alpha)) for i in range(2)]
+             for alpha in args]
+        return sum(math.prod(z[k][s] - 1 / z[k][s] for k, s in enumerate(perm))
+                   for perm in itertools.permutations(range(2)))
+
+    nonzero = sum(bool(alternating(a, pt)) for a, pt in zip(alphas, points))
+    assert not res["ok"] and res["failures"] == nonzero == 48
 
 
 def test_verify_jacobi_small(capsys):

@@ -1,7 +1,8 @@
 """numpy loads only where a float matrix is built or read.
 
-The exact layers, the float bracket oracle and the CLI start without it;
-numpy input to the Lie layer is still told apart from exact matrices.
+The exact layers, the float bracket oracle, the Q block check and the CLI
+start without it; numpy input to the Lie layer is still told apart from
+exact matrices.
 """
 
 import os
@@ -54,6 +55,7 @@ sys.modules["numpy"] = None  # any ``import numpy`` now raises ImportError
 from toruschar.generators import decompose, expand, tau_image
 from toruschar.groups import GroupSpec
 from toruschar.lie import cohomology_dims, numeric_bracket, random_torus_point, torus_matrix
+from toruschar.verify import q_block_suite
 from toruschar.weyl import orbit_sum
 
 g = GroupSpec("SOeven", 2, 2)
@@ -72,13 +74,16 @@ pt = random_torus_point(sl, rng, exact=True)
 gens = [torus_matrix(sl, pt.column(j)) for j in (1, 2)]
 assert cohomology_dims(sl, gens) == (4, 2, 2)
 print("cohomology ok")
+
+assert q_block_suite(trials=5)["ok"]
+print("q_blocks ok")
 """
 
 
 def test_exact_paths_and_float_oracle_run_with_numpy_blocked():
     proc = _run(BLOCKED)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["roundtrip", "ok", "bracket", "ok", "cohomology", "ok"]
+    assert proc.stdout.split() == ["roundtrip", "ok", "bracket", "ok", "cohomology", "ok", "q_blocks", "ok"]
 
 
 def test_variation_refuses_to_numpy_input():
