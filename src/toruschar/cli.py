@@ -32,7 +32,7 @@ import sys
 
 from .errors import DomainError, InternalCheckError, NoGLFormulaError, ResourceLimitError
 from .generators import GeneratorPoly, decompose, expand
-from .groups import GroupSpec
+from .groups import _CLI_NAMES, GroupSpec
 from .jsonio import json_check, parse_scalar
 from .laurent import LaurentPoly, exponents_from_json, stored_key
 from .lie import LIE_DIM_CAP, cohomology_dims, killing_ratio, random_torus_point, torus_matrix
@@ -49,18 +49,29 @@ from .weyl import level_of_monomial, level_of_poly, orbit_sum
 COCYCLE_ROWS_CAP = 20_000
 
 
-def _add_group_flags(p: argparse.ArgumentParser, factors_default: int | None = 1):
+def _add_group_flags(p: argparse.ArgumentParser, factors: bool = True):
     p.add_argument("--family", choices=["gl", "sl", "sp", "so-odd", "so-even"])
     p.add_argument("--rank", type=int)
-    if factors_default is not None:
-        p.add_argument("--factors", type=int, default=factors_default)
+    if factors:
+        p.add_argument("--factors", type=int, help="default 1")
 
 
 def _group_from(args, factors: int | None = None) -> GroupSpec:
     if args.family is None or args.rank is None:
         raise DomainError("--family and --rank are required here")
-    n_factors = factors if factors is not None else getattr(args, "factors", 1)
-    return GroupSpec.from_cli(args.family, args.rank, n_factors)
+    if factors is None:
+        factors = 1 if getattr(args, "factors", None) is None else args.factors
+    return GroupSpec.from_cli(args.family, args.rank, factors)
+
+
+def _refuse_other_group(args, group: GroupSpec) -> None:
+    """Refuse a group flag given with ``--in`` that names another group
+    than the file's."""
+    family = args.family and _CLI_NAMES[args.family]
+    for name, value, text in (("family", family, args.family), ("rank", args.rank, args.rank),
+                              ("factors", args.factors, args.factors)):
+        if value is not None and value != getattr(group, name):
+            raise DomainError(f"--{name} {text} contradicts the group of --in, {group}")
 
 
 def _lie_group_from(args, factors: int | None = None) -> GroupSpec:
@@ -127,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="outfile")
 
     p = sub.add_parser("bracket", help="Poisson bracket of two trace symbols")
-    _add_group_flags(p, factors_default=None)
+    _add_group_flags(p, factors=False)
     p.add_argument("--a", required=True, help="lattice vector, e.g. 1,0")
     p.add_argument("--b", required=True, help="lattice vector, e.g. 0,1")
     p.add_argument("--c", default="1", help="trace-form multiple (rational)")
@@ -136,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="outfile")
 
     p = sub.add_parser("verify-bracket", help="bracket oracle agreement suite")
-    _add_group_flags(p, factors_default=None)
+    _add_group_flags(p, factors=False)
     p.add_argument("--c", default="1")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -145,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extrapolated", action="store_true")
 
     p = sub.add_parser("verify-jacobi", help="Jacobi defect suite")
-    _add_group_flags(p, factors_default=None)
+    _add_group_flags(p, factors=False)
     p.add_argument("--c", default="1")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -159,10 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON list of N eigenvalue-parameter vectors (rational strings)")
 
     p = sub.add_parser("killing", help="Killing/trace form ratio")
-    _add_group_flags(p, factors_default=None)
+    _add_group_flags(p, factors=False)
 
     p = sub.add_parser("structure-constants", help="bracket table export")
-    _add_group_flags(p, factors_default=None)
+    _add_group_flags(p, factors=False)
     p.add_argument("--c", default="1")
     p.add_argument("--cutoff", type=int, default=1)
     p.add_argument("--extrapolated", action="store_true")
@@ -326,6 +337,7 @@ def _cmd_orbit_sum(args) -> int:
 def _cmd_level(args) -> int:
     if args.infile:
         poly = LaurentPoly.from_json(_read_json(args.infile))
+        _refuse_other_group(args, poly.group)
         print(level_of_poly(poly, poly.group))
         return 0
     if not args.exps:

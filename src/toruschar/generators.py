@@ -65,7 +65,7 @@ from typing import Mapping, Optional
 from . import sparse
 from .errors import DomainError, InternalCheckError, UnsupportedInputError
 from .groups import GroupSpec
-from .jsonio import json_check, json_coeff, json_field, json_ints
+from .jsonio import json_check, json_field, json_ints, json_term_coeff
 from .laurent import ExponentMatrix, LaurentPoly, canonical_mod_relations, zero_exponents
 from .scalars import GaussRat, I, ONE, ZERO, _reduced
 from .weyl import WEYL_CAP, _images, _sum_orbits, invariance_violation, orbit_rep
@@ -193,13 +193,15 @@ class GeneratorPoly(sparse.SparsePoly):
     def from_json(obj: dict, group: GroupSpec) -> "GeneratorPoly":
         """Read ``{"terms": [{"coeff": text, "factors": [{"tau": alpha} or
         {"q": [alpha, ...]}]}]}``; a bad value raises DomainError naming its
-        path, which past the coefficient is formatted only to raise."""
+        path, which past the coefficient is formatted only to raise.  Each
+        distinct coefficient text is parsed once (``json_term_coeff``)."""
         json_check(obj, dict, "")
         terms: dict[tuple, GaussRat] = {}
+        coeffs: dict[str, GaussRat] = {}
         for k, entry in enumerate(json_field(obj, "terms", list, "", default=[])):
             if type(entry) is not dict:
                 json_check(entry, dict, f"terms[{k}]")
-            coeff = json_coeff(entry, f"terms[{k}]")
+            coeff = json_term_coeff(entry, k, coeffs)
             factors = entry.get("factors", [])
             if type(factors) is not list:
                 factors = json_field(entry, "factors", list, f"terms[{k}]")

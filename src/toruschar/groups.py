@@ -10,7 +10,7 @@ here so the rest of the library never hard-codes them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import total_ordering
 
 from .errors import DomainError, StructureError
 from .jsonio import json_check, json_field
@@ -26,19 +26,70 @@ _CLI_NAMES = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class GroupSpec:
+class Record:
+    """Base of the immutable value classes (``GroupSpec``, ``weyl.SignedPerm``,
+    ``lie.CartanMetric``).  ``_freeze`` sets the fields named in ``_fields``
+    and keeps their values as the tuple ``_key``, which ``==``, ``hash``,
+    ``repr`` and pickling read; ``==`` holds only between instances of one
+    class.  Every assignment or deletion raises ``AttributeError``."""
+
+    __slots__ = ("_key",)
+    _fields: tuple[str, ...] = ()
+
+    def _freeze(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_key", values)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._key))
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._key
+
+
+@total_ordering
+class GroupSpec(Record):
+    """G and N: ``family``, the torus ``rank`` n and the number ``factors``
+    of Z-factors.  Ordered as the tuple (family, rank, factors), whose hash
+    it keeps, computed once, as every layer caches on the group."""
+
+    _fields = ("family", "rank", "factors")
+    __slots__ = _fields + ("_hash",)
     family: str
     rank: int
-    factors: int = 1
+    factors: int
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise StructureError(f"unknown family {self.family!r}")
-        if self.rank < 1:
+    def __init__(self, family: str, rank: int, factors: int = 1):
+        if family not in FAMILIES:
+            raise StructureError(f"unknown family {family!r}")
+        if rank < 1:
             raise StructureError("rank must be >= 1")
-        if self.factors < 1:
+        if factors < 1:
             raise StructureError("factors must be >= 1")
+        self._freeze(family, rank, factors)
+        object.__setattr__(self, "_hash", hash(self._key))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __lt__(self, other):
+        return self._key < other._key if other.__class__ is self.__class__ else NotImplemented
 
     # -- derived quantities -------------------------------------------
 

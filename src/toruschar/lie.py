@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -35,7 +34,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import sparse
 from .errors import DomainError, InternalCheckError, StructureError
-from .groups import GroupSpec
+from .groups import GroupSpec, Record
 from .laurent import LaurentPoly
 from .linalg import (
     Mat,
@@ -451,20 +450,22 @@ def cohomology_dims(
 # Cartan metric and the symplectic oracle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CartanMetric:
+class CartanMetric(Record):
     """Restriction of c * trace-form to the Cartan in eigenvalue
     coordinates: a single diagonal multiplier, plus the traceless
     projection for SL.  ``scale`` is ``float(c * multiplier)``, computed
-    once for the float path."""
+    once for the float path and left out of ``==``, ``hash`` and ``repr``."""
 
+    _fields = ("group", "c", "multiplier")
+    __slots__ = _fields + ("scale",)
     group: GroupSpec
     c: Fraction
     multiplier: Fraction
-    scale: float = field(init=False, repr=False, compare=False)
+    scale: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "scale", float(self.c * self.multiplier))
+    def __init__(self, group: GroupSpec, c: Fraction, multiplier: Fraction):
+        self._freeze(group, c, multiplier)
+        object.__setattr__(self, "scale", float(c * multiplier))
 
     def project(self, vec):
         return cartan_projection(self.group, vec)

@@ -41,11 +41,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import DomainError, ResourceLimitError
-from .groups import GroupSpec
+from .groups import GroupSpec, Record
 from .laurent import ExponentMatrix, LaurentPoly, stored_key
 from .scalars import ONE
 from .sparse import add_term
@@ -53,17 +52,18 @@ from .sparse import add_term
 WEYL_CAP = 10 ** 6
 
 
-@dataclass(frozen=True)
-class SignedPerm:
+class SignedPerm(Record):
+    __slots__ = _fields = ("perm", "signs")
     perm: tuple[int, ...]   # 0-based images: position i maps to perm[i]
     signs: tuple[int, ...]  # sign applied to row i as it moves
 
-    def __post_init__(self):
-        n = len(self.perm)
-        if sorted(self.perm) != list(range(n)) or len(self.signs) != n:
+    def __init__(self, perm: tuple[int, ...], signs: tuple[int, ...]):
+        n = len(perm)
+        if sorted(perm) != list(range(n)) or len(signs) != n:
             raise DomainError("invalid signed permutation")
-        if any(s not in (1, -1) for s in self.signs):
+        if any(s not in (1, -1) for s in signs):
             raise DomainError("signs must be +-1")
+        self._freeze(perm, signs)
 
     @staticmethod
     def identity(n: int) -> "SignedPerm":

@@ -205,6 +205,36 @@ def test_level_refuses_both_exps_and_in(tmp_path, capsys):
     assert capsys.readouterr().err == "error: provide --exps or --in\n"
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [[], ["--family", "gl"], ["--rank", "2"], ["--factors", "1"],
+     ["--family", "gl", "--rank", "2", "--factors", "1"]],
+)
+def test_level_in_takes_flags_that_match_the_file(tmp_path, capsys, flags):
+    doc = tmp_path / "p.json"
+    doc.write_text(json.dumps(orbit_sum(exponents([[1], [1]]), GroupSpec("GL", 2, 1)).to_json()))
+    assert run(["level", *flags, "--in", str(doc)]) == 0
+    assert capsys.readouterr().out == "2\n"
+
+
+@pytest.mark.parametrize(
+    "flags, err",
+    [
+        (["--family", "so-even", "--rank", "3", "--factors", "2"], "--family so-even"),
+        (["--family", "sl"], "--family sl"),
+        (["--rank", "3"], "--rank 3"),
+        (["--family", "gl", "--rank", "2", "--factors", "2"], "--factors 2"),
+    ],
+)
+def test_level_in_refuses_flags_that_contradict_the_file(tmp_path, capsys, flags, err):
+    doc = tmp_path / "p.json"
+    doc.write_text(json.dumps(orbit_sum(exponents([[1], [1]]), GroupSpec("GL", 2, 1)).to_json()))
+    assert run(["level", *flags, "--in", str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err} contradicts the group of --in, GL(rank=2, N=1)\n"
+
+
 def test_cohomology_cli(capsys):
     assert (
         run(
@@ -532,6 +562,12 @@ def test_decompose_malformed_json_exit_2(tmp_path, capsys, doc, where):
          "terms[0].factors[1].tau: alpha must have 2 entries"),
         ({"terms": [{"coeff": "1/0", "factors": [{"tau": [1, 0]}]}]},
          "terms[0].coeff: zero denominator in '1/0'"),
+        # a bad coefficient after a good one of different text is still named
+        ({"terms": [{"coeff": "2", "factors": [{"tau": [1, 0]}]},
+                    {"coeff": "1/0", "factors": [{"tau": [0, 1]}]}]},
+         "terms[1].coeff: zero denominator in '1/0'"),
+        ({"terms": [{"coeff": "2", "factors": [{"tau": [1, 0]}]}, {"coeff": 2, "factors": []}]},
+         "terms[1].coeff: expected a string"),
     ],
 )
 def test_expand_malformed_json_exit_2(tmp_path, capsys, doc, where):

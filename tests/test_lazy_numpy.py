@@ -2,7 +2,8 @@
 
 The exact layers, the float bracket oracle, the Q block check and the CLI
 start without it; numpy input to the Lie layer is still told apart from
-exact matrices.
+exact matrices.  The package and the CLI also start without
+``dataclasses`` and the modules it loads (``inspect``, ``ast``, ...).
 """
 
 import os
@@ -42,6 +43,18 @@ def test_startup_imports_no_numpy():
     proc = _run(
         "import sys, toruschar, toruschar.cli\n"
         "sys.exit('numpy' in sys.modules)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_startup_imports_no_dataclasses():
+    # against the modules loaded before, as ``site`` may load some of these
+    proc = _run(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import toruschar, toruschar.cli\n"
+        "heavy = {'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}\n"
+        "sys.exit(sorted(heavy & (set(sys.modules) - before)) or None)\n"
     )
     assert proc.returncode == 0, proc.stderr
 
