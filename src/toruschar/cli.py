@@ -36,7 +36,6 @@ from .groups import _CLI_NAMES, GroupSpec
 from .jsonio import json_check, parse_scalar
 from .laurent import LaurentPoly, exponents_from_json, stored_key
 from .lie import LIE_DIM_CAP, cohomology_dims, killing_ratio, random_torus_point, torus_matrix
-from .linalg import to_numpy
 from .poisson import bracket_symbols, structure_constants
 from .scalars import GaussRat, read_rational
 from .verify import bracket_agreement, jacobi_suite, killing_table
@@ -164,8 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cohomology", help="Z^1/B^1/H^1 dimensions")
     _add_group_flags(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=["exact", "float"], default="exact")
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--in", dest="infile",
                    help="JSON list of N eigenvalue-parameter vectors (rational strings)")
 
@@ -296,9 +293,7 @@ def _cmd_cohomology(args) -> int:
         rng = random.Random(args.seed)
         pt = random_torus_point(group, rng, exact=True)
         gens = [torus_matrix(group, pt.column(j)) for j in range(1, group.factors + 1)]
-    if args.mode == "float":
-        gens = [to_numpy(g) for g in gens]
-    z1, b1, h1 = cohomology_dims(group, gens, tol=args.tol)
+    z1, b1, h1 = cohomology_dims(group, gens)
     print(f"Z1 = {z1}, B1 = {b1}, H1 = {h1}")
     return 0
 

@@ -7,30 +7,27 @@ variation functions, twisted Z^N cohomology dimensions, and the Poisson
 bracket obtained from the two-form B(v1,w2) - B(v2,w1) on pairs of Cartan
 vectors in eigenvalue coordinates.
 
-Exact mode (GaussRat matrices and points) is authoritative; float mode
-exists for Monte-Carlo style verification at scale.  numpy is imported
-only where a float matrix is built or read (``torus_matrix`` with complex
-parameters, float ``ad_operator`` and ``cohomology_dims``), so importing
-this module does not load it; float points use plain complex.  Where the
-formula is the same, one body serves both scalars and picks them from
-its input.  Float input is taken by ``torus_matrix`` (complex
-parameters), ``ad_operator``, ``cocycle_space_dims`` and
-``cohomology_dims`` (numpy matrices), ``CartanMetric``, ``log_gradients``
-and ``numeric_bracket`` (float torus points), ``root_value`` and
-``is_generic_tuple``, and ``random_torus_point(exact=False)``.
-``variation``, ``killing_ratio``, the membership checks and the random
-group elements are exact only.
+The matrix models are exact: ``torus_matrix`` takes GaussRat, int or
+Fraction parameters, and ``ad_operator``, ``cocycle_space_dims``,
+``cohomology_dims`` and ``variation`` take a ``Mat``; float parameters
+and any other matrix, such as a float array, are refused with
+``DomainError``.  ``killing_ratio``, the membership checks and the random
+group elements are exact too.  Only the bracket oracle also runs at
+float points, in plain complex: where the formula is the same, one body
+serves both scalars and picks them from its input, in ``CartanMetric``,
+``log_gradients`` and ``numeric_bracket`` (float torus points),
+``root_value`` and ``is_generic_tuple``, and
+``random_torus_point(exact=False)``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from . import sparse
 from .errors import DomainError, InternalCheckError, StructureError
@@ -40,7 +37,6 @@ from .linalg import (
     Mat,
     cayley,
     exact_rank,
-    float_rank,
     identity,
     mat_add,
     mat_det,
@@ -57,9 +53,6 @@ from .linalg import (
 from .points import TorusPoint
 from .scalars import GaussRat, I, ONE, ZERO, to_fraction
 
-if TYPE_CHECKING:
-    import numpy as np
-
 HALF = GaussRat(Fraction(1, 2))
 
 # The largest Lie-algebra dimension the ``killing`` and ``cohomology``
@@ -73,11 +66,12 @@ LIE_DIM_CAP = 400
 POINT_TRIES, CONJUGATOR_TRIES = 500, 100
 
 
-def _is_array(a) -> bool:
-    """True for a numpy array.  Exact without importing numpy: no array
-    can exist before numpy is loaded."""
-    np_mod = sys.modules.get("numpy")
-    return np_mod is not None and isinstance(a, np_mod.ndarray)
+def _require_mat(a, where: str) -> None:
+    """Refuse anything but a ``Mat``, a tuple of tuples of GaussRat."""
+    if not (isinstance(a, tuple) and all(
+        isinstance(row, tuple) and all(isinstance(v, GaussRat) for v in row) for row in a
+    )):
+        raise DomainError(f"{where} takes an exact matrix, a tuple of tuples of GaussRat")
 
 
 # ---------------------------------------------------------------------------
@@ -187,54 +181,46 @@ def in_group(group: GroupSpec, a: Mat) -> bool:
 # torus matrices
 # ---------------------------------------------------------------------------
 
-def torus_matrix(group: GroupSpec, eigvals: Sequence):
-    """Torus element with the given eigenvalue parameters.
+def torus_matrix(group: GroupSpec, eigvals: Sequence) -> Mat:
+    """Exact torus element with the given eigenvalue parameters (GaussRat,
+    int or Fraction; float and complex ones are refused).
 
-    Exact GaussRat parameters produce an exact matrix; complex ones a
-    numpy array.  One body serves both scalars.  GL/SL: diag(x_1..x_n)
-    with the SL product-one condition enforced.  Sp: diag(x, x^{-1}).  SO:
-    per-parameter 2x2 blocks [[(x+1/x)/2, i(x-1/x)/2], [-i(x-1/x)/2,
-    (x+1/x)/2]], odd SO appending a fixed eigenvalue 1.
+    GL/SL: diag(x_1..x_n) with the SL product-one condition enforced.
+    Sp: diag(x, x^{-1}).  SO: per-parameter 2x2 blocks [[(x+1/x)/2,
+    i(x-1/x)/2], [-i(x-1/x)/2, (x+1/x)/2]], odd SO appending a fixed
+    eigenvalue 1.
     """
     n = group.rank
     if len(eigvals) != n:
         raise DomainError(f"expected {n} eigenvalue parameters")
-    exact = all(isinstance(v, (GaussRat, int, Fraction)) for v in eigvals)
-    if exact:
-        vals = [v if isinstance(v, GaussRat) else GaussRat(v) for v in eigvals]
-        zero, one, unit_i = ZERO, ONE, I
-    else:
-        import numpy as np
-
-        vals = [complex(v) for v in eigvals]
-        zero, one, unit_i = 0j, 1, 1j
+    if not all(isinstance(v, (GaussRat, int, Fraction)) for v in eigvals):
+        raise DomainError("eigenvalue parameters must be exact: GaussRat, int or Fraction")
+    vals = [v if isinstance(v, GaussRat) else GaussRat(v) for v in eigvals]
     if any(not v for v in vals):
         raise DomainError("eigenvalue parameters must be nonzero")
-    if group.family == "SL" and (
-        math.prod(vals, start=ONE) != ONE if exact else abs(np.prod(vals) - 1) > 1e-9
-    ):
+    if group.family == "SL" and math.prod(vals, start=ONE) != ONE:
         raise DomainError("SL eigenvalues must multiply to 1")
     m = group.matrix_size
-    rows = [[zero] * m for _ in range(m)]
+    rows = [[ZERO] * m for _ in range(m)]
     if group.family in ("GL", "SL"):
         for i, v in enumerate(vals):
             rows[i][i] = v
     elif group.family == "Sp":
         for i, v in enumerate(vals):
             rows[i][i] = v
-            rows[n + i][n + i] = one / v
+            rows[n + i][n + i] = ONE / v
     else:
         for j, v in enumerate(vals):
-            w = one / v
+            w = ONE / v
             c = (v + w) / 2
-            s = unit_i * (v - w) / 2
+            s = I * (v - w) / 2
             rows[2 * j][2 * j] = c
             rows[2 * j][2 * j + 1] = s
             rows[2 * j + 1][2 * j] = -s
             rows[2 * j + 1][2 * j + 1] = c
         if group.family == "SOodd":
-            rows[m - 1][m - 1] = one
-    return _freeze(rows) if exact else np.array(rows, dtype=complex)
+            rows[m - 1][m - 1] = ONE
+    return _freeze(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +301,14 @@ def killing_ratio(group: GroupSpec) -> Fraction:
 
 def variation(group: GroupSpec, a, c: Fraction = Fraction(1)):
     """Variation function for the bilinear form c * trace form, of an
-    exact matrix ``a`` (a numpy array is refused).
+    exact matrix ``a`` (anything but a ``Mat`` is refused).
 
     SL: (A - tr(A)/n * I)/c.  SO/Sp: (A - A^{-1})/(2c).  GL: A/c (the
     trace-form orthogonal projection onto gl is the identity).
     """
     if c == 0:
         raise DomainError("c must be nonzero")
-    if _is_array(a):
-        raise DomainError("variation takes an exact matrix, not a numpy array")
+    _require_mat(a, "variation")
     m = len(a)
     inv_c = GaussRat(Fraction(1, 1) / c)
     if group.family == "SL":
@@ -338,69 +323,62 @@ def variation(group: GroupSpec, a, c: Fraction = Fraction(1)):
 # adjoint action and cohomology
 # ---------------------------------------------------------------------------
 
-def ad_operator(group: GroupSpec, a) -> Mat | np.ndarray:
-    """Matrix of X -> A X A^{-1} in lie_basis coordinates.
+def ad_operator(group: GroupSpec, a: Mat) -> Mat:
+    """Matrix of X -> A X A^{-1} in lie_basis coordinates, for an exact
+    ``Mat`` A (anything else is refused).
 
-    One body serves an exact ``Mat`` and a numpy ``a`` (inverted with
-    ``np.linalg.inv``, complex scalars).  A basis element with nonzero
-    entries v at (r, c) maps to the sum of v * a[:, r] (x) a^{-1}[c, :],
-    so only the nonzero entries of the element, of the columns of A and of
-    the rows of A^{-1} are multiplied; ``basis_coords`` reads off the
-    coordinates.  The element entries come from the per-group basis cache.
+    A basis element with nonzero entries v at (r, c) maps to the sum of
+    v * a[:, r] (x) a^{-1}[c, :], so only the nonzero entries of the
+    element, of the columns of A and of the rows of A^{-1} are multiplied;
+    ``basis_coords`` reads off the coordinates.  The element entries come
+    from the per-group basis cache.
     """
-    exact = not _is_array(a)
-    basis = _basis_forms(group)[1]
-    if exact:
-        a_rows, inv_rows, zero = a, mat_inv(a), ZERO
-    else:
-        import numpy as np
-
-        a_rows, inv_rows, zero = a.tolist(), np.linalg.inv(a).tolist(), 0j
-        basis = [[(rc, complex(v)) for rc, v in x] for x in basis]
-    a_cols = nonzero_rows(zip(*a_rows))
-    inv_nz = nonzero_rows(inv_rows)
+    _require_mat(a, "ad_operator")
+    a_cols = nonzero_rows(zip(*a))
+    inv_nz = nonzero_rows(mat_inv(a))
     cols = []
-    for x in basis:
-        y: dict[tuple[int, int], object] = {}
+    for x in _basis_forms(group)[1]:
+        y: dict[tuple[int, int], GaussRat] = {}
         for (r, c), v in x:
             for i, u in a_cols[r]:
                 uv = u * v
                 for j, w in inv_nz[c]:
                     sparse.add_term(y, (i, j), uv * w)
-        cols.append(basis_coords(group, lambda r, c: y.get((r, c), zero)))
-    rows = tuple(zip(*cols))
-    return rows if exact else np.array(rows, dtype=complex)
+        cols.append(basis_coords(group, lambda r, c: y.get((r, c), ZERO)))
+    return tuple(zip(*cols))
 
 
-def cocycle_space_dims(action_mats: Sequence, tol: float = 1e-10) -> tuple[int, int, int]:
+def cocycle_space_dims(action_mats: Sequence[Mat]) -> tuple[int, int, int]:
     """(dim Z^1, dim B^1, dim H^1) for the Z^N module defined by commuting
-    operators on a finite-dimensional space.
+    exact operators on a finite-dimensional space (each must be a ``Mat``).
 
     A cocycle is determined by its values u_1..u_N on the generators,
     constrained pairwise by (A_j - 1) u_i = (A_i - 1) u_j; coboundaries are
-    the tuples ((A_i - 1) v)_i.  The operators, exact or numpy, are read
-    once into sparse rows of A_i - 1 (their nonzeros, 1 subtracted on the
-    diagonal), and both constraint systems are built from those rows.
-    Only the rank differs: ``exact_rank``, or ``float_rank`` with ``tol``.
+    the tuples ((A_i - 1) v)_i.
     """
     mats = list(action_mats)
+    for m in mats:
+        _require_mat(m, "cocycle_space_dims")
+    return _cocycle_dims(mats)
+
+
+def _cocycle_dims(mats: list[Mat]) -> tuple[int, int, int]:
+    """``cocycle_space_dims`` of operators known to be ``Mat``s, such as the
+    ``ad_operator`` results of ``cohomology_dims``, whose d^2 entries are
+    not checked again.  They are read once into sparse rows of A_i - 1
+    (their nonzeros, 1 subtracted on the diagonal), both constraint systems
+    are built from those rows, and ``exact_rank`` ranks them."""
     if not mats:
         raise DomainError("need at least one generator")
-    exact = not _is_array(mats[0])
-    zero, one = (ZERO, ONE) if exact else (0j, 1)
     n_gen = len(mats)
     d = len(mats[0])
-
-    def rank(rows: list[dict], width: int) -> int:
-        return exact_rank(rows) if exact else float_rank(rows, width, tol)
-
     diffs = []
     for m in mats:
-        rows = [dict(nz) for nz in nonzero_rows(m if exact else m.tolist())]
+        rows = [dict(nz) for nz in nonzero_rows(m)]
         for r, row in enumerate(rows):
-            row[r] = row.get(r, zero) - one
+            row[r] = row.get(r, ZERO) - ONE
         diffs.append(rows)
-    b_rank = rank([row for rows in diffs for row in rows], d)
+    b_rank = exact_rank([row for rows in diffs for row in rows])
     zrows = []
     for i, j in itertools.combinations(range(n_gen), 2):
         # (A_j - 1) u_i - (A_i - 1) u_j = 0; u_k sits in columns k*d..
@@ -409,7 +387,7 @@ def cocycle_space_dims(action_mats: Sequence, tol: float = 1e-10) -> tuple[int, 
             for c, w in row_i.items():
                 row[j * d + c] = -w
             zrows.append(row)
-    z_rank = rank(zrows, n_gen * d)
+    z_rank = exact_rank(zrows)
     dim_z1 = n_gen * d - z_rank
     dim_b1 = b_rank
     return dim_z1, dim_b1, dim_z1 - dim_b1
@@ -422,28 +400,19 @@ def require_tol(tol: float) -> None:
         raise DomainError(f"tol must be a positive finite number, got {tol}")
 
 
-def cohomology_dims(
-    group: GroupSpec, generators: Sequence, tol: float = 1e-10
-) -> tuple[int, int, int]:
+def cohomology_dims(group: GroupSpec, generators: Sequence[Mat]) -> tuple[int, int, int]:
     """Twisted cohomology dimensions of Z^N acting on the Lie algebra
-    through Ad of the given commuting group elements."""
+    through Ad of the given commuting exact group elements (each must be a
+    ``Mat``), decided by exact ranks."""
     gens = list(generators)
     if not gens:
         raise DomainError("need at least one generator")
-    exact = not _is_array(gens[0])
-    if not exact:
-        import numpy as np
-
-        require_tol(tol)
+    for a in gens:
+        _require_mat(a, "cohomology_dims")
     for a, b in itertools.combinations(gens, 2):
-        if exact:
-            if not mat_eq(mat_mul(a, b), mat_mul(b, a)):
-                raise DomainError("generators do not commute")
-        else:
-            if np.max(np.abs(a @ b - b @ a)) > tol:
-                raise DomainError("generators do not commute")
-    ads = [ad_operator(group, a) for a in gens]
-    return cocycle_space_dims(ads, tol)
+        if not mat_eq(mat_mul(a, b), mat_mul(b, a)):
+            raise DomainError("generators do not commute")
+    return _cocycle_dims([ad_operator(group, a) for a in gens])
 
 
 # ---------------------------------------------------------------------------

@@ -5,23 +5,16 @@ The matrices of the Lie layer are almost all zeros (Ad of a torus element
 has 36 nonzeros out of 1296 entries for Sp(4)), so ``mat_mul`` walks
 nonzeros only, and ``nonzero_rows`` gives the (column, value) lists the
 Lie layer builds its sparse rows from.  Inverse and determinant are plain
-Gauss-Jordan elimination.  ``exact_rank`` and ``float_rank`` both take
-the sparse dict rows of the cohomology constraint systems: the first
-eliminates them exactly, the second writes them into one dense array and
-counts numpy singular values for the float verification path.  numpy is
-imported inside ``to_numpy`` and ``float_rank`` only, so the exact toolkit
-loads without it.
+Gauss-Jordan elimination.  ``exact_rank`` eliminates the sparse dict rows
+of the cohomology constraint systems exactly.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from .errors import DomainError
 from .scalars import GaussRat, ONE, ZERO
-
-if TYPE_CHECKING:
-    import numpy as np
 
 Mat = tuple[tuple[GaussRat, ...], ...]
 
@@ -131,12 +124,6 @@ def mat_eq(a: Mat, b: Mat) -> bool:
     return all(x == y for r, s in zip(a, b) for x, y in zip(r, s))
 
 
-def to_numpy(a: Mat) -> np.ndarray:
-    import numpy as np
-
-    return np.array([[complex(v) for v in row] for row in a], dtype=complex)
-
-
 # ---------------------------------------------------------------------------
 # ranks
 # ---------------------------------------------------------------------------
@@ -163,25 +150,6 @@ def exact_rank(rows: Iterable[dict[int, GaussRat]]) -> int:
                 else:
                     row.pop(k, None)
     return len(pivots)
-
-
-def float_rank(rows: Sequence[dict[int, complex]], width: int, tol: float = 1e-10) -> int:
-    """Numerical rank of the matrix with the given sparse rows and
-    ``width`` columns: the count of singular values above ``tol`` times
-    max(1, largest singular value)."""
-    import numpy as np
-
-    matrix = np.zeros((len(rows), width), dtype=complex)
-    for k, row in enumerate(rows):
-        for c, v in row.items():
-            matrix[k, c] = v
-    if matrix.size == 0:
-        return 0
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    if svals.size == 0:
-        return 0
-    cutoff = tol * max(1.0, float(svals[0]))
-    return int(np.sum(svals > cutoff))
 
 
 def cayley(s: Mat) -> Mat:

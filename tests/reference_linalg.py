@@ -1,12 +1,13 @@
 """Reference bodies for the linear algebra of the Lie layer.
 
-These are the bodies that ``linalg.mat_mul``, the exact branches of
-``lie.ad_operator`` and ``lie.cocycle_space_dims``, ``lie.basis_coords``
-and ``lie.torus_matrix`` replaced: every entry of every product is formed,
-A X A^{-1} is two full matrix products per basis element, coordinates are
-read off by a closed form per family, and torus matrices are built by one
-body per scalar.  They stay here as the oracle for
-``tests/test_linalg_reference.py`` and ``tests/test_lie.py``.
+These are the bodies that ``linalg.mat_mul``, ``lie.ad_operator``,
+``lie.cocycle_space_dims``, ``lie.basis_coords`` and ``lie.torus_matrix``
+replaced: every entry of every product is formed, A X A^{-1} is two full
+matrix products per basis element, coordinates are read off by a closed
+form per family, and torus matrices are built without checks.  They stay
+here as the oracle for ``tests/test_linalg_reference.py`` and
+``tests/test_lie.py``.  ``to_numpy`` gives the tests a float copy of an
+exact matrix, for cross-checks by numpy's eigenvalues and determinants.
 """
 
 from __future__ import annotations
@@ -85,29 +86,9 @@ def exact_torus_matrix(group, vals):
     return tuple(map(tuple, rows))
 
 
-def float_torus_matrix(group, vals):
-    """Torus matrix of nonzero complex parameters (checks left out)."""
-    n = group.rank
-    m = group.matrix_size
-    out = np.zeros((m, m), dtype=complex)
-    if group.family in ("GL", "SL"):
-        for i, v in enumerate(vals):
-            out[i, i] = v
-    elif group.family == "Sp":
-        for i, v in enumerate(vals):
-            out[i, i] = v
-            out[n + i, n + i] = 1 / v
-    else:
-        for j, v in enumerate(vals):
-            c = (v + 1 / v) / 2
-            s = 1j * (v - 1 / v) / 2
-            out[2 * j, 2 * j] = c
-            out[2 * j, 2 * j + 1] = s
-            out[2 * j + 1, 2 * j] = -s
-            out[2 * j + 1, 2 * j + 1] = c
-        if group.family == "SOodd":
-            out[m - 1, m - 1] = 1.0
-    return out
+def to_numpy(a):
+    """The complex numpy array of an exact matrix."""
+    return np.array([[complex(v) for v in row] for row in a], dtype=complex)
 
 
 def dense_mat_mul(a, b):

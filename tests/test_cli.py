@@ -610,21 +610,25 @@ def test_cohomology_malformed_json_exit_2(tmp_path, capsys, doc, where):
 def test_cohomology_cli_in_file(tmp_path, capsys):
     src = tmp_path / "gens.json"
     src.write_text(json.dumps([[2, 0.5], [3, "1/3"]]))
-    for mode in ("exact", "float"):
-        argv = ["cohomology", "--family", "sl", "--rank", "2", "--factors", "2",
-                "--mode", mode, "--in", str(src)]
-        assert run(argv) == 0
-        assert capsys.readouterr().out.strip() == "Z1 = 4, B1 = 2, H1 = 2"
+    argv = ["cohomology", "--family", "sl", "--rank", "2", "--factors", "2", "--in", str(src)]
+    assert run(argv) == 0
+    assert capsys.readouterr().out.strip() == "Z1 = 4, B1 = 2, H1 = 2"
 
 
 @pytest.mark.parametrize("tol, shown", [("nan", "nan"), ("inf", "inf"), ("-1", "-1.0"), ("0", "0.0")])
 def test_cohomology_float_refuses_bad_tolerances(capsys, tol, shown):
-    argv = ["cohomology", "--family", "sl", "--rank", "2", "--factors", "2", "--tol", tol]
-    assert run(argv + ["--mode", "float"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: tol must be a positive finite number, got {shown}\n"
-    # The exact mode computes exact ranks and never reads tol.
+    """``cohomology`` ranks exactly and has no ``--mode`` or ``--tol``: each
+    is argparse's usage error, before any tolerance is read."""
+    argv = ["cohomology", "--family", "sl", "--rank", "2", "--factors", "2"]
+    for extra in (["--tol", tol], ["--mode", "float"], ["--mode", "float", "--tol", tol]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + extra)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err and f"got {shown}" not in captured.err
+        assert captured.err.startswith("usage: toruschar ")
+        assert captured.err.endswith(f"\ntoruschar: error: unrecognized arguments: {' '.join(extra)}\n")
     assert run(argv) == 0
     assert capsys.readouterr().out.strip() == "Z1 = 4, B1 = 2, H1 = 2"
 
@@ -735,9 +739,8 @@ GOLDEN = {
          "--trials", "3", "--seed", "7"],
         "c192122bc6ff1262198649304f77c626b14f10aa889d6431254a80bba4ea8065",
     ),
-    "cohomology_float_soodd2": (
-        ["cohomology", "--family", "so-odd", "--rank", "2", "--factors", "3",
-         "--mode", "float", "--seed", "5"],
+    "cohomology_soodd2": (
+        ["cohomology", "--family", "so-odd", "--rank", "2", "--factors", "3", "--seed", "5"],
         "cd1bb3e538e4583fde4fa4b805fc6f361aec25647c46402e0d2b8da89f90979d",
     ),
     "verify_jacobi_sl2": (
@@ -780,7 +783,7 @@ def test_internal_check_error_exit_3(monkeypatch, capsys):
     [
         ["killing", "--family", "sl", "--rank", "100000"],
         ["cohomology", "--family", "sl", "--rank", "100000", "--factors", "2"],
-        ["cohomology", "--family", "so-even", "--rank", "100000", "--mode", "float"],
+        ["cohomology", "--family", "so-even", "--rank", "100000"],
         ["killing", "--family", "sp", "--rank", "14"],  # dimension 406
         ["cohomology", "--family", "gl", "--rank", "21"],  # dimension 441
         ["verify-bracket", "--family", "sl", "--rank", "21"],  # dimension 440
@@ -844,8 +847,7 @@ def test_the_empty_document_of_huge_rank_takes_no_weyl_order(tmp_path, argv):
     "argv, rows",
     [
         (["cohomology", "--family", "sp", "--rank", "4", "--factors", "400"], 2872800),
-        (["cohomology", "--family", "gl", "--rank", "2", "--factors", "200", "--mode", "float"],
-         79600),
+        (["cohomology", "--family", "gl", "--rank", "2", "--factors", "200"], 79600),
         (["cohomology", "--family", "sl", "--rank", "2", "--factors", "1000000"], 1499998500000),
         (["cohomology", "--family", "gl", "--rank", "1", "--factors", "201"], 20100),
     ],

@@ -28,7 +28,6 @@ from toruschar.lie import (
     root_value,
     torus_matrix,
 )
-from toruschar.linalg import to_numpy
 from toruschar.scalars import GaussRat, ONE
 
 FAMILIES = ("GL", "SL", "Sp", "SOodd", "SOeven")
@@ -51,11 +50,8 @@ def _predicted(group: GroupSpec, columns) -> tuple[int, int, int]:
     return h1 + b1, b1, h1
 
 
-def _dims(group: GroupSpec, columns, mode: str = "exact") -> tuple[int, int, int]:
-    gens = [torus_matrix(group, col) for col in columns]
-    if mode == "float":
-        gens = [to_numpy(g) for g in gens]
-    return cohomology_dims(group, gens)
+def _dims(group: GroupSpec, columns) -> tuple[int, int, int]:
+    return cohomology_dims(group, [torus_matrix(group, col) for col in columns])
 
 
 def _q(*vals):
@@ -73,20 +69,11 @@ CHOSEN = [
 ]
 
 
-# Each case runs exactly and in floats; the exact runs keep pytest's
-# default ids.
-@pytest.mark.parametrize(
-    "family,rank,columns,expected,mode",
-    [
-        pytest.param(*case, mode, id=f"{case[0]}-{case[1]}-columns{k}-expected{k}{suffix}")
-        for mode, suffix in (("exact", ""), ("float", "-float"))
-        for k, case in enumerate(CHOSEN)
-    ],
-)
-def test_cohomology_at_chosen_non_generic_points(family, rank, columns, expected, mode):
+@pytest.mark.parametrize("family,rank,columns,expected", CHOSEN)
+def test_cohomology_at_chosen_non_generic_points(family, rank, columns, expected):
     group = GroupSpec(family, rank, len(columns))
     assert _predicted(group, columns) == expected
-    assert _dims(group, columns, mode) == expected
+    assert _dims(group, columns) == expected
 
 
 _group = st.builds(

@@ -1,9 +1,10 @@
-"""numpy loads only where a float matrix is built or read.
+"""The library runs without numpy, and its exact entry points refuse numpy
+input.
 
-The exact layers, the float bracket oracle, the Q block check and the CLI
-start without it; numpy input to the Lie layer is still told apart from
-exact matrices.  The package and the CLI also start without
-``dataclasses`` and the modules it loads (``inspect``, ``ast``, ...).
+Every module, the CLI and exact cohomology load and run with numpy
+blocked; the package and the CLI also start without ``dataclasses`` and
+the modules it loads (``inspect``, ``ast``, ...).  numpy appears only in
+the tests' own cross-checks.
 """
 
 import os
@@ -12,18 +13,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from reference_linalg import to_numpy
 from toruschar.errors import DomainError
 from toruschar.groups import GroupSpec
 from toruschar.lie import (
+    ad_operator,
+    cocycle_space_dims,
     cohomology_dims,
     random_group_element,
     random_torus_point,
     torus_matrix,
     variation,
 )
-from toruschar.linalg import to_numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -60,14 +64,23 @@ def test_startup_imports_no_dataclasses():
 
 
 BLOCKED = """
+import importlib
+import pkgutil
 import random
 import sys
 
 sys.modules["numpy"] = None  # any ``import numpy`` now raises ImportError
 
+import toruschar
+for mod in pkgutil.walk_packages(toruschar.__path__, "toruschar."):
+    if mod.name != "toruschar.__main__":  # it runs the CLI on import
+        importlib.import_module(mod.name)
+print("imports ok")
+
+from toruschar import cli
 from toruschar.generators import decompose, expand, tau_image
 from toruschar.groups import GroupSpec
-from toruschar.lie import cohomology_dims, numeric_bracket, random_torus_point, torus_matrix
+from toruschar.lie import numeric_bracket, random_torus_point
 from toruschar.verify import q_block_suite
 from toruschar.weyl import orbit_sum
 
@@ -83,10 +96,7 @@ val = numeric_bracket(tau_image(sl, (1, 0)), tau_image(sl, (0, 1)), pt)
 assert isinstance(val, complex)
 print("bracket ok")
 
-pt = random_torus_point(sl, rng, exact=True)
-gens = [torus_matrix(sl, pt.column(j)) for j in (1, 2)]
-assert cohomology_dims(sl, gens) == (4, 2, 2)
-print("cohomology ok")
+assert cli.run(["cohomology", "--family", "sl", "--rank", "2", "--factors", "2"]) == 0
 
 assert q_block_suite(trials=5)["ok"]
 print("q_blocks ok")
@@ -96,7 +106,9 @@ print("q_blocks ok")
 def test_exact_paths_and_float_oracle_run_with_numpy_blocked():
     proc = _run(BLOCKED)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["roundtrip", "ok", "bracket", "ok", "cohomology", "ok", "q_blocks", "ok"]
+    assert proc.stdout.splitlines() == [
+        "imports ok", "roundtrip ok", "bracket ok", "Z1 = 4, B1 = 2, H1 = 2", "q_blocks ok",
+    ]
 
 
 def test_variation_refuses_to_numpy_input():
@@ -106,16 +118,22 @@ def test_variation_refuses_to_numpy_input():
         variation(g, to_numpy(a))
 
 
-def test_float_sl_torus_matrix_checks_product():
-    sl2 = GroupSpec("SL", 2, 1)
-    with pytest.raises(DomainError):
-        torus_matrix(sl2, [2 + 0j, 0.25 + 0j])
-    assert torus_matrix(sl2, [2 + 0j, 0.5 + 0j]).shape == (2, 2)
-
-
 @pytest.mark.parametrize("family", ["GL", "SL", "Sp", "SOodd", "SOeven"])
-def test_float_cohomology_of_to_numpy_matches_exact(family):
+def test_cohomology_refuses_to_numpy_input(family):
+    """A numpy copy of exact generators, or of their Ad operators, and
+    tuples of complex entries are refused with DomainError."""
     g = GroupSpec(family, 2, 2)
     pt = random_torus_point(g, random.Random(9), exact=True)
     gens = [torus_matrix(g, pt.column(j)) for j in (1, 2)]
-    assert cohomology_dims(g, [to_numpy(a) for a in gens]) == cohomology_dims(g, gens)
+    ads = [ad_operator(g, a) for a in gens]
+    for bad in (to_numpy, lambda a: tuple(map(tuple, to_numpy(a).tolist()))):
+        with pytest.raises(DomainError, match="cohomology_dims takes an exact matrix"):
+            cohomology_dims(g, [bad(a) for a in gens])
+        with pytest.raises(DomainError, match="cohomology_dims takes an exact matrix"):
+            cohomology_dims(g, [gens[0], bad(gens[1])])
+        with pytest.raises(DomainError, match="cocycle_space_dims takes an exact matrix"):
+            cocycle_space_dims([bad(a) for a in ads])
+        with pytest.raises(DomainError, match="ad_operator takes an exact matrix"):
+            ad_operator(g, bad(gens[0]))
+    with pytest.raises(DomainError, match="must be exact"):
+        torus_matrix(g, np.array([complex(v) for v in pt.column(1)]))

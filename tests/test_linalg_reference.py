@@ -5,7 +5,6 @@ equality, and ``basis_coords`` against its closed form per family."""
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,7 +24,7 @@ from toruschar.lie import (
     random_torus_point,
     torus_matrix,
 )
-from toruschar.linalg import mat_inv, mat_mul, to_numpy
+from toruschar.linalg import mat_inv, mat_mul
 from toruschar.scalars import GaussRat
 
 FAMILIES = ("GL", "SL", "Sp", "SOodd", "SOeven")
@@ -91,11 +90,6 @@ def test_ad_operator_matches_dense_reference(group, conjugate, seed):
     got = ad_operator(group, a)
     assert got == dense_ad_operator(group, a)
     assert all(type(v) is GaussRat for row in got for v in row)
-    # The float branch runs the same body with complex scalars.
-    flo = ad_operator(group, to_numpy(a))
-    exact = to_numpy(got)
-    assert flo.shape == exact.shape
-    assert np.max(np.abs(flo - exact), initial=0.0) <= 1e-9 * (1 + np.max(np.abs(exact), initial=0.0))
 
 
 @settings(max_examples=40, deadline=None)
