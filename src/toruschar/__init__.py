@@ -34,7 +34,6 @@ from .generators import (
 from .groups import GroupSpec
 from .laurent import LaurentPoly, canonical_mod_relations, exponents
 from .lie import (
-    CartanMetric,
     ad_operator,
     cartan_metric,
     cartan_tangent,
@@ -73,7 +72,6 @@ from .weyl import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CartanMetric",
     "DomainError",
     "GaussRat",
     "GeneratorPoly",

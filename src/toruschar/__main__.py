@@ -1,3 +1,4 @@
 from .cli import main
 
-main()
+if __name__ == "__main__":
+    main()

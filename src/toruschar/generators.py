@@ -68,7 +68,7 @@ from .groups import GroupSpec
 from .jsonio import json_check, json_field, json_ints, json_term_coeff
 from .laurent import ExponentMatrix, LaurentPoly, canonical_mod_relations, zero_exponents
 from .scalars import GaussRat, I, ONE, ZERO, _reduced
-from .weyl import WEYL_CAP, _images, _sum_orbits, invariance_violation, orbit_rep
+from .weyl import _images, _sum_orbits, invariance_violation, orbit_rep
 
 TauSymbol = tuple[str, tuple[int, ...]]
 QSymbol = tuple[str, tuple[tuple[int, ...], ...]]
@@ -250,7 +250,7 @@ def expand(p: GeneratorPoly, group: GroupSpec) -> LaurentPoly:
     An orbit above WEYL_CAP monomials raises ResourceLimitError before it
     is built.
     """
-    return _sum_orbits(orbit_coefficients(p, group), group, WEYL_CAP)
+    return _sum_orbits(orbit_coefficients(p, group), group)
 
 
 # verify-bracket at its largest window (8) touches 1085 tau images on SL
@@ -375,7 +375,7 @@ def _times_q(terms: dict, alphas: tuple, group: GroupSpec, factor: int, out: dic
     shifts = ((y, 1), ((tuple(-e for e in y[0]),) + y[1:], -1))
     get = out.get
     for key, c in terms.items():
-        stab, images = _images(key, group, WEYL_CAP)
+        stab, images = _images(key, group)
         c *= factor * stab
         for x in images:
             for shift, sign in shifts:
@@ -618,7 +618,7 @@ def _peel(f: LaurentPoly, group: GroupSpec) -> tuple[GeneratorPoly, dict]:
     while work:
         m, c = next(iter(work.items()))
         key = orbit_rep(m, group)
-        stab, images = _images(key, group, WEYL_CAP)
+        stab, images = _images(key, group)
         for k in images:
             if (v := pop(k, None)) is not c and v != c:  # an orbit mostly shares one c
                 raise InternalCheckError("orbit peeling left terms it could not cancel")

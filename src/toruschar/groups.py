@@ -27,8 +27,8 @@ _CLI_NAMES = {
 
 
 class Record:
-    """Base of the immutable value classes (``GroupSpec``, ``weyl.SignedPerm``,
-    ``lie.CartanMetric``).  ``_freeze`` sets the fields named in ``_fields``
+    """Base of the immutable value classes ``GroupSpec`` and
+    ``weyl.SignedPerm``.  ``_freeze`` sets the fields named in ``_fields``
     and keeps their values as the tuple ``_key``, which ``==``, ``hash``,
     ``repr`` and pickling read; ``==`` holds only between instances of one
     class.  Every assignment or deletion raises ``AttributeError``."""

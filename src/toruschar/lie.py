@@ -14,8 +14,8 @@ and any other matrix, such as a float array, are refused with
 ``DomainError``.  ``killing_ratio``, the membership checks and the random
 group elements are exact too.  Only the bracket oracle also runs at
 float points, in plain complex: where the formula is the same, one body
-serves both scalars and picks them from its input, in ``CartanMetric``,
-``log_gradients`` and ``numeric_bracket`` (float torus points),
+serves both scalars and picks them from its input, in ``omega_prime``,
+``log_gradient`` and ``numeric_bracket`` (float torus points),
 ``root_value`` and ``is_generic_tuple``, and
 ``random_torus_point(exact=False)``.
 """
@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 from . import sparse
 from .errors import DomainError, InternalCheckError, StructureError
-from .groups import GroupSpec, Record
+from .groups import GroupSpec
 from .laurent import LaurentPoly
 from .linalg import (
     Mat,
@@ -241,8 +241,6 @@ def _sparse_bracket(a: dict, b: dict) -> dict:
     return out
 
 
-# The killing table holds 11 groups.
-@lru_cache(maxsize=32)
 def killing_ratio(group: GroupSpec) -> Fraction:
     """Ratio kappa / trace-form, computed from the adjoint representation
     and verified entrywise to be a single scalar."""
@@ -419,33 +417,6 @@ def cohomology_dims(group: GroupSpec, generators: Sequence[Mat]) -> tuple[int, i
 # Cartan metric and the symplectic oracle
 # ---------------------------------------------------------------------------
 
-class CartanMetric(Record):
-    """Restriction of c * trace-form to the Cartan in eigenvalue
-    coordinates: a single diagonal multiplier, plus the traceless
-    projection for SL.  ``scale`` is ``float(c * multiplier)``, computed
-    once for the float path and left out of ``==``, ``hash`` and ``repr``."""
-
-    _fields = ("group", "c", "multiplier")
-    __slots__ = _fields + ("scale",)
-    group: GroupSpec
-    c: Fraction
-    multiplier: Fraction
-    scale: float
-
-    def __init__(self, group: GroupSpec, c: Fraction, multiplier: Fraction):
-        self._freeze(group, c, multiplier)
-        object.__setattr__(self, "scale", float(c * multiplier))
-
-    def project(self, vec):
-        return cartan_projection(self.group, vec)
-
-    def pair(self, u: list, v: list):
-        """c * multiplier times the dot product of the projected vectors,
-        in the scalar of the vectors."""
-        dot = sum(x * y for x, y in zip(self.project(u), self.project(v)))
-        return dot * (self.c * self.multiplier if isinstance(dot, GaussRat) else self.scale)
-
-
 def cartan_projection(group: GroupSpec, vec):
     """Trace-form orthogonal projection of a coordinate vector onto the
     Cartan: the traceless part, as a new list, for SL; ``vec`` itself for
@@ -479,9 +450,10 @@ def cartan_tangent(group: GroupSpec, u: Sequence) -> Mat:
 
 # A command uses one (group, c); the oracle benchmark 7.
 @lru_cache(maxsize=64)
-def cartan_metric(group: GroupSpec, c: Fraction = Fraction(1)) -> CartanMetric:
-    """Derive the diagonal multiplier by evaluating the trace form on the
-    explicit Cartan tangent matrices (never assumed)."""
+def cartan_metric(group: GroupSpec, c: Fraction = Fraction(1)) -> Fraction:
+    """c * trace form on the Cartan in eigenvalue coordinates, one number:
+    c times the diagonal multiplier, derived by evaluating the trace form
+    on the explicit Cartan tangent matrices (never assumed)."""
     c = to_fraction(c)
     if c == 0:
         raise DomainError("c must be nonzero")
@@ -503,56 +475,47 @@ def cartan_metric(group: GroupSpec, c: Fraction = Fraction(1)) -> CartanMetric:
                 raise InternalCheckError("Cartan metric is not diagonal")
     if mult is None or not mult or not mult.is_rational():
         raise InternalCheckError("degenerate Cartan metric")
-    return CartanMetric(group, c, mult.as_fraction())
+    return c * mult.as_fraction()
 
 
 def omega_prime(group: GroupSpec, c: Fraction, pair1, pair2):
-    """The two-form B(v1, w2) - B(v2, w1) on pairs of Cartan vectors."""
+    """The two-form B(v1, w2) - B(v2, w1) on pairs of Cartan vectors: B is
+    the dot product of the ``cartan_projection``s times ``cartan_metric``,
+    the Fraction for a GaussRat dot product and its float otherwise."""
     v1, w1 = pair1
     v2, w2 = pair2
-    metric = cartan_metric(group, c)
-    return metric.pair(list(v1), list(w2)) - metric.pair(list(v2), list(w1))
+    m = cartan_metric(group, c)
+
+    def pair(u, v):
+        dot = sum(map(mul, cartan_projection(group, list(u)), cartan_projection(group, list(v))))
+        return dot * (m if isinstance(dot, GaussRat) else float(m))
+
+    return pair(v1, w2) - pair(v2, w1)
 
 
 def _gradient_entry(f: LaurentPoly, point: TorusPoint) -> tuple:
-    """``(f, gradients, projected gradients)``, memoised in
-    ``point.grads[id(f)]``; the entry holds ``f`` itself, so ``id(f)``
-    cannot be reused while it lives.  The projected vectors are the
-    gradients themselves except for SL."""
+    """``(f, projected)``, memoised in ``point.grads[id(f)]``: the
+    ``cartan_projection``s of ``f.log_gradient_values(point)``.  The entry
+    holds ``f`` itself, so ``id(f)`` cannot be reused while it lives."""
     hit = point.grads.get(id(f))
     if hit is None:
-        grads = f.log_gradient_values(point)
-        projected = tuple(cartan_projection(f.group, g) for g in grads)
-        hit = point.grads[id(f)] = (f, grads, projected)
+        projected = tuple(cartan_projection(f.group, g) for g in f.log_gradient_values(point))
+        hit = point.grads[id(f)] = (f, projected)
     return hit
-
-
-def log_gradients(f: LaurentPoly, point: TorusPoint) -> tuple:
-    """All N vectors (x_ij d f / d x_ij)_i at the point, one per factor j.
-
-    The partials are hoisted out of the sample loop at exact and float
-    points alike: their coefficients are tabled once per polynomial and
-    point kind and kept as long as ``f``, and they sum the monomial
-    values of ``f`` that ``f.evaluate`` memoises at the point too, so
-    each monomial is computed once per polynomial and point and no
-    partial polynomial is built (see
-    ``LaurentPoly.log_gradient_values``).  The vectors are memoised per
-    (polynomial, point) in ``point.grads`` and live as long as the point,
-    so every symbol pair sharing ``f`` at one point reuses them.  Each
-    entry equals ``f.partial(i, j).evaluate(point)`` bit for bit.
-    """
-    return _gradient_entry(f, point)[1]
 
 
 def log_gradient(f: LaurentPoly, point: TorusPoint, j: int) -> list:
     """Vector of x_ij d f / d x_ij evaluated at the point (1-based j).
 
-    A copy of the j-th vector of ``log_gradients``, which memoises all N
-    vectors of ``f`` at the point on first use.  A j outside 1..N is
+    The partials are not built: their coefficients are tabled once per
+    polynomial and point kind and kept as long as ``f``, and they sum the
+    monomial values of ``f`` that ``f.evaluate`` memoises at the point
+    (see ``LaurentPoly.log_gradient_values``).  Each entry equals
+    ``f.partial(i, j).evaluate(point)`` bit for bit.  A j outside 1..N is
     refused with ``DomainError``.
     """
     f.group.require_factor(j)
-    return list(log_gradients(f, point)[j - 1])
+    return list(f.log_gradient_values(point)[j - 1])
 
 
 def numeric_bracket(
@@ -564,8 +527,8 @@ def numeric_bracket(
     The bracket is B^{-1}(d_1 f, d_2 h) - B^{-1}(d_2 f, d_1 h), where d_j
     is the logarithmic gradient along the j-th torus factor (projected to
     the traceless part for SL) and B^{-1}(u, v) is the dot product of the
-    projected vectors divided by c * multiplier of the Cartan metric: by
-    ``metric.scale`` at float points, by the Fraction at exact points.
+    projected vectors divided by ``cartan_metric(group, c)``: by the
+    Fraction at exact points, by its float at float points.
     The orientation is pinned once against the SL(2) bracket formula at
     the reference point (2, 3) and is part of the test suite.
 
@@ -588,13 +551,12 @@ def numeric_bracket(
         raise DomainError("the symplectic oracle needs exactly two factors")
     hit = point.scales.get(id(c))
     if hit is None:
-        metric = cartan_metric(group, c)
-        scale = metric.c * metric.multiplier if point.exact else metric.scale
-        hit = point.scales[id(c)] = (c, scale)  # holding c keeps id(c) unique
+        m = cartan_metric(group, c)
+        hit = point.scales[id(c)] = (c, m if point.exact else float(m))  # holding c keeps id(c) unique
     scale = hit[1]
     grads = point.grads
-    pf1, pf2 = (grads.get(id(f)) or _gradient_entry(f, point))[2]
-    ph1, ph2 = (grads.get(id(h)) or _gradient_entry(h, point))[2]
+    pf1, pf2 = (grads.get(id(f)) or _gradient_entry(f, point))[1]
+    ph1, ph2 = (grads.get(id(h)) or _gradient_entry(h, point))[1]
     return sum(map(mul, pf1, ph2)) / scale - sum(map(mul, pf2, ph1)) / scale
 
 
@@ -603,14 +565,14 @@ def numeric_bracket_size(
 ) -> float:
     """B, the size of the terms that ``numeric_bracket(f, h, point, c)``
     sums at a float point: the sum of ``|x_i * y_i|`` over both of its dot
-    products, divided by ``|scale|``.  A float dot product is off by at
+    products, divided by ``|cartan_metric(group, c)|``.  A float dot product is off by at
     most a small multiple of the unit roundoff times this sum (Higham,
     *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 3.1), so a
     bracket whose exact value is 0 may read as large as about 1e-16 * B."""
-    pf1, pf2 = _gradient_entry(f, point)[2]
-    ph1, ph2 = _gradient_entry(h, point)[2]
+    pf1, pf2 = _gradient_entry(f, point)[1]
+    ph1, ph2 = _gradient_entry(h, point)[1]
     terms = itertools.chain(map(mul, pf1, ph2), map(mul, pf2, ph1))
-    return sum(map(abs, terms)) / abs(cartan_metric(f.group, c).scale)
+    return sum(map(abs, terms)) / abs(float(cartan_metric(f.group, c)))
 
 
 # ---------------------------------------------------------------------------

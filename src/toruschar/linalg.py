@@ -32,9 +32,8 @@ def identity(n: int) -> Mat:
     )
 
 
-def zeros(n: int, m: int | None = None) -> Mat:
-    m = n if m is None else m
-    return tuple((ZERO,) * m for _ in range(n))
+def zeros(n: int) -> Mat:
+    return tuple((ZERO,) * n for _ in range(n))
 
 
 def nonzero_rows(rows: Iterable[Iterable]) -> list[list[tuple[int, Any]]]:

@@ -46,13 +46,13 @@ class TorusPoint:
       of the LaurentPoly ``f`` at the point, exact or float, which
       ``f.evaluate`` and ``f.log_gradient_values`` both sum with the
       table of ``f`` for the point's kind;
-    - ``grads[id(f)] = (f, gradients, projected gradients)``, stored by
-      ``lie.log_gradients``, where the projected vectors are the SL
-      traceless parts that ``lie.numeric_bracket`` pairs (the gradients
-      themselves for the other families);
+    - ``grads[id(f)] = (f, projected)``, stored by ``lie.numeric_bracket``:
+      the logarithmic gradients of ``f``, one per factor, projected to
+      their SL traceless parts (the gradients themselves for the other
+      families), which the bracket pairs;
     - ``scales[id(c)] = (c, divisor)``, stored by ``lie.numeric_bracket``:
       the divisor of its dot products for the trace-form multiple ``c``,
-      ``c * multiplier`` at an exact point and its float at a float point;
+      ``lie.cartan_metric`` at an exact point and its float at a float point;
     - ``taus[symbol] = value``, stored by ``TauPoly.evaluate`` (the point
       fixes the group).
 

@@ -45,7 +45,7 @@ from typing import Iterator, Optional
 
 from .errors import DomainError, ResourceLimitError
 from .groups import GroupSpec, Record
-from .laurent import ExponentMatrix, LaurentPoly, stored_key
+from .laurent import ExponentMatrix, LaurentPoly, canonical_mod_relations, stored_key
 from .scalars import ONE
 from .sparse import add_term
 
@@ -119,11 +119,12 @@ def _iter_signed(n: int, even_only: bool) -> Iterator[SignedPerm]:
             yield SignedPerm(perm, signs)
 
 
-def weyl_elements(group: GroupSpec, cap: int = WEYL_CAP) -> Iterator[SignedPerm]:
-    """All Weyl group elements, each exactly once."""
-    if group.weyl_order > cap:
+def weyl_elements(group: GroupSpec) -> Iterator[SignedPerm]:
+    """All Weyl group elements, each exactly once; a |W| above
+    ``WEYL_CAP`` raises ResourceLimitError."""
+    if group.weyl_order > WEYL_CAP:
         raise ResourceLimitError(
-            f"|W| = {group.weyl_order} exceeds enumeration cap {cap}"
+            f"|W| = {group.weyl_order} exceeds enumeration cap {WEYL_CAP}"
         )
     n = group.rank
     if group.family in ("GL", "SL"):
@@ -179,7 +180,7 @@ def act(w: SignedPerm, f: LaurentPoly) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 
 def _images(
-    key: tuple[ExponentMatrix, int], group: GroupSpec, cap: int
+    key: tuple[ExponentMatrix, int], group: GroupSpec
 ) -> tuple[int, Iterator[ExponentMatrix]]:
     """``(stab, images)`` for the Weyl orbit with key ``(rows, parity)``
     from ``orbit_rep``: the stabiliser order and an iterator over the
@@ -190,7 +191,7 @@ def _images(
     and the z zero rows: stab is prod(m_i!) times 2^z in Sp and odd SO,
     2^(z-1) in even SO when z >= 1, and the orbit size is n!/prod(m_i!)
     times 2^(n-z) in a signed family, halved in even SO when z = 0.  The
-    size is checked against ``cap`` before any iterator exists.
+    size is checked against ``WEYL_CAP`` before any iterator exists.
     """
     base, parity = key
     n = len(base)
@@ -207,8 +208,8 @@ def _images(
                 stab >>= 1
             else:
                 size >>= 1
-    if size > cap:
-        raise ResourceLimitError(f"orbit of {size} monomials exceeds cap {cap}")
+    if size > WEYL_CAP:
+        raise ResourceLimitError(f"orbit of {size} monomials exceeds cap {WEYL_CAP}")
     if zeros == n:  # each row has one choice: the arrangements are the images
         return stab, _arrangements(base)
     choices = [(row, tuple([-e for e in row])) if any(row) else (row,) for row in base]
@@ -277,48 +278,48 @@ def orbit_rep(m: ExponentMatrix, group: GroupSpec) -> tuple[ExponentMatrix, int]
     return tuple(rows), 0
 
 
-def _sum_orbits(coeffs: dict, group: GroupSpec, cap: int) -> LaurentPoly:
+def _sum_orbits(coeffs: dict, group: GroupSpec) -> LaurentPoly:
     """The sum of c * S(key) over ``coeffs = {orbit key: c}``, no c zero,
     S the Weyl orbit sum: the sum of w . m over every w in W for any m of
     the orbit.  It gives each orbit monomial one coefficient, the
     stabiliser order |W|/|orbit|, so each orbit is streamed from
     ``_images`` into one dict with c times that order, one product per
     orbit.  Orbits are disjoint, so no monomial gets two contributions.
-    An orbit above ``cap`` monomials raises ResourceLimitError before it
+    An orbit above ``WEYL_CAP`` monomials raises ResourceLimitError before it
     is built.  The images are stored keys as they come: permuting the
     rows of a canonical SL key leaves it canonical, as the shift that
     canonicalises a key depends only on its multiset of rows."""
     terms: dict = {}
     for key, c in coeffs.items():
-        stab, images = _images(key, group, cap)
+        stab, images = _images(key, group)
         terms.update(zip(images, itertools.repeat(c * stab)))
     return LaurentPoly._trusted(group, terms)
 
 
-def orbit_sum(m: ExponentMatrix, group: GroupSpec, cap: int = WEYL_CAP) -> LaurentPoly:
+def orbit_sum(m: ExponentMatrix, group: GroupSpec) -> LaurentPoly:
     """S(m), the sum of w . m over every Weyl element, multiplicities
     included: ``_sum_orbits`` of m's orbit key with coefficient 1, so each
     orbit monomial gets the stabiliser order.  ``m`` is checked and
     canonicalised by ``laurent.stored_key``, with no polynomial built for it.
-    Raises ResourceLimitError if the orbit has more than ``cap``
+    Raises ResourceLimitError if the orbit has more than ``WEYL_CAP``
     monomials."""
-    return _sum_orbits({orbit_rep(stored_key(m, group), group): ONE}, group, cap)
+    return _sum_orbits({orbit_rep(stored_key(m, group), group): ONE}, group)
 
 
-def pattern_sum(m: ExponentMatrix, group: GroupSpec, cap: int = WEYL_CAP) -> LaurentPoly:
+def pattern_sum(m: ExponentMatrix, group: GroupSpec) -> LaurentPoly:
     """Sum of w . m over the pattern group of the level reduction: the
     symmetric group for GL/SL, the full signed group otherwise.  For all
     but even SO that is W, and the sum is S(m).  Even SO's pattern group
     is W together with W . d, d one sign change, so the sum is S(m) +
     S(m'), m' the key with its first row negated: one key counted twice
-    when a row is zero.  ``cap`` bounds each W-orbit, not the pattern
+    when a row is zero.  ``WEYL_CAP`` bounds each W-orbit, not the pattern
     orbit, which for even SO can be twice as large.  No library code
     calls it; ``generators._reduce_pattern`` writes it in closed form."""
     key = stored_key(m, group)
     coeffs = {orbit_rep(key, group): ONE}
     if group.family == "SOeven":
         add_term(coeffs, orbit_rep((tuple(-e for e in key[0]),) + key[1:], group), ONE)
-    return _sum_orbits(coeffs, group, cap)
+    return _sum_orbits(coeffs, group)
 
 
 def invariance_violation(f: LaurentPoly, group: GroupSpec) -> Optional[SignedPerm]:
@@ -346,15 +347,10 @@ def level_of_monomial(m: ExponentMatrix, group: GroupSpec) -> int:
     """Minimal number of nonvanishing exponent rows over all presentations.
 
     Presentations are unique except for SL, where adding one vector to all
-    rows does not change the monomial; there the level is n minus the top
-    multiplicity among row values.
+    rows does not change the monomial; the canonical form shifts the most
+    frequent row to zero, which leaves the fewest nonzero rows.
     """
-    if group.family == "SL":
-        counts: dict[tuple[int, ...], int] = {}
-        for row in m:
-            counts[row] = counts.get(row, 0) + 1
-        return group.rank - max(counts.values())
-    return sum(1 for row in m if any(row))
+    return sum(1 for row in canonical_mod_relations(m, group) if any(row))
 
 
 def level_of_poly(f: LaurentPoly, group: GroupSpec) -> int:

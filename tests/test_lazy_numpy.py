@@ -73,8 +73,7 @@ sys.modules["numpy"] = None  # any ``import numpy`` now raises ImportError
 
 import toruschar
 for mod in pkgutil.walk_packages(toruschar.__path__, "toruschar."):
-    if mod.name != "toruschar.__main__":  # it runs the CLI on import
-        importlib.import_module(mod.name)
+    importlib.import_module(mod.name)
 print("imports ok")
 
 from toruschar import cli

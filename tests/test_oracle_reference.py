@@ -30,8 +30,8 @@ from toruschar.laurent import LaurentPoly, exponents, zero_exponents
 from toruschar.lie import (
     cartan_metric,
     log_gradient,
-    log_gradients,
     numeric_bracket,
+    omega_prime,
     random_eigenvalues,
     random_torus_point,
 )
@@ -184,9 +184,9 @@ def test_point_tables_die_with_the_point():
     cartan_metric(group, Fraction(2, 7))
     before = [sys.getrefcount(x) for x in (f, h, c)]
     f.evaluate(pt)
-    log_gradients(f, pt)
     numeric_bracket(f, h, pt, c)
-    assert pt.values[id(f)][0] is f and pt.grads[id(h)][0] is h and pt.scales[id(c)][0] is c
+    assert pt.values[id(f)][0] is f and pt.scales[id(c)][0] is c
+    assert pt.grads[id(f)][0] is f and pt.grads[id(h)][0] is h
     assert [sys.getrefcount(x) for x in (f, h, c)] != before
     del pt
     gc.collect()
@@ -222,6 +222,31 @@ def test_metric_memo_follows_c():
             for a, b in pairs[:20]:
                 got = numeric_bracket(images[a], images[b], pt, c)
                 assert _bits(got) == _bits(ref.numeric_bracket(images[a], images[b], pt, c))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_omega_prime_off_exact_input_is_the_reference(family):
+    # Complex and int vectors take the float of c * multiplier, as the
+    # former ``CartanMetric.pair`` did; GaussRat ones the Fraction.
+    rng = random.Random(SEEDS[1])
+    group = GroupSpec(family, 3, 1)
+
+    def vectors(kind):
+        if kind is complex:
+            return [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(3)]
+        return [kind(rng.randint(-5, 5)) for _ in range(3)]
+
+    for c in (Fraction(1), Fraction(2, 7), Fraction(-3, 2)):
+        for kind in (complex, int, GaussRat):
+            for _ in range(20):
+                pair1 = (vectors(kind), vectors(kind))
+                pair2 = (vectors(kind), vectors(kind))
+                got = omega_prime(group, c, pair1, pair2)
+                want = ref.omega_prime(group, c, pair1, pair2)
+                assert type(got) is type(want)
+                if isinstance(got, float):
+                    got, want = got.hex(), want.hex()
+                assert _bits(got) == _bits(want), (c, pair1, pair2)
 
 
 def _float_twin(point):

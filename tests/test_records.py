@@ -1,5 +1,5 @@
-"""The slot classes ``GroupSpec``, ``SignedPerm`` and ``CartanMetric``
-against the ``@dataclass`` declarations they replaced.
+"""The slot classes ``GroupSpec`` and ``SignedPerm`` against the
+``@dataclass`` declarations they replaced.
 
 The reference classes below are those declarations, under the same names,
 so their ``repr`` is the text the library must still print.  Each check
@@ -13,12 +13,11 @@ import itertools
 import operator
 import pickle
 import random
-from dataclasses import dataclass, field, fields
-from fractions import Fraction
+from dataclasses import dataclass, fields
 
 import pytest
 
-from toruschar import groups, lie, weyl
+from toruschar import groups, weyl
 from toruschar.errors import DomainError, StructureError
 
 
@@ -48,17 +47,6 @@ class SignedPerm:
             raise DomainError("invalid signed permutation")
         if any(s not in (1, -1) for s in self.signs):
             raise DomainError("signs must be +-1")
-
-
-@dataclass(frozen=True)
-class CartanMetric:
-    group: GroupSpec
-    c: Fraction
-    multiplier: Fraction
-    scale: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "scale", float(self.c * self.multiplier))
 
 
 def _outcome(cls, args, kwargs):
@@ -195,41 +183,14 @@ def test_signed_perm_matches_dataclass():
         ident < ident
 
 
-def _metrics():
-    cases = []
-    for group in (groups.GroupSpec("GL", 2), groups.GroupSpec("SL", 3, 2),
-                  groups.GroupSpec("Sp", 1), groups.GroupSpec("SOeven", 2, 2)):
-        for c in (Fraction(1), Fraction(-3, 2), Fraction(7, 3)):
-            mult = lie.cartan_metric(group, c).multiplier
-            cases.append(((group, c, mult), {}))
-    cases.append(((), {"group": groups.GroupSpec("SOodd", 1), "c": Fraction(1, 2),
-                       "multiplier": Fraction(2)}))
-    cases.append(((groups.GroupSpec("GL", 1), Fraction(1)), {}))
-    cases.append(((groups.GroupSpec("GL", 1), Fraction(1), Fraction(1)), {"scale": 1.0}))
-    cases.append(((groups.GroupSpec("GL", 1), None, Fraction(1)), {}))
-    return _pairs(cases, lie.CartanMetric, CartanMetric)
-
-
-def test_cartan_metric_matches_dataclass():
-    pairs = _metrics()
-    assert len(pairs) == 13
-    for new, old in pairs:
-        assert hash(new) == hash(old)
-        assert new.scale == old.scale == float(old.c * old.multiplier)
-    for (a, a_old), (b, b_old) in itertools.product(pairs, repeat=2):
-        assert (a == b) == (a_old == b_old)
-        assert (a != b) == (a_old != b_old)
-
-
 def _instances():
     return [p[0] for p in _groups()[::7]] + [
         weyl.SignedPerm((1, 0, 2), (1, -1, -1)),
         weyl.SignedPerm.identity(1),
-    ] + [p[0] for p in _metrics()[::4]]
+    ]
 
 
-REFERENCE = {"GroupSpec": GroupSpec("SL", 2), "SignedPerm": SignedPerm((0,), (1,)),
-             "CartanMetric": CartanMetric(GroupSpec("GL", 1), Fraction(1), Fraction(1))}
+REFERENCE = {"GroupSpec": GroupSpec("SL", 2), "SignedPerm": SignedPerm((0,), (1,))}
 
 
 @pytest.mark.parametrize("obj", _instances(), ids=repr)
@@ -249,4 +210,3 @@ def test_pickle_and_copy_round_trip(obj):
     for back in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
         assert type(back) is type(obj)
         assert back == obj and hash(back) == hash(obj) and repr(back) == repr(obj)
-        assert getattr(back, "scale", None) == getattr(obj, "scale", None)

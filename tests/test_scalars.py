@@ -112,7 +112,7 @@ def test_parse_rejects_non_strings():
         lambda text: GaussRat(0, text),
         lambda text: TauPoly.zero(SL22, text).c,
         lambda text: bracket_symbols((1, 0), (0, 1), SL22, text),
-        lambda text: cartan_metric(SL22, text).c,
+        lambda text: cartan_metric(SL22, text),
     ],
     ids=["GaussRat re", "GaussRat im", "TauPoly c", "bracket_symbols c", "cartan_metric c"],
 )

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from toruschar import weyl
 from toruschar.errors import ResourceLimitError
 from toruschar.groups import FAMILIES, GroupSpec
 from toruschar.laurent import LaurentPoly, exponents
@@ -32,20 +33,22 @@ def test_weyl_sizes():
     assert len(list(weyl_elements(GroupSpec("SOeven", 3, 1)))) == 24
 
 
-def test_enumeration_cap():
-    with pytest.raises(ResourceLimitError):
-        list(weyl_elements(GroupSpec("Sp", 3, 1), cap=10))
+def test_enumeration_cap(monkeypatch):
+    monkeypatch.setattr(weyl, "WEYL_CAP", 10)
+    with pytest.raises(ResourceLimitError, match="exceeds enumeration cap 10"):
+        list(weyl_elements(GroupSpec("Sp", 3, 1)))
 
 
-def test_orbit_cap_counts_orbit_not_group():
+def test_orbit_cap_counts_orbit_not_group(monkeypatch):
     sp9 = GroupSpec("Sp", 9, 1)
     orb = orbit_sum(exponents([[1]] + [[0]] * 8), sp9)  # |W| = 9! 2^9 is over the cap
     assert len(orb) == 18
     assert set(orb.terms.values()) == {GaussRat(math.factorial(9) * 2 ** 9 // 18)}
     with pytest.raises(ResourceLimitError):
         orbit_sum(exponents([[k] for k in range(1, 10)]), sp9)
-    with pytest.raises(ResourceLimitError):
-        orbit_sum(exponents([[1], [0], [0]]), GroupSpec("Sp", 3, 1), cap=5)
+    monkeypatch.setattr(weyl, "WEYL_CAP", 5)
+    with pytest.raises(ResourceLimitError, match="orbit of 6 monomials exceeds cap 5"):
+        orbit_sum(exponents([[1], [0], [0]]), GroupSpec("Sp", 3, 1))
 
 
 def test_group_axioms_small():

@@ -84,7 +84,7 @@ def test_sum_orbits_matches_enumeration(data):
         c = data.draw(st.tuples(parts, parts).map(lambda p: GaussRat(*p)).filter(bool))
         coeffs[key] = c
         want = want + ref.orbit_sum(m, group).scaled(c)
-    assert weyl._sum_orbits(coeffs, group, weyl.WEYL_CAP) == want
+    assert weyl._sum_orbits(coeffs, group) == want
 
 
 def _orbit_sum_by_the_key_rule(m, group):
@@ -96,12 +96,12 @@ def _orbit_sum_by_the_key_rule(m, group):
     (key,) = {m: ONE}
     check_exponents(key, group)
     key = canonical_mod_relations(key, group)
-    return weyl._sum_orbits({orbit_rep(key, group): ONE}, group, weyl.WEYL_CAP)
+    return weyl._sum_orbits({orbit_rep(key, group): ONE}, group)
 
 
 def _orbit_sum_through_a_laurent_poly(m, group):
     (key,) = LaurentPoly(group, {m: ONE}).terms
-    return weyl._sum_orbits({orbit_rep(key, group): ONE}, group, weyl.WEYL_CAP)
+    return weyl._sum_orbits({orbit_rep(key, group): ONE}, group)
 
 
 def _outcome(fn, m, group):
@@ -154,11 +154,10 @@ def test_orbit_sum_accepts_and_refuses_as_through_a_laurent_poly(data):
 def test_images_match_the_flip_loop_in_order(case):
     group, raw = case
     (m,) = LaurentPoly.monomial(group, raw).terms  # orbits are built on stored keys
-    cap = weyl.WEYL_CAP
-    stab, images = weyl._images(orbit_rep(m, group), group, cap)
+    stab, images = weyl._images(orbit_rep(m, group), group)
     images = list(images)
     assert stab * len(images) == group.weyl_order
-    assert images == ref.images(m, group, group.family == "SOeven", cap)
+    assert images == ref.images(m, group, group.family == "SOeven", weyl.WEYL_CAP)
 
 
 @settings(max_examples=300, deadline=None)
@@ -198,15 +197,18 @@ def test_pattern_sum_caps_each_weyl_orbit(monkeypatch):
     # before any arrangement of the rows is asked for.
     g = GroupSpec("SOeven", 3, 1)
     m = exponents([[1], [-1], [2]])
-    got = pattern_sum(m, g, cap=12)
-    assert len(got) == 24 and got == ref.pattern_sum(m, g)
+    want = ref.pattern_sum(m, g)  # it enumerates W, under the real cap
+    monkeypatch.setattr(weyl, "WEYL_CAP", 12)
+    got = pattern_sum(m, g)
+    assert len(got) == 24 and got == want
 
     def arranged(rows):
         raise AssertionError("an orbit over the cap was built")
 
     monkeypatch.setattr(weyl, "_arrangements", arranged)
+    monkeypatch.setattr(weyl, "WEYL_CAP", 11)
     with pytest.raises(ResourceLimitError, match="orbit of 12 monomials exceeds cap 11"):
-        pattern_sum(m, g, cap=11)
+        pattern_sum(m, g)
 
 
 def step(m_sub, alpha, group):
