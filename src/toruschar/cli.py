@@ -27,10 +27,11 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import shlex
 import sys
 
-from .errors import DomainError, InternalCheckError, NoGLFormulaError, ResourceLimitError
+from .errors import DomainError, InternalCheckError, ResourceLimitError
 from .generators import GeneratorPoly, decompose, expand
 from .groups import _CLI_NAMES, GroupSpec
 from .jsonio import json_check, parse_scalar
@@ -111,10 +112,15 @@ def _write_json(path: str | None, obj: dict) -> None:
 
 
 def _parse_vec(text: str) -> tuple[int, ...]:
+    """Comma-separated ASCII integers, spaces allowed around each; ``int``
+    alone would also read ``1_0`` as 10 and full-width digits."""
+    parts = text.split(",")
     try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise DomainError(f"cannot parse lattice vector {text!r}") from exc
+        if not all(re.fullmatch(r" *[+-]?[0-9]+ *", x) for x in parts):
+            raise ValueError
+        return tuple(int(x) for x in parts)
+    except ValueError:  # or one above the interpreter's digit limit
+        raise DomainError(f"cannot parse lattice vector {text!r}") from None
 
 
 def _parse_exps(text: str, group: GroupSpec):
@@ -141,8 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="lattice vector, e.g. 1,0")
     p.add_argument("--b", required=True, help="lattice vector, e.g. 0,1")
     p.add_argument("--c", default="1", help="trace-form multiple (rational)")
-    p.add_argument("--extrapolated", action="store_true",
-                   help="allow the oracle-validated GL extrapolation")
     p.add_argument("--out", dest="outfile")
 
     p = sub.add_parser("verify-bracket", help="bracket oracle agreement suite")
@@ -152,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--window", type=int, default=2)
-    p.add_argument("--extrapolated", action="store_true")
 
     p = sub.add_parser("verify-jacobi", help="Jacobi defect suite")
     _add_group_flags(p, factors=False)
@@ -173,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_group_flags(p, factors=False)
     p.add_argument("--c", default="1")
     p.add_argument("--cutoff", type=int, default=1)
-    p.add_argument("--extrapolated", action="store_true")
     p.add_argument("--out", dest="outfile")
 
     p = sub.add_parser("orbit-sum", help="Weyl orbit sum of a monomial")
@@ -212,7 +214,7 @@ def _cmd_bracket(args) -> int:
     for flag, vec in (("--a", a), ("--b", b)):
         if len(vec) != 2:
             raise DomainError(f"{flag} must have 2 entries, got {len(vec)}")
-    br = bracket_symbols(a, b, group, c, extrapolated_gl=args.extrapolated)
+    br = bracket_symbols(a, b, group, c)
     print(br)
     if args.outfile:
         _write_json(args.outfile, br.to_json())
@@ -228,7 +230,6 @@ def _cmd_verify_bracket(args) -> int:
         window=args.window,
         tol=args.tol,
         c=parse_scalar(read_rational, args.c),
-        extrapolated_gl=args.extrapolated,
     )
     print(
         f"{res['group']}: {res['checked']} checks over {res['pairs']} pairs, "
@@ -240,8 +241,6 @@ def _cmd_verify_bracket(args) -> int:
     argv = ["toruschar", "verify-bracket", "--family", args.family, "--rank", str(args.rank),
             "--c", args.c, "--trials", str(res["worst_trial"] + 1), "--seed", str(args.seed),
             "--tol", repr(args.tol), "--window", str(args.window)]
-    if args.extrapolated:
-        argv.append("--extrapolated")
     a, b = res["worst_pair"]
     print(f"{shlex.join(argv)}  # worst: {{tau{a}, tau{b}}} at trial {res['worst_trial'] + 1}, "
           f"exact {res['worst_bracket']}, B {res['worst_size']:.3e}", file=sys.stderr)
@@ -315,8 +314,7 @@ def _cmd_killing(args) -> int:
 
 def _cmd_structure_constants(args) -> int:
     group = _group_from(args, factors=2)
-    table = structure_constants(group, parse_scalar(read_rational, args.c), args.cutoff,
-                                extrapolated_gl=args.extrapolated)
+    table = structure_constants(group, parse_scalar(read_rational, args.c), args.cutoff)
     _write_json(args.outfile, table)
     return 0
 
@@ -362,12 +360,6 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except NoGLFormulaError:
-        # The library's message names its keyword; name what this command takes.
-        hint = ("pass --extrapolated for the oracle-validated extrapolation"
-                if "extrapolated" in args else f"{args.command} takes no GL group")
-        print(f"error: no GL bracket formula; {hint}", file=sys.stderr)
-        return 2
     except (ResourceLimitError, OSError, ValueError, ZeroDivisionError) as exc:
         # bad input: DomainError, StructureError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)

@@ -13,10 +13,6 @@ class UnsupportedInputError(DomainError):
     """Input is valid but deliberately unsupported (e.g. half-integer weights)."""
 
 
-class NoGLFormulaError(DomainError):
-    """A GL bracket was asked for without allowing the extrapolated rule."""
-
-
 class ResourceLimitError(RuntimeError):
     """A size guard (the cap on Weyl group or orbit size, or on Lie dimension) was exceeded."""
 

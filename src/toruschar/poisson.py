@@ -2,6 +2,7 @@
 
 Polynomials in the symbols tau(p, q), (p, q) in Z^2, carry the bracket
 
+    {tau_a, tau_b} = det(a, b)/c * tau_{a+b}                          (GL)
     {tau_a, tau_b} = det(a, b)/c * (tau_{a+b} - tau_a tau_b / n)      (SL)
     {tau_a, tau_b} = det(a, b)/(2c) * (tau_{a+b} - tau_{a-b})         (Sp, SO)
 
@@ -11,9 +12,13 @@ structure.  For Sp/SO the symbols tau(-a) and tau(a) coincide and keys
 are normalized accordingly at construction; no such identification is
 made for GL/SL.
 
-There is no GL formula in this scheme; an extrapolated rule
-{tau_a, tau_b} = det(a,b)/c * tau_{a+b} is available behind an explicit
-flag, validated only by agreement with the numeric oracle.
+Each rule sums the torus Goldman form {x^m, x^k} = w(m, k) x^{m+k}, with
+w(m, k) = (P m_1 . P k_2 - P m_2 . P k_1) / ``lie.cartan_metric`` (m_j the
+exponent column of factor j, P the projection onto the Cartan), over the
+monomials of tau_a and tau_b: on GL only the x_i^a, x_i^b of one i pair,
+each by det(a, b)/c; SL's traceless P adds -det(a, b)/(n c) per pair; on
+Sp/SO, B = 2c and the x_i^{-b} give tau_{a-b}.
+``tests/test_bracket_exact.py`` checks every rule by this expansion.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from operator import index
 from typing import Mapping
 
 from . import sparse
-from .errors import DomainError, NoGLFormulaError, ResourceLimitError, StructureError
+from .errors import DomainError, ResourceLimitError, StructureError
 from .generators import _normalize_vector, tau_image
 from .groups import GroupSpec
 from .jsonio import json_check, json_coeff, json_field, json_ints, parse_scalar
@@ -179,13 +184,12 @@ class TauPoly(sparse.SparsePoly):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
-def _bracket_rule(group: GroupSpec, c: Fraction, extrapolated_gl: bool):
+def _bracket_rule(group: GroupSpec, c: Fraction):
     """The symbol bracket of one (group, c) as a function of two integer
     pairs, with the family's constants built once as GaussRats.  It
     returns the bracket's ``(key, coefficient)`` terms in stored form (a
     det = 0 pair gives none): the a+b and a-b keys normalized on signed
-    groups, the SL pair key sorted.  Without ``extrapolated_gl`` a GL
-    pair raises NoGLFormulaError only when det != 0."""
+    groups, the SL pair key sorted."""
     if group.factors != 2:
         raise StructureError("trace symbols need exactly two factors")
     family = group.family
@@ -207,11 +211,6 @@ def _bracket_rule(group: GroupSpec, c: Fraction, extrapolated_gl: bool):
             det = a[0] * b[1] - a[1] * b[0]
             if not det:
                 return ()
-            if not extrapolated_gl:
-                raise NoGLFormulaError(
-                    "no GL bracket formula; pass extrapolated_gl=True for the "
-                    "oracle-validated extrapolation"
-                )
             return (((a[0] + b[0], a[1] + b[1]),), inv_c * det),
 
     else:
@@ -229,13 +228,7 @@ def _bracket_rule(group: GroupSpec, c: Fraction, extrapolated_gl: bool):
     return rule
 
 
-def bracket_symbols(
-    a,
-    b,
-    group: GroupSpec,
-    c: Fraction = Fraction(1),
-    extrapolated_gl: bool = False,
-) -> TauPoly:
+def bracket_symbols(a, b, group: GroupSpec, c: Fraction = Fraction(1)) -> TauPoly:
     """Poisson bracket of two trace symbols, each a pair of integers
     (``operator.index``: a float or a Fraction raises TypeError).  The
     rule and its constants are built once per (group, c)."""
@@ -246,18 +239,16 @@ def bracket_symbols(
         raise DomainError(f"a trace symbol takes 2 entries, got {len(a)} and {len(b)}")
     a = (index(a[0]), index(a[1]))
     b = (index(b[0]), index(b[1]))
-    rule = _bracket_rule(group, c, extrapolated_gl)
+    rule = _bracket_rule(group, c)
     return TauPoly._trusted(group, c, dict(rule(a, b)))
 
 
-def bracket_poly(
-    f: TauPoly, h: TauPoly, extrapolated_gl: bool = False
-) -> TauPoly:
+def bracket_poly(f: TauPoly, h: TauPoly) -> TauPoly:
     """Bilinear, Leibniz extension of the symbol bracket.  The rule and its
     constants are built once per (group, c); each factor pair adds the
     rule's terms straight into one accumulator."""
     f._require_same_ring(h)
-    rule = _bracket_rule(f.group, f.c, extrapolated_gl)
+    rule = _bracket_rule(f.group, f.c)
     terms: dict[tuple, GaussRat] = {}
     for k1, v1 in f.terms.items():
         for k2, v2 in h.terms.items():
@@ -272,9 +263,7 @@ def bracket_poly(
     return f._wrap(terms)
 
 
-def jacobi_defect(
-    a, b, c3, group: GroupSpec, c: Fraction = Fraction(1), extrapolated_gl: bool = False
-) -> TauPoly:
+def jacobi_defect(a, b, c3, group: GroupSpec, c: Fraction = Fraction(1)) -> TauPoly:
     """{{a,b},c3} + {{b,c3},a} + {{c3,a},b} as a TauPoly; the Poisson
     structure is valid precisely when this collects to zero."""
     def sym(v):
@@ -282,8 +271,7 @@ def jacobi_defect(
 
     total = TauPoly.zero(group, c)
     for x, y, z in ((a, b, c3), (b, c3, a), (c3, a, b)):
-        inner = bracket_symbols(x, y, group, c, extrapolated_gl)
-        total = total + bracket_poly(inner, sym(z), extrapolated_gl)
+        total = total + bracket_poly(bracket_symbols(x, y, group, c), sym(z))
     return total
 
 
@@ -299,9 +287,7 @@ def symbol_window(group: GroupSpec, cutoff: int) -> list[LatticeVec]:
     return sorted(seen)
 
 
-def structure_constants(
-    group: GroupSpec, c: Fraction, cutoff: int, extrapolated_gl: bool = False
-) -> dict:
+def structure_constants(group: GroupSpec, c: Fraction, cutoff: int) -> dict:
     """All brackets of distinct symbol pairs in the cutoff window, as a
     JSON-ready table sorted by (a, b); diagonal pairs vanish identically
     and are omitted."""
@@ -311,7 +297,7 @@ def structure_constants(
     entries = []
     for i, a in enumerate(syms):
         for b in syms[i + 1 :]:
-            br = bracket_symbols(a, b, group, c, extrapolated_gl)
+            br = bracket_symbols(a, b, group, c)
             entries.append({"a": list(a), "b": list(b), "bracket": br.to_json()})
     return {
         "group": group.to_json(),

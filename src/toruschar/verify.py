@@ -227,7 +227,6 @@ def bracket_agreement(
     window: int = 2,
     tol: float = 1e-9,
     c: Fraction = Fraction(1),
-    extrapolated_gl: bool = False,
 ) -> dict:
     """Symbolic bracket versus the symplectic-form oracle at random
     generic float points, every symbol pair in the window.  More than
@@ -254,9 +253,7 @@ def bracket_agreement(
             f"{trials} trials x {len(pairs)} symbol pairs exceed cap {PAIR_TRIALS_CAP}"
         )
     images = {a: tau_image(group, a) for a in syms}
-    brackets = {
-        (a, b): bracket_symbols(a, b, group, c, extrapolated_gl) for a, b in pairs
-    }
+    brackets = {(a, b): bracket_symbols(a, b, group, c) for a, b in pairs}
     worst = 0.0
     worst_trial = worst_pair = worst_point = None
     checked = 0

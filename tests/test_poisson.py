@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from toruschar.errors import DomainError, NoGLFormulaError, StructureError
+from toruschar.errors import DomainError, StructureError
 from toruschar.groups import GroupSpec
 from toruschar.lie import numeric_bracket, random_torus_point
 from toruschar.generators import tau_image
@@ -47,38 +47,21 @@ def test_bracket_diagonal_zero():
         assert not bracket_symbols((2, 3), (2, 3), g, ONE_C)
 
 
-def test_bracket_gl_gated():
+def test_bracket_gl():
+    # det = 1 gives tau(1,1) with no flag; a det = 0 pair brackets to 0.
     gl = GroupSpec("GL", 2, 2)
-    with pytest.raises(DomainError):
-        bracket_symbols((1, 0), (0, 1), gl, ONE_C)
-    br = bracket_symbols((1, 0), (0, 1), gl, ONE_C, extrapolated_gl=True)
-    assert br.terms == {((1, 1),): ONE}
+    assert bracket_symbols((1, 0), (0, 1), gl, ONE_C).terms == {((1, 1),): ONE}
+    assert bracket_symbols((1, 0), (2, 0), gl, ONE_C) == TauPoly.zero(gl, ONE_C)
 
 
-def test_gl_without_the_flag_brackets_only_det_zero_pairs():
-    # A det = 0 pair is 0 on GL too; only a det != 0 pair needs a formula.
-    gl = GroupSpec("GL", 2, 2)
-    zero = bracket_symbols((1, 0), (2, 0), gl, ONE_C)
-    assert zero == TauPoly.zero(gl, ONE_C)
-    with pytest.raises(NoGLFormulaError):
-        bracket_symbols((1, 0), (0, 1), gl, ONE_C)
-
-    def sym(a):
-        return TauPoly.symbol(gl, ONE_C, a)
-
-    assert bracket_poly(sym((1, 0)), sym((2, 0))) == TauPoly.zero(gl, ONE_C)
-    with pytest.raises(NoGLFormulaError):
-        bracket_poly(sym((1, 0)), sym((0, 1)))
-
-
-def test_gl_extrapolated_rule_matches_oracle():
+def test_gl_rule_matches_oracle():
     gl = GroupSpec("GL", 2, 2)
     rng = random.Random(3)
     for _ in range(20):
         pt = random_torus_point(gl, rng, exact=True)
         a = (rng.randint(-2, 2), rng.randint(-2, 2))
         b = (rng.randint(-2, 2), rng.randint(-2, 2))
-        sym = bracket_symbols(a, b, gl, ONE_C, extrapolated_gl=True).evaluate(pt)
+        sym = bracket_symbols(a, b, gl, ONE_C).evaluate(pt)
         num = numeric_bracket(tau_image(gl, a), tau_image(gl, b), pt)
         assert sym == num
 
