@@ -47,11 +47,28 @@ def test_bracket_diagonal_zero():
         assert not bracket_symbols((2, 3), (2, 3), g, ONE_C)
 
 
-def test_bracket_gl():
-    # det = 1 gives tau(1,1) with no flag; a det = 0 pair brackets to 0.
+def test_bracket_gl_gated():
+    # GL is no longer gated: det = 1 gives tau(1,1) with no flag, and the
+    # old flag is an unknown keyword.
     gl = GroupSpec("GL", 2, 2)
     assert bracket_symbols((1, 0), (0, 1), gl, ONE_C).terms == {((1, 1),): ONE}
+    with pytest.raises(TypeError):
+        bracket_symbols((1, 0), (0, 1), gl, ONE_C, extrapolated_gl=True)
+
+
+def test_gl_without_the_flag_brackets_only_det_zero_pairs():
+    # A det = 0 pair is 0 on GL; a det != 0 pair now brackets too.
+    gl = GroupSpec("GL", 2, 2)
     assert bracket_symbols((1, 0), (2, 0), gl, ONE_C) == TauPoly.zero(gl, ONE_C)
+
+    def sym(a):
+        return TauPoly.symbol(gl, ONE_C, a)
+
+    assert bracket_poly(sym((1, 0)), sym((2, 0))) == TauPoly.zero(gl, ONE_C)
+    assert bracket_poly(sym((1, 0)), sym((0, 1))) == bracket_symbols(
+        (1, 0), (0, 1), gl, ONE_C
+    )
+    assert bracket_poly(sym((1, 0)), sym((0, 1)))
 
 
 def test_gl_rule_matches_oracle():
