@@ -5,8 +5,9 @@ These are the library's former bodies of ``poisson.bracket_symbols`` and
 ``Fraction`` constants and a validated ``TauPoly`` that re-normalizes its
 keys, and ``bracket_poly`` reads one such ``TauPoly`` per pair of factors.
 It is slow but obviously the formula, and ``test_poisson_reference.py``
-checks that the library's one rule per (group, c), which adds its terms
-straight into the accumulator, gives the same terms exactly.
+checks that the library's one rule per (group, c), with integer weights,
+one rational scale and one reduction per output key, gives the same terms
+exactly.
 
 ``torus_bracket`` is the Goldman form itself on the torus, monomial by
 monomial, and ``laurent_image`` reads a ``TauPoly`` as a Laurent

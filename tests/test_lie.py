@@ -413,7 +413,7 @@ def test_indices_outside_the_group_are_refused(which, i, j):
         (tau_image, lambda k: (GroupSpec("GL", 1, 1), (k,))),
         (cartan_metric, lambda k: (GroupSpec("Sp", 1, 2), Fraction(k + 1))),
         (_basis_forms, lambda k: (GroupSpec("GL", 1, k + 1),)),
-        (_bracket_rule, lambda k: (GroupSpec("SL", 2, 2), Fraction(k + 1))),
+        (_bracket_rule, lambda k: (GroupSpec("SL", 2, 2), k + 1, 1)),
     ],
     ids=["tau_image", "cartan_metric", "_basis_forms", "_bracket_rule"],
 )

@@ -178,6 +178,31 @@ def test_mismatched_c_or_group():
         f + h2
 
 
+_C_ENTRY_POINTS = {
+    "TauPoly": lambda c: TauPoly(SL2, c),
+    "TauPoly.symbol": lambda c: TauPoly.symbol(SL2, c, (1, 0)),
+    "TauPoly.from_json": lambda c: TauPoly.from_json({**_GOOD_TAU, "c": str(c)}),
+    "bracket_symbols": lambda c: bracket_symbols((1, 0), (0, 1), SL2, c),
+    "jacobi_defect": lambda c: jacobi_defect((1, 0), (0, 1), (1, 1), SL2, c),
+    "structure_constants": lambda c: structure_constants(SL2, c, 1),
+}
+
+
+@pytest.mark.parametrize("entry", _C_ENTRY_POINTS, ids=str)
+@pytest.mark.parametrize("zero", [0, Fraction(0), "0", "-0/5"], ids=repr)
+def test_every_entry_point_refuses_c_zero_as_a_domain_error(entry, zero):
+    with pytest.raises(DomainError, match="c must be nonzero"):
+        _C_ENTRY_POINTS[entry](zero)
+
+
+@pytest.mark.parametrize("entry", sorted(set(_C_ENTRY_POINTS) - {"TauPoly.from_json"}), ids=str)
+def test_every_entry_point_names_a_zero_denominator_in_c(entry):
+    # Fraction("1/0") raises a bare ZeroDivisionError naming Fraction(1, 0).
+    with pytest.raises(DomainError, match=r"^zero denominator in '1/0'$"):
+        _C_ENTRY_POINTS[entry]("1/0")
+    assert _C_ENTRY_POINTS[entry]("2/7") == _C_ENTRY_POINTS[entry](Fraction(2, 7))
+
+
 def test_tau_eval_examples():
     pt = TorusPoint(SL2, [[GaussRat(2), GaussRat(Fraction(1, 2))],
                           [GaussRat(3), GaussRat(Fraction(1, 3))]])
